@@ -19,9 +19,9 @@ from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 from .delaunay import DelaunayTriangulation, DiamondCertificate, delaunay_l1, diamond_of
-from .errors import ChewCaseError, InputError
+from .errors import BlockedAtVertex, ChewCaseError, InputError
 from .exactplane import ExactVector, compare_sqrt_sum, sqrt_bounds
-from .geodesic import SaddleConnection
+from .geodesic import SaddleConnection, _segment, _start_corner
 from .surface import Slot, TranslationSurface
 
 _F0 = Fraction(0)
@@ -81,62 +81,6 @@ def _rot(p: ExactVector, k: int) -> ExactVector:
     for _ in range(k):
         p = ExactVector(-p.y, p.x)
     return p
-
-
-class _Blocked(Exception):
-    def __init__(self, position: ExactVector, vertex: int):
-        self.position = position
-        self.vertex = vertex
-
-
-def _chain_for_displacement(s: TranslationSurface, corners, d: ExactVector):
-    """Develop the strip of triangles crossed by the segment 0 -> d starting
-    at one of the given corners; returns list of (triangle, offset)."""
-    start = None
-    for (t, c) in corners:
-        e_out = s.triangles[t].edges[c]
-        e_in = -s.triangles[t].edges[(c + 2) % 3]
-        if e_out.cross(d) == 0 and e_out.dot(d) > 0:
-            if e_out == d:
-                return [(t, _ORIGIN - s.triangles[t].corner_positions()[c])], (t, c), True
-            if e_out.norm_sq() < d.norm_sq():
-                raise _Blocked(e_out, s.corner_vertex((t, (c + 1) % 3)))
-            raise InputError("displacement falls short of an edge vertex")
-        if e_out.cross(d) > 0 and d.cross(e_in) > 0:
-            start = (t, c)
-            break
-    if start is None:
-        raise InputError("no corner wedge contains the direction")
-    t, c = start
-    std = s.triangles[t].corner_positions()
-    offset = _ORIGIN - std[c]
-    chain = [(t, offset)]
-    x = std[(c + 1) % 3] - std[c]
-    y = std[(c + 2) % 3] - std[c]
-    cur_slot = (t, (c + 1) % 3)
-    guard = 0
-    while True:
-        guard += 1
-        if guard > 100_000:
-            raise InputError("chain trace did not terminate")
-        u, j = s.gluings[cur_slot]
-        ustd = s.triangles[u].corner_positions()
-        offset = y - ustd[j]
-        chain.append((u, offset))
-        cpos = offset + ustd[(j + 2) % 3]
-        side = d.cross(cpos)
-        if side == 0:
-            if cpos == d:
-                return chain, start, False
-            if cpos.norm_sq() < d.norm_sq() and cpos.dot(d) > 0:
-                raise _Blocked(cpos, s.corner_vertex((u, (j + 2) % 3)))
-            raise InputError("trace left the segment corridor")
-        if side > 0:
-            y = cpos
-            cur_slot = (u, (j + 1) % 3)
-        else:
-            x = cpos
-            cur_slot = (u, (j + 2) % 3)
 
 
 def _corner_positions_abs(s, placement):
@@ -201,7 +145,10 @@ def _edge_between(s, placement, p_idx: int, q_idx: int):
 
 def chew_path(dt: DelaunayTriangulation, conn: SaddleConnection) -> ChewPath:
     """Edge path in the Delaunay triangulation homotopic to the connection,
-    with total length at most sqrt(10) times the connection length."""
+    with total length at most sqrt(10) times the connection length.
+
+    Raises BlockedAtVertex when the segment from the first start corner
+    whose wedge holds the holonomy meets a vertex before its end."""
     corners = [
         corner for corner, vid in dt.vertex_of_corner.items() if vid == conn.start
     ]
@@ -211,10 +158,10 @@ def chew_path(dt: DelaunayTriangulation, conn: SaddleConnection) -> ChewPath:
 
 
 def _chew_on_surface(s: TranslationSurface, corners, d: ExactVector) -> ChewPath:
-    chain, start_corner, is_edge = _chain_for_displacement(s, corners, d)
-    if is_edge:
-        t, c = start_corner
-        return _assemble_path([((t, c), 1)], [d], [_ORIGIN, d], d)
+    start = _start_corner(s, corners, d)
+    chain = _segment(s, start, d)[0]
+    if len(chain) == 1:  # d runs along the corner's out-edge
+        return _assemble_path([(start, 1)], [d], [_ORIGIN, d], d)
 
     k = _rotation_power(d)
     d_rot = _rot(d, k)
@@ -315,7 +262,7 @@ def _planar_chew_rec(ctx, start_id, d, depth):
     corners = ctx["id_to_corners"][start_id]
     try:
         return _chew_on_surface(dt.surface, corners, d)
-    except _Blocked as blocked:
+    except BlockedAtVertex as blocked:
         first = _planar_chew_rec(ctx, start_id, blocked.position, depth + 1)
         rest = _planar_chew_rec(
             ctx, ctx["surface_vertex_to_id"][blocked.vertex], d - blocked.position, depth + 1

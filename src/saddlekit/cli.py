@@ -28,13 +28,6 @@ def _load_surface(path: str) -> TranslationSurface:
     return s
 
 
-def _budget(args):
-    if getattr(args, "budget", None) is not None:
-        return args.budget
-    env = os.environ.get("SADDLEKIT_BUDGET")
-    return int(env) if env else None
-
-
 def _emit(args, payload):
     if getattr(args, "format", "json") == "csv" and isinstance(payload, dict):
         rows = payload.get("rows")
@@ -84,14 +77,14 @@ def cmd_validate(args):
 
 def cmd_count(args):
     s = _load_surface(args.surface)
-    n = geodesic.count(s, to_fraction(args.radius), budget=_budget(args))
+    n = geodesic.count(s, to_fraction(args.radius), budget=args.budget)
     _emit(args, {"count": n, "radius": args.radius})
     return 0
 
 
 def cmd_enumerate(args):
     s = _load_surface(args.surface)
-    hs = geodesic.enumerate_connections(s, to_fraction(args.radius), budget=_budget(args))
+    hs = geodesic.enumerate_connections(s, to_fraction(args.radius), budget=args.budget)
     if args.format == "csv":
         _emit(args, {"header": hs.CSV_HEADER, "rows": hs.csv_rows()})
     else:
@@ -125,7 +118,7 @@ def cmd_delaunay(args):
 def cmd_chew_check(args):
     s = _load_surface(args.surface)
     dt = delaunay.delaunay_l1(s)
-    hs = geodesic.enumerate_connections(s, to_fraction(args.radius), budget=_budget(args))
+    hs = geodesic.enumerate_connections(s, to_fraction(args.radius), budget=args.budget)
     checked = 0
     worst = 0.0
     failures = 0
@@ -150,7 +143,7 @@ def cmd_chew_check(args):
 def cmd_transform(args):
     s = _load_surface(args.surface)
     f = _fn_from_arg(args.fn)
-    rep = sv.transform_report(s, f, budget=_budget(args))
+    rep = sv.transform_report(s, f, budget=args.budget)
     _emit(args, {"value": rep.value, "ambiguous": rep.ambiguous, "n_vectors": rep.n_vectors})
     return 0
 
@@ -158,7 +151,7 @@ def cmd_transform(args):
 def cmd_classify(args):
     s = _load_surface(args.surface)
     label = sv.classify(
-        s, to_fraction(args.eps0), to_fraction(str(args.p)), budget=_budget(args)
+        s, to_fraction(args.eps0), to_fraction(str(args.p)), budget=args.budget
     )
     _emit(args, label.to_json_dict())
     return 0

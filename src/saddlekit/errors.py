@@ -77,3 +77,18 @@ class AcceptanceRateError(SaddlekitError):
 
 class InputError(SaddlekitError):
     code = "INPUT"
+
+
+class BlockedAtVertex(InputError):
+    """A straight segment meets a vertex before its end.
+
+    Carries the vertex's developed position and its id, so a caller can
+    split the segment there.
+    """
+
+    code = "BLOCKED_AT_VERTEX"
+
+    def __init__(self, position, vertex: int):
+        super().__init__(f"segment blocked at {position}")
+        self.position = position
+        self.vertex = vertex

@@ -28,9 +28,12 @@ def to_fraction(x) -> Fraction:
     if isinstance(x, int):
         return Fraction(x)
     if isinstance(x, float):
-        return Fraction(str(x))
+        x = str(x)
     if isinstance(x, str):
-        return Fraction(x.replace("−", "-").strip())
+        try:
+            return Fraction(x.replace("−", "-").strip())
+        except (ValueError, ZeroDivisionError):
+            pass  # nan, inf, a zero denominator or text that is no number
     raise InputError(f"cannot interpret {x!r} as a rational")
 
 

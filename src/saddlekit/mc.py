@@ -21,7 +21,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from . import kernels
-from .errors import AcceptanceRateError, InputError
+from .errors import AcceptanceRateError, InputError, SurfaceError
 from .exactplane import ExactVector, FloatMatrix, to_fraction
 from .geodesic import enumerate_connections
 from .oracle import TorusPoint, siegel_constant_torus
@@ -212,7 +212,7 @@ def sample_stratum_local(
         cand = TranslationSurface(tris, dict(base.gluings))
         try:
             sig = cand.validate()
-        except Exception:
+        except SurfaceError:
             continue
         if sig != signature:
             continue

@@ -268,16 +268,23 @@ class TranslationSurface:
             if len(tri.edges) != 3:
                 raise InputError("each triangle needs exactly 3 edges")
         gluings: Dict[Slot, Slot] = {}
-        for pair in data.get("gluings", []):
-            (t1, e1), (t2, e2) = pair
-            a, b = (int(t1), int(e1)), (int(t2), int(e2))
-            gluings[a] = b
-            gluings[b] = a
+        try:
+            for pair in data.get("gluings", []):
+                (t1, e1), (t2, e2) = pair
+                a, b = (int(t1), int(e1)), (int(t2), int(e2))
+                gluings[a] = b
+                gluings[b] = a
+        except (TypeError, ValueError) as exc:
+            raise InputError(f"malformed gluing entry: {exc}")
         return cls(triangles, gluings)
 
     @classmethod
     def from_json(cls, text: str) -> "TranslationSurface":
-        return cls.from_json_dict(json.loads(text))
+        try:
+            data = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise InputError(f"surface is not valid JSON: {exc}")
+        return cls.from_json_dict(data)
 
 
 def _ray_contains_half_open(u: ExactVector, w: ExactVector, r: ExactVector) -> bool:

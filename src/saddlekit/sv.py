@@ -286,27 +286,36 @@ class TriangleIndicator(TestFunction):
 
 
 def test_function_from_json(data) -> TestFunction:
-    """Parse the JSON that TestFunction.to_json writes; InputError on an
-    unknown variant."""
+    """Parse the JSON that TestFunction.to_json writes; InputError on text
+    that is not JSON, a value that is not an object, a missing or malformed
+    field, or an unknown variant."""
     if isinstance(data, str):
-        data = json.loads(data)
+        try:
+            data = json.loads(data)
+        except json.JSONDecodeError as exc:
+            raise InputError(f"test function is not valid JSON: {exc}")
+    if not isinstance(data, dict):
+        raise InputError(f"test function must be a JSON object, got {data!r}")
     variant = data.get("variant")
-    if variant == "disc":
-        return DiscIndicator(to_fraction(data["r"]))
-    if variant == "annulus":
-        return AnnulusIndicator(to_fraction(data["r1"]), to_fraction(data["r2"]))
-    if variant == "sector":
-        return SectorIndicator(
-            to_fraction(data["r"]), float(data["theta"]), float(data["half_angle"])
-        )
-    if variant == "triangle":
-        return TriangleIndicator(
-            ExactVector.from_json(data["p"]), ExactVector.from_json(data["q"])
-        )
-    if variant == "product":
-        return ProductPair(
-            test_function_from_json(data["f"]), test_function_from_json(data["g"])
-        )
+    try:
+        if variant == "disc":
+            return DiscIndicator(to_fraction(data["r"]))
+        if variant == "annulus":
+            return AnnulusIndicator(to_fraction(data["r1"]), to_fraction(data["r2"]))
+        if variant == "sector":
+            return SectorIndicator(
+                to_fraction(data["r"]), float(data["theta"]), float(data["half_angle"])
+            )
+        if variant == "triangle":
+            return TriangleIndicator(
+                ExactVector.from_json(data["p"]), ExactVector.from_json(data["q"])
+            )
+        if variant == "product":
+            return ProductPair(
+                test_function_from_json(data["f"]), test_function_from_json(data["g"])
+            )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise InputError(f"malformed {variant!r} test function: {exc!r}")
     raise InputError(f"unknown test function variant {variant!r}")
 
 

@@ -1,0 +1,68 @@
+import json
+
+import pytest
+
+from saddlekit import cli
+
+
+def run(capsys, argv):
+    code = cli.main(argv)
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+@pytest.fixture()
+def bad_gluing_file(tmp_path, torus):
+    data = torus.to_json_dict()
+    data["gluings"][0] = [0, 0]
+    path = tmp_path / "bad_gluing.json"
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+@pytest.fixture()
+def empty_file(tmp_path):
+    path = tmp_path / "empty.json"
+    path.write_text("")
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["empty surface", "bad gluing", "radius nan", "fn without field", "budget env"],
+)
+def test_malformed_input_exits_1_with_input_code(
+    case, capsys, monkeypatch, torus_file, empty_file, bad_gluing_file
+):
+    argv = {
+        "empty surface": ["count", "--surface", empty_file, "--radius", "2"],
+        "bad gluing": ["count", "--surface", bad_gluing_file, "--radius", "2"],
+        "radius nan": ["count", "--surface", torus_file, "--radius", "nan"],
+        "fn without field": ["transform", "--surface", torus_file, "--fn", '{"variant":"disc"}'],
+        "budget env": ["count", "--surface", torus_file, "--radius", "2"],
+    }[case]
+    if case == "budget env":
+        monkeypatch.setenv("SADDLEKIT_BUDGET", "abc")
+    code, out, err = run(capsys, argv)
+    assert code == 1
+    assert out == ""
+    assert "Traceback" not in err
+    assert json.loads(err)["error"] == "INPUT"
+
+
+def test_count_on_torus_file(capsys, torus_file):
+    code, out, err = run(capsys, ["count", "--surface", torus_file, "--radius", "2"])
+    assert code == 0 and err == ""
+    # Primitive vectors of Z^2 of length <= 2: (+-1, 0), (0, +-1), (+-1, +-1).
+    assert json.loads(out) == {"count": 8, "radius": "2"}
+
+
+def test_mc_torus_is_deterministic_across_runs_and_threads(capsys):
+    argv = ["mc-torus", "--samples", "40", "--radius", "3", "--seed", "5"]
+    outputs = []
+    for threads in ("1", "1", "2"):
+        code, out, err = run(capsys, argv + ["--threads", threads])
+        assert code == 0 and err == ""
+        outputs.append(out)
+    assert outputs[0] == outputs[1] == outputs[2]
+    assert json.loads(outputs[0])["n_samples"] == 40

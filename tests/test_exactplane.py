@@ -118,6 +118,12 @@ def test_rational_serialization():
     assert format_rational(to_fraction("4/2")) == "2"
 
 
+@pytest.mark.parametrize("bad", ["nan", "abc", "1/0", "", float("nan"), float("inf"), None])
+def test_to_fraction_rejects_non_rationals(bad):
+    with pytest.raises(InputError):
+        to_fraction(bad)
+
+
 def test_float_matrix_rejects_nonfinite():
     with pytest.raises(InputError):
         FloatMatrix(1.0, float("inf"), 0.0, 1.0)

@@ -3,12 +3,20 @@ from fractions import Fraction
 
 import pytest
 
-from saddlekit.builders import sheared_torus, slit_torus, square_torus, torus_from_matrix
-from saddlekit.errors import InputError, ResourceLimitError
+from saddlekit.builders import (
+    marked_torus,
+    sheared_torus,
+    slit_torus,
+    square_torus,
+    torus_from_matrix,
+)
+from saddlekit.errors import BlockedAtVertex, InputError, ResourceLimitError
 from saddlekit.exactplane import ExactMatrix, ExactVector, primitive_points_in_disc
 from saddlekit.geodesic import (
     Cylinder,
     Unknown,
+    _leaf,
+    _segment,
     count,
     detect_cylinder,
     enumerate_connections,
@@ -18,6 +26,7 @@ from saddlekit.geodesic import (
     shortest,
     trace_connection,
 )
+from saddlekit.homology import EdgeHomology
 from saddlekit.surface import apply_surface
 
 
@@ -204,3 +213,45 @@ def test_csv_rows_schema(torus):
     assert len(rows) == 4
     assert all(len(r) == 8 for r in rows)
     assert hs.CSV_HEADER[0] == "x_num"
+
+
+# --- the straight-line walker -----------------------------------------------
+
+
+@pytest.fixture()
+def tracer_corpus(octagon, slit_13_15):
+    return [(octagon, 3), (slit_13_15, 2), (marked_torus(V(Fraction(1, 2), Fraction(1, 3))), 2)]
+
+
+def test_walk_from_start_corner_reproduces_enumeration(tracer_corpus):
+    for s, radius in tracer_corpus:
+        homology = EdgeHomology(s)
+        conns = enumerate_connections(s, radius).connections
+        assert conns
+        for conn in conns:
+            _, crossings, lower, end = _segment(s, conn.start_corner, conn.holonomy)
+            assert tuple(crossings) == conn.crossings
+            assert end == conn.end
+            assert homology.class_of_slots(lower) == conn.homology_class
+
+
+def test_walk_past_a_connection_is_blocked_at_its_end(tracer_corpus):
+    for s, radius in tracer_corpus:
+        for conn in enumerate_connections(s, radius).connections:
+            with pytest.raises(BlockedAtVertex) as blocked:
+                _segment(s, conn.start_corner, conn.holonomy.scale(2))
+            assert blocked.value.position == conn.holonomy
+            assert blocked.value.vertex == conn.end
+
+
+def test_leaf_aimed_at_a_vertex_reports_the_hit(torus):
+    off = V(0, 0)
+    corners = torus.triangles[0].corner_positions()
+    centroid = V(sum(p.x for p in corners) / 3, sum(p.y for p in corners) / 3)
+    # Each corner of the triangle itself, then the lattice point 3 * centroid,
+    # several crossings away: the line from the centroid meets no vertex
+    # before it.
+    targets = list(corners) + [centroid.scale(3)]
+    for target in targets:
+        result = _leaf(torus, 0, off, centroid, target - centroid, Fraction(10 ** 6))
+        assert result == ("vertex", target)

@@ -259,6 +259,16 @@ def test_function_from_json():
                              "g": {"variant": "square"}})
 
 
+@pytest.mark.parametrize(
+    "bad",
+    ['{"variant": "disc"}', '{"variant": "sector", "r": "1", "theta": "x", "half_angle": 0.1}',
+     "[1, 2]", "7", "{not json", ""],
+)
+def test_malformed_test_function_raises_input_error(bad):
+    with pytest.raises(InputError):
+        parse_test_function(bad)
+
+
 def test_sector_batch_ambiguity_needs_ray_side():
     # (-1, 1) and (-1, -1) lie on the lines of the rays at +-pi/4 but point
     # away from them: neither path may call them ambiguous
