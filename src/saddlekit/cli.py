@@ -16,7 +16,7 @@ import sys
 from fractions import Fraction
 
 from . import chew, delaunay, geodesic, mc, oracle, sv
-from .errors import SaddlekitError
+from .errors import InputError, SaddlekitError
 from .exactplane import ExactMatrix, ExactVector, to_fraction
 from .surface import TranslationSurface, area
 
@@ -54,14 +54,14 @@ def _fn_from_arg(arg: str) -> sv.TestFunction:
 def _matrix_from_arg(arg: str) -> ExactMatrix:
     parts = [to_fraction(p) for p in arg.split(",")]
     if len(parts) != 4:
-        raise SaddlekitError("matrix must be a,b,c,d")
+        raise InputError("matrix must be a,b,c,d")
     return ExactMatrix(*parts)
 
 
 def _vector_from_arg(arg: str) -> ExactVector:
     parts = [to_fraction(p) for p in arg.split(",")]
     if len(parts) != 2:
-        raise SaddlekitError("vector must be x,y")
+        raise InputError("vector must be x,y")
     return ExactVector(*parts)
 
 
@@ -208,7 +208,7 @@ def cmd_mc_stratum(args):
     base = _load_surface(args.surface)
     sample = mc.sample_stratum_local(base, str(args.spread), args.samples, seed)
     f = _fn_from_arg(args.fn) if args.fn else sv.DiscIndicator(to_fraction(args.radius or "1/2"))
-    rep = mc.estimate_mean_transform(sample, f, threads=args.threads)
+    rep = mc.estimate_mean_transform(sample, f, threads=args.threads, budget=args.budget)
     payload = rep.to_json_dict()
     payload["attempts"] = sample.attempts
     _emit(args, payload)
@@ -276,10 +276,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, surface=False, radius=False, stochastic=False):
+    def common(p, surface=False, radius=False, stochastic=False, budget=False):
         p.add_argument("--format", choices=("json", "csv"), default="json")
-        p.add_argument("--budget", type=int, default=None)
-        p.add_argument("--threads", type=int, default=1)
+        if budget:
+            p.add_argument("--budget", type=int, default=None)
         if surface:
             p.add_argument("--surface", required=True)
         if radius:
@@ -288,17 +288,18 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--samples", type=int, required=True)
             p.add_argument("--seed", type=int, default=None)
             p.add_argument("--ymax", type=float, default=50.0)
+            p.add_argument("--threads", type=int, default=1)
 
     p = sub.add_parser("validate", help="check surface invariants, print the signature")
     common(p, surface=True)
     p.set_defaults(fn_impl=cmd_validate)
 
     p = sub.add_parser("count", help="number of distinct holonomy vectors up to a radius")
-    common(p, surface=True, radius=True)
+    common(p, surface=True, radius=True, budget=True)
     p.set_defaults(fn_impl=cmd_count)
 
     p = sub.add_parser("enumerate", help="list saddle connections up to a radius")
-    common(p, surface=True, radius=True)
+    common(p, surface=True, radius=True, budget=True)
     p.set_defaults(fn_impl=cmd_enumerate)
 
     p = sub.add_parser("delaunay", help="L1 Delaunay triangulation with certificates")
@@ -306,16 +307,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn_impl=cmd_delaunay)
 
     p = sub.add_parser("chew-check", help="verify the sqrt(10) path bound over connections")
-    common(p, surface=True, radius=True)
+    common(p, surface=True, radius=True, budget=True)
     p.set_defaults(fn_impl=cmd_chew_check)
 
     p = sub.add_parser("transform", help="sum a test function over the holonomy set")
-    common(p, surface=True)
+    common(p, surface=True, budget=True)
     p.add_argument("--fn", required=True, help="test function JSON (inline or path)")
     p.set_defaults(fn_impl=cmd_transform)
 
     p = sub.add_parser("classify", help="short-curve classification of a surface")
-    common(p, surface=True)
+    common(p, surface=True, budget=True)
     p.add_argument("--eps0", required=True)
     p.add_argument("--p", required=True)
     p.set_defaults(fn_impl=cmd_classify)
@@ -336,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn_impl=cmd_mc_torus)
 
     p = sub.add_parser("mc-stratum", help="local period-coordinate sampling statistics")
-    common(p, surface=True, stochastic=True)
+    common(p, surface=True, stochastic=True, budget=True)
     p.add_argument("--spread", type=str, default="0.05")
     p.add_argument("--fn", default=None)
     p.add_argument("--radius", default=None)

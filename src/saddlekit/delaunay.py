@@ -1,11 +1,14 @@
 """L1 (taxicab) Delaunay triangulations by exact edge flips.
 
-The circumscribing diamond of a triangle is the L1 disc through its three
-vertices; it is found by case analysis over assignments of each vertex to
-one of the four diamond sides (each assignment is a linear system).  An
-interior edge is locally Delaunay when each adjacent triangle's diamond has
-the opposite vertex outside or on its boundary; flipping repeats until no
-edge violates this.  Everything is decided exactly over the rationals.
+The geometry runs in the rotated frame (u, v) = (x + y, x - y), where the L1
+norm is max(|u|, |v|) and every L1 disc ("diamond") is an axis-parallel
+square (Chew 1989; Bonichon, Gavoille, Hanusse and Perkovic 2015).  The
+circumscribing diamond of a triangle comes from the bounding box of its
+vertices, and an empty diamond through an edge from interval arithmetic along
+a line of squares.  An interior edge is locally Delaunay when each adjacent
+triangle's diamond has the opposite vertex outside or on its boundary;
+flipping repeats until no edge violates this.  Everything is decided exactly
+over the rationals.
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from typing import Dict, List, Optional, Tuple
 
 from .errors import DegenerateDiamondError, FlipCycleError, InputError
@@ -20,7 +24,11 @@ from .exactplane import ExactVector
 from .surface import Slot, TranslationSurface, Triangle
 
 _F0 = Fraction(0)
-_SIDES = ((1, 1), (-1, 1), (-1, -1), (1, -1))  # NE, NW, SW, SE
+_F1 = Fraction(1)
+_HALF = Fraction(1, 2)
+# Diamond sides NE, NW, SW, SE as (axis, sign): the side p[axis] = c[axis] + sign * r
+# of the square in the rotated frame (u, v) = (x + y, x - y).
+_SIDES = ((0, 1), (1, -1), (0, -1), (1, 1))
 
 
 @dataclass(frozen=True, slots=True)
@@ -43,78 +51,37 @@ class DiamondCertificate:
         }
 
 
-def _solve3(rows):
-    """Solve a 3x3 rational system by Cramer; None if singular."""
-    (a11, a12, a13, b1), (a21, a22, a23, b2), (a31, a32, a33, b3) = rows
-    det = (
-        a11 * (a22 * a33 - a23 * a32)
-        - a12 * (a21 * a33 - a23 * a31)
-        + a13 * (a21 * a32 - a22 * a31)
-    )
-    if det == 0:
-        return None
-    dx = (
-        b1 * (a22 * a33 - a23 * a32)
-        - a12 * (b2 * a33 - a23 * b3)
-        + a13 * (b2 * a32 - a22 * b3)
-    )
-    dy = (
-        a11 * (b2 * a33 - a23 * b3)
-        - b1 * (a21 * a33 - a23 * a31)
-        + a13 * (a21 * b3 - b2 * a31)
-    )
-    dz = (
-        a11 * (a22 * b3 - b2 * a32)
-        - a12 * (a21 * b3 - b2 * a31)
-        + b1 * (a21 * a32 - a22 * a31)
-    )
-    return (dx / det, dy / det, dz / det)
+def _rotated(p: ExactVector) -> Tuple[Fraction, Fraction]:
+    """(u, v) = (x + y, x - y), where L1 diamonds are axis-parallel squares."""
+    return (p.x + p.y, p.x - p.y)
 
 
 def diamond_of(p1: ExactVector, p2: ExactVector, p3: ExactVector) -> DiamondCertificate:
     """Circumscribing diamond (L1 circumdisc) of three points, exactly.
 
-    When two points share a slope +-1 line, circumscribing diamonds slide in
-    a one-parameter family; the admissible solution is the member with at
-    most one point per open side (points may share corners), which pins the
-    family to its corner-touching end.  Raises DegenerateDiamondError for
-    collinear points, when no admissible diamond exists, or when several
-    distinct admissible diamonds remain.
+    In the rotated frame a diamond of L1 radius r about c is the square
+    max(|u - cu|, |v - cv|) <= r.  It circumscribes the points when they match
+    injectively to sides they lie on (a corner lies on both of its sides).
+    Three distinct sides include an opposite pair, so 2r is the larger extent
+    of the points' bounding box: the square spans the box along that axis and
+    sits flush with either end of the other one.  When two points share a
+    slope +-1 line these two squares are the corner-touching ends of a
+    sliding family.  Raises DegenerateDiamondError for collinear points, when
+    neither square admits the matching, or when both do (``count``).
     """
     if (p2 - p1).cross(p3 - p1) == 0:
         raise DegenerateDiamondError("collinear points have no circumscribing diamond")
-    pts = (p1, p2, p3)
+    pts = [_rotated(p) for p in (p1, p2, p3)]
+    lo = [min(p[k] for p in pts) for k in (0, 1)]
+    hi = [max(p[k] for p in pts) for k in (0, 1)]
+    k = 0 if hi[0] - lo[0] >= hi[1] - lo[1] else 1  # the wide axis
+    r = (hi[k] - lo[k]) * _HALF
     solutions = []
-    for s1 in _SIDES:
-        for s2 in _SIDES:
-            for s3 in _SIDES:
-                assign = (s1, s2, s3)
-                rows = [
-                    (
-                        Fraction(ex),
-                        Fraction(ey),
-                        Fraction(1),
-                        ex * p.x + ey * p.y,
-                    )
-                    for (ex, ey), p in zip(assign, pts)
-                ]
-                sol = _solve3(rows)
-                if sol is None:
-                    # Underdetermined assignments belong to sliding families;
-                    # their admissible ends reappear as isolated solutions of
-                    # corner-compatible assignments.
-                    continue
-                cx, cy, r = sol
-                if r <= 0:
-                    continue
-                center = ExactVector(cx, cy)
-                if not _assignment_consistent(center, r, assign, pts):
-                    continue
-                if not _open_sides_simple(center, r, pts):
-                    continue
-                key = (cx, cy, r)
-                if key not in [s[0] for s in solutions]:
-                    solutions.append((key, DiamondCertificate(center, r)))
+    for flush in (hi[1 - k] - r, lo[1 - k] + r):
+        center = [flush, flush]
+        center[k] = lo[k] + r
+        if center not in solutions and _on_distinct_sides(pts, center, r):
+            solutions.append(center)
     if not solutions:
         raise DegenerateDiamondError("no admissible circumscribing diamond")
     if len(solutions) > 1:
@@ -122,32 +89,14 @@ def diamond_of(p1: ExactVector, p2: ExactVector, p3: ExactVector) -> DiamondCert
             "ambiguous circumscribing diamond (multiple solutions)",
             count=len(solutions),
         )
-    return solutions[0][1]
+    cu, cv = solutions[0]
+    return DiamondCertificate(ExactVector((cu + cv) * _HALF, (cu - cv) * _HALF), r)
 
 
-def _assignment_consistent(center, r, assign, pts) -> bool:
-    for (ex, ey), p in zip(assign, pts):
-        dx = p.x - center.x
-        dy = p.y - center.y
-        if ex * dx < 0 or ey * dy < 0:
-            return False
-        if ex * dx + ey * dy != r:
-            return False
-    return True
-
-
-def _open_sides_simple(center, r, pts) -> bool:
-    """At most one of the points on the open part of each diamond side."""
-    for ex, ey in _SIDES:
-        on_open = 0
-        for p in pts:
-            dx = p.x - center.x
-            dy = p.y - center.y
-            if ex * dx > 0 and ey * dy > 0 and ex * dx + ey * dy == r:
-                on_open += 1
-        if on_open > 1:
-            return False
-    return True
+def _on_distinct_sides(pts, center, r) -> bool:
+    """The points, all in the square, match injectively to sides they lie on."""
+    on = [[(k, e) for k, e in _SIDES if p[k] - center[k] == e * r] for p in pts]
+    return any(len(set(pick)) == 3 for pick in product(*on))
 
 
 # --- surface-level local Delaunay test and flips ---------------------------
@@ -404,56 +353,43 @@ class _Feasible1D:
 def _edge_empty_diamond_exists(a, b, c, d) -> bool:
     """Exists an L1 disc with a, b on its boundary and c, d outside or on.
 
-    Searches side assignments for a and b; each yields a line of diamond
-    parameters, and all side/exclusion conditions are linear along it.
+    In the rotated frame each side pins one of cu +- r or cv +- r, so a pair
+    of distinct sides for a and b fixes a line of squares along which every
+    side and exclusion condition is linear.
     """
-    for sa in _SIDES:
-        for sb in _SIDES:
-            if sa == sb:
+    a, b, c, d = (_rotated(p) for p in (a, b, c, d))
+    for ka, ea in _SIDES:
+        for kb, eb in _SIDES:
+            if (ka, ea) == (kb, eb):
                 continue  # two points on one side line: excluded by genericity
-            sax, say = Fraction(sa[0]), Fraction(sa[1])
-            sbx, sby = Fraction(sb[0]), Fraction(sb[1])
-            e1 = sax * a.x + say * a.y
-            e2 = sbx * b.x + sby * b.y
-            # Null direction of [[sax, say, 1], [sbx, sby, 1]].
-            n = (say - sby, sbx - sax, sax * sby - say * sbx)
-            det = sax * sby - say * sbx
-            if det != 0:
-                p0 = (
-                    (e1 * sby - e2 * say) / det,
-                    (sax * e2 - sbx * e1) / det,
-                    Fraction(0),
-                )
-            else:
-                # Opposite sides: solve with cy = 0 using columns (cx, r).
-                det2 = sax - sbx
-                if det2 == 0:
-                    continue
-                cx0 = (e1 - e2) / det2
-                p0 = (cx0, Fraction(0), e1 - sax * cx0)
+            # cu, cv and r along the line, each as (slope, intercept) in t.
+            center = [(_F1, _F0), (_F1, _F0)]
+            if ka == kb:  # opposite sides fix r and c[ka]; t = c[1 - ka]
+                r = (_F0, (a[ka] - b[ka]) * ea * _HALF)
+                center[ka] = (_F0, (a[ka] + b[ka]) * _HALF)
+            else:  # adjacent sides; t = r
+                r = (_F1, _F0)
+                center[ka] = (-ea, a[ka])
+                center[kb] = (-eb, b[kb])
 
-            def lin(coeff_x, coeff_y, coeff_r, const):
-                alpha = coeff_x * n[0] + coeff_y * n[1] + coeff_r * n[2]
-                beta = coeff_x * p0[0] + coeff_y * p0[1] + coeff_r * p0[2] + const
-                return alpha, beta
+            def lin(p, k, e, q):
+                """e (p[k] - c[k]) + q r as (alpha, beta) of alpha t + beta."""
+                return q * r[0] - e * center[k][0], e * (p[k] - center[k][1]) + q * r[1]
 
             base = _Feasible1D()
-            base.add(*lin(Fraction(0), Fraction(0), Fraction(1), Fraction(0)), strict=True)
-            # Side-consistency: s_x (p.x - cx) >= 0 etc.
-            base.add(*lin(-sax, Fraction(0), Fraction(0), sax * a.x))
-            base.add(*lin(Fraction(0), -say, Fraction(0), say * a.y))
-            base.add(*lin(-sbx, Fraction(0), Fraction(0), sbx * b.x))
-            base.add(*lin(Fraction(0), -sby, Fraction(0), sby * b.y))
+            base.add(*r, strict=True)
+            # a and b within the square along the other axis.
+            for p, k in ((a, 1 - ka), (b, 1 - kb)):
+                base.add(*lin(p, k, 1, 1))
+                base.add(*lin(p, k, -1, 1))
             if not base.nonempty():
                 continue
             snap = base.snapshot()
-            for ec in _SIDES:
-                for ed in _SIDES:
+            for kc, ec in _SIDES:
+                for kd, ed in _SIDES:
                     base.restore(snap)
-                    ecx, ecy = Fraction(ec[0]), Fraction(ec[1])
-                    edx, edy = Fraction(ed[0]), Fraction(ed[1])
-                    base.add(*lin(-ecx, -ecy, Fraction(-1), ecx * c.x + ecy * c.y))
-                    base.add(*lin(-edx, -edy, Fraction(-1), edx * d.x + edy * d.y))
+                    base.add(*lin(c, kc, ec, -1))
+                    base.add(*lin(d, kd, ed, -1))
                     if base.nonempty():
                         return True
     return False

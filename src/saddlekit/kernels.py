@@ -20,7 +20,7 @@ def count_primitive_in_disc(a: float, b: float, c: float, d: float, radius: floa
 
 
 def backends() -> dict:
-    """All available backends keyed by name (for benchmarks and parity tests)."""
+    """All available backends keyed by name (for the parity test)."""
     out = {"python": _kernels_py}
     if _compiled is not None:
         out["compiled"] = _compiled

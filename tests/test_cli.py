@@ -29,7 +29,15 @@ def empty_file(tmp_path):
 
 @pytest.mark.parametrize(
     "case",
-    ["empty surface", "bad gluing", "radius nan", "fn without field", "budget env"],
+    [
+        "empty surface",
+        "bad gluing",
+        "radius nan",
+        "fn without field",
+        "budget env",
+        "matrix entries",
+        "slit entries",
+    ],
 )
 def test_malformed_input_exits_1_with_input_code(
     case, capsys, monkeypatch, torus_file, empty_file, bad_gluing_file
@@ -40,6 +48,8 @@ def test_malformed_input_exits_1_with_input_code(
         "radius nan": ["count", "--surface", torus_file, "--radius", "nan"],
         "fn without field": ["transform", "--surface", torus_file, "--fn", '{"variant":"disc"}'],
         "budget env": ["count", "--surface", torus_file, "--radius", "2"],
+        "matrix entries": ["torus-exact", "--radius", "2", "--matrix", "1,0,0"],
+        "slit entries": ["slit-exact", "--radius", "2", "--matrix", "1,0,0,1", "--slit", "1"],
     }[case]
     if case == "budget env":
         monkeypatch.setenv("SADDLEKIT_BUDGET", "abc")
@@ -66,3 +76,18 @@ def test_mc_torus_is_deterministic_across_runs_and_threads(capsys):
         outputs.append(out)
     assert outputs[0] == outputs[1] == outputs[2]
     assert json.loads(outputs[0])["n_samples"] == 40
+
+
+def test_mc_stratum_reads_budget(capsys, torus_file):
+    argv = ["mc-stratum", "--surface", torus_file, "--samples", "2", "--seed", "7",
+            "--radius", "2", "--budget", "1"]
+    code, out, err = run(capsys, argv)
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"] == "RESOURCE_LIMIT"
+
+
+def test_flag_only_on_commands_that_read_it(capsys, torus_file):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["count", "--surface", torus_file, "--radius", "2", "--threads", "2"])
+    assert exc.value.code == 2
+    assert "--threads" in capsys.readouterr().err

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from saddlekit.builders import (
     sheared_torus,
@@ -11,6 +13,7 @@ from saddlekit.builders import (
 )
 from saddlekit.delaunay import (
     DegenerateDiamondError,
+    _edge_empty_diamond_exists,
     delaunay_l1,
     diamond_of,
     is_locally_delaunay,
@@ -42,6 +45,68 @@ def test_diamond_certificate_exact_boundary():
     dia = diamond_of(*pts)
     for p in pts:
         assert (p - dia.center).norm_l1() == dia.radius_l1
+
+
+@pytest.mark.parametrize(
+    "pts, center, radius",
+    [
+        # Two points on a slope +1 or -1 line: the diamonds through them
+        # slide, and the certificate is the end with the third point at a
+        # corner.
+        (((0, 0), (0, 1), (1, 2)), (1, Fraction(1, 2)), Fraction(3, 2)),
+        (((0, 0), (1, 0), (2, 1)), (Fraction(1, 2), 1), Fraction(3, 2)),
+        (((0, 0), (0, 1), (-1, 2)), (-1, Fraction(1, 2)), Fraction(3, 2)),
+        (((0, 0), (1, 0), (2, -1)), (Fraction(1, 2), -1), Fraction(3, 2)),
+    ],
+)
+def test_diamond_sliding_family_ends_at_a_corner(pts, center, radius):
+    pts = [V(*p) for p in pts]
+    dia = diamond_of(*pts)
+    assert dia.center == V(*center) and dia.radius_l1 == radius
+    offsets = [p - dia.center for p in pts]
+    assert all(d.norm_l1() == radius for d in offsets)
+    assert any(d.x == 0 or d.y == 0 for d in offsets)
+
+
+def test_diamond_ambiguous_error_counts_solutions():
+    with pytest.raises(DegenerateDiamondError, match="ambiguous") as exc:
+        diamond_of(V(0, 0), V(1, 2), V(2, 1))
+    assert exc.value.details == {"count": 2}
+
+
+def test_diamond_no_admissible_error():
+    with pytest.raises(DegenerateDiamondError, match="no admissible") as exc:
+        diamond_of(V(0, 0), V(1, 0), V(3, 1))
+    assert exc.value.details == {}
+
+
+@pytest.mark.parametrize(
+    "quad, exists",
+    [
+        (((0, 0), (1, 0), (Fraction(1, 2), 1), (Fraction(1, 2), -1)), True),
+        (((0, 0), (2, 0), (1, 1), (1, -1)), True),  # c and d on the boundary
+        (((0, 0), (3, 1), (1, 2), (2, -1)), True),
+        (((0, 0), (4, 0), (2, Fraction(1, 4)), (2, Fraction(-1, 4))), False),
+        (((0, 0), (3, 1), (2, Fraction(3, 2)), (1, Fraction(-1, 2))), False),
+    ],
+)
+def test_edge_empty_diamond_exists_cases(quad, exists):
+    assert _edge_empty_diamond_exists(*[V(*p) for p in quad]) is exists
+
+
+_coord = st.builds(Fraction, st.integers(-8, 8), st.sampled_from([1, 2, 3]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(_coord, _coord), min_size=3, max_size=3))
+def test_certificate_has_all_points_on_its_boundary(pts):
+    pts = [ExactVector(x, y) for x, y in pts]
+    try:
+        dia = diamond_of(*pts)
+    except DegenerateDiamondError:
+        return
+    assert dia.radius_l1 > 0
+    assert all(dia.on_boundary(p) for p in pts)
 
 
 def test_is_locally_delaunay_quad_cases(torus):
