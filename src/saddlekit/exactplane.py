@@ -238,26 +238,44 @@ def euler_phi(n: int) -> int:
     return result
 
 
-def primitive_points_in_disc(radius: Rational) -> list:
-    """All primitive integer vectors (p, q) with p^2 + q^2 <= radius^2.
+def lattice_box_bound(g: ExactMatrix, radius: Fraction) -> int:
+    """Integer B with |g w| <= radius implying |w|_inf <= B."""
+    # w = g^{-1} (g w), and the rows of g^{-1} are (d, -b)/det and (-c, a)/det.
+    det = g.det()
+    row_sq = max(g.b * g.b + g.d * g.d, g.a * g.a + g.c * g.c)
+    bound_sq = radius * radius * row_sq / (det * det)
+    return math.isqrt(bound_sq.numerator // bound_sq.denominator) + 1
 
-    The comparison is exact: the radius is a rational and only its square is
-    used.  Points are returned sorted by (norm^2, x, y).
+
+def primitive_points_in_disc(radius: Rational, g: ExactMatrix | None = None) -> list:
+    """All g w with w a primitive integer vector and |g w| <= radius.
+
+    g defaults to the identity.  The comparison is exact: g is scaled by the
+    lcm D of its denominators and the radius enters only as D^2 radius^2, so
+    membership is an integer test.  Points are returned sorted by
+    (norm^2, x, y).
     """
     r = to_fraction(radius)
     if r <= 0:
         raise InputError("radius must be positive")
-    r_sq = r * r
-    bound = math.isqrt(r_sq.numerator // r_sq.denominator) + 1
-    out = []
+    g = ExactMatrix.identity() if g is None else g
+    bound = lattice_box_bound(g, r)
+    den = math.lcm(*(x.denominator for x in g.entries()))
+    a, b, c, d = (int(x * den) for x in g.entries())
+    lim = r * r * den * den
+    lim = lim.numerator // lim.denominator  # integer n <= lim iff n <= floor(lim)
+    found = []
     for p in range(-bound, bound + 1):
         for q in range(-bound, bound + 1):
-            if math.gcd(abs(p), abs(q)) != 1:
+            if math.gcd(p, q) != 1:
                 continue
-            if p * p + q * q <= r_sq:
-                out.append(ExactVector(Fraction(p), Fraction(q)))
-    out.sort(key=lambda v: (v.norm_sq(), v.x, v.y))
-    return out
+            x = a * p + b * q
+            y = c * p + d * q
+            n = x * x + y * y
+            if n <= lim:
+                found.append((n, x, y))
+    found.sort()
+    return [ExactVector(Fraction(x, den), Fraction(y, den)) for _, x, y in found]
 
 
 # --- certified comparisons of sums of square roots ------------------------

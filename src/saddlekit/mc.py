@@ -4,10 +4,11 @@ Torus sampling draws from the modular fundamental domain (density 1/y^2,
 cusp truncated at y_max with the removed mass reported analytically) plus a
 uniform rotation.  Stratum sampling perturbs a free set of period
 coordinates on a dyadic grid and rejects invalid surfaces; it is a local
-Lebesgue patch, never a claim about the global measure.  All estimators are
-bit-deterministic for a fixed seed and thread count independent: values are
-computed into an index-ordered array and reduced by numpy's fixed pairwise
-summation.
+Lebesgue patch, never a claim about the global measure.  Transforms on torus
+samples are counts of primitive lattice points from ``kernels``, one call
+per sample and radius.  All estimators are bit-deterministic for a fixed
+seed and thread count independent: values are computed into an
+index-ordered array and reduced by numpy's fixed pairwise summation.
 """
 
 from __future__ import annotations
@@ -60,6 +61,8 @@ def sample_torus_haar(n: int, seed: int, y_max: float = 50.0) -> HaarSample:
     """
     if n < 0:
         raise InputError("sample count must be nonnegative")
+    if seed < 0:
+        raise InputError("seed must be nonnegative")
     if y_max < 2:
         raise InputError("y_max must be at least 2")
     rng = np.random.default_rng(seed)
@@ -171,6 +174,8 @@ def sample_stratum_local(
     spread = to_fraction(spread)
     if spread < 0:
         raise InputError("spread must be nonnegative")
+    if seed < 0:
+        raise InputError("seed must be nonnegative")
     signature = base.validate()
     pairs, slot_sign, free_idx, dep_rows = _period_solver(base)
     if len(free_idx) != signature.dim_relative_homology:
@@ -275,30 +280,12 @@ def _torus_value(point: TorusPoint, f: TestFunction) -> float:
         lo = kernels.count_primitive_in_disc(a, b, c, d, float(f.r1))
         return float(hi - lo)
     if isinstance(f, SectorIndicator):
-        pts = _torus_points_in_disc(a, b, c, d, float(f.support_radius()))
-        if pts.shape[0] == 0:
-            return 0.0
-        vals, amb = f.evaluate_batch(pts[:, 0], pts[:, 1], 1e-12)
+        xs, ys = kernels.primitive_points(a, b, c, d, float(f.support_radius()))
+        vals, amb = f.evaluate_batch(xs, ys, 1e-12)
         return float(vals[~amb].sum())
     if isinstance(f, ProductPair):
         return _torus_value(point, f.f) * _torus_value(point, f.g)
     raise InputError(f"unsupported test function {type(f).__name__} on torus samples")
-
-
-def _torus_points_in_disc(a, b, c, d, radius):
-    fr = a * a + b * b + c * c + d * d
-    det = abs(a * d - b * c)
-    bound = int(math.floor(radius * math.sqrt(fr) / det)) + 1
-    rng = np.arange(-bound, bound + 1, dtype=np.int64)
-    px, py = np.meshgrid(rng, rng, indexing="ij")
-    px = px.ravel()
-    py = py.ravel()
-    prim = np.gcd(np.abs(px), np.abs(py)) == 1
-    px, py = px[prim], py[prim]
-    ix = a * px + b * py
-    iy = c * px + d * py
-    keep = ix * ix + iy * iy <= radius * radius
-    return np.stack([ix[keep], iy[keep]], axis=1)
 
 
 def _surface_value(s: TranslationSurface, f: TestFunction, budget=None) -> float:
@@ -550,6 +537,8 @@ def borel_cantelli_table(
 ) -> List[BorelCantelliRow]:
     """Per-radius variance versus squared error budget, with the empirical
     exceedance of |N - c pi R^2| > e(R) alongside its Chebyshev bound."""
+    if len(samples) == 0:
+        raise InputError("the Borel-Cantelli table needs at least one sample")
     if len(radii) != len(errors):
         raise InputError("radii and errors must have the same length")
     if any(e <= 0 for e in errors):

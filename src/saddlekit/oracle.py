@@ -21,6 +21,8 @@ from .exactplane import (
     ExactVector,
     FloatMatrix,
     euler_phi,
+    lattice_box_bound,
+    primitive_points_in_disc,
     to_fraction,
 )
 
@@ -60,34 +62,11 @@ class SlitTorusPoint:
             raise InputError("slit vector must not lie in the lattice")
 
 
-def _lattice_box_bound(g: ExactMatrix, radius: Fraction) -> int:
-    """Integer bound B with |g w| <= radius implying |w|_inf <= B."""
-    fr = g.a * g.a + g.b * g.b + g.c * g.c + g.d * g.d
-    # Operator norm of g^{-1} is at most its Frobenius norm = sqrt(fr)/|det|.
-    det = abs(g.det())
-    bound_sq = radius * radius * fr / (det * det)
-    return math.isqrt(bound_sq.numerator // bound_sq.denominator) + 1
-
-
 def torus_holonomy(t: TorusPoint, radius) -> Set[ExactVector]:
     """{g w : w primitive, |g w| <= radius}, exact for exact matrices."""
-    radius = to_fraction(radius)
-    if radius <= 0:
-        raise InputError("radius must be positive")
     if not t.is_exact():
         raise InputError("exact holonomy needs an exact matrix")
-    g = t.g
-    bound = _lattice_box_bound(g, radius)
-    r_sq = radius * radius
-    out = set()
-    for p in range(-bound, bound + 1):
-        for q in range(-bound, bound + 1):
-            if math.gcd(abs(p), abs(q)) != 1:
-                continue
-            img = g.apply(ExactVector(Fraction(p), Fraction(q)))
-            if img.norm_sq() <= r_sq:
-                out.add(img)
-    return out
+    return set(primitive_points_in_disc(radius, t.g))
 
 
 def _passes_through(w: ExactVector, target: ExactVector) -> bool:
@@ -144,7 +123,7 @@ def slit_torus_holonomy(t: SlitTorusPoint, radius) -> SlitHolonomyResult:
     g = t.g
     v0 = g.inverse().apply(t.v)  # slit in lattice coordinates
     r_sq = radius * radius
-    bound = _lattice_box_bound(g, radius) + int(abs(v0.x) + abs(v0.y)) + 2
+    bound = lattice_box_bound(g, radius) + int(abs(v0.x) + abs(v0.y)) + 2
 
     vectors = set()
     corrections = set()
@@ -235,12 +214,11 @@ def siegel_constant_torus() -> float:
 def _primitive_array(bound: int):
     import numpy as np
 
-    rng = np.arange(-bound, bound + 1, dtype=np.int64)
-    px, py = np.meshgrid(rng, rng, indexing="ij")
-    px = px.ravel()
-    py = py.ravel()
-    mask = (px * px + py * py <= bound * bound) & (np.gcd(np.abs(px), np.abs(py)) == 1)
-    return px[mask], py[mask]
+    pts = primitive_points_in_disc(bound)
+    return (
+        np.array([int(v.x) for v in pts], dtype=np.int64),
+        np.array([int(v.y) for v in pts], dtype=np.int64),
+    )
 
 
 def determinant_histogram(bound: int) -> Dict[int, int]:

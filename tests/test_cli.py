@@ -37,6 +37,9 @@ def empty_file(tmp_path):
         "budget env",
         "matrix entries",
         "slit entries",
+        "empty bc sample",
+        "negative seed",
+        "negative stratum seed",
     ],
 )
 def test_malformed_input_exits_1_with_input_code(
@@ -50,6 +53,9 @@ def test_malformed_input_exits_1_with_input_code(
         "budget env": ["count", "--surface", torus_file, "--radius", "2"],
         "matrix entries": ["torus-exact", "--radius", "2", "--matrix", "1,0,0"],
         "slit entries": ["slit-exact", "--radius", "2", "--matrix", "1,0,0,1", "--slit", "1"],
+        "empty bc sample": ["bc-table", "--samples", "0", "--seed", "1", "--radii", "4", "--errors", "8"],
+        "negative seed": ["mc-torus", "--samples", "5", "--seed", "-1", "--radius", "4"],
+        "negative stratum seed": ["mc-stratum", "--surface", torus_file, "--samples", "2", "--seed", "-1"],
     }[case]
     if case == "budget env":
         monkeypatch.setenv("SADDLEKIT_BUDGET", "abc")
@@ -81,6 +87,13 @@ def test_mc_torus_is_deterministic_across_runs_and_threads(capsys):
 def test_mc_stratum_reads_budget(capsys, torus_file):
     argv = ["mc-stratum", "--surface", torus_file, "--samples", "2", "--seed", "7",
             "--radius", "2", "--budget", "1"]
+    code, out, err = run(capsys, argv)
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"] == "RESOURCE_LIMIT"
+
+
+def test_mc_torus_huge_radius_is_a_resource_limit(capsys):
+    argv = ["mc-torus", "--samples", "5", "--seed", "1", "--radius", "1e300"]
     code, out, err = run(capsys, argv)
     assert code == 1 and out == ""
     assert json.loads(err)["error"] == "RESOURCE_LIMIT"

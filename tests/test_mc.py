@@ -1,7 +1,11 @@
+import json
+from fractions import Fraction
+
 import pytest
 
 from saddlekit import mc
 from saddlekit.surface import TranslationSurface
+from saddlekit.sv import AnnulusIndicator, SectorIndicator
 
 
 def test_stratum_sampler_rejects_invalid_surfaces_only(octagon, monkeypatch):
@@ -16,3 +20,18 @@ def test_stratum_sampler_rejects_invalid_surfaces_only(octagon, monkeypatch):
     # A program error must surface, not be counted as a rejected candidate.
     with pytest.raises(RuntimeError):
         mc.sample_stratum_local(octagon, "0.05", 2, seed=7)
+
+
+@pytest.mark.parametrize(
+    "f",
+    [SectorIndicator(Fraction(4), 0.3, 0.6), AnnulusIndicator(Fraction(2), Fraction(5))],
+    ids=["sector", "annulus"],
+)
+def test_haar_mean_is_bit_identical_for_a_fixed_seed(f):
+    reports = [
+        json.dumps(mc.estimate_mean_transform(mc.sample_torus_haar(300, seed=11), f).to_json_dict())
+        for _ in range(2)
+    ]
+    assert reports[0] == reports[1]
+    assert json.loads(reports[0])["n_samples"] == 300
+

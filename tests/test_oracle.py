@@ -39,6 +39,43 @@ def test_torus_holonomy_shear_image():
     assert got == expected
 
 
+def brute_force_holonomy(m, radius):
+    """{m w : w primitive, |m w| <= radius} by a Fraction loop over a box
+    that the inverse matrix's Frobenius norm bounds."""
+    r = Fraction(radius)
+    inv = m.inverse()
+    box = math.ceil(float(r) * math.sqrt(sum(float(e) ** 2 for e in inv.entries()))) + 1
+    out = set()
+    for p in range(-box, box + 1):
+        for q in range(-box, box + 1):
+            if math.gcd(p, q) != 1:
+                continue
+            x = m.a * p + m.b * q
+            y = m.c * p + m.d * q
+            if x * x + y * y <= r * r:
+                out.add(V(x, y))
+    return out
+
+
+@pytest.mark.parametrize(
+    "m",
+    [
+        ExactMatrix.identity(),
+        ExactMatrix.shear(Fraction(1, 2)),
+        ExactMatrix.of(2, Fraction(1, 3), 0, Fraction(1, 2)),
+        ExactMatrix.of(2, 1, 1, 1),
+        ExactMatrix.of(Fraction(1, 3), 0, Fraction(1, 5), 3),
+    ],
+    ids=["identity", "shear 1/2", "rational", "cat map", "lower"],
+)
+def test_torus_holonomy_matches_brute_force(m):
+    for r in (1, Fraction(5, 2), 6):
+        assert torus_holonomy(TorusPoint(m), r) == brute_force_holonomy(m, r)
+    pts = primitive_points_in_disc(6, m)
+    assert pts == sorted(pts, key=lambda v: (v.norm_sq(), v.x, v.y))
+    assert len(set(pts)) == len(pts)
+
+
 def test_torus_holonomy_agrees_with_enumeration():
     m = ExactMatrix.shear(Fraction(1, 2))
     surf = torus_from_matrix(m)
