@@ -142,10 +142,6 @@ def is_locally_delaunay(s_or_tris, slot: Slot, glue: Optional[Dict[Slot, Slot]] 
     return True
 
 
-def delaunay_edge_vectors(dt: "DelaunayTriangulation") -> set:
-    return {dt.surface.edge_vector(slot) for slot in dt.surface.slots()}
-
-
 @dataclass
 class DelaunayTriangulation:
     surface: TranslationSurface

@@ -87,9 +87,6 @@ class ExactVector:
     def is_zero(self) -> bool:
         return self.x == 0 and self.y == 0
 
-    def as_floats(self) -> tuple:
-        return (float(self.x), float(self.y))
-
     def to_json(self) -> list:
         return [format_rational(self.x), format_rational(self.y)]
 
@@ -134,9 +131,6 @@ class ExactMatrix:
     def det(self) -> Fraction:
         return self.a * self.d - self.b * self.c
 
-    def is_sl2(self) -> bool:
-        return self.det() == 1
-
     def apply(self, v: ExactVector) -> ExactVector:
         return ExactVector(self.a * v.x + self.b * v.y, self.c * v.x + self.d * v.y)
 
@@ -156,9 +150,6 @@ class ExactMatrix:
 
     def entries(self) -> tuple:
         return (self.a, self.b, self.c, self.d)
-
-    def as_floats(self) -> tuple:
-        return (float(self.a), float(self.b), float(self.c), float(self.d))
 
 
 @dataclass(frozen=True, slots=True)

@@ -1,13 +1,17 @@
 """Saddle connection enumeration and directional geometry.
 
-Enumeration develops triangles into the plane along a queue of
-(triangle, direction-wedge) states rooted at each vertex corner.  A state
-carries the developed edge just crossed and the open wedge of directions
-still visible from the apex; the neighbor's new vertex either splits the
-wedge (and may be emitted as a connection) or passes it through.  A state is
-pruned when the visible part of its crossed edge is entirely farther than
-the search radius.  Every decision is an exact sign or ordering test on
-rationals.
+Enumeration is one best-first search that develops triangles into the plane
+from (triangle, direction-wedge) states rooted at every vertex corner.  A
+state carries the developed edge just crossed and the open wedge of
+directions still visible from the apex; the neighbor's new vertex either
+splits the wedge (and is found as a connection) or passes it through.  A
+state's key is the exact squared distance from the apex to the visible part
+of its crossed edge, a found connection's key its squared length, and
+nothing beyond the search radius is pushed.  A child's key is never below
+its parent's, so when the first connection of some length leaves the heap,
+every connection of that length is already in it: connections come out
+shortest first, and a caller may stop at any length.  Every decision is an
+exact sign or ordering test on rationals.
 
 The homology class of an emitted connection is the chain of triangulation
 edges along the right-hand boundary of the developed triangle strip (the
@@ -23,15 +27,15 @@ lies.
 
 from __future__ import annotations
 
+import heapq
 import os
-from collections import deque
-from itertools import islice
+from itertools import count as _serial, islice
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from .errors import BlockedAtVertex, InputError, ResourceLimitError
-from .exactplane import ExactVector, to_fraction
+from .exactplane import ExactVector, format_rational, to_fraction
 from .homology import EdgeHomology
 from .surface import Slot, TranslationSurface
 
@@ -139,114 +143,120 @@ def _visible_min_dist_sq(x, y, a, b) -> Fraction:
     return _seg_min_dist_sq(px, py)
 
 
-class _Enumerator:
-    def __init__(self, s: TranslationSurface, radius_sq: Fraction, budget: int):
-        s.validate()
-        self.s = s
-        self.r2 = radius_sq
-        self.budget = budget
-        self.homology = EdgeHomology(s)
-        self.out: List[SaddleConnection] = []
-        self.states = 0
+def _connection(s: TranslationSurface, homology: EdgeHomology, node, last_lower: Slot,
+                holonomy: ExactVector, end_corner: Slot) -> SaddleConnection:
+    """Build a found connection from its state's parent links.
 
-    def run(self) -> List[SaddleConnection]:
-        s = self.s
-        for t in range(s.n_triangles()):
-            corners = _std_corners(s, t)
-            for c in range(3):
-                e = s.triangles[t].edges[c]
-                if e.norm_sq() <= self.r2:
-                    self._emit_edge(t, c)
-        for t in range(s.n_triangles()):
-            for c in range(3):
-                self._search_corner(t, c)
-        self.out.sort(key=lambda c: c.sort_key())
-        dedup = []
-        seen = set()
-        for c in self.out:
+    A link is (parent, crossed slot, lower-boundary slot or None); the root
+    link's lower slot is the start corner.  last_lower closes the strip's
+    lower boundary at the end vertex.
+    """
+    crossings, lower = [], [last_lower]
+    while node is not None:
+        node, crossed, low = node
+        crossings.append(crossed)
+        if low is not None:
+            lower.append(low)
+    crossings.reverse()
+    return SaddleConnection(
+        holonomy=holonomy,
+        start=s.corner_vertex(lower[-1]),
+        end=s.corner_vertex(end_corner),
+        crossings=tuple(crossings),
+        homology_class=homology.class_of_slots(lower),
+        start_corner=lower[-1],
+    )
+
+
+_STATE, _FOUND = 0, 1  # on equal floats, states are expanded before connections leave
+
+
+def connections(s: TranslationSurface, radius_sq, budget: Optional[int] = None):
+    """Saddle connections of squared length <= radius_sq, shortest first.
+
+    Yields each connection once, in increasing (sort_key(), start_corner)
+    order, so a caller may stop at any length.  Raises ResourceLimitError
+    when more than budget states are expanded; its details say how far the
+    search got, and every connection strictly shorter than radius_sq_reached
+    has been yielded by then.
+    """
+    s.validate()
+    if budget is None:
+        budget = default_budget()
+    homology = EdgeHomology(s)
+    corners = [tri.corner_positions() for tri in s.triangles]
+    heap: list = []
+    serial = _serial()
+
+    def push(key, kind, payload):
+        if key <= radius_sq:
+            # Ordered by the float alone: an exact tie-break would compare
+            # Fractions in the heap on every tie, which symmetric surfaces
+            # hit constantly.  float() is monotone, so exact order is
+            # restored where floats are equal (groups, budget radius).
+            heapq.heappush(heap, (float(key), kind, next(serial), key, payload))
+
+    for t, std in enumerate(corners):
+        for c in range(3):
+            slot, head, edge = (t, c), (t, (c + 1) % 3), s.triangles[t].edges[c]
+            push(edge.norm_sq(), _FOUND, (None, slot, edge, head))
+            # Corner c at the origin; the other two corners span the wedge.
+            p1 = std[(c + 1) % 3] - std[c]
+            p2 = std[(c + 2) % 3] - std[c]
+            push(_visible_min_dist_sq(p1, p2, p1, p2), _STATE,
+                 (head, p1, p2, p1, p2, (None, head, slot)))
+    states = yielded = 0
+    while heap:
+        fkey, kind, _, key, payload = heapq.heappop(heap)
+        if kind == _FOUND:
+            # Keys never decrease along the search, so every connection
+            # whose length has this float is in the heap now.
+            group = [payload]
+            while heap and heap[0][0] == fkey:
+                group.append(heapq.heappop(heap)[4])
             # start_corner participates in identity: distinct parallel
             # segments (e.g. the two banks of a slit) agree in holonomy,
             # endpoints and crossings.
-            key = (c.holonomy.x, c.holonomy.y, c.start, c.end, c.crossings, c.start_corner)
-            if key not in seen:
-                seen.add(key)
-                dedup.append(c)
-        return dedup
-
-    def _emit_edge(self, t: int, c: int):
-        s = self.s
-        slot = (t, c)
-        self.out.append(
-            SaddleConnection(
-                holonomy=s.triangles[t].edges[c],
-                start=s.corner_vertex((t, c)),
-                end=s.corner_vertex((t, (c + 1) % 3)),
-                crossings=(),
-                homology_class=self.homology.class_of_slots([slot]),
-                start_corner=slot,
+            found = {}
+            for p in group:
+                conn = _connection(s, homology, *p)
+                found.setdefault((conn.sort_key(), conn.start_corner), conn)
+            for k in sorted(found):
+                yielded += 1
+                yield found[k]
+            continue
+        if states >= budget:
+            # An entry with the same float may hold a smaller exact key.
+            reached = min([key] + [e[3] for e in heap if e[0] == fkey])
+            raise ResourceLimitError(
+                "enumeration state budget exceeded", budget=budget, states=states,
+                connections=yielded, radius_sq_reached=format_rational(reached),
             )
-        )
-
-    def _search_corner(self, t: int, c: int):
-        s = self.s
-        std = _std_corners(s, t)
-        # Corner c at the origin; the other two corners span the wedge.
-        base = std[c]
-        p1 = std[(c + 1) % 3] - base
-        p2 = std[(c + 2) % 3] - base
-        start_vertex = s.corner_vertex((t, c))
-        cross_slot = (t, (c + 1) % 3)
-        queue = deque()
-        state = (cross_slot, p1, p2, p1, p2, ((t, (c + 1) % 3),), ((t, c),))
-        if _visible_min_dist_sq(p1, p2, p1, p2) <= self.r2:
-            queue.append(state)
-        while queue:
-            self.states += 1
-            if self.states > self.budget:
-                raise ResourceLimitError(
-                    "enumeration state budget exceeded", budget=self.budget
-                )
-            slot, x, y, a, b, crossings, lower = queue.popleft()
-            u, j = s.gluings[slot]
-            ustd = _std_corners(s, u)
-            offset = y - ustd[j]
-            # The glued edge runs head-to-tail: corner j sits at y, j+1 at x.
-            cpos = offset + ustd[(j + 2) % 3]
-            ca = a.cross(cpos)
-            cb = cpos.cross(b)
-            slot_a = (u, (j + 1) % 3)  # x -> c
-            slot_b = (u, (j + 2) % 3)  # c -> y
-            if ca > 0 and cb > 0:
-                if cpos.norm_sq() <= self.r2:
-                    end_vertex = s.corner_vertex((u, (j + 2) % 3))
-                    self.out.append(
-                        SaddleConnection(
-                            holonomy=cpos,
-                            start=start_vertex,
-                            end=end_vertex,
-                            crossings=crossings,
-                            homology_class=self.homology.class_of_slots(
-                                list(lower) + [slot_a]
-                            ),
-                            start_corner=(t, c),
-                        )
-                    )
-                if _visible_min_dist_sq(x, cpos, a, cpos) <= self.r2:
-                    queue.append((slot_a, x, cpos, a, cpos, crossings + (slot_a,), lower))
-                if _visible_min_dist_sq(cpos, y, cpos, b) <= self.r2:
-                    queue.append(
-                        (slot_b, cpos, y, cpos, b, crossings + (slot_b,), lower + (slot_a,))
-                    )
-            elif ca <= 0:
-                # New vertex at or below ray a: the wedge passes through c -> y.
-                if _visible_min_dist_sq(cpos, y, a, b) <= self.r2:
-                    queue.append(
-                        (slot_b, cpos, y, a, b, crossings + (slot_b,), lower + (slot_a,))
-                    )
-            else:
-                # cb <= 0: at or above ray b, pass through x -> c.
-                if _visible_min_dist_sq(x, cpos, a, b) <= self.r2:
-                    queue.append((slot_a, x, cpos, a, b, crossings + (slot_a,), lower))
+        states += 1
+        slot, x, y, a, b, node = payload
+        u, j = s.gluings[slot]
+        ustd = corners[u]
+        offset = y - ustd[j]
+        # The glued edge runs head-to-tail: corner j sits at y, j+1 at x.
+        cpos = offset + ustd[(j + 2) % 3]
+        ca = a.cross(cpos)
+        cb = cpos.cross(b)
+        slot_a = (u, (j + 1) % 3)  # x -> c
+        slot_b = (u, (j + 2) % 3)  # c -> y
+        if ca > 0 and cb > 0:
+            push(cpos.norm_sq(), _FOUND, (node, slot_a, cpos, slot_b))
+            push(_visible_min_dist_sq(x, cpos, a, cpos), _STATE,
+                 (slot_a, x, cpos, a, cpos, (node, slot_a, None)))
+            push(_visible_min_dist_sq(cpos, y, cpos, b), _STATE,
+                 (slot_b, cpos, y, cpos, b, (node, slot_b, slot_a)))
+        elif ca <= 0:
+            # New vertex at or below ray a: the wedge passes through c -> y.
+            push(_visible_min_dist_sq(cpos, y, a, b), _STATE,
+                 (slot_b, cpos, y, a, b, (node, slot_b, slot_a)))
+        else:
+            # cb <= 0: at or above ray b, pass through x -> c.
+            push(_visible_min_dist_sq(x, cpos, a, b), _STATE,
+                 (slot_a, x, cpos, a, b, (node, slot_a, None)))
 
 
 def enumerate_connections(
@@ -273,10 +283,7 @@ def enumerate_connections(
         radius_sq = to_fraction(radius_sq)
         if radius_sq <= 0:
             raise InputError("radius_sq must be positive")
-    if budget is None:
-        budget = default_budget()
-    conns = _Enumerator(s, radius_sq, budget).run()
-    return HolonomySet(radius_sq=radius_sq, connections=tuple(conns))
+    return HolonomySet(radius_sq=radius_sq, connections=tuple(connections(s, radius_sq, budget)))
 
 
 def count(s: TranslationSurface, radius=None, *, radius_sq=None, budget=None) -> int:
@@ -288,10 +295,9 @@ def shortest(s: TranslationSurface, budget=None) -> SaddleConnection:
     """A connection of minimal length; ties broken lexicographically.
 
     The shortest connection is never longer than the shortest triangulation
-    edge, so one enumeration at that radius suffices.
+    edge, which bounds the search.
     """
-    hs = enumerate_connections(s, radius_sq=s.min_edge_norm_sq(), budget=budget)
-    return min(hs.connections, key=lambda c: c.sort_key())
+    return next(connections(s, s.min_edge_norm_sq(), budget))
 
 
 def _outside_class(homology: EdgeHomology, gamma: SaddleConnection, mode: str):
@@ -345,21 +351,14 @@ def second_shortest_nonhomologous(
     mode "pm": class not equal to +/- the class of the shortest (default);
     mode "proportional": class not an integer multiple of it.
 
-    The search radius starts at the shortest edge and doubles, capped at
-    sqrt(U) with U = nonhomologous_edge_bound(s, gamma, mode).  The edge that
-    attains U is found at that radius, so the search ends; its cost still
-    grows with the visible area up to sqrt(U), within the state budget.
+    The search is bounded by U = nonhomologous_edge_bound(s, gamma, mode):
+    the edge that attains U lies outside the class, so the search finds an
+    answer and stops at the first one.
     """
     gamma = shortest(s, budget=budget)
     bound = nonhomologous_edge_bound(s, gamma, mode)
-    r2 = s.min_edge_norm_sq()
-    while True:
-        candidates = nonhomologous_within(s, gamma, r2, mode, budget)
-        if candidates:
-            return min(candidates, key=lambda c: c.sort_key())
-        if r2 >= bound:
-            raise InputError("no connection outside the class within the edge bound")
-        r2 = min(4 * r2, bound)
+    outside = _outside_class(EdgeHomology(s), gamma, mode)
+    return next(c for c in connections(s, bound, budget) if outside(c.homology_class))
 
 
 def reverse_of(s: TranslationSurface, conn: SaddleConnection) -> SaddleConnection:

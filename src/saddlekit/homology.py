@@ -87,19 +87,19 @@ class EdgeHomology:
             if canon == slot:
                 pairs.append(slot)
         pairs.sort()
+        # The canonical slot of each edge, in column order.
+        self.pairs: List[Slot] = pairs
         self.n_edges = len(pairs)
         for idx, slot in enumerate(pairs):
             self.slot_index[slot] = (idx, 1)
             self.slot_index[s.opposite(slot)] = (idx, -1)
 
-        relations = []
-        for t in range(s.n_triangles()):
-            row = [0] * self.n_edges
-            for i in range(3):
-                idx, sign = self.slot_index[(t, i)]
-                row[idx] += sign
-            relations.append(row)
-        self.basis = hnf_rows(relations)
+        # One row per triangle: its oriented boundary as a chain.
+        self.relations: List[List[int]] = [
+            list(self.chain_of_slots((t, i) for i in range(3)))
+            for t in range(s.n_triangles())
+        ]
+        self.basis = hnf_rows(self.relations)
         self.rank = len(self.basis)
 
     def chain_of_slots(self, slots) -> Tuple[int, ...]:

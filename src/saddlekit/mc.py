@@ -25,6 +25,7 @@ from . import kernels
 from .errors import AcceptanceRateError, InputError, SurfaceError
 from .exactplane import ExactVector, FloatMatrix, to_fraction
 from .geodesic import enumerate_connections
+from .homology import EdgeHomology
 from .oracle import TorusPoint, siegel_constant_torus
 from .surface import TranslationSurface, Triangle, area
 from .sv import (
@@ -96,28 +97,10 @@ def _period_solver(base: TranslationSurface):
     Returns (pairs, slot_sign, free_idx, dep_rows) where dep_rows maps each
     dependent pair index to its rational combination of free pairs.
     """
-    base.validate()
-    pairs = []
-    slot_sign = {}
-    for slot in base.slots():
-        other = base.opposite(slot)
-        canon = min(slot, other)
-        if canon == slot:
-            idx = len(pairs)
-            pairs.append(slot)
-            slot_sign[slot] = (idx, 1)
-    for slot in base.slots():
-        if slot not in slot_sign:
-            idx, _ = slot_sign[base.opposite(slot)]
-            slot_sign[slot] = (idx, -1)
+    homology = EdgeHomology(base)
+    pairs, slot_sign = homology.pairs, homology.slot_index
     n_pairs = len(pairs)
-    rows = []
-    for t in range(base.n_triangles()):
-        row = [Fraction(0)] * n_pairs
-        for i in range(3):
-            idx, sign = slot_sign[(t, i)]
-            row[idx] += sign
-        rows.append(row)
+    rows = [[Fraction(x) for x in row] for row in homology.relations]
     # Row reduce; record pivot -> expression in free columns.
     pivots = []
     r = 0

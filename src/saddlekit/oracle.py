@@ -171,11 +171,6 @@ class SiegelVeechMeasureTorus:
     eta_atoms: Dict[int, int]
     normalizer: str = "zeta(2)"
 
-    def nu_weight(self, n: int) -> int:
-        if n == 0:
-            raise InputError("nu has no atom at zero")
-        return euler_phi(abs(n))
-
     def to_json_dict(self):
         return {
             "normalizer": self.normalizer,

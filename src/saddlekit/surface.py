@@ -230,12 +230,6 @@ class TranslationSurface:
         self.validate()
         return len(self._vertex_orders)
 
-    def slot_endpoints(self, slot: Slot) -> Tuple[int, int]:
-        """Vertex ids at the tail and head of a directed edge slot."""
-        t, i = slot
-        self.validate()
-        return (self._corner_vertex[(t, i)], self._corner_vertex[(t, (i + 1) % 3)])
-
     def min_edge_norm_sq(self) -> Fraction:
         return min(self.edge_vector(s).norm_sq() for s in self.slots())
 

@@ -405,9 +405,8 @@ class ARReport:
         return self.value
 
 
-def _holonomy_array(s: TranslationSurface, radius: Fraction, budget):
-    hs = enumerate_connections(s, radius=radius, budget=budget)
-    vecs = sorted(hs.vectors(), key=lambda v: (v.norm_sq(), v.x, v.y))
+def _holonomy_array(vectors) -> np.ndarray:
+    vecs = sorted(vectors, key=lambda v: (v.norm_sq(), v.x, v.y))
     if not vecs:
         return np.zeros((0, 2))
     return np.array([[float(v.x), float(v.y)] for v in vecs])
@@ -436,7 +435,8 @@ def rotational_average_AR(
         raise InputError("stretch factor must be >= 1")
     if _points is None:
         pre_radius = f.support_radius() * to_fraction(R)
-        pts = _holonomy_array(s, pre_radius, budget)
+        hs = enumerate_connections(s, radius=pre_radius, budget=budget)
+        pts = _holonomy_array(hs.vectors())
     else:
         pts = _points
     if pts.shape[0] == 0:
@@ -508,7 +508,8 @@ def sector_sandwich(
     w2 = TriangleIndicator(ExactVector(tan_t, Fraction(1)), ExactVector(-tan_t, Fraction(1)))
     r_frac = to_fraction(R)
     pre_radius = w2.support_radius() * r_frac
-    pts = _holonomy_array(s, pre_radius, budget)
+    vectors = enumerate_connections(s, radius=pre_radius, budget=budget).vectors()
+    pts = _holonomy_array(vectors)
     theta_r = math.atan(math.tan(theta) / (R * R))
     # The stretched cone has angular width ~2 theta_r; resolve each window
     # with a dozen grid cells (the reported margin carries the residual).
@@ -517,9 +518,8 @@ def sector_sandwich(
     hi_n = rotational_average_AR(s, w2, R, n_eff, budget=budget, _points=pts)
     lo_2n = rotational_average_AR(s, w1, R, 2 * n_eff, budget=budget, _points=pts)
     hi_2n = rotational_average_AR(s, w2, R, 2 * n_eff, budget=budget, _points=pts)
-    n_count = len(
-        enumerate_connections(s, radius=r_frac, budget=budget).vectors()
-    )
+    # R <= pre_radius: the exact count N(R) comes from the same enumeration.
+    n_count = sum(1 for v in vectors if v.norm_sq() <= r_frac * r_frac)
     scaled = theta_r / math.pi * n_count
     margin = 2.0 * max(abs(lo_2n.value - lo_n.value), abs(hi_2n.value - hi_n.value))
     margin += (lo_2n.ambiguous_fraction + hi_2n.ambiguous_fraction) * max(n_count, 1)

@@ -1,8 +1,10 @@
 import json
+from fractions import Fraction
 
 import pytest
 
 from saddlekit import cli
+from saddlekit.geodesic import enumerate_connections
 
 
 def run(capsys, argv):
@@ -104,3 +106,14 @@ def test_flag_only_on_commands_that_read_it(capsys, torus_file):
         cli.main(["count", "--surface", torus_file, "--radius", "2", "--threads", "2"])
     assert exc.value.code == 2
     assert "--threads" in capsys.readouterr().err
+
+
+def test_budget_error_reports_progress(capsys, torus, torus_file):
+    code, _, err = run(capsys, ["count", "--surface", torus_file, "--radius", "40", "--budget", "50"])
+    assert code == 1
+    payload = json.loads(err)
+    assert payload["error"] == "RESOURCE_LIMIT"
+    assert {"states", "connections", "radius_sq_reached"} <= payload.keys()
+    reached = Fraction(payload["radius_sq_reached"])
+    conns = enumerate_connections(torus, radius_sq=reached).connections
+    assert payload["connections"] == sum(1 for c in conns if c.length_sq() < reached)

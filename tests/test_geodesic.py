@@ -17,6 +17,7 @@ from saddlekit.geodesic import (
     Unknown,
     _leaf,
     _segment,
+    connections,
     count,
     detect_cylinder,
     enumerate_connections,
@@ -255,3 +256,62 @@ def test_leaf_aimed_at_a_vertex_reports_the_hit(torus):
     for target in targets:
         result = _leaf(torus, 0, off, centroid, target - centroid, Fraction(10 ** 6))
         assert result == ("vertex", target)
+
+
+# --- the length-ordered search ----------------------------------------------
+
+
+@pytest.fixture()
+def ordered_corpus(torus, slit_13_15, octagon, thin_torus):
+    marked = marked_torus(V(Fraction(1, 2), Fraction(1, 3)))
+    return [(torus, 3), (slit_13_15, 1), (octagon, Fraction(3, 2)), (marked, 1), (thin_torus, 4)]
+
+
+def test_stream_is_length_ordered_and_radius_prefix_closed(ordered_corpus):
+    for s, r in ordered_corpus:
+        stream = [(c.sort_key(), c.start_corner) for c in connections(s, 4 * r * r)]
+        assert stream
+        assert all(a < b for a, b in zip(stream, stream[1:]))
+        wide = enumerate_connections(s, 2 * r).connections
+        assert enumerate_connections(s, r).connections == tuple(
+            c for c in wide if c.length_sq() <= r * r
+        )
+
+
+@pytest.mark.parametrize(
+    "name, radius, states",
+    [("square", 4, 174), ("slit", 2, 426), ("octagon", 3, 176), ("thin", 8, 518)],
+)
+def test_budget_counts_expanded_states(name, radius, states, torus, slit_13_15, octagon, thin_torus):
+    # State counts recorded with the breadth-first enumerator this search
+    # replaced: for a given radius the expanded states are the same.
+    s = {"square": torus, "slit": slit_13_15, "octagon": octagon, "thin": thin_torus}[name]
+    enumerate_connections(s, radius, budget=states)
+    with pytest.raises(ResourceLimitError):
+        enumerate_connections(s, radius, budget=states - 1)
+
+
+def test_budget_error_reports_progress(torus):
+    with pytest.raises(ResourceLimitError) as exc:
+        enumerate_connections(torus, 40, budget=50)
+    details = exc.value.details
+    assert details["budget"] == 50 and details["states"] == 50
+    reached = Fraction(details["radius_sq_reached"])
+    shorter = [
+        c for c in enumerate_connections(torus, radius_sq=reached).connections
+        if c.length_sq() < reached
+    ]
+    assert details["connections"] == len(shorter) > 0
+
+
+def test_second_shortest_is_first_outside_class(torus, slit_13_15, thin_torus, octagon):
+    for s in (torus, slit_13_15, thin_torus, octagon):
+        homology = EdgeHomology(s)
+        gamma = shortest(s)
+        for mode, same in (("pm", homology.is_pm), ("proportional", homology.is_proportional)):
+            bound = nonhomologous_edge_bound(s, gamma, mode)
+            expected = next(
+                c for c in enumerate_connections(s, radius_sq=bound).connections
+                if not same(c.homology_class, gamma.homology_class)
+            )
+            assert second_shortest_nonhomologous(s, mode=mode) == expected

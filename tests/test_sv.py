@@ -13,7 +13,7 @@ from saddlekit.builders import (
 )
 from saddlekit.errors import AmbiguousMembershipError, InputError
 from saddlekit.exactplane import ExactMatrix, ExactVector, primitive_points_in_disc
-from saddlekit.geodesic import enumerate_connections, shortest
+from saddlekit.geodesic import count, enumerate_connections, shortest
 from saddlekit.surface import apply_surface
 from saddlekit.sv import (
     AnnulusIndicator,
@@ -122,6 +122,12 @@ def test_sector_sandwich_width_shrinks_with_theta(torus):
 def test_sector_sandwich_boundary_case(torus):
     rep = sector_sandwich(torus, 2.0, math.pi / 8, quadrature_n=256)
     assert rep.ordered_within_margin()
+
+
+def test_sector_sandwich_scales_the_exact_count(torus):
+    for R in (2.5, 5.0):
+        rep = sector_sandwich(torus, R, math.pi / 8, quadrature_n=256)
+        assert rep.scaled_count == rep.theta_r / math.pi * count(torus, Fraction(R))
 
 
 def test_classify_h1(torus):
