@@ -218,7 +218,7 @@ def cmd_mc_stratum(args):
 def cmd_variance(args):
     seed = _seeded(args)
     samples = mc.sample_torus_haar(args.samples, seed, args.ymax)
-    rep = mc.estimate_L2_and_variance(samples, float(args.radius), threads=args.threads)
+    rep = mc.estimate_L2_and_variance(samples, float(to_fraction(args.radius)), threads=args.threads)
     _emit(args, rep.to_json_dict())
     return 0
 
@@ -372,7 +372,7 @@ def main(argv=None) -> int:
     except SaddlekitError as exc:
         sys.stderr.write(json.dumps(exc.to_json_dict(), sort_keys=True, default=str) + "\n")
         return 1
-    except FileNotFoundError as exc:
+    except OSError as exc:  # a missing or unreadable path, a directory
         sys.stderr.write(json.dumps({"error": "INPUT", "detail": str(exc)}) + "\n")
         return 1
 

@@ -10,8 +10,11 @@ of its crossed edge, a found connection's key its squared length, and
 nothing beyond the search radius is pushed.  A child's key is never below
 its parent's, so when the first connection of some length leaves the heap,
 every connection of that length is already in it: connections come out
-shortest first, and a caller may stop at any length.  Every decision is an
-exact sign or ordering test on rationals.
+shortest first, and a caller may stop at any length.  The search scales the
+surface by D, the lcm of its edge-coordinate denominators, so developed
+positions are int pairs and every decision is an exact integer sign or
+cross-multiplied comparison; a squared distance is an int (num, den) pair,
+and Fractions are built only for the connections it yields.
 
 The homology class of an emitted connection is the chain of triangulation
 edges along the right-hand boundary of the developed triangle strip (the
@@ -28,6 +31,7 @@ lies.
 from __future__ import annotations
 
 import heapq
+import math
 import os
 from itertools import count as _serial, islice
 from dataclasses import dataclass
@@ -111,36 +115,41 @@ def _std_corners(s: TranslationSurface, t: int):
     return s.triangles[t].corner_positions()
 
 
-def _seg_min_dist_sq(p: ExactVector, q: ExactVector) -> Fraction:
-    """Exact squared distance from the origin to segment [p, q]."""
-    d = q - p
-    dd = d.norm_sq()
-    if dd == 0:
-        return p.norm_sq()
-    t = -p.dot(d) / dd
-    if t <= 0:
-        return p.norm_sq()
-    if t >= 1:
-        return q.norm_sq()
-    return (p + d.scale(t)).norm_sq()
+def _visible_dist_sq(x, y, a, b):
+    """Squared distance from the origin to the part of segment [x, y] inside
+    the wedge (a, b), as an exact (num, den) pair; every argument is an int
+    pair.
 
-
-def _ray_segment_point(dirv: ExactVector, p: ExactVector, q: ExactVector) -> ExactVector:
-    """Intersection of ray {t * dirv} with segment [p, q] (assumed to cross)."""
-    cp = dirv.cross(p)
-    cq = dirv.cross(q)
-    denom = cp - cq
-    if denom == 0:
-        raise InputError("segment parallel to ray")
-    t = cp / denom
-    return p + (q - p).scale(t)
-
-
-def _visible_min_dist_sq(x, y, a, b) -> Fraction:
-    """Min distance^2 from apex to the part of segment [x, y] inside wedge (a, b)."""
-    px = x if a.cross(x) >= 0 else _ray_segment_point(a, x, y)
-    py = y if y.cross(b) >= 0 else _ray_segment_point(b, x, y)
-    return _seg_min_dist_sq(px, py)
+    The clipped ends are x + s (y - x) at s = pn/pd (ray a) and s = qn/qd
+    (ray b), both denominators positive.  The nearest point is the clipped
+    end beyond which the perpendicular foot falls, or else the foot.
+    """
+    x0, x1 = x
+    y0, y1 = y
+    a0, a1 = a
+    b0, b1 = b
+    e0, e1 = y0 - x0, y1 - x1
+    ax = a0 * x1 - a1 * x0
+    if ax >= 0:
+        pn, pd = 0, 1
+    else:
+        pn, pd = -ax, a0 * y1 - a1 * y0 - ax
+    by = b0 * y1 - b1 * y0
+    if by <= 0:
+        qn, qd = 1, 1
+    else:
+        bx = b0 * x1 - b1 * x0
+        qn, qd = -bx, by - bx
+    # Perpendicular foot at s = fn/fd.
+    fn, fd = -(x0 * e0 + x1 * e1), e0 * e0 + e1 * e1
+    if fn * pd <= pn * fd:
+        px, py = x0 * pd + pn * e0, x1 * pd + pn * e1
+        return px * px + py * py, pd * pd
+    if fn * qd >= qn * fd:
+        qx, qy = x0 * qd + qn * e0, x1 * qd + qn * e1
+        return qx * qx + qy * qy, qd * qd
+    c = x0 * y1 - x1 * y0
+    return c * c, fd
 
 
 def _connection(s: TranslationSurface, homology: EdgeHomology, node, last_lower: Slot,
@@ -184,27 +193,36 @@ def connections(s: TranslationSurface, radius_sq, budget: Optional[int] = None):
     if budget is None:
         budget = default_budget()
     homology = EdgeHomology(s)
-    corners = [tri.corner_positions() for tri in s.triangles]
+    # Scaled by D, every developed position is an int pair.
+    scale = math.lcm(*(q.denominator for tri in s.triangles for e in tri.edges for q in (e.x, e.y)))
+    scale_sq = scale * scale
+    corners = [
+        tuple((int(p.x * scale), int(p.y * scale)) for p in tri.corner_positions())
+        for tri in s.triangles
+    ]
+    limit = Fraction(radius_sq) * scale_sq
+    rn, rd = limit.numerator, limit.denominator
     heap: list = []
     serial = _serial()
 
-    def push(key, kind, payload):
-        if key <= radius_sq:
+    def push(num, den, kind, payload):
+        if num * rd <= rn * den:
             # Ordered by the float alone: an exact tie-break would compare
-            # Fractions in the heap on every tie, which symmetric surfaces
-            # hit constantly.  float() is monotone, so exact order is
-            # restored where floats are equal (groups, budget radius).
-            heapq.heappush(heap, (float(key), kind, next(serial), key, payload))
+            # keys in the heap on every tie, which symmetric surfaces hit
+            # constantly.  Int true division rounds correctly, so the float
+            # is that of the unscaled squared distance; float() is monotone,
+            # and exact order is restored where floats are equal (groups,
+            # budget radius).
+            heapq.heappush(heap, (num / (den * scale_sq), kind, next(serial), (num, den), payload))
 
     for t, std in enumerate(corners):
         for c in range(3):
-            slot, head, edge = (t, c), (t, (c + 1) % 3), s.triangles[t].edges[c]
-            push(edge.norm_sq(), _FOUND, (None, slot, edge, head))
+            slot, head = (t, c), (t, (c + 1) % 3)
             # Corner c at the origin; the other two corners span the wedge.
-            p1 = std[(c + 1) % 3] - std[c]
-            p2 = std[(c + 2) % 3] - std[c]
-            push(_visible_min_dist_sq(p1, p2, p1, p2), _STATE,
-                 (head, p1, p2, p1, p2, (None, head, slot)))
+            (ox, oy), (x1, y1), (x2, y2) = std[c], std[(c + 1) % 3], std[(c + 2) % 3]
+            p1, p2 = (x1 - ox, y1 - oy), (x2 - ox, y2 - oy)
+            push(p1[0] * p1[0] + p1[1] * p1[1], 1, _FOUND, (None, slot, p1, head))
+            push(*_visible_dist_sq(p1, p2, p1, p2), _STATE, (head, p1, p2, p1, p2, (None, head, slot)))
     states = yielded = 0
     while heap:
         fkey, kind, _, key, payload = heapq.heappop(heap)
@@ -218,8 +236,9 @@ def connections(s: TranslationSurface, radius_sq, budget: Optional[int] = None):
             # segments (e.g. the two banks of a slit) agree in holonomy,
             # endpoints and crossings.
             found = {}
-            for p in group:
-                conn = _connection(s, homology, *p)
+            for node, last_lower, (hx, hy), end_corner in group:
+                holonomy = ExactVector(Fraction(hx, scale), Fraction(hy, scale))
+                conn = _connection(s, homology, node, last_lower, holonomy, end_corner)
                 found.setdefault((conn.sort_key(), conn.start_corner), conn)
             for k in sorted(found):
                 yielded += 1
@@ -227,7 +246,8 @@ def connections(s: TranslationSurface, radius_sq, budget: Optional[int] = None):
             continue
         if states >= budget:
             # An entry with the same float may hold a smaller exact key.
-            reached = min([key] + [e[3] for e in heap if e[0] == fkey])
+            reached = min(Fraction(n, d * scale_sq)
+                          for n, d in [key] + [e[3] for e in heap if e[0] == fkey])
             raise ResourceLimitError(
                 "enumeration state budget exceeded", budget=budget, states=states,
                 connections=yielded, radius_sq_reached=format_rational(reached),
@@ -236,26 +256,27 @@ def connections(s: TranslationSurface, radius_sq, budget: Optional[int] = None):
         slot, x, y, a, b, node = payload
         u, j = s.gluings[slot]
         ustd = corners[u]
-        offset = y - ustd[j]
         # The glued edge runs head-to-tail: corner j sits at y, j+1 at x.
-        cpos = offset + ustd[(j + 2) % 3]
-        ca = a.cross(cpos)
-        cb = cpos.cross(b)
+        (jx, jy), (kx, ky) = ustd[j], ustd[(j + 2) % 3]
+        cx, cy = y[0] - jx + kx, y[1] - jy + ky
+        cpos = (cx, cy)
+        ca = a[0] * cy - a[1] * cx
+        cb = cx * b[1] - cy * b[0]
         slot_a = (u, (j + 1) % 3)  # x -> c
         slot_b = (u, (j + 2) % 3)  # c -> y
         if ca > 0 and cb > 0:
-            push(cpos.norm_sq(), _FOUND, (node, slot_a, cpos, slot_b))
-            push(_visible_min_dist_sq(x, cpos, a, cpos), _STATE,
+            push(cx * cx + cy * cy, 1, _FOUND, (node, slot_a, cpos, slot_b))
+            push(*_visible_dist_sq(x, cpos, a, cpos), _STATE,
                  (slot_a, x, cpos, a, cpos, (node, slot_a, None)))
-            push(_visible_min_dist_sq(cpos, y, cpos, b), _STATE,
+            push(*_visible_dist_sq(cpos, y, cpos, b), _STATE,
                  (slot_b, cpos, y, cpos, b, (node, slot_b, slot_a)))
         elif ca <= 0:
             # New vertex at or below ray a: the wedge passes through c -> y.
-            push(_visible_min_dist_sq(cpos, y, a, b), _STATE,
+            push(*_visible_dist_sq(cpos, y, a, b), _STATE,
                  (slot_b, cpos, y, a, b, (node, slot_b, slot_a)))
         else:
             # cb <= 0: at or above ray b, pass through x -> c.
-            push(_visible_min_dist_sq(x, cpos, a, b), _STATE,
+            push(*_visible_dist_sq(x, cpos, a, b), _STATE,
                  (slot_a, x, cpos, a, b, (node, slot_a, None)))
 
 

@@ -60,8 +60,8 @@ def sample_torus_haar(n: int, seed: int, y_max: float = 50.0) -> HaarSample:
     CDF inversion; pairs with x^2 + y^2 < 1 are rejected; the frame is spun
     by a uniform rotation.  The mass removed above y_max is (1/y_max) / (pi/3).
     """
-    if n < 0:
-        raise InputError("sample count must be nonnegative")
+    if n < 1:
+        raise InputError("sample count must be positive")
     if seed < 0:
         raise InputError("seed must be nonnegative")
     if y_max < 2:
@@ -157,6 +157,8 @@ def sample_stratum_local(
     spread = to_fraction(spread)
     if spread < 0:
         raise InputError("spread must be nonnegative")
+    if n < 1:
+        raise InputError("sample count must be positive")
     if seed < 0:
         raise InputError("seed must be nonnegative")
     signature = base.validate()

@@ -26,8 +26,6 @@ from .exactplane import (
     to_fraction,
 )
 
-_F0 = Fraction(0)
-
 
 @dataclass(frozen=True)
 class TorusPoint:
@@ -69,37 +67,35 @@ def torus_holonomy(t: TorusPoint, radius) -> Set[ExactVector]:
     return set(primitive_points_in_disc(radius, t.g))
 
 
-def _passes_through(w: ExactVector, target: ExactVector) -> bool:
+def _passes_through(w, target, scale: int) -> bool:
     """Exact test: does {t w : 0 < t < 1} meet target + Z^2?
 
-    w and target are in lattice coordinates (g factored out).
+    w and target are in lattice coordinates (g factored out), given as int
+    pairs scaled by scale, so the question is whether t w - target lies in
+    scale Z^2 for some 0 < t < 1.
     """
-    # t w = target + m with m integral; solve per coordinate.
-    if w.x != 0:
-        # Enumerate integers m1 with 0 < (m1 + target.x) / w.x < 1.
-        candidates = []
-        span = sorted([_F0, w.x])
-        m1 = math.floor(span[0] - target.x) - 1
-        while m1 <= math.ceil(span[1] - target.x) + 1:
-            t = (target.x + m1) / w.x
-            if 0 < t < 1:
-                candidates.append(t)
-            m1 += 1
-        for t in candidates:
-            val = t * w.y - target.y
-            if val.denominator == 1:
-                return True
+    (w0, w1), (t0, t1) = w, target
+    if w0 == 0:
+        if w1 == 0:
+            return False
+        (w0, w1), (t0, t1) = (w1, w0), (t1, t0)
+    if w0 < 0:
+        (w0, w1), (t0, t1) = (-w0, -w1), (-t0, -t1)
+    # t = n / w0 with n = t0 + scale k in (0, w0); the other coordinate
+    # needs n w1 - t1 w0 in scale w0 Z, i.e. scale k w1 = c (mod scale w0).
+    c = t1 * w0 - t0 * w1
+    if c % scale:
         return False
-    if w.y == 0:
+    c //= scale
+    div = math.gcd(w1, w0)
+    if c % div:
         return False
-    span = sorted([_F0, w.y])
-    m2 = math.floor(span[0] - target.y) - 1
-    while m2 <= math.ceil(span[1] - target.y) + 1:
-        t = (target.y + m2) / w.y
-        if 0 < t < 1 and (t * w.x - target.x).denominator == 1:
-            return True
-        m2 += 1
-    return False
+    m = w0 // div
+    k0 = c // div * pow(w1 // div, -1, m) % m
+    # Least k = k0 (mod m) with t0 + scale k > 0.
+    k_min = -t0 // scale + 1
+    k = k_min + (k0 - k_min) % m
+    return t0 + scale * k < w0
 
 
 @dataclass(frozen=True)
@@ -122,34 +118,49 @@ def slit_torus_holonomy(t: SlitTorusPoint, radius) -> SlitHolonomyResult:
         raise InputError("radius must be positive")
     g = t.g
     v0 = g.inverse().apply(t.v)  # slit in lattice coordinates
-    r_sq = radius * radius
     bound = lattice_box_bound(g, radius) + int(abs(v0.x) + abs(v0.y)) + 2
+    # Lattice coordinates scaled by L are int pairs, and so are their images
+    # under g scaled by D; the disc test is an int test against
+    # (D L radius)^2, as in primitive_points_in_disc.
+    L = math.lcm(v0.x.denominator, v0.y.denominator)
+    vx, vy = int(v0.x * L), int(v0.y * L)
+    D = math.lcm(*(x.denominator for x in g.entries()))
+    a, b, c, d = (int(x * D) for x in g.entries())
+    scale = D * L
+    lim = radius * radius * scale * scale
+    lim = lim.numerator // lim.denominator
+
+    def image(x, y):
+        """Scaled image of (x, y) if it lies in the disc, else None."""
+        ix, iy = a * x + b * y, c * x + d * y
+        if ix * ix + iy * iy <= lim:
+            return ExactVector(Fraction(ix, scale), Fraction(iy, scale))
+        return None
 
     vectors = set()
     corrections = set()
     for p in range(-bound, bound + 1):
         for q in range(-bound, bound + 1):
-            w = ExactVector(Fraction(p), Fraction(q))
-            if math.gcd(abs(p), abs(q)) == 1:
-                img = g.apply(w)
-                if img.norm_sq() <= r_sq:
+            w = (p * L, q * L)
+            if math.gcd(p, q) == 1:
+                img = image(*w)
+                if img is not None:
                     # Loop at a marked point; exists on the copy based at 0
                     # unless it hits v, and at v unless it hits -v's copy.
-                    blocked_at_zero = _passes_through(w, v0)
-                    blocked_at_v = _passes_through(w, -v0)
+                    blocked_at_zero = _passes_through(w, (vx, vy), L)
+                    blocked_at_v = _passes_through(w, (-vx, -vy), L)
                     if blocked_at_zero and blocked_at_v:
                         corrections.add(img)
                     else:
                         vectors.add(img)
             for sign in (1, -1):
-                shifted = ExactVector(w.x + sign * v0.x, w.y + sign * v0.y)
-                img = g.apply(shifted)
-                if img.norm_sq() <= r_sq and not shifted.is_zero():
+                target = (sign * vx, sign * vy)
+                shifted = (w[0] + target[0], w[1] + target[1])
+                img = image(*shifted)
+                if img is not None and shifted != (0, 0):
                     # Segment between the two marked points: blocked by an
                     # interior lattice point or an interior copy of v.
-                    if _passes_through(shifted, ExactVector(_F0, _F0)) or _passes_through(
-                        shifted, ExactVector(sign * v0.x, sign * v0.y)
-                    ):
+                    if _passes_through(shifted, (0, 0), L) or _passes_through(shifted, target, L):
                         corrections.add(img)
                     else:
                         vectors.add(img)

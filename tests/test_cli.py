@@ -42,10 +42,18 @@ def empty_file(tmp_path):
         "empty bc sample",
         "negative seed",
         "negative stratum seed",
+        "variance radius",
+        "surface directory",
+        "fn directory",
+        "no torus samples",
+        "no variance samples",
+        "no tail samples",
+        "no stratum samples",
+        "negative stratum samples",
     ],
 )
 def test_malformed_input_exits_1_with_input_code(
-    case, capsys, monkeypatch, torus_file, empty_file, bad_gluing_file
+    case, capsys, monkeypatch, tmp_path, torus_file, empty_file, bad_gluing_file
 ):
     argv = {
         "empty surface": ["count", "--surface", empty_file, "--radius", "2"],
@@ -58,6 +66,14 @@ def test_malformed_input_exits_1_with_input_code(
         "empty bc sample": ["bc-table", "--samples", "0", "--seed", "1", "--radii", "4", "--errors", "8"],
         "negative seed": ["mc-torus", "--samples", "5", "--seed", "-1", "--radius", "4"],
         "negative stratum seed": ["mc-stratum", "--surface", torus_file, "--samples", "2", "--seed", "-1"],
+        "variance radius": ["variance", "--samples", "5", "--seed", "1", "--radius", "abc"],
+        "surface directory": ["count", "--surface", str(tmp_path), "--radius", "2"],
+        "fn directory": ["transform", "--surface", torus_file, "--fn", str(tmp_path)],
+        "no torus samples": ["mc-torus", "--samples", "0", "--seed", "1", "--radius", "4"],
+        "no variance samples": ["variance", "--samples", "0", "--seed", "1", "--radius", "4"],
+        "no tail samples": ["tails", "--samples", "0", "--seed", "1"],
+        "no stratum samples": ["mc-stratum", "--surface", torus_file, "--samples", "0", "--seed", "1"],
+        "negative stratum samples": ["mc-stratum", "--surface", torus_file, "--samples", "-2", "--seed", "1"],
     }[case]
     if case == "budget env":
         monkeypatch.setenv("SADDLEKIT_BUDGET", "abc")

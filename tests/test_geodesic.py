@@ -5,6 +5,7 @@ import pytest
 
 from saddlekit.builders import (
     marked_torus,
+    regular_octagon_approx,
     sheared_torus,
     slit_torus,
     square_torus,
@@ -28,6 +29,7 @@ from saddlekit.geodesic import (
     trace_connection,
 )
 from saddlekit.homology import EdgeHomology
+from saddlekit.oracle import TorusPoint, torus_holonomy
 from saddlekit.surface import apply_surface
 
 
@@ -264,7 +266,8 @@ def test_leaf_aimed_at_a_vertex_reports_the_hit(torus):
 @pytest.fixture()
 def ordered_corpus(torus, slit_13_15, octagon, thin_torus):
     marked = marked_torus(V(Fraction(1, 2), Fraction(1, 3)))
-    return [(torus, 3), (slit_13_15, 1), (octagon, Fraction(3, 2)), (marked, 1), (thin_torus, 4)]
+    return [(torus, 3), (slit_13_15, 1), (octagon, Fraction(3, 2)), (marked, 1), (thin_torus, 4),
+            (regular_octagon_approx(), Fraction(3, 2))]
 
 
 def test_stream_is_length_ordered_and_radius_prefix_closed(ordered_corpus):
@@ -302,6 +305,36 @@ def test_budget_error_reports_progress(torus):
         if c.length_sq() < reached
     ]
     assert details["connections"] == len(shorter) > 0
+
+
+@pytest.mark.parametrize(
+    "g, sizes",
+    [
+        (ExactMatrix.of(2, Fraction(1, 3), 0, Fraction(1, 2)), (20, 96)),
+        (ExactMatrix.of(Fraction(3, 2), Fraction(1, 2), Fraction(1, 4), Fraction(3, 4)), (18, 96)),
+    ],
+)
+def test_torus_oracle_on_lattices_with_denominators(g, sizes):
+    # Denominators in both rows: the search runs on the lattice scaled by
+    # their lcm.  Sizes recorded with the Fraction search this one replaced.
+    for r, size in zip((3, 7), sizes):
+        got = enumerate_connections(torus_from_matrix(g), r).vectors()
+        assert got == torus_holonomy(TorusPoint(g), r)
+        assert len(got) == size
+
+
+@pytest.mark.parametrize(
+    "name, reached",
+    [("slit", "109/169"), ("regular octagon", "1457107309449/500000000000")],
+)
+def test_budget_payload_on_surfaces_with_denominators(name, reached, slit_13_15):
+    # Payloads recorded with the Fraction search this one replaced.
+    s = {"slit": slit_13_15, "regular octagon": regular_octagon_approx()}[name]
+    with pytest.raises(ResourceLimitError) as exc:
+        enumerate_connections(s, 10, budget=50)
+    assert exc.value.details == {
+        "budget": 50, "states": 50, "connections": 8, "radius_sq_reached": reached,
+    }
 
 
 def test_second_shortest_is_first_outside_class(torus, slit_13_15, thin_torus, octagon):

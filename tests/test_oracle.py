@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -7,8 +8,10 @@ from saddlekit.builders import slit_torus, torus_from_matrix
 from saddlekit.errors import InputError
 from saddlekit.exactplane import ExactMatrix, ExactVector, euler_phi, primitive_points_in_disc
 from saddlekit.geodesic import enumerate_connections
+from saddlekit.surface import apply_surface
 from saddlekit.oracle import (
     SlitTorusPoint,
+    _passes_through,
     TorusPoint,
     collinear_pairs_are_opposite,
     determinant_histogram,
@@ -106,6 +109,45 @@ def test_slit_holonomy_cross_check_with_surface():
     res = slit_torus_holonomy(SlitTorusPoint(ExactMatrix.identity(), v), 2)
     surf = slit_torus(v)
     assert enumerate_connections(surf, 2).vectors() == res.vectors
+
+
+@pytest.mark.parametrize("v", [V(Fraction(2, 3), Fraction(1, 3)), V(Fraction(1, 4), Fraction(1, 2))])
+@pytest.mark.parametrize("g", [ExactMatrix.identity(), ExactMatrix.of(2, Fraction(1, 3), 0, Fraction(1, 2))])
+def test_slit_holonomy_with_blocked_segments_matches_surface(v, g):
+    # Slits whose translates block some segments: the blocking test runs on
+    # the rational shifts w +- v as well as on lattice vectors.
+    res = slit_torus_holonomy(SlitTorusPoint(g, g.apply(v)), 3)
+    assert res.corrections
+    assert enumerate_connections(apply_surface(g, slit_torus(v)), 3).vectors() == res.vectors
+
+
+def _passes_through_brute(w, target):
+    # t w - target in Z^2 for some 0 < t < 1: t runs over the finitely many
+    # values that make a nonzero coordinate of t w - target integral.
+    i = 0 if w[0] else 1
+    lo, hi = sorted((0, w[i]))
+    for m in range(math.floor(lo - target[i]), math.ceil(hi - target[i]) + 1):
+        t = (target[i] + m) / w[i]
+        if 0 < t < 1 and all((t * w[k] - target[k]).denominator == 1 for k in (0, 1)):
+            return True
+    return False
+
+
+def test_passes_through_matches_brute_force():
+    rng = random.Random(0)
+    seen = set()
+    for _ in range(3000):
+        w = [Fraction(rng.randint(-12, 12), rng.choice((1, 2, 3, 4, 6))) for _ in range(2)]
+        if not any(w):
+            continue
+        target = [Fraction(rng.randint(-6, 6), rng.choice((1, 2, 3, 5))) for _ in range(2)]
+        scale = math.lcm(*(q.denominator for q in w + target))
+        got = _passes_through(
+            tuple(int(q * scale) for q in w), tuple(int(q * scale) for q in target), scale
+        )
+        assert got == _passes_through_brute(w, target), (w, target)
+        seen.add(got)
+    assert seen == {True, False}
 
 
 def test_slit_holonomy_degenerate_rational_flagged():
