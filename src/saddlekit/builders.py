@@ -6,6 +6,7 @@ rational edge vectors.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Dict, List, Sequence, Tuple
 
@@ -244,22 +245,34 @@ def _triangulate_square_with_points(side: Fraction, pts: List[ExactVector]):
     """Exact incremental triangulation of a side x side square containing pts.
 
     Points strictly inside a triangle split it into three; points landing on
-    an interior edge split the two adjacent triangles into four.  All
-    predicates are exact.
+    an interior edge split the two adjacent triangles into four.  Positions
+    are scaled by L, the lcm of all denominators, to int pairs, so every
+    predicate is an exact int sign; edges become ExactVectors at the end.
     """
-    c00 = ExactVector(_F0, _F0)
-    c10 = ExactVector(side, _F0)
-    c11 = ExactVector(side, side)
-    c01 = ExactVector(_F0, side)
+    scale = math.lcm(side.denominator, *(q.denominator for p in pts for q in (p.x, p.y)))
 
-    # Triangles as vertex-position triples; edges derived at the end.
-    cells: List[List[ExactVector]] = [[c00, c10, c11], [c00, c11, c01]]
+    def scaled(q: Fraction) -> int:
+        return q.numerator * (scale // q.denominator)
 
-    def locate(p):
+    def vec(p, q) -> ExactVector:
+        return ExactVector(Fraction(q[0] - p[0], scale), Fraction(q[1] - p[1], scale))
+
+    def cross(a, b, p) -> int:
+        return (b[0] - a[0]) * (p[1] - a[1]) - (b[1] - a[1]) * (p[0] - a[0])
+
+    n = scaled(side)
+    c00, c10, c11, c01 = (0, 0), (n, 0), (n, n), (0, n)
+    ipts = [(scaled(p.x), scaled(p.y)) for p in pts]
+
+    # Triangles as int vertex-position triples; edges derived at the end.
+    cells: List[List[Tuple[int, int]]] = [[c00, c10, c11], [c00, c11, c01]]
+
+    def locate(k):
+        p = ipts[k]
         for idx, (a, b, c) in enumerate(cells):
-            s1 = (b - a).cross(p - a)
-            s2 = (c - b).cross(p - b)
-            s3 = (a - c).cross(p - c)
+            s1 = cross(a, b, p)
+            s2 = cross(b, c, p)
+            s3 = cross(c, a, p)
             if s1 > 0 and s2 > 0 and s3 > 0:
                 return idx, None
             if s1 == 0 and s2 > 0 and s3 > 0:
@@ -268,10 +281,10 @@ def _triangulate_square_with_points(side: Fraction, pts: List[ExactVector]):
                 return idx, 1
             if s3 == 0 and s1 > 0 and s2 > 0:
                 return idx, 2
-        raise InputError(f"point {p} not inside the square")
+        raise InputError(f"point {pts[k]} not inside the square")
 
-    for p in pts:
-        idx, on_edge = locate(p)
+    for k, p in enumerate(ipts):
+        idx, on_edge = locate(k)
         a, b, c = cells[idx]
         if on_edge is None:
             cells[idx] = [a, b, p]
@@ -306,39 +319,26 @@ def _triangulate_square_with_points(side: Fraction, pts: List[ExactVector]):
 
     # Build edge slots; pair interior edges by position, boundary edges by
     # the torus identifications (whole sides are single edges by margin).
-    tris = [Triangle(((b - a), (c - b), (a - c))) for a, b, c in cells]
+    tris = [Triangle((vec(a, b), vec(b, c), vec(c, a))) for a, b, c in cells]
     pos: Dict[Tuple, Slot] = {}
     gluings: Dict[Slot, Slot] = {}
-    boundary: Dict[Tuple, Slot] = {}
-    for t, (a, b, c) in enumerate(cells):
-        corners = [a, b, c]
+    for t, corners in enumerate(cells):
         for i in range(3):
             p, q = corners[i], corners[(i + 1) % 3]
-            key = (p.x, p.y, q.x, q.y)
-            rkey = (q.x, q.y, p.x, p.y)
-            if rkey in pos:
-                _pair(gluings, pos.pop(rkey), (t, i))
+            if (q, p) in pos:
+                _pair(gluings, pos.pop((q, p)), (t, i))
             else:
-                pos[key] = (t, i)
+                pos[(p, q)] = (t, i)
     # Remaining unmatched slots are the 4 square sides.
-    for key, slot in pos.items():
-        boundary[key] = slot
-
-    def bkey(p, q):
-        return (p.x, p.y, q.x, q.y)
-
-    _pair(gluings, boundary[bkey(c00, c10)], boundary[bkey(c11, c01)])
-    _pair(gluings, boundary[bkey(c10, c11)], boundary[bkey(c01, c00)])
+    _pair(gluings, pos[(c00, c10)], pos[(c11, c01)])
+    _pair(gluings, pos[(c10, c11)], pos[(c01, c00)])
 
     corner_of_point = []
-    for p in pts:
+    for p in ipts:
         found = None
-        for t, (a, b, c) in enumerate(cells):
-            for i, v in enumerate((a, b, c)):
-                if v == p:
-                    found = (t, i)
-                    break
-            if found:
+        for t, cell in enumerate(cells):
+            if p in cell:
+                found = (t, cell.index(p))
                 break
         corner_of_point.append(found)
     return tris, gluings, corner_of_point

@@ -7,13 +7,19 @@ circumscribing diamond of a triangle comes from the bounding box of its
 vertices, and an empty diamond through an edge from interval arithmetic along
 a line of squares.  An interior edge is locally Delaunay when each adjacent
 triangle's diamond has the opposite vertex outside or on its boundary;
-flipping repeats until no edge violates this.  Everything is decided exactly
-over the rationals.
+flipping repeats until no edge violates this.  Everything is decided
+exactly, on ints after scaling by D: `delaunay_l1` scales the surface once by
+D, the lcm of its edge-coordinate denominators (`diamond_of` its three points
+by the lcm of theirs), so positions are int pairs and a diamond is an int
+square (cu, cv, r) in the doubled frame (U, V) = 2(x + y, x - y).  Fractions
+are built only for the output surface and its certificates.
 """
 
 from __future__ import annotations
 
 import json
+import math
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -56,26 +62,63 @@ def _rotated(p: ExactVector) -> Tuple[Fraction, Fraction]:
     return (p.x + p.y, p.x - p.y)
 
 
-def diamond_of(p1: ExactVector, p2: ExactVector, p3: ExactVector) -> DiamondCertificate:
-    """Circumscribing diamond (L1 circumdisc) of three points, exactly.
+# --- int geometry: points are int pairs after scaling by D -----------------
 
-    In the rotated frame a diamond of L1 radius r about c is the square
-    max(|u - cu|, |v - cv|) <= r.  It circumscribes the points when they match
-    injectively to sides they lie on (a corner lies on both of its sides).
-    Three distinct sides include an opposite pair, so 2r is the larger extent
-    of the points' bounding box: the square spans the box along that axis and
-    sits flush with either end of the other one.  When two points share a
-    slope +-1 line these two squares are the corner-touching ends of a
-    sliding family.  Raises DegenerateDiamondError for collinear points, when
-    neither square admits the matching, or when both do (``count``).
+
+def _scale_of(vectors) -> int:
+    """D, the lcm of the coordinate denominators."""
+    return math.lcm(*(q.denominator for p in vectors for q in (p.x, p.y)))
+
+
+def _ints(p: ExactVector, scale: int) -> Tuple[int, int]:
+    return (p.x.numerator * (scale // p.x.denominator), p.y.numerator * (scale // p.y.denominator))
+
+
+def _vector(p, scale: int) -> ExactVector:
+    return ExactVector(Fraction(p[0], scale), Fraction(p[1], scale))
+
+
+def _sub(p, q):
+    return (p[0] - q[0], p[1] - q[1])
+
+
+def _turn(p, q, r) -> int:
+    """(q - p) x (r - q): positive when p -> q -> r turns counterclockwise."""
+    return (q[0] - p[0]) * (r[1] - q[1]) - (q[1] - p[1]) * (r[0] - q[0])
+
+
+def _corners(tri):
+    """Int corner positions of a triangle given by its int edge vectors."""
+    (x0, y0), (x1, y1) = tri[0], tri[1]
+    return (0, 0), (x0, y0), (x0 + x1, y0 + y1)
+
+
+def _doubled(p) -> Tuple[int, int]:
+    """(U, V) = 2(x + y, x - y): the rotated frame, doubled so r is an int."""
+    x, y = p
+    return (2 * (x + y), 2 * (x - y))
+
+
+def _diamond(p1, p2, p3) -> Tuple[int, int, int]:
+    """Circumscribing diamond of three int points as (cu, cv, r), the square
+    max(|U - cu|, |V - cv|) <= r of the doubled rotated frame.
+
+    It circumscribes the points when they match injectively to sides they
+    lie on (a corner lies on both of its sides).  Three distinct sides
+    include an opposite pair, so 2r is the larger extent of the points'
+    bounding box: the square spans the box along that axis and sits flush
+    with either end of the other one.  When two points share a slope +-1
+    line these two squares are the corner-touching ends of a sliding family.
+    Raises DegenerateDiamondError for collinear points, when neither square
+    admits the matching, or when both do (``count``).
     """
-    if (p2 - p1).cross(p3 - p1) == 0:
+    if _turn(p1, p2, p3) == 0:
         raise DegenerateDiamondError("collinear points have no circumscribing diamond")
-    pts = [_rotated(p) for p in (p1, p2, p3)]
+    pts = [_doubled(p) for p in (p1, p2, p3)]
     lo = [min(p[k] for p in pts) for k in (0, 1)]
     hi = [max(p[k] for p in pts) for k in (0, 1)]
     k = 0 if hi[0] - lo[0] >= hi[1] - lo[1] else 1  # the wide axis
-    r = (hi[k] - lo[k]) * _HALF
+    r = (hi[k] - lo[k]) // 2  # doubled coordinates are even
     solutions = []
     for flush in (hi[1 - k] - r, lo[1 - k] + r):
         center = [flush, flush]
@@ -90,7 +133,7 @@ def diamond_of(p1: ExactVector, p2: ExactVector, p3: ExactVector) -> DiamondCert
             count=len(solutions),
         )
     cu, cv = solutions[0]
-    return DiamondCertificate(ExactVector((cu + cv) * _HALF, (cu - cv) * _HALF), r)
+    return cu, cv, r
 
 
 def _on_distinct_sides(pts, center, r) -> bool:
@@ -99,47 +142,66 @@ def _on_distinct_sides(pts, center, r) -> bool:
     return any(len(set(pick)) == 3 for pick in product(*on))
 
 
+def _dist(dia, p) -> int:
+    """L1 distance from the diamond's center to the int point p, in the units
+    of its r: below r strictly inside, equal to r on the boundary."""
+    cu, cv, _ = dia
+    u, v = _doubled(p)
+    return max(abs(u - cu), abs(v - cv))
+
+
+def _certificate(dia, scale: int) -> DiamondCertificate:
+    cu, cv, r = dia
+    return DiamondCertificate(
+        ExactVector(Fraction(cu + cv, 4 * scale), Fraction(cu - cv, 4 * scale)), Fraction(r, 2 * scale)
+    )
+
+
+def diamond_of(p1: ExactVector, p2: ExactVector, p3: ExactVector) -> DiamondCertificate:
+    """Circumscribing diamond (L1 circumdisc) of three points, exactly.
+
+    The points are scaled to ints by the lcm of their denominators and
+    decided by `_diamond`, which documents the construction and the
+    DegenerateDiamondError cases.
+    """
+    scale = _scale_of((p1, p2, p3))
+    return _certificate(_diamond(*(_ints(p, scale) for p in (p1, p2, p3))), scale)
+
+
 # --- surface-level local Delaunay test and flips ---------------------------
 
 
 def _developed_quad(tris, glue, slot: Slot):
-    """Positions (a, b, c, d) for the two triangles adjacent to an edge,
+    """Int positions (a, b, c, d) for the two triangles adjacent to an edge,
     developed into a common plane: edge a->b, c the apex of slot's triangle,
-    d the apex of the neighbor."""
+    d the apex of the neighbor.  tris[t] holds triangle t's int edge vectors."""
     t, i = slot
     u, j = glue[slot]
     e = tris[t]
-    a = ExactVector(_F0, _F0)
     b = e[i]
-    c = e[i] + e[(i + 1) % 3]
-    f = tris[u]
+    c = (b[0] + e[(i + 1) % 3][0], b[1] + e[(i + 1) % 3][1])
     # neighbor corners relative: corner j at b, corner j+1 at a
-    std = [ExactVector(_F0, _F0), f[0], f[0] + f[1]]
-    offset = b - std[j]
-    d = offset + std[(j + 2) % 3]
-    return a, b, c, d
+    std = _corners(tris[u])
+    (jx, jy), (kx, ky) = std[j], std[(j + 2) % 3]
+    return (0, 0), b, c, (b[0] - jx + kx, b[1] - jy + ky)
 
 
-def is_locally_delaunay(s_or_tris, slot: Slot, glue: Optional[Dict[Slot, Slot]] = None) -> bool:
+def is_locally_delaunay(s: TranslationSurface, slot: Slot) -> bool:
     """Local L1 Delaunay test across an interior edge.
 
     True iff the opposite vertex of each adjacent triangle lies outside or
     on the other triangle's circumscribing diamond.  On-boundary is
-    accepted.  Accepts a TranslationSurface or raw (triangles, gluings).
+    accepted.
     """
-    if isinstance(s_or_tris, TranslationSurface):
-        tris = [list(t.edges) for t in s_or_tris.triangles]
-        glue = s_or_tris.gluings
-    else:
-        tris = s_or_tris
-    a, b, c, d = _developed_quad(tris, glue, slot)
-    dia1 = diamond_of(a, b, c)
-    if dia1.contains_strictly(d):
+    pair = (slot[0], s.gluings[slot][0])
+    scale = _scale_of([e for t in pair for e in s.triangles[t].edges])
+    tris = {t: [_ints(e, scale) for e in s.triangles[t].edges] for t in pair}
+    a, b, c, d = _developed_quad(tris, s.gluings, slot)
+    dia = _diamond(a, b, c)
+    if _dist(dia, d) < dia[2]:
         return False
-    dia2 = diamond_of(b, a, d)
-    if dia2.contains_strictly(c):
-        return False
-    return True
+    dia = _diamond(b, a, d)
+    return _dist(dia, c) >= dia[2]
 
 
 @dataclass
@@ -168,7 +230,7 @@ def _flip(tris, glue, vertex, slot: Slot):
         raise InputError("cannot flip a self-glued slot")
     a, b, c, d = _developed_quad(tris, glue, slot)
     # Quad ccw cycle a -> d -> b -> c; new diagonal d -> c.
-    if (b - d).cross(c - b) <= 0 or (c - d).cross(a - c) <= 0:
+    if _turn(d, b, c) <= 0 or _turn(d, c, a) <= 0:
         raise DegenerateDiamondError("flip would create a degenerate triangle")
 
     va = vertex[(t, i)]
@@ -190,8 +252,8 @@ def _flip(tris, glue, vertex, slot: Slot):
         old_outer[3]: (t, 0),
     }
     # New triangles: t := (d, b, c), u := (d, c, a).
-    tris[t] = [b - d, c - b, d - c]
-    tris[u] = [c - d, a - c, d - a]
+    tris[t] = [_sub(b, d), _sub(c, b), _sub(d, c)]
+    tris[u] = [_sub(c, d), _sub(a, c), _sub(d, a)]
     # Rebuild gluings; partners that were themselves outer edges of this
     # quad are remapped to their new labels.
     for s_old, partner in zip(old_outer, partners):
@@ -208,13 +270,10 @@ def _flip(tris, glue, vertex, slot: Slot):
 
 
 def _euclidean_needs_flip(tris, glue, slot) -> bool:
-    a, b, c, d = _developed_quad(tris, glue, slot)
-    return _incircle_strict(a, b, c, d)
+    return _incircle_strict(*_developed_quad(tris, glue, slot))
 
 
 def _flip_until_stable(tris, glue, vertex, decide, max_flips, flips_so_far=0) -> int:
-    from collections import deque
-
     pending = deque(sorted({tuple(sorted((sl, glue[sl])))[0] for sl in glue}))
     seen_states = set()
     flips = flips_so_far
@@ -246,10 +305,12 @@ def delaunay_l1(
     terminate) and then L1 flips from that start; cocircular quadruples are
     accepted on-boundary with ties broken toward the strictly shorter
     diagonal.  A repeated global state raises FlipCycleError; the final
-    triangulation is re-verified by a full scan and certified per triangle.
+    triangulation is certified per triangle and re-verified by a full scan
+    of its edges against those certificates.
     """
     s.validate()
-    tris = [list(t.edges) for t in s.triangles]
+    scale = _scale_of([e for t in s.triangles for e in t.edges])
+    tris = [[_ints(e, scale) for e in t.edges] for t in s.triangles]
     glue = dict(s.gluings)
     vertex = {(t, c): s.corner_vertex((t, c)) for t in range(s.n_triangles()) for c in range(3)}
     if max_flips is None:
@@ -258,17 +319,12 @@ def delaunay_l1(
     flips = _flip_until_stable(tris, glue, vertex, _euclidean_needs_flip, max_flips)
     flips = _flip_until_stable(tris, glue, vertex, _needs_flip, max_flips, flips)
 
-    surface = TranslationSurface([Triangle(tuple(e)) for e in tris], glue)
+    surface = TranslationSurface([Triangle(tuple(_vector(e, scale) for e in tri)) for tri in tris], glue)
     surface.validate()
-    certificates = []
-    for t in range(len(tris)):
-        p0 = ExactVector(_F0, _F0)
-        p1 = tris[t][0]
-        p2 = tris[t][0] + tris[t][1]
-        certificates.append(diamond_of(p0, p1, p2))
-    for slot in glue:
-        if not is_locally_delaunay(tris, slot, glue):
-            raise FlipCycleError("post-hoc Delaunay verification failed", slot=slot)
+    diamonds = [_diamond(*_corners(tri)) for tri in tris]
+    slot = _first_non_delaunay_slot(tris, glue, diamonds)
+    if slot is not None:
+        raise FlipCycleError("post-hoc Delaunay verification failed", slot=slot)
     # Consistency: the maintained vertex labels must refine to the same
     # partition the new surface derives on its own.
     derived = {}
@@ -279,18 +335,39 @@ def delaunay_l1(
             raise InputError("vertex tracking diverged during flips")
     return DelaunayTriangulation(
         surface=surface,
-        certificates=tuple(certificates),
+        certificates=tuple(_certificate(dia, scale) for dia in diamonds),
         flip_count=flips,
         vertex_of_corner=vertex,
     )
 
 
+def _first_non_delaunay_slot(tris, glue, diamonds) -> Optional[Slot]:
+    """The first slot, in gluing order, that fails `is_locally_delaunay`,
+    tested against diamonds[t], triangle t's diamond with corner 0 at the
+    origin.  Both slots of an edge pose the same two tests, so each edge is
+    tested once, from its first slot."""
+    checked = set()
+    for slot, mate in glue.items():
+        if mate in checked:
+            continue
+        checked.add(slot)
+        (t, i), (u, j) = slot, mate
+        P, Q = _corners(tris[t]), _corners(tris[u])
+        # Q's corner j sits on P's corner i+1: the shift from u's frame to t's.
+        sx, sy = _sub(P[(i + 1) % 3], Q[j])
+        dq, cp = Q[(j + 2) % 3], P[(i + 2) % 3]
+        if (_dist(diamonds[t], (dq[0] + sx, dq[1] + sy)) < diamonds[t][2]
+                or _dist(diamonds[u], (cp[0] - sx, cp[1] - sy)) < diamonds[u][2]):
+            return slot
+    return None
+
+
 def _incircle_strict(a, b, c, d) -> bool:
     """Exact Euclidean incircle test: d strictly inside the circumcircle of
     the ccw triangle (a, b, c)."""
-    ax, ay = a.x - d.x, a.y - d.y
-    bx, by = b.x - d.x, b.y - d.y
-    cx, cy = c.x - d.x, c.y - d.y
+    ax, ay = a[0] - d[0], a[1] - d[1]
+    bx, by = b[0] - d[0], b[1] - d[1]
+    cx, cy = c[0] - d[0], c[1] - d[1]
     na = ax * ax + ay * ay
     nb = bx * bx + by * by
     nc = cx * cx + cy * cy
@@ -396,28 +473,29 @@ def _needs_flip(tris, glue, slot) -> bool:
     endpoints excludes both apexes (and the quad is strictly convex), with
     the cocircular tie broken toward the strictly shorter diagonal."""
     a, b, c, d = _developed_quad(tris, glue, slot)
-    convex = (b - d).cross(c - b) > 0 and (c - d).cross(a - c) > 0
+    convex = _turn(d, b, c) > 0 and _turn(d, c, a) > 0
     # Fast path: an existing circumdisc of either adjacent triangle decides.
     for p, q, apex, other in ((a, b, c, d), (b, a, d, c)):
         try:
-            dia = diamond_of(p, q, apex)
+            dia = _diamond(p, q, apex)
         except DegenerateDiamondError:
             continue
-        if dia.contains_strictly(other):
+        dist = _dist(dia, other)
+        if dist < dia[2]:
             return convex
-        if dia.on_boundary(other):
+        if dist == dia[2]:
             # Degenerate quadruple: prefer the strictly shorter diagonal.
-            return convex and (c - d).norm_sq() < (b - a).norm_sq()
+            cd = _sub(c, d)
+            return convex and cd[0] * cd[0] + cd[1] * cd[1] < b[0] * b[0] + b[1] * b[1]
         return False
     if not convex:
         return False
-    return not _edge_empty_diamond_exists(a, b, c, d)
+    # Similar quads give the same answer, so the scaled ints serve as is.
+    return not _edge_empty_diamond_exists(*(ExactVector(Fraction(x), Fraction(y)) for x, y in (a, b, c, d)))
 
 
 def _state_key(tris, glue):
-    edges = tuple(tuple((e.x, e.y) for e in tri) for tri in tris)
-    gl = tuple(sorted(glue.items()))
-    return hash((edges, gl))
+    return hash((tuple(map(tuple, tris)), tuple(sorted(glue.items()))))
 
 
 # --- planar brute force (testing oracle) -----------------------------------

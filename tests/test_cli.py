@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from saddlekit import cli
+from saddlekit.delaunay import delaunay_l1
 from saddlekit.geodesic import enumerate_connections
 
 
@@ -133,3 +134,20 @@ def test_budget_error_reports_progress(capsys, torus, torus_file):
     reached = Fraction(payload["radius_sq_reached"])
     conns = enumerate_connections(torus, radius_sq=reached).connections
     assert payload["connections"] == sum(1 for c in conns if c.length_sq() < reached)
+
+
+def test_delaunay_on_slit_torus(capsys, tmp_path, slit_13_15):
+    path = tmp_path / "slit.json"
+    path.write_text(slit_13_15.to_json())
+    code, out, err = run(capsys, ["delaunay", "--surface", str(path)])
+    assert code == 0 and err == ""
+    data = json.loads(out)
+    assert len(data["certificates"]) == len(data["triangles"])
+    assert data["flip_count"] == delaunay_l1(slit_13_15).flip_count
+
+
+def test_chew_check_on_square_torus(capsys, torus_file):
+    code, out, err = run(capsys, ["chew-check", "--surface", torus_file, "--radius", "3"])
+    assert code == 0 and err == ""
+    data = json.loads(out)
+    assert data["checked"] == 16 and data["certified_failures"] == 0
