@@ -74,10 +74,6 @@ def _ints(p: ExactVector, scale: int) -> Tuple[int, int]:
     return (p.x.numerator * (scale // p.x.denominator), p.y.numerator * (scale // p.y.denominator))
 
 
-def _vector(p, scale: int) -> ExactVector:
-    return ExactVector(Fraction(p[0], scale), Fraction(p[1], scale))
-
-
 def _sub(p, q):
     return (p[0] - q[0], p[1] - q[1])
 
@@ -319,7 +315,10 @@ def delaunay_l1(
     flips = _flip_until_stable(tris, glue, vertex, _euclidean_needs_flip, max_flips)
     flips = _flip_until_stable(tris, glue, vertex, _needs_flip, max_flips, flips)
 
-    surface = TranslationSurface([Triangle(tuple(_vector(e, scale) for e in tri)) for tri in tris], glue)
+    surface = TranslationSurface(
+        [Triangle(tuple(ExactVector(Fraction(x, scale), Fraction(y, scale)) for x, y in tri)) for tri in tris],
+        glue,
+    )
     surface.validate()
     diamonds = [_diamond(*_corners(tri)) for tri in tris]
     slot = _first_non_delaunay_slot(tris, glue, diamonds)
