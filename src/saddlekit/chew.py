@@ -20,12 +20,9 @@ from typing import List, Optional, Sequence, Tuple
 
 from .delaunay import DelaunayTriangulation, DiamondCertificate, delaunay_l1, diamond_of
 from .errors import BlockedAtVertex, ChewCaseError, InputError
-from .exactplane import ExactVector, compare_sqrt_sum, sqrt_bounds
+from .exactplane import ZERO, ExactVector, compare_sqrt_sum, sqrt_bounds
 from .geodesic import SaddleConnection, _segment, _start_corner
 from .surface import Slot, TranslationSurface
-
-_F0 = Fraction(0)
-_ORIGIN = ExactVector(_F0, _F0)
 
 
 @dataclass(frozen=True)
@@ -81,11 +78,6 @@ def _rot(p: ExactVector, k: int) -> ExactVector:
     for _ in range(k):
         p = ExactVector(-p.y, p.x)
     return p
-
-
-def _corner_positions_abs(s, placement):
-    tri, off = placement
-    return [off + v for v in s.triangles[tri].corner_positions()]
 
 
 def _clockwise_param(center: ExactVector, r: Fraction, p: ExactVector) -> Fraction:
@@ -161,19 +153,19 @@ def _chew_on_surface(s: TranslationSurface, corners, d: ExactVector) -> ChewPath
     start = _start_corner(s, corners, d)
     chain = _segment(s, start, d)[0]
     if len(chain) == 1:  # d runs along the corner's out-edge
-        return _assemble_path([(start, 1)], [d], [_ORIGIN, d], d)
+        return _assemble_path([(start, 1)], [d], [ZERO, d], d)
 
     k = _rotation_power(d)
     d_rot = _rot(d, k)
-    corner_abs = [_corner_positions_abs(s, pl) for pl in chain]
+    corner_abs = [pts for _, pts in chain]
     corner_rot = [[_rot(p, k) for p in pls] for pls in corner_abs]
 
-    z = _ORIGIN
+    z = ZERO
     target = d
     j = 0
     path_edges: List[Tuple[Slot, int]] = []
     path_vectors: List[ExactVector] = []
-    path_vertices: List[ExactVector] = [_ORIGIN]
+    path_vertices: List[ExactVector] = [ZERO]
     guard = 0
     while z != target:
         guard += 1
@@ -202,7 +194,7 @@ def _chew_on_surface(s: TranslationSurface, corners, d: ExactVector) -> ChewPath
 
 
 def _assemble_path(edges, vectors, vertices, holonomy) -> ChewPath:
-    total = _ORIGIN
+    total = ZERO
     for v in vectors:
         total = total + v
     if total != holonomy:

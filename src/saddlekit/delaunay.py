@@ -8,17 +8,17 @@ vertices, and an empty diamond through an edge from interval arithmetic along
 a line of squares.  An interior edge is locally Delaunay when each adjacent
 triangle's diamond has the opposite vertex outside or on its boundary;
 flipping repeats until no edge violates this.  Everything is decided
-exactly, on ints after scaling by D: `delaunay_l1` scales the surface once by
-D, the lcm of its edge-coordinate denominators (`diamond_of` its three points
-by the lcm of theirs), so positions are int pairs and a diamond is an int
-square (cu, cv, r) in the doubled frame (U, V) = 2(x + y, x - y).  Fractions
-are built only for the output surface and its certificates.
+exactly, on ints after scaling by D: the flips start from the surface's int
+corner positions (`TranslationSurface.int_corners`, scaled by D, the lcm of
+its edge-coordinate denominators) and `diamond_of` scales its three points by
+the lcm of theirs, so positions are int pairs and a diamond is an int square
+(cu, cv, r) in the doubled frame (U, V) = 2(x + y, x - y).  Fractions are
+built only for the output surface and its certificates.
 """
 
 from __future__ import annotations
 
 import json
-import math
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
@@ -26,7 +26,7 @@ from itertools import product
 from typing import Dict, List, Optional, Tuple
 
 from .errors import DegenerateDiamondError, FlipCycleError, InputError
-from .exactplane import ExactVector
+from .exactplane import ExactVector, _ints, _scale_of, _sub, _turn, _vec
 from .surface import Slot, TranslationSurface, Triangle
 
 _F0 = Fraction(0)
@@ -63,30 +63,6 @@ def _rotated(p: ExactVector) -> Tuple[Fraction, Fraction]:
 
 
 # --- int geometry: points are int pairs after scaling by D -----------------
-
-
-def _scale_of(vectors) -> int:
-    """D, the lcm of the coordinate denominators."""
-    return math.lcm(*(q.denominator for p in vectors for q in (p.x, p.y)))
-
-
-def _ints(p: ExactVector, scale: int) -> Tuple[int, int]:
-    return (p.x.numerator * (scale // p.x.denominator), p.y.numerator * (scale // p.y.denominator))
-
-
-def _sub(p, q):
-    return (p[0] - q[0], p[1] - q[1])
-
-
-def _turn(p, q, r) -> int:
-    """(q - p) x (r - q): positive when p -> q -> r turns counterclockwise."""
-    return (q[0] - p[0]) * (r[1] - q[1]) - (q[1] - p[1]) * (r[0] - q[0])
-
-
-def _corners(tri):
-    """Int corner positions of a triangle given by its int edge vectors."""
-    (x0, y0), (x1, y1) = tri[0], tri[1]
-    return (0, 0), (x0, y0), (x0 + x1, y0 + y1)
 
 
 def _doubled(p) -> Tuple[int, int]:
@@ -148,9 +124,7 @@ def _dist(dia, p) -> int:
 
 def _certificate(dia, scale: int) -> DiamondCertificate:
     cu, cv, r = dia
-    return DiamondCertificate(
-        ExactVector(Fraction(cu + cv, 4 * scale), Fraction(cu - cv, 4 * scale)), Fraction(r, 2 * scale)
-    )
+    return DiamondCertificate(_vec((cu + cv, cu - cv), 4 * scale), Fraction(r, 2 * scale))
 
 
 def diamond_of(p1: ExactVector, p2: ExactVector, p3: ExactVector) -> DiamondCertificate:
@@ -170,15 +144,14 @@ def diamond_of(p1: ExactVector, p2: ExactVector, p3: ExactVector) -> DiamondCert
 def _developed_quad(tris, glue, slot: Slot):
     """Int positions (a, b, c, d) for the two triangles adjacent to an edge,
     developed into a common plane: edge a->b, c the apex of slot's triangle,
-    d the apex of the neighbor.  tris[t] holds triangle t's int edge vectors."""
+    d the apex of the neighbor.  tris[t] holds triangle t's int corner
+    positions, corner 0 at the origin."""
     t, i = slot
     u, j = glue[slot]
-    e = tris[t]
-    b = e[i]
-    c = (b[0] + e[(i + 1) % 3][0], b[1] + e[(i + 1) % 3][1])
+    P = tris[t]
+    b, c = _sub(P[(i + 1) % 3], P[i]), _sub(P[(i + 2) % 3], P[i])
     # neighbor corners relative: corner j at b, corner j+1 at a
-    std = _corners(tris[u])
-    (jx, jy), (kx, ky) = std[j], std[(j + 2) % 3]
+    (jx, jy), (kx, ky) = tris[u][j], tris[u][(j + 2) % 3]
     return (0, 0), b, c, (b[0] - jx + kx, b[1] - jy + ky)
 
 
@@ -189,10 +162,7 @@ def is_locally_delaunay(s: TranslationSurface, slot: Slot) -> bool:
     on the other triangle's circumscribing diamond.  On-boundary is
     accepted.
     """
-    pair = (slot[0], s.gluings[slot][0])
-    scale = _scale_of([e for t in pair for e in s.triangles[t].edges])
-    tris = {t: [_ints(e, scale) for e in s.triangles[t].edges] for t in pair}
-    a, b, c, d = _developed_quad(tris, s.gluings, slot)
+    a, b, c, d = _developed_quad(s.int_corners()[1], s.gluings, slot)
     dia = _diamond(a, b, c)
     if _dist(dia, d) < dia[2]:
         return False
@@ -247,9 +217,9 @@ def _flip(tris, glue, vertex, slot: Slot):
         old_outer[2]: (u, 2),
         old_outer[3]: (t, 0),
     }
-    # New triangles: t := (d, b, c), u := (d, c, a).
-    tris[t] = [_sub(b, d), _sub(c, b), _sub(d, c)]
-    tris[u] = [_sub(c, d), _sub(a, c), _sub(d, a)]
+    # New triangles: t := (d, b, c), u := (d, c, a), corner 0 at d.
+    tris[t] = [(0, 0), _sub(b, d), _sub(c, d)]
+    tris[u] = [(0, 0), _sub(c, d), _sub(a, d)]
     # Rebuild gluings; partners that were themselves outer edges of this
     # quad are remapped to their new labels.
     for s_old, partner in zip(old_outer, partners):
@@ -304,9 +274,8 @@ def delaunay_l1(
     triangulation is certified per triangle and re-verified by a full scan
     of its edges against those certificates.
     """
-    s.validate()
-    scale = _scale_of([e for t in s.triangles for e in t.edges])
-    tris = [[_ints(e, scale) for e in t.edges] for t in s.triangles]
+    scale, corners = s.int_corners()
+    tris = [list(tri) for tri in corners]
     glue = dict(s.gluings)
     vertex = {(t, c): s.corner_vertex((t, c)) for t in range(s.n_triangles()) for c in range(3)}
     if max_flips is None:
@@ -316,11 +285,10 @@ def delaunay_l1(
     flips = _flip_until_stable(tris, glue, vertex, _needs_flip, max_flips, flips)
 
     surface = TranslationSurface(
-        [Triangle(tuple(ExactVector(Fraction(x, scale), Fraction(y, scale)) for x, y in tri)) for tri in tris],
-        glue,
+        [Triangle(tuple(_vec(_sub(P[(i + 1) % 3], P[i]), scale) for i in range(3))) for P in tris], glue
     )
     surface.validate()
-    diamonds = [_diamond(*_corners(tri)) for tri in tris]
+    diamonds = [_diamond(*tri) for tri in tris]
     slot = _first_non_delaunay_slot(tris, glue, diamonds)
     if slot is not None:
         raise FlipCycleError("post-hoc Delaunay verification failed", slot=slot)
@@ -351,7 +319,7 @@ def _first_non_delaunay_slot(tris, glue, diamonds) -> Optional[Slot]:
             continue
         checked.add(slot)
         (t, i), (u, j) = slot, mate
-        P, Q = _corners(tris[t]), _corners(tris[u])
+        P, Q = tris[t], tris[u]
         # Q's corner j sits on P's corner i+1: the shift from u's frame to t's.
         sx, sy = _sub(P[(i + 1) % 3], Q[j])
         dq, cp = Q[(j + 2) % 3], P[(i + 2) % 3]

@@ -1,8 +1,9 @@
 """Exact rational planar arithmetic and integer-lattice primitives.
 
 All geometric decisions elsewhere in the package reduce to exact sign or
-ordering tests on the rationals produced here (squared Euclidean norms, L1
-norms, cross products).  Floating point appears only in reports.
+ordering tests, on rationals or on int pairs scaled by a common denominator
+(squared Euclidean norms, L1 norms, cross products).  Floating point appears
+only in reports.
 """
 
 from __future__ import annotations
@@ -101,6 +102,33 @@ class ExactVector:
 
 
 ZERO = ExactVector(Fraction(0), Fraction(0))
+
+
+# --- int pairs: points scaled by a common multiple of their denominators ----
+
+
+def _scale_of(vectors) -> int:
+    """The lcm of the vectors' coordinate denominators."""
+    return math.lcm(*(q.denominator for p in vectors for q in (p.x, p.y)))
+
+
+def _ints(p: ExactVector, scale: int):
+    """p times scale as an int pair; scale is a multiple of p's denominators."""
+    return (p.x.numerator * (scale // p.x.denominator), p.y.numerator * (scale // p.y.denominator))
+
+
+def _vec(p, scale: int) -> ExactVector:
+    """The int pair p divided by scale."""
+    return ExactVector(Fraction(p[0], scale), Fraction(p[1], scale))
+
+
+def _sub(p, q):
+    return (p[0] - q[0], p[1] - q[1])
+
+
+def _turn(p, q, r) -> int:
+    """(q - p) x (r - q): positive when p -> q -> r turns counterclockwise."""
+    return (q[0] - p[0]) * (r[1] - q[1]) - (q[1] - p[1]) * (r[0] - q[0])
 
 
 @dataclass(frozen=True, slots=True)

@@ -14,7 +14,8 @@ shortest first, and a caller may stop at any length.  The search scales the
 surface by D, the lcm of its edge-coordinate denominators, so developed
 positions are int pairs and every decision is an exact integer sign or
 cross-multiplied comparison; a squared distance is an int (num, den) pair,
-and Fractions are built only for the connections it yields.
+and Fractions are built only for the connections it yields.  The int corner
+positions are the surface's own, built once by validation (`int_corners`).
 
 The homology class of an emitted connection is the chain of triangulation
 edges along the right-hand boundary of the developed triangle strip (the
@@ -25,7 +26,8 @@ Every straight line that is followed rather than searched for (a traced
 connection, the strip a Chew path walks along, a leaf parallel to a
 cylinder's boundary) goes through one walker, _corridor, which crosses one
 triangle at a time and reports on which side of the line each new vertex
-lies.
+lies.  It runs on ints too, scaled by K = lcm(D, the denominators of the
+line's direction and base point); ExactVectors are built for results only.
 """
 
 from __future__ import annotations
@@ -39,24 +41,22 @@ from fractions import Fraction
 from typing import List, Optional, Tuple
 
 from .errors import BlockedAtVertex, InputError, ResourceLimitError
-from .exactplane import ExactVector, format_rational, to_fraction
+from .exactplane import ExactVector, _ints, _scale_of, _turn, _vec, format_rational, to_fraction
 from .homology import EdgeHomology
-from .surface import Slot, TranslationSurface
-
-_F0 = Fraction(0)
-_ORIGIN = ExactVector(_F0, _F0)
+from .surface import Slot, TranslationSurface, _in_wedge
 
 DEFAULT_BUDGET = 500_000
 
 
 def default_budget() -> int:
     env = os.environ.get("SADDLEKIT_BUDGET")
-    if env:
-        try:
-            return int(env)
-        except ValueError:
-            raise InputError(f"SADDLEKIT_BUDGET must be an integer, got {env!r}")
-    return DEFAULT_BUDGET
+    try:
+        budget = int(env) if env else DEFAULT_BUDGET
+    except ValueError:
+        raise InputError(f"SADDLEKIT_BUDGET must be an integer, got {env!r}")
+    if budget < 1:
+        raise InputError(f"SADDLEKIT_BUDGET must be at least 1, got {budget}")
+    return budget
 
 
 @dataclass(frozen=True, slots=True)
@@ -109,10 +109,6 @@ class HolonomySet:
         return rows
 
     CSV_HEADER = ["x_num", "x_den", "y_num", "y_den", "len_sq_num", "len_sq_den", "start", "end"]
-
-
-def _std_corners(s: TranslationSurface, t: int):
-    return s.triangles[t].corner_positions()
 
 
 def _visible_dist_sq(x, y, a, b):
@@ -189,17 +185,14 @@ def connections(s: TranslationSurface, radius_sq, budget: Optional[int] = None):
     search got, and every connection strictly shorter than radius_sq_reached
     has been yielded by then.
     """
-    s.validate()
+    # Scaled by D, every developed position is an int pair.
+    scale, corners = s.int_corners()
     if budget is None:
         budget = default_budget()
+    elif budget < 1:
+        raise InputError(f"budget must be at least 1, got {budget}")
     homology = EdgeHomology(s)
-    # Scaled by D, every developed position is an int pair.
-    scale = math.lcm(*(q.denominator for tri in s.triangles for e in tri.edges for q in (e.x, e.y)))
     scale_sq = scale * scale
-    corners = [
-        tuple((int(p.x * scale), int(p.y * scale)) for p in tri.corner_positions())
-        for tri in s.triangles
-    ]
     limit = Fraction(radius_sq) * scale_sq
     rn, rd = limit.numerator, limit.denominator
     heap: list = []
@@ -236,9 +229,8 @@ def connections(s: TranslationSurface, radius_sq, budget: Optional[int] = None):
             # segments (e.g. the two banks of a slit) agree in holonomy,
             # endpoints and crossings.
             found = {}
-            for node, last_lower, (hx, hy), end_corner in group:
-                holonomy = ExactVector(Fraction(hx, scale), Fraction(hy, scale))
-                conn = _connection(s, homology, node, last_lower, holonomy, end_corner)
+            for node, last_lower, h, end_corner in group:
+                conn = _connection(s, homology, node, last_lower, _vec(h, scale), end_corner)
                 found.setdefault((conn.sort_key(), conn.start_corner), conn)
             for k in sorted(found):
                 yielded += 1
@@ -406,28 +398,40 @@ def reverse_of(s: TranslationSurface, conn: SaddleConnection) -> SaddleConnectio
 _MAX_CROSSINGS = 100_000
 
 
-def _corridor(s: TranslationSurface, slot: Slot, x: ExactVector, y: ExactVector,
-              d: ExactVector):
+def _frame(s: TranslationSurface, *vectors):
+    """K = lcm(D, the vectors' coordinate denominators), the surface's int
+    corners scaled to K, and the vectors as int pairs at K."""
+    scale, corners = s.int_corners()
+    k = math.lcm(scale, _scale_of(vectors))
+    if k != scale:
+        m = k // scale
+        corners = [tuple((x * m, y * m) for x, y in tri) for tri in corners]
+    return k, corners, [_ints(v, k) for v in vectors]
+
+
+def _corridor(s: TranslationSurface, corners, slot: Slot, x, y, d):
     """Follow the line through the origin along d across the triangulation.
 
-    The line enters through slot, the developed edge x -> y with x on its
-    right and y on its left.  Each step places the neighbour across slot and
-    yields (slot, (u, j), offset, x, y, apex, side): the slot crossed, its
-    glued mate in the neighbour u, u's offset, the crossed edge, u's new
-    apex and side = d x apex, positive left of the line.  The line then
-    leaves u through x -> apex (side > 0) or apex -> y (side < 0); at
-    side == 0 it meets the apex and the caller must stop.  A caller tracing
-    a line through q develops with q at the origin: subtracting d x q at
-    every step would add about a tenth to the walk's time.
+    Positions are int pairs at the scale of corners, the surface's int corner
+    positions.  The line enters through slot, the developed edge x -> y with
+    x on its right and y on its left.  Each step places the neighbour across
+    slot and yields (slot, (u, j), offset, x, y, apex, side): the slot
+    crossed, its glued mate in u, u's offset, the crossed edge, u's new apex
+    and side = d x apex, positive left of the line.  The line then leaves u
+    through x -> apex (side > 0) or apex -> y (side < 0); at side == 0 it
+    meets the apex and the caller must stop.  A caller tracing a line through
+    q develops with q at the origin, saving a d x q term at every step.
     """
+    dx, dy = d
     while True:
         u, j = glued = s.gluings[slot]
-        std = s.triangles[u].corner_positions()
+        std = corners[u]
         # The glued edge runs head-to-tail: corner j sits at y, j+1 at x.
-        offset = y - std[j]
-        apex = offset + std[(j + 2) % 3]
-        side = d.cross(apex)
-        yield slot, glued, offset, x, y, apex, side
+        (jx, jy), (kx, ky) = std[j], std[(j + 2) % 3]
+        ox, oy = y[0] - jx, y[1] - jy
+        apex = (ox + kx, oy + ky)
+        side = dx * apex[1] - dy * apex[0]
+        yield slot, glued, (ox, oy), x, y, apex, side
         if side > 0:
             slot, y = (u, (j + 1) % 3), apex
         else:
@@ -441,49 +445,59 @@ def _start_corner(s: TranslationSurface, corners, d: ExactVector) -> Slot:
     At a cone point of angle above 2 pi several corners hold d, one per
     sheet; this takes the first in the given order, whatever its sheet.
     """
+    _, tris = s.int_corners()
+    # A positive multiple of d: only its direction matters.
+    r = (d.x.numerator * d.y.denominator, d.y.numerator * d.x.denominator)
     for t, c in corners:
-        edges = s.triangles[t].edges
-        turn = edges[c].cross(d)
-        if turn == 0 and edges[c].dot(d) > 0 or turn > 0 and edges[(c + 2) % 3].cross(d) > 0:
+        if _in_wedge(tris[t], c, r):
             return (t, c)
     raise InputError("no corner wedge contains the direction")
 
 
-def _segment(s: TranslationSurface, corner: Slot, d: ExactVector):
-    """Develop the strip crossed by the segment 0 -> d leaving corner.
-
-    Returns (placements, crossings, lower, end): the placed triangles
-    (triangle, offset) with the start vertex at the origin, the slots
-    crossed, the slots along the strip's lower boundary up to the vertex at
-    d, and that vertex.  Raises BlockedAtVertex if the segment meets a vertex
-    short of d, InputError if no vertex sits at d.
-    """
+def _strip(s: TranslationSurface, corner: Slot, d: ExactVector):
+    """The int walk behind _segment: (k, placed, crossings, lower, end) with
+    the placed corners as int pairs in the frame k."""
+    k, corners, [(dx, dy)] = _frame(s, d)
     t, c = corner
-    std = _std_corners(s, t)
-    placements = [(t, _ORIGIN - std[c])]
-    x = std[(c + 1) % 3] - std[c]
-    if x.cross(d) == 0:
+    (ox, oy), (x1, y1), (x2, y2) = (corners[t][(c + i) % 3] for i in range(3))
+    placed = [(t, tuple((px - ox, py - oy) for px, py in corners[t]))]
+    x = (x1 - ox, y1 - oy)
+    d_sq = dx * dx + dy * dy
+    if x[0] * dy - x[1] * dx == 0:
         end = s.corner_vertex((t, (c + 1) % 3))
-        if x == d:
-            return placements, [], [corner], end
-        if x.norm_sq() < d.norm_sq():
-            raise BlockedAtVertex(x, end)
+        if x == (dx, dy):
+            return k, placed, [], [corner], end
+        if x[0] * x[0] + x[1] * x[1] < d_sq:
+            raise BlockedAtVertex(_vec(x, k), end)
         raise InputError("displacement falls short of the edge vertex")
     crossings, lower = [], [corner]
-    walk = _corridor(s, (t, (c + 1) % 3), x, std[(c + 2) % 3] - std[c], d)
-    for slot, (u, j), offset, _, _, apex, side in islice(walk, _MAX_CROSSINGS):
-        placements.append((u, offset))
+    walk = _corridor(s, corners, (t, (c + 1) % 3), x, (x2 - ox, y2 - oy), (dx, dy))
+    for slot, (u, j), (ux, uy), _, _, (ax, ay), side in islice(walk, _MAX_CROSSINGS):
+        placed.append((u, tuple((ux + px, uy + py) for px, py in corners[u])))
         crossings.append(slot)
         if side < 0:
             lower.append((u, (j + 1) % 3))
         elif side == 0:
             end = s.corner_vertex((u, (j + 2) % 3))
-            if apex == d:
-                return placements, crossings, lower + [(u, (j + 1) % 3)], end
-            if apex.norm_sq() < d.norm_sq() and apex.dot(d) > 0:
-                raise BlockedAtVertex(apex, end)
+            if (ax, ay) == (dx, dy):
+                return k, placed, crossings, lower + [(u, (j + 1) % 3)], end
+            if ax * ax + ay * ay < d_sq and ax * dx + ay * dy > 0:
+                raise BlockedAtVertex(_vec((ax, ay), k), end)
             raise InputError("trace left the segment corridor; displacement invalid")
     raise ResourceLimitError("segment trace did not terminate")
+
+
+def _segment(s: TranslationSurface, corner: Slot, d: ExactVector):
+    """Develop the strip crossed by the segment 0 -> d leaving corner.
+
+    Returns (placements, crossings, lower, end): the placed triangles as
+    (triangle, its three corner positions) with the start vertex at the
+    origin, the slots crossed, the slots along the strip's lower boundary up
+    to the vertex at d, and that vertex.  Raises BlockedAtVertex if the
+    segment meets a vertex short of d, InputError if no vertex sits at d.
+    """
+    k, placed, crossings, lower, end = _strip(s, corner, d)
+    return [(t, tuple(_vec(p, k) for p in pts)) for t, pts in placed], crossings, lower, end
 
 
 def trace_connection(
@@ -504,7 +518,7 @@ def trace_connection(
         if s.corner_vertex((t, c)) == start_vertex
     ]
     corner = _start_corner(s, corners, displacement)
-    _, crossings, lower, end = _segment(s, corner, displacement)
+    _, _, crossings, lower, end = _strip(s, corner, displacement)
     return SaddleConnection(
         holonomy=displacement,
         start=start_vertex,
@@ -541,8 +555,9 @@ class Unknown:
     reason: str
 
 
-def _point_in_triangle(p, a, b, c) -> bool:
-    return (b - a).cross(p - a) > 0 and (c - b).cross(p - b) > 0 and (a - c).cross(p - c) > 0
+def _inside(p, tri) -> bool:
+    """p lies strictly inside the counterclockwise triangle tri; int pairs."""
+    return all(_turn(a, b, p) > 0 for a, b in zip(tri, tri[1:] + tri[:1]))
 
 
 def _leaf(s, t0, off0, q, d, max_trace_sq, max_steps=200_000):
@@ -553,29 +568,33 @@ def _leaf(s, t0, off0, q, d, max_trace_sq, max_steps=200_000):
     ("budget",).  min_left / min_right are the smallest positive and
     negative-side |cross(d, v - q)| over vertices of the visited strip.
     """
-    d_sq = d.norm_sq()
-    off0 = off0 - q  # develop with q at the origin
-    corners = [off0 + v for v in _std_corners(s, t0)]
-    sides = [d.cross(v) for v in corners]
+    k, corners, [(ox, oy), (dx, dy)] = _frame(s, off0 - q, d)  # q at the origin
+    pts = [(ox + px, oy + py) for px, py in corners[t0]]
+    sides = [dx * py - dy * px for px, py in pts]
     min_left = min((v for v in sides if v > 0), default=None)
     min_right = min((-v for v in sides if v < 0), default=None)
     # q is inside t0: the leaf leaves through the edge from a right-hand to
     # a left-hand corner, or else through the corner on the line.
     i = next((i for i in range(3) if sides[i] < 0 < sides[(i + 1) % 3]), None)
     if i is None:
-        return ("vertex", corners[sides.index(0)] + q)
-    walk = _corridor(s, (t0, i), corners[i], corners[(i + 1) % 3], d)
-    for _, (u, _), offset, x, y, apex, side in islice(walk, max_steps):
-        edge = y - x
-        crossing = x.cross(edge) / d.cross(edge)  # ray parameter along d
-        if crossing * crossing * d_sq > max_trace_sq:
+        return ("vertex", _vec(pts[sides.index(0)], k) + q)
+    # The crossing at ray parameter n / m is past the budget when
+    # (n / m)^2 |d|^2 > max_trace_sq, with positions in units of 1/k.
+    limit = Fraction(max_trace_sq) * k * k
+    d_sq = (dx * dx + dy * dy) * limit.denominator
+    walk = _corridor(s, corners, (t0, i), pts[i], pts[(i + 1) % 3], (dx, dy))
+    for _, (u, _), (ux, uy), (x0, x1), (y0, y1), apex, side in islice(walk, max_steps):
+        e0, e1 = y0 - x0, y1 - x1
+        n, m = x0 * e1 - x1 * e0, dx * e1 - dy * e0
+        if n * n * d_sq > limit.numerator * m * m:
             return ("budget",)
         if u == t0:
-            w = offset - off0
-            if d.cross(w) == 0 and d.dot(w) > 0:
-                return ("closed", w, min_left, min_right)
+            w = (ux - ox, uy - oy)
+            if dx * w[1] - dy * w[0] == 0 and dx * w[0] + dy * w[1] > 0:
+                gaps = (v if v is None else Fraction(v, k * k) for v in (min_left, min_right))
+                return ("closed", _vec(w, k), *gaps)
         if side == 0:
-            return ("vertex", apex + q)
+            return ("vertex", _vec(apex, k) + q)
         if side > 0:
             min_left = side if min_left is None or side < min_left else min_left
         else:
@@ -601,7 +620,7 @@ def detect_cylinder(s: TranslationSurface, conn: SaddleConnection, max_trace):
     max_trace_sq = max_trace * max_trace
     d = conn.holonomy
     d_sq = d.norm_sq()
-    chain, crossings, _, _ = _segment(s, conn.start_corner, d)
+    k, chain, crossings, _, _ = _strip(s, conn.start_corner, d)
     if tuple(crossings) != conn.crossings:
         raise InputError("crossing sequence inconsistent with chain")
     mid = d.scale(Fraction(1, 2))
@@ -611,16 +630,15 @@ def detect_cylinder(s: TranslationSurface, conn: SaddleConnection, max_trace):
         eps = s.min_edge_norm_sq() / d_sq / 8
         for _ in range(60):
             q = mid + perp.scale(side * eps)
-            placed = None
-            for tri, off in chain:
-                std = _std_corners(s, tri)
-                if _point_in_triangle(q, off + std[0], off + std[1], off + std[2]):
-                    placed = (tri, off)
-                    break
+            # Locate q in the strip, in the frame of q's denominators.
+            kq = math.lcm(k, _scale_of([q]))
+            m, qi = kq // k, _ints(q, kq)
+            placed = next(((tri, pts[0]) for tri, pts in chain
+                           if _inside(qi, [(x * m, y * m) for x, y in pts])), None)
             if placed is None:
                 eps /= 2
                 continue
-            result = _leaf(s, placed[0], placed[1], q, d, max_trace_sq)
+            result = _leaf(s, placed[0], _vec(placed[1], k), q, d, max_trace_sq)
             if result[0] == "budget":
                 return Unknown("trace budget exceeded")
             if result[0] == "vertex":

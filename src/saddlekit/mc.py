@@ -64,8 +64,8 @@ def sample_torus_haar(n: int, seed: int, y_max: float = 50.0) -> HaarSample:
         raise InputError("sample count must be positive")
     if seed < 0:
         raise InputError("seed must be nonnegative")
-    if y_max < 2:
-        raise InputError("y_max must be at least 2")
+    if not (math.isfinite(y_max) and y_max >= 2):
+        raise InputError(f"y_max must be finite and at least 2, got {y_max}")
     rng = np.random.default_rng(seed)
     lo = math.sqrt(3.0) / 2.0
     points: List[TorusPoint] = []

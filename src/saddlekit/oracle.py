@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Set, Tuple
 
-from .errors import InputError
+from .errors import InputError, ResourceLimitError
 from .exactplane import (
     ExactMatrix,
     ExactVector,
@@ -25,6 +25,7 @@ from .exactplane import (
     primitive_points_in_disc,
     to_fraction,
 )
+from .geodesic import default_budget
 
 
 @dataclass(frozen=True)
@@ -60,10 +61,18 @@ class SlitTorusPoint:
             raise InputError("slit vector must not lie in the lattice")
 
 
+def _check_box(bound: int):
+    """Refuse a box of lattice cells [-bound, bound]^2 larger than the budget."""
+    cells, budget = (2 * bound + 1) ** 2, default_budget()
+    if cells > budget:
+        raise ResourceLimitError("lattice box exceeds the budget", cells=cells, budget=budget)
+
+
 def torus_holonomy(t: TorusPoint, radius) -> Set[ExactVector]:
     """{g w : w primitive, |g w| <= radius}, exact for exact matrices."""
     if not t.is_exact():
         raise InputError("exact holonomy needs an exact matrix")
+    _check_box(lattice_box_bound(t.g, to_fraction(radius)))
     return set(primitive_points_in_disc(radius, t.g))
 
 
@@ -119,6 +128,7 @@ def slit_torus_holonomy(t: SlitTorusPoint, radius) -> SlitHolonomyResult:
     g = t.g
     v0 = g.inverse().apply(t.v)  # slit in lattice coordinates
     bound = lattice_box_bound(g, radius) + int(abs(v0.x) + abs(v0.y)) + 2
+    _check_box(bound)
     # Lattice coordinates scaled by L are int pairs, and so are their images
     # under g scaled by D; the disc test is an int test against
     # (D L radius)^2, as in primitive_points_in_disc.

@@ -3,7 +3,11 @@
 A surface is a list of positively oriented triangles (three edge vectors
 summing to zero) plus an involutive pairing of edge slots; paired slots must
 carry opposite vectors so all transition maps are translations.  Validation
-derives the cone points, their orders, the genus and the stratum signature.
+scales the surface once by D, the lcm of its edge-coordinate denominators,
+decides every invariant on ints, and derives the cone points, their orders,
+the genus and the stratum signature.  It keeps the int corner positions with
+the corner->vertex map for the search, the straight-line walker and the
+flips (`int_corners`).
 
 Slot convention: slot (t, i) is the directed edge of triangle t running from
 corner i to corner (i+1) % 3; corner i sits at the tail of edge i.
@@ -25,11 +29,9 @@ from .errors import (
     InputError,
     SingularMatrixError,
 )
-from .exactplane import ExactMatrix, ExactVector, format_rational, to_fraction
+from .exactplane import ExactMatrix, ExactVector, _ints, _scale_of, format_rational, to_fraction
 
 Slot = Tuple[int, int]
-
-_X_AXIS = ExactVector(Fraction(1), Fraction(0))
 
 
 @dataclass(frozen=True, slots=True)
@@ -40,10 +42,6 @@ class Triangle:
         """Corners with corner 0 at the origin."""
         e0, e1, _ = self.edges
         return (ExactVector(Fraction(0), Fraction(0)), e0, e0 + e1)
-
-    def signed_area2(self) -> Fraction:
-        """Twice the signed area; positive for counterclockwise triangles."""
-        return self.edges[0].cross(self.edges[1])
 
 
 @dataclass(frozen=True, slots=True)
@@ -67,6 +65,8 @@ class TranslationSurface:
         self.triangles = tuple(triangles)
         self.gluings = dict(gluings)
         self._validated = False
+        self._scale = None
+        self._corners = None
         self._corner_vertex = None
         self._vertex_orders = None
         self._signature = None
@@ -101,11 +101,13 @@ class TranslationSurface:
         if not self.triangles:
             raise InputError("surface has no triangles")
 
-        for t, tri in enumerate(self.triangles):
-            total = tri.edges[0] + tri.edges[1] + tri.edges[2]
-            if not total.is_zero():
+        scale = _scale_of(e for tri in self.triangles for e in tri.edges)
+        edges = [[_ints(e, scale) for e in tri.edges] for tri in self.triangles]
+        for t, ((x0, y0), (x1, y1), (x2, y2)) in enumerate(edges):
+            if x0 + x1 + x2 or y0 + y1 + y2:
+                total = ExactVector(Fraction(x0 + x1 + x2, scale), Fraction(y0 + y1 + y2, scale))
                 raise EdgeSumError(f"triangle {t} edges sum to {total}, not zero", triangle=t)
-            if tri.signed_area2() <= 0:
+            if x0 * y1 - y0 * x1 <= 0:
                 raise AreaError(f"triangle {t} has nonpositive signed area", triangle=t)
 
         all_slots = set(self.slots())
@@ -120,14 +122,16 @@ class TranslationSurface:
                 raise GluingInvolutionError(f"slot {slot} glued to itself")
             if other not in self.gluings or self.gluings[other] != slot:
                 raise GluingInvolutionError(f"gluing not involutive at {slot}")
-        for slot, other in self.gluings.items():
-            if not (self.edge_vector(slot) + self.edge_vector(other)).is_zero():
+        for (t, i), (u, j) in self.gluings.items():
+            (x, y), (ox, oy) = edges[t][i], edges[u][j]
+            if x + ox or y + oy:
                 raise GluingOppositeError(
-                    f"glued slots {slot} and {other} do not carry opposite vectors"
+                    f"glued slots {(t, i)} and {(u, j)} do not carry opposite vectors"
                 )
 
-        corner_vertex, orders = self._derive_vertices()
-        self._corner_vertex = corner_vertex
+        self._scale = scale
+        self._corners = [((0, 0), (x0, y0), (x0 + x1, y0 + y1)) for (x0, y0), (x1, y1), _ in edges]
+        self._corner_vertex, orders = self._derive_vertices()
         self._vertex_orders = orders
         genus = self._genus()
         if sum(orders.values()) != 2 * genus - 2:
@@ -151,50 +155,33 @@ class TranslationSurface:
         self._validated = True
         return self._signature
 
-    def _next_corner_ccw(self, corner: Slot) -> Slot:
-        """Next corner encountered rotating counterclockwise about the vertex."""
-        t, c = corner
-        return self.gluings[(t, (c + 2) % 3)]
-
-    def _corner_rays(self, corner: Slot) -> Tuple[ExactVector, ExactVector]:
-        """The two rays of the corner wedge: outgoing edge, reversed incoming."""
-        t, c = corner
-        return (self.triangles[t].edges[c], -self.triangles[t].edges[(c + 2) % 3])
-
     def _derive_vertices(self):
         """Group corners into vertices and compute cone angles exactly.
 
         The cone angle is 2*pi times the winding number of the wedge rays as
         the corner cycle is traversed; each corner turns by its interior
         angle (strictly between 0 and pi), so the winding equals the count of
-        half-open wedge arcs [u, w) containing the +x direction.
+        half-open corner wedges holding the +x direction.
         """
         corner_vertex: Dict[Slot, int] = {}
         orders: Dict[int, int] = {}
-        next_id = 0
         for t in range(len(self.triangles)):
             for c in range(3):
                 if (t, c) in corner_vertex:
                     continue
-                cycle = []
-                cur = (t, c)
+                cur, crossings = (t, c), 0
                 while cur not in corner_vertex:
-                    corner_vertex[cur] = next_id
-                    cycle.append(cur)
-                    cur = self._next_corner_ccw(cur)
+                    corner_vertex[cur] = len(orders)
+                    crossings += _in_wedge(self._corners[cur[0]], cur[1], (1, 0))
+                    # The next corner counterclockwise about the vertex.
+                    cur = self.gluings[(cur[0], (cur[1] + 2) % 3)]
                 if cur != (t, c):
                     raise GluingInvolutionError(
                         f"corner walk from {(t, c)} did not close up"
                     )
-                crossings = 0
-                for corner in cycle:
-                    u, w = self._corner_rays(corner)
-                    if _ray_contains_half_open(u, w, _X_AXIS):
-                        crossings += 1
                 if crossings < 1:
                     raise ConeAngleError(f"vertex at {(t, c)} has nonpositive cone angle")
-                orders[next_id] = crossings - 1
-                next_id += 1
+                orders[len(orders)] = crossings - 1
         return corner_vertex, orders
 
     def _genus(self) -> int:
@@ -202,21 +189,22 @@ class TranslationSurface:
         if (3 * faces) % 2 != 0:
             raise GluingInvolutionError("odd number of edge slots cannot be paired")
         edges = 3 * faces // 2
-        vertices = len(set(self._corner_vertex_map().values()))
-        chi = vertices - edges + faces
+        chi = len(self._vertex_orders) - edges + faces
         if chi % 2 != 0:
             raise ConeAngleError(f"Euler characteristic {chi} is odd")
         return (2 - chi) // 2
-
-    def _corner_vertex_map(self) -> Dict[Slot, int]:
-        if self._corner_vertex is None:
-            self._corner_vertex, self._vertex_orders = self._derive_vertices()
-        return self._corner_vertex
 
     # -- validated accessors --------------------------------------------
 
     def signature(self) -> StratumSignature:
         return self.validate()
+
+    def int_corners(self):
+        """(D, corners): D is the lcm of the edge-coordinate denominators and
+        corners[t] holds triangle t's corner positions times D as int pairs,
+        corner 0 at the origin."""
+        self.validate()
+        return self._scale, self._corners
 
     def corner_vertex(self, corner: Slot) -> int:
         self.validate()
@@ -281,23 +269,19 @@ class TranslationSurface:
         return cls.from_json_dict(data)
 
 
-def _ray_contains_half_open(u: ExactVector, w: ExactVector, r: ExactVector) -> bool:
-    """True iff direction r lies in the half-open ccw arc [u, w).
-
-    Requires the arc angle to be strictly inside (0, pi), which holds for
-    interior angles of nondegenerate triangles.
-    """
-    if u.cross(r) == 0 and u.dot(r) > 0:
-        return True
-    if w.cross(r) == 0 and w.dot(r) > 0:
-        return False
-    return u.cross(r) > 0 and r.cross(w) > 0
+def _in_wedge(tri, c: int, r) -> bool:
+    """The int direction r lies in the half-open wedge [out-edge, reversed
+    in-edge) at corner c of the positively oriented int triangle tri."""
+    (ox, oy), (ax, ay), (bx, by), (rx, ry) = tri[c], tri[(c + 1) % 3], tri[(c + 2) % 3], r
+    ux, uy, wx, wy = ax - ox, ay - oy, bx - ox, by - oy
+    turn = ux * ry - uy * rx
+    return turn > 0 and rx * wy - ry * wx > 0 or turn == 0 and ux * rx + uy * ry > 0
 
 
 def area(s: TranslationSurface) -> Fraction:
     """Total area, exact."""
-    s.validate()
-    return sum((tri.signed_area2() for tri in s.triangles), Fraction(0)) / 2
+    scale, corners = s.int_corners()
+    return Fraction(sum(x1 * y2 - y1 * x2 for _, (x1, y1), (x2, y2) in corners), 2 * scale * scale)
 
 
 def apply_surface(m: ExactMatrix, s: TranslationSurface) -> TranslationSurface:

@@ -51,6 +51,12 @@ def empty_file(tmp_path):
         "no tail samples",
         "no stratum samples",
         "negative stratum samples",
+        "budget zero",
+        "budget negative",
+        "budget env negative",
+        "ymax inf",
+        "ymax overflow",
+        "ymax nan",
     ],
 )
 def test_malformed_input_exits_1_with_input_code(
@@ -75,9 +81,16 @@ def test_malformed_input_exits_1_with_input_code(
         "no tail samples": ["tails", "--samples", "0", "--seed", "1"],
         "no stratum samples": ["mc-stratum", "--surface", torus_file, "--samples", "0", "--seed", "1"],
         "negative stratum samples": ["mc-stratum", "--surface", torus_file, "--samples", "-2", "--seed", "1"],
+        "budget zero": ["count", "--surface", torus_file, "--radius", "2", "--budget", "0"],
+        "budget negative": ["count", "--surface", torus_file, "--radius", "2", "--budget", "-5"],
+        "budget env negative": ["count", "--surface", torus_file, "--radius", "2"],
+        "ymax inf": ["mc-torus", "--samples", "10", "--seed", "1", "--radius", "3", "--ymax", "inf"],
+        "ymax overflow": ["mc-torus", "--samples", "10", "--seed", "1", "--radius", "3", "--ymax", "1e400"],
+        "ymax nan": ["mc-torus", "--samples", "10", "--seed", "1", "--radius", "3", "--ymax", "nan"],
     }[case]
-    if case == "budget env":
-        monkeypatch.setenv("SADDLEKIT_BUDGET", "abc")
+    env = {"budget env": "abc", "budget env negative": "-5"}
+    if case in env:
+        monkeypatch.setenv("SADDLEKIT_BUDGET", env[case])
     code, out, err = run(capsys, argv)
     assert code == 1
     assert out == ""
@@ -116,6 +129,29 @@ def test_mc_torus_huge_radius_is_a_resource_limit(capsys):
     code, out, err = run(capsys, argv)
     assert code == 1 and out == ""
     assert json.loads(err)["error"] == "RESOURCE_LIMIT"
+
+
+@pytest.mark.parametrize("argv, cells", [
+    (["torus-exact", "--matrix", "1,0,0,1", "--radius", "1e400"], (2 * (10 ** 400 + 1) + 1) ** 2),
+    (["slit-exact", "--matrix", "1,0,0,1", "--slit", "1/3,1/5", "--radius", "400"], 807 ** 2),
+])
+def test_exact_oracles_refuse_a_box_beyond_the_budget(capsys, argv, cells):
+    code, out, err = run(capsys, argv)
+    assert code == 1 and out == ""
+    payload = json.loads(err)
+    assert payload["error"] == "RESOURCE_LIMIT"
+    assert (payload["cells"], payload["budget"]) == (cells, 500_000)
+
+
+def test_exact_oracle_box_reads_the_budget_variable(capsys, monkeypatch):
+    # The identity box at radius 20 has 43^2 = 1849 cells.
+    argv = ["torus-exact", "--matrix", "1,0,0,1", "--radius", "20"]
+    monkeypatch.setenv("SADDLEKIT_BUDGET", "1849")
+    code, out, _ = run(capsys, argv)
+    assert code == 0 and json.loads(out)["n_vectors"] == 768
+    monkeypatch.setenv("SADDLEKIT_BUDGET", "1848")
+    code, _, err = run(capsys, argv)
+    assert code == 1 and json.loads(err)["cells"] == 1849
 
 
 def test_flag_only_on_commands_that_read_it(capsys, torus_file):

@@ -1,5 +1,4 @@
 import hashlib
-import math
 import random
 from fractions import Fraction
 
@@ -21,7 +20,6 @@ from saddlekit.delaunay import (
     DegenerateDiamondError,
     DiamondCertificate,
     FlipCycleError,
-    _corners,
     _diamond,
     _edge_empty_diamond_exists,
     _first_non_delaunay_slot,
@@ -142,8 +140,8 @@ def _locally_ok(s, slot):
 
 def _generic_images(n, seed):
     """Images of corpus surfaces under random rational matrices of positive
-    determinant whose triangles all have diamonds, as (surface, int edge
-    vectors, int diamonds)."""
+    determinant whose triangles all have diamonds, as (surface, int corner
+    positions, int diamonds)."""
     rng = random.Random(seed)
     sources = [octagon_h2(), centered_octagon_h2(), slit_torus(V(Fraction(1, 3), Fraction(1, 5)))]
 
@@ -155,10 +153,9 @@ def _generic_images(n, seed):
         if g.det() <= 0:
             continue
         s = apply_surface(g, rng.choice(sources))
-        scale = math.lcm(*(c.denominator for t in s.triangles for e in t.edges for c in (e.x, e.y)))
-        tris = [[(int(e.x * scale), int(e.y * scale)) for e in t.edges] for t in s.triangles]
+        tris = s.int_corners()[1]
         try:
-            diamonds = [_diamond(*_corners(tri)) for tri in tris]
+            diamonds = [_diamond(*tri) for tri in tris]
         except DegenerateDiamondError:
             continue
         n -= 1
