@@ -40,6 +40,10 @@ class ConeAngleError(SurfaceError):
     code = "CONE_ANGLE"
 
 
+class DisconnectedError(SurfaceError):
+    code = "DISCONNECTED"
+
+
 class SingularMatrixError(SaddlekitError):
     code = "SINGULAR_MATRIX"
 

@@ -42,7 +42,6 @@ from typing import List, Optional, Tuple
 
 from .errors import BlockedAtVertex, InputError, ResourceLimitError
 from .exactplane import ExactVector, _ints, _scale_of, _turn, _vec, format_rational, to_fraction
-from .homology import EdgeHomology
 from .surface import Slot, TranslationSurface, _in_wedge
 
 DEFAULT_BUDGET = 500_000
@@ -148,7 +147,7 @@ def _visible_dist_sq(x, y, a, b):
     return c * c, fd
 
 
-def _connection(s: TranslationSurface, homology: EdgeHomology, node, last_lower: Slot,
+def _connection(s: TranslationSurface, homology, node, last_lower: Slot,
                 holonomy: ExactVector, end_corner: Slot) -> SaddleConnection:
     """Build a found connection from its state's parent links.
 
@@ -191,7 +190,7 @@ def connections(s: TranslationSurface, radius_sq, budget: Optional[int] = None):
         budget = default_budget()
     elif budget < 1:
         raise InputError(f"budget must be at least 1, got {budget}")
-    homology = EdgeHomology(s)
+    homology = s.homology()
     scale_sq = scale * scale
     limit = Fraction(radius_sq) * scale_sq
     rn, rd = limit.numerator, limit.denominator
@@ -313,7 +312,7 @@ def shortest(s: TranslationSurface, budget=None) -> SaddleConnection:
     return next(connections(s, s.min_edge_norm_sq(), budget))
 
 
-def _outside_class(homology: EdgeHomology, gamma: SaddleConnection, mode: str):
+def _outside_class(homology, gamma: SaddleConnection, mode: str):
     """Predicate on homology classes: not +/- [gamma] (mode "pm") or not an
     integer multiple of [gamma] (mode "proportional")."""
     if mode == "pm":
@@ -333,27 +332,13 @@ def nonhomologous_edge_bound(
     outside [gamma] has squared length at most U.  Such an edge exists: the
     three edges of a triangle are not all parallel to gamma.
     """
-    homology = EdgeHomology(s)
+    homology = s.homology()
     outside = _outside_class(homology, gamma, mode)
     return min(
         s.edge_vector(slot).norm_sq()
         for slot in s.slots()
         if outside(homology.class_of_slots([slot]))
     )
-
-
-def nonhomologous_within(
-    s: TranslationSurface,
-    gamma: SaddleConnection,
-    radius_sq,
-    mode: str = "pm",
-    budget=None,
-) -> List[SaddleConnection]:
-    """Connections of squared length <= radius_sq whose class lies outside
-    [gamma] in the given mode, shortest first."""
-    outside = _outside_class(EdgeHomology(s), gamma, mode)
-    hs = enumerate_connections(s, radius_sq=radius_sq, budget=budget)
-    return [c for c in hs.connections if outside(c.homology_class)]
 
 
 def second_shortest_nonhomologous(
@@ -370,7 +355,7 @@ def second_shortest_nonhomologous(
     """
     gamma = shortest(s, budget=budget)
     bound = nonhomologous_edge_bound(s, gamma, mode)
-    outside = _outside_class(EdgeHomology(s), gamma, mode)
+    outside = _outside_class(s.homology(), gamma, mode)
     return next(c for c in connections(s, bound, budget) if outside(c.homology_class))
 
 
@@ -382,13 +367,12 @@ def reverse_of(s: TranslationSurface, conn: SaddleConnection) -> SaddleConnectio
         end_corner = (u, (j + 2) % 3)
     else:
         end_corner = s.gluings[conn.start_corner]
-    homology = EdgeHomology(s)
     return SaddleConnection(
         holonomy=-conn.holonomy,
         start=conn.end,
         end=conn.start,
         crossings=rev_crossings,
-        homology_class=homology.reduce(tuple(-x for x in conn.homology_class)),
+        homology_class=tuple(-x for x in conn.homology_class),
         start_corner=end_corner,
     )
 
@@ -524,7 +508,7 @@ def trace_connection(
         start=start_vertex,
         end=end,
         crossings=tuple(crossings),
-        homology_class=EdgeHomology(s).class_of_slots(lower),
+        homology_class=s.homology().class_of_slots(lower),
         start_corner=corner,
     )
 

@@ -1,10 +1,23 @@
 """Integer homology of a triangulated surface relative to its vertices.
 
 Chains live in Z^E over the unoriented edges (canonical orientation: the
-lexicographically smaller slot of each glued pair).  One relation per
-triangle (its oriented boundary) is quotiented out by Hermite-style integer
-row reduction; reduced vectors are canonical coset representatives, so
-equality of classes is equality of tuples.
+lexicographically smaller slot of each glued pair; columns in that order).
+The relations are the triangles' oriented boundaries.  The dual graph has a
+node per triangle and joins the two triangles on either side of each edge;
+a spanning tree of it is chosen greedily in column order with a union-find,
+and the edges off the tree are the free edges.
+
+A chain is reduced root-first: each non-root triangle subtracts a multiple
+of its own boundary to zero the tree edge to its parent, which no later
+step touches again.  Every pivot is +/-1, so the reduction is integral and
+linear, and the reduced tuple is supported on the free edges.  It is
+canonical: a sum of triangle boundaries that vanishes on every tree edge
+gives all triangles the same coefficient, hence is zero.  So two chains
+are homologous iff their reduced tuples are equal, H_1(S, Sigma; Z) is free
+on the free edges, and the reduced unit chain of a tree edge writes its
+edge vector as an integer combination of the free edges' vectors (period
+coordinates).  The tree needs a connected surface, which validation
+guarantees.
 """
 
 from __future__ import annotations
@@ -14,93 +27,54 @@ from typing import Dict, List, Tuple
 from .surface import Slot, TranslationSurface
 
 
-def hnf_rows(rows: List[List[int]]) -> List[List[int]]:
-    """Row Hermite normal form of the lattice spanned by integer rows.
-
-    Pivots positive, entries above each pivot reduced into [0, pivot).
-    """
-    rows = [list(r) for r in rows if any(r)]
-    if not rows:
-        return []
-    ncols = len(rows[0])
-    basis: List[List[int]] = []
-    col = 0
-    pending = rows
-    while pending and col < ncols:
-        with_pivot = [r for r in pending if r[col] != 0]
-        rest = [r for r in pending if r[col] == 0]
-        if not with_pivot:
-            col += 1
-            continue
-        # Euclidean reduction on the pivot column.
-        while len(with_pivot) > 1:
-            with_pivot.sort(key=lambda r: abs(r[col]))
-            base = with_pivot[0]
-            new_rest = []
-            for r in with_pivot[1:]:
-                q = r[col] // base[col]
-                reduced = [x - q * y for x, y in zip(r, base)]
-                if reduced[col] != 0:
-                    new_rest.append(reduced)
-                elif any(reduced):
-                    rest.append(reduced)
-            with_pivot = [base] + new_rest
-        pivot_row = with_pivot[0]
-        if pivot_row[col] < 0:
-            pivot_row = [-x for x in pivot_row]
-        basis.append(pivot_row)
-        pending = rest
-        col += 1
-    # Reduce entries above pivots.
-    for i in range(len(basis) - 1, -1, -1):
-        pcol = next(j for j, x in enumerate(basis[i]) if x != 0)
-        for k in range(i):
-            q = basis[k][pcol] // basis[i][pcol]
-            if q:
-                basis[k] = [x - q * y for x, y in zip(basis[k], basis[i])]
-    basis.sort(key=lambda r: next(j for j, x in enumerate(r) if x != 0))
-    return basis
-
-
-def reduce_mod_lattice(vec: Tuple[int, ...], basis: List[List[int]]) -> Tuple[int, ...]:
-    """Canonical representative of vec modulo the HNF lattice basis."""
-    v = list(vec)
-    for row in basis:
-        pcol = next(j for j, x in enumerate(row) if x != 0)
-        q = v[pcol] // row[pcol]
-        if q:
-            v = [x - q * y for x, y in zip(v, row)]
-    return tuple(v)
-
-
 class EdgeHomology:
-    """Relative H_1 computations for a fixed triangulated surface."""
+    """Relative H_1 of a validated surface; built once per surface by
+    TranslationSurface.homology()."""
 
     def __init__(self, s: TranslationSurface):
         s.validate()
-        self.surface = s
-        self.slot_index: Dict[Slot, Tuple[int, int]] = {}
-        pairs = []
-        for slot in s.slots():
-            other = s.opposite(slot)
-            canon = min(slot, other)
-            if canon == slot:
-                pairs.append(slot)
-        pairs.sort()
         # The canonical slot of each edge, in column order.
-        self.pairs: List[Slot] = pairs
-        self.n_edges = len(pairs)
-        for idx, slot in enumerate(pairs):
+        self.pairs: List[Slot] = sorted(slot for slot in s.slots() if slot < s.opposite(slot))
+        self.n_edges = len(self.pairs)
+        self.slot_index: Dict[Slot, Tuple[int, int]] = {}
+        for idx, slot in enumerate(self.pairs):
             self.slot_index[slot] = (idx, 1)
             self.slot_index[s.opposite(slot)] = (idx, -1)
 
-        # One row per triangle: its oriented boundary as a chain.
-        self.relations: List[List[int]] = [
-            list(self.chain_of_slots((t, i) for i in range(3)))
-            for t in range(s.n_triangles())
-        ]
-        self.basis = hnf_rows(self.relations)
-        self.rank = len(self.basis)
+        # Spanning tree of the dual graph, greedy in column order.
+        parent = list(range(s.n_triangles()))
+
+        def find(t):
+            while parent[t] != t:
+                parent[t] = parent[parent[t]]
+                t = parent[t]
+            return t
+
+        tree: List[List[Tuple[int, int]]] = [[] for _ in parent]
+        for idx, (t, i) in enumerate(self.pairs):
+            u = s.opposite((t, i))[0]
+            a, b = find(t), find(u)
+            if a != b:
+                parent[a] = b
+                tree[t].append((u, idx))
+                tree[u].append((t, idx))
+
+        # Root-first from triangle 0: a step (e, row) zeroes tree edge e by
+        # subtracting the boundary of the triangle below it, signed so that
+        # its coefficient on e is 1.
+        self._steps: List[Tuple[int, List[Tuple[int, int]]]] = []
+        seen, order = {0}, [0]
+        for t in order:
+            for u, e in tree[t]:
+                if u in seen:
+                    continue
+                seen.add(u)
+                order.append(u)
+                boundary = [self.slot_index[(u, i)] for i in range(3)]
+                pivot = next(sign for idx, sign in boundary if idx == e)
+                self._steps.append((e, [(idx, sign * pivot) for idx, sign in boundary]))
+        tree_edges = {e for e, _ in self._steps}
+        self.free: Tuple[int, ...] = tuple(i for i in range(self.n_edges) if i not in tree_edges)
 
     def chain_of_slots(self, slots) -> Tuple[int, ...]:
         row = [0] * self.n_edges
@@ -110,26 +84,29 @@ class EdgeHomology:
         return tuple(row)
 
     def reduce(self, vec: Tuple[int, ...]) -> Tuple[int, ...]:
-        return reduce_mod_lattice(vec, self.basis)
+        """The canonical representative of vec's class, zero off the free
+        edges."""
+        v = list(vec)
+        for e, row in self._steps:
+            k = v[e]
+            if k:
+                for idx, c in row:
+                    v[idx] -= k * c
+        return tuple(v)
 
     def class_of_slots(self, slots) -> Tuple[int, ...]:
         return self.reduce(self.chain_of_slots(slots))
 
-    def is_pm(self, class_a: Tuple[int, ...], class_b: Tuple[int, ...]) -> bool:
-        """True iff [a] = [b] or [a] = -[b] in the quotient."""
-        if class_a == class_b:
-            return True
-        neg = self.reduce(tuple(-x for x in class_b))
-        return class_a == neg
+    @staticmethod
+    def is_pm(class_a: Tuple[int, ...], class_b: Tuple[int, ...]) -> bool:
+        """True iff [a] = [b] or [a] = -[b]."""
+        return class_a == class_b or class_a == tuple(-x for x in class_b)
 
-    def is_proportional(self, class_a: Tuple[int, ...], class_b: Tuple[int, ...]) -> bool:
-        """True iff [a] = k [b] for some integer k.
-
-        Equivalent to membership of a in the lattice spanned by the
-        relations together with b.
-        """
-        augmented = hnf_rows([list(r) for r in self.basis] + [list(class_b)])
-        return not any(reduce_mod_lattice(class_a, augmented))
-
-    def is_zero(self, class_a: Tuple[int, ...]) -> bool:
-        return not any(class_a)
+    @staticmethod
+    def is_proportional(class_a: Tuple[int, ...], class_b: Tuple[int, ...]) -> bool:
+        """True iff [a] = k [b] for some integer k."""
+        j = next((j for j, x in enumerate(class_b) if x), None)
+        if j is None:
+            return not any(class_a)
+        k = class_a[j] // class_b[j]
+        return all(x == k * y for x, y in zip(class_a, class_b))

@@ -25,7 +25,6 @@ from . import kernels
 from .errors import AcceptanceRateError, InputError, SurfaceError
 from .exactplane import ExactVector, FloatMatrix, to_fraction
 from .geodesic import enumerate_connections
-from .homology import EdgeHomology
 from .oracle import TorusPoint, siegel_constant_torus
 from .surface import TranslationSurface, Triangle, area
 from .sv import (
@@ -90,48 +89,6 @@ def sample_torus_haar(n: int, seed: int, y_max: float = 50.0) -> HaarSample:
 # --- local stratum sampling -------------------------------------------------
 
 
-def _period_solver(base: TranslationSurface):
-    """Free/dependent split of the edge-pair vectors under triangle-sum
-    relations, solved once over the rationals.
-
-    Returns (pairs, slot_sign, free_idx, dep_rows) where dep_rows maps each
-    dependent pair index to its rational combination of free pairs.
-    """
-    homology = EdgeHomology(base)
-    pairs, slot_sign = homology.pairs, homology.slot_index
-    n_pairs = len(pairs)
-    rows = [[Fraction(x) for x in row] for row in homology.relations]
-    # Row reduce; record pivot -> expression in free columns.
-    pivots = []
-    r = 0
-    for col in range(n_pairs):
-        pr = None
-        for k in range(r, len(rows)):
-            if rows[k][col] != 0:
-                pr = k
-                break
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        pv = rows[r][col]
-        rows[r] = [x / pv for x in rows[r]]
-        for k in range(len(rows)):
-            if k != r and rows[k][col] != 0:
-                f = rows[k][col]
-                rows[k] = [x - f * y for x, y in zip(rows[k], rows[r])]
-        pivots.append((col, r))
-        r += 1
-        if r == len(rows):
-            break
-    pivot_cols = {col for col, _ in pivots}
-    free_idx = [i for i in range(n_pairs) if i not in pivot_cols]
-    dep_rows = {}
-    for col, rr in pivots:
-        combo = [(j, -rows[rr][j]) for j in free_idx if rows[rr][j] != 0]
-        dep_rows[col] = combo
-    return pairs, slot_sign, free_idx, dep_rows
-
-
 @dataclass(frozen=True)
 class StratumSample:
     surfaces: Tuple[TranslationSurface, ...]
@@ -162,11 +119,19 @@ def sample_stratum_local(
     if seed < 0:
         raise InputError("seed must be nonnegative")
     signature = base.validate()
-    pairs, slot_sign, free_idx, dep_rows = _period_solver(base)
+    homology = base.homology()
+    pairs, slot_sign, free_idx = homology.pairs, homology.slot_index, homology.free
     if len(free_idx) != signature.dim_relative_homology:
         raise InputError(
             f"free period count {len(free_idx)} does not match homology dimension"
         )
+    # A tree edge's vector is the integer combination of free edge vectors
+    # that its unit chain reduces to.
+    dep_rows = {}
+    for idx, slot in enumerate(pairs):
+        if idx not in free_idx:
+            cls = homology.class_of_slots([slot])
+            dep_rows[idx] = [(j, cls[j]) for j in free_idx if cls[j]]
     base_vals = [base.edge_vector(slot) for slot in pairs]
     rng = np.random.default_rng(seed)
     out = []

@@ -2,12 +2,14 @@
 
 A surface is a list of positively oriented triangles (three edge vectors
 summing to zero) plus an involutive pairing of edge slots; paired slots must
-carry opposite vectors so all transition maps are translations.  Validation
-scales the surface once by D, the lcm of its edge-coordinate denominators,
-decides every invariant on ints, and derives the cone points, their orders,
-the genus and the stratum signature.  It keeps the int corner positions with
+carry opposite vectors so all transition maps are translations, and the
+gluings must connect all triangles.  Validation scales the surface once by
+D, the lcm of its edge-coordinate denominators, decides every invariant on
+ints, and derives the cone points, their orders, the genus and the stratum
+signature.  It keeps the int corner positions with
 the corner->vertex map for the search, the straight-line walker and the
-flips (`int_corners`).
+flips (`int_corners`).  The relative homology (`homology`) is built on first
+use and kept beside them.
 
 Slot convention: slot (t, i) is the directed edge of triangle t running from
 corner i to corner (i+1) % 3; corner i sits at the tail of edge i.
@@ -23,6 +25,7 @@ from typing import Dict, List, Tuple
 from .errors import (
     AreaError,
     ConeAngleError,
+    DisconnectedError,
     EdgeSumError,
     GluingInvolutionError,
     GluingOppositeError,
@@ -70,6 +73,7 @@ class TranslationSurface:
         self._corner_vertex = None
         self._vertex_orders = None
         self._signature = None
+        self._homology = None
 
     # -- structure helpers --------------------------------------------
 
@@ -128,6 +132,19 @@ class TranslationSurface:
                 raise GluingOppositeError(
                     f"glued slots {(t, i)} and {(u, j)} do not carry opposite vectors"
                 )
+        reached, stack = {0}, [0]
+        while stack:
+            t = stack.pop()
+            for i in range(3):
+                u = self.gluings[(t, i)][0]
+                if u not in reached:
+                    reached.add(u)
+                    stack.append(u)
+        if len(reached) < len(self.triangles):
+            raise DisconnectedError(
+                f"surface is disconnected: triangle 0 reaches {len(reached)} of "
+                f"{len(self.triangles)} triangles through the gluings"
+            )
 
         self._scale = scale
         self._corners = [((0, 0), (x0, y0), (x0 + x1, y0 + y1)) for (x0, y0), (x1, y1), _ in edges]
@@ -205,6 +222,14 @@ class TranslationSurface:
         corner 0 at the origin."""
         self.validate()
         return self._scale, self._corners
+
+    def homology(self):
+        """The surface's EdgeHomology, built on first use."""
+        if self._homology is None:
+            from .homology import EdgeHomology
+
+            self._homology = EdgeHomology(self)
+        return self._homology
 
     def corner_vertex(self, corner: Slot) -> int:
         self.validate()

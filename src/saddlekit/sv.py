@@ -30,10 +30,11 @@ from .geodesic import (
     Cylinder,
     NotOnBoundary,
     Unknown,
+    _outside_class,
+    connections,
     detect_cylinder,
     enumerate_connections,
     nonhomologous_edge_bound,
-    nonhomologous_within,
     reverse_of,
     second_shortest_nonhomologous,
     shortest,
@@ -654,7 +655,8 @@ def classify(
     Omega0 when eps <= |gamma|^p, else Omega2 when gamma bounds a cylinder,
     else Omega1; Unknown when cylinder tracing exhausts its budget.
 
-    Omega0 is decided by one enumeration up to |gamma|^p, filtered exactly.
+    Omega0 is decided by the first connection outside +/-[gamma] in the
+    length-ordered search up to |gamma|^p.
     Omega0 reports eps exactly.  Omega1 and Omega2 report it exactly when
     U, the squared length of the shortest triangulation edge outside
     +/-[gamma], is at most cylinder_trace^2 and the search stays within the
@@ -680,11 +682,14 @@ def classify(
         return ClassLabel("Unknown", shortest_length_sq=g_sq, detail="cylinder trace budget")
     if not found:
         return ClassLabel("H2", shortest_length_sq=g_sq, detail="short connections, no short loop")
-    near = nonhomologous_within(s, gamma, _power_bound_sq(g_sq, p), budget=budget)
-    below = [c.length_sq() for c in near if _power_leq(c.length_sq(), g_sq, p)]
-    if below:
+    # Connections come shortest first, so the first one outside +/-[gamma]
+    # is the only candidate for eps <= |gamma|^p.
+    outside = _outside_class(s.homology(), gamma, "pm")
+    near = next((c for c in connections(s, _power_bound_sq(g_sq, p), budget)
+                 if outside(c.homology_class)), None)
+    if near is not None and _power_leq(near.length_sq(), g_sq, p):
         return ClassLabel(
-            "Omega0", shortest_length_sq=g_sq, second_length_sq=min(below),
+            "Omega0", shortest_length_sq=g_sq, second_length_sq=near.length_sq(),
             detail="second shortest below power of shortest",
         )
     res = detect_cylinder(s, gamma, cylinder_trace)

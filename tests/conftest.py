@@ -11,6 +11,7 @@ from saddlekit.builders import (
     torus_from_matrix,
 )
 from saddlekit.exactplane import ExactMatrix, ExactVector
+from saddlekit.surface import TranslationSurface
 
 
 @pytest.fixture(scope="session")
@@ -31,6 +32,15 @@ def slit_13_15():
 @pytest.fixture(scope="session")
 def thin_torus():
     return torus_from_matrix(ExactMatrix.diagonal(Fraction(1, 8), 8))
+
+
+@pytest.fixture(scope="session")
+def two_tori(torus):
+    """Two square tori side by side, each glued only to itself."""
+    n = torus.n_triangles()
+    gluings = dict(torus.gluings)
+    gluings.update({(t + n, i): (u + n, j) for (t, i), (u, j) in torus.gluings.items()})
+    return TranslationSurface(torus.triangles * 2, gluings)
 
 
 @pytest.fixture()

@@ -98,6 +98,20 @@ def test_malformed_input_exits_1_with_input_code(
     assert json.loads(err)["error"] == "INPUT"
 
 
+@pytest.mark.parametrize("command", ["validate", "mc-stratum"])
+def test_disconnected_surface_exits_1(command, capsys, tmp_path, two_tori):
+    path = tmp_path / "two_tori.json"
+    path.write_text(two_tori.to_json())
+    argv = {
+        "validate": ["validate", "--surface", str(path)],
+        "mc-stratum": ["mc-stratum", "--surface", str(path), "--samples", "2", "--seed", "1"],
+    }[command]
+    code, out, err = run(capsys, argv)
+    assert code == 1
+    assert out == ""
+    assert json.loads(err)["error"] == "DISCONNECTED"
+
+
 def test_count_on_torus_file(capsys, torus_file):
     code, out, err = run(capsys, ["count", "--surface", torus_file, "--radius", "2"])
     assert code == 0 and err == ""

@@ -197,17 +197,19 @@ def test_reverse_of_is_involution(slit_13_15):
         assert back.start_corner == conn.start_corner
 
 
-def test_homology_classes_negate_under_reversal(torus):
-    hs = enumerate_connections(torus, 2)
-    by_key = {}
-    for c in hs.connections:
-        by_key[(c.holonomy.x, c.holonomy.y)] = c
-    from saddlekit.homology import EdgeHomology
-
-    hom = EdgeHomology(torus)
-    for c in hs.connections:
-        mate = by_key[(-c.holonomy.x, -c.holonomy.y)]
-        assert hom.is_pm(c.homology_class, mate.homology_class)
+def test_homology_classes_negate_under_reversal(torus, octagon, slit_13_15):
+    marked = marked_torus(V(Fraction(1, 2), Fraction(1, 3)))
+    for s in (torus, octagon, slit_13_15, marked):
+        homology = s.homology()
+        conns = enumerate_connections(s, 2).connections
+        assert conns
+        for c in conns:
+            rev = reverse_of(s, c)
+            assert rev.homology_class == tuple(-x for x in c.homology_class)
+            assert reverse_of(s, rev) == c
+            # The class of the reversed segment, walked from its own start.
+            _, _, lower, _ = _segment(s, rev.start_corner, rev.holonomy)
+            assert homology.class_of_slots(lower) == rev.homology_class
 
 
 def test_csv_rows_schema(torus):

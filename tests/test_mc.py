@@ -1,3 +1,4 @@
+import hashlib
 import json
 from fractions import Fraction
 
@@ -20,6 +21,14 @@ def test_stratum_sampler_rejects_invalid_surfaces_only(octagon, monkeypatch):
     # A program error must surface, not be counted as a rejected candidate.
     with pytest.raises(RuntimeError):
         mc.sample_stratum_local(octagon, "0.05", 2, seed=7)
+
+
+def test_stratum_sample_is_pinned(octagon):
+    sample = mc.sample_stratum_local(octagon, "0.05", 50, seed=7)
+    text = "\n".join(s.to_json() for s in sample.surfaces)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "8a663023cf6973d012ab9553d24e994f3e1ca534a5e023670b6630998c40b4e2"
+    )
 
 
 @pytest.mark.parametrize(

@@ -14,6 +14,7 @@ from saddlekit.builders import (
 )
 from saddlekit.errors import (
     AreaError,
+    DisconnectedError,
     EdgeSumError,
     GluingInvolutionError,
     GluingOppositeError,
@@ -102,6 +103,13 @@ def test_gluing_opposite_error():
     gl[(1, 1)] = (0, 1)
     with pytest.raises(GluingOppositeError):
         TranslationSurface(tris, gl).validate()
+
+
+def test_disconnected_error(two_tori):
+    with pytest.raises(DisconnectedError) as exc:
+        two_tori.validate()
+    assert exc.value.code == "DISCONNECTED"
+    assert "2 of 4 triangles" in str(exc.value)
 
 
 def test_area_examples(torus):
