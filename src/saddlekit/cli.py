@@ -288,7 +288,10 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--samples", type=int, required=True)
             p.add_argument("--seed", type=int, default=None)
             p.add_argument("--ymax", type=float, default=50.0)
-            p.add_argument("--threads", type=int, default=1)
+            p.add_argument(
+                "--threads", type=int, default=1,
+                help="worker threads for stratum surfaces, at least 1; torus samples ignore it",
+            )
 
     p = sub.add_parser("validate", help="check surface invariants, print the signature")
     common(p, surface=True)

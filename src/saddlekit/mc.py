@@ -4,9 +4,15 @@ Torus sampling draws from the modular fundamental domain (density 1/y^2,
 cusp truncated at y_max with the removed mass reported analytically) plus a
 uniform rotation.  Stratum sampling perturbs a free set of period
 coordinates on a dyadic grid and rejects invalid surfaces; it is a local
-Lebesgue patch, never a claim about the global measure.  Transforms on torus
-samples are counts of primitive lattice points from ``kernels``, one call
-per sample and radius.  All estimators are bit-deterministic for a fixed
+Lebesgue patch, never a claim about the global measure.
+
+Torus samples are one (n, 4) float64 array of matrices.  Disc and annulus
+transforms are counts of primitive lattice points from ``kernels``, one
+call per sample and radius; a sector transform runs the batched
+``kernels.primitive_points`` once over the whole array and sums each
+chunk's non-ambiguous hits per sample with ``np.bincount``.  ``threads``
+spreads only stratum surfaces over a thread pool; torus samples always run
+in the calling thread.  All estimators are bit-deterministic for a fixed
 seed and thread count independent: values are computed into an
 index-ordered array and reduced by numpy's fixed pairwise summation.
 """
@@ -14,16 +20,15 @@ index-ordered array and reduced by numpy's fixed pairwise summation.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from . import kernels
 from .errors import AcceptanceRateError, InputError, SurfaceError
-from .exactplane import ExactVector, FloatMatrix, to_fraction
+from .exactplane import ExactVector, to_fraction
 from .geodesic import enumerate_connections
 from .oracle import TorusPoint, siegel_constant_torus
 from .surface import TranslationSurface, Triangle, area
@@ -40,16 +45,19 @@ RNG_ALGORITHM = "pcg64"
 _FUNDAMENTAL_AREA = math.pi / 3  # hyperbolic area of the modular domain
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HaarSample:
-    points: Tuple[TorusPoint, ...]
+    """Torus samples as one (n, 4) float64 array: row i is (a, b, c, d) of
+    the unit-covolume matrix [[a, b], [c, d]] of sample i."""
+
+    matrices: np.ndarray
     seed: int
     y_max: float
     truncated_mass: float
     algorithm: str = RNG_ALGORITHM
 
     def __len__(self):
-        return len(self.points)
+        return len(self.matrices)
 
 
 def sample_torus_haar(n: int, seed: int, y_max: float = 50.0) -> HaarSample:
@@ -58,6 +66,8 @@ def sample_torus_haar(n: int, seed: int, y_max: float = 50.0) -> HaarSample:
     x is uniform on [-1/2, 1/2]; y follows 1/y^2 on [sqrt(3)/2, y_max] by
     CDF inversion; pairs with x^2 + y^2 < 1 are rejected; the frame is spun
     by a uniform rotation.  The mass removed above y_max is (1/y_max) / (pi/3).
+    The sample is r(theta) [[1/sqrt(y), x/sqrt(y)], [0, sqrt(y)]], composed
+    entry by entry as FloatMatrix.compose does, with math.cos and math.sin.
     """
     if n < 1:
         raise InputError("sample count must be positive")
@@ -67,23 +77,30 @@ def sample_torus_haar(n: int, seed: int, y_max: float = 50.0) -> HaarSample:
         raise InputError(f"y_max must be finite and at least 2, got {y_max}")
     rng = np.random.default_rng(seed)
     lo = math.sqrt(3.0) / 2.0
-    points: List[TorusPoint] = []
-    while len(points) < n:
-        batch = max(16, int((n - len(points)) * 1.2))
+    parts = []
+    have = 0
+    while have < n:
+        batch = max(16, int((n - have) * 1.2))
         xs = rng.uniform(-0.5, 0.5, batch)
         us = rng.uniform(0.0, 1.0, batch)
         ys = 1.0 / (1.0 / lo - us * (1.0 / lo - 1.0 / y_max))
         ths = rng.uniform(0.0, 2.0 * math.pi, batch)
-        for x, y, th in zip(xs, ys, ths):
-            if x * x + y * y < 1.0:
-                continue
-            if len(points) >= n:
-                break
-            sy = math.sqrt(y)
-            base = FloatMatrix(1.0 / sy, x / sy, 0.0, sy)
-            points.append(TorusPoint(FloatMatrix.rotation(th).compose(base)))
+        keep = np.flatnonzero(~(xs * xs + ys * ys < 1.0))[: n - have]
+        x, th = xs[keep], ths[keep]
+        sy = np.sqrt(ys[keep])
+        ct = np.fromiter(map(math.cos, th), np.float64, keep.size)
+        st = np.fromiter(map(math.sin, th), np.float64, keep.size)
+        a0, b0, d0 = 1.0 / sy, x / sy, sy
+        entries = (ct * a0 + -st * 0.0, ct * b0 + -st * d0, st * a0 + ct * 0.0, st * b0 + ct * d0)
+        parts.append(np.stack(entries, axis=1))
+        have += keep.size
+    matrices = np.concatenate(parts)
+    det = matrices[:, 0] * matrices[:, 3] - matrices[:, 1] * matrices[:, 2]
+    if not np.all(np.abs(det - 1.0) <= 1e-12):
+        raise InputError("torus matrix determinant must be 1 within 1e-12")
+    matrices.setflags(write=False)
     truncated = (1.0 / y_max) / _FUNDAMENTAL_AREA
-    return HaarSample(tuple(points), seed, y_max, truncated)
+    return HaarSample(matrices, seed, y_max, truncated)
 
 
 # --- local stratum sampling -------------------------------------------------
@@ -220,22 +237,32 @@ def _cusp_correction_for(f: TestFunction, y_max: float) -> Optional[float]:
     return None
 
 
-def _torus_value(point: TorusPoint, f: TestFunction) -> float:
-    g = point.g
-    a, b, c, d = (float(x) for x in g.entries())
+def _torus_values(matrices: np.ndarray, f: TestFunction) -> np.ndarray:
+    """Transform of f on each lattice, one per row of the (n, 4) array."""
     if isinstance(f, DiscIndicator):
-        return float(kernels.count_primitive_in_disc(a, b, c, d, float(f.r)))
+        return _disc_counts(matrices, float(f.r))
     if isinstance(f, AnnulusIndicator):
-        hi = kernels.count_primitive_in_disc(a, b, c, d, float(f.r2))
-        lo = kernels.count_primitive_in_disc(a, b, c, d, float(f.r1))
-        return float(hi - lo)
+        return _disc_counts(matrices, float(f.r2)) - _disc_counts(matrices, float(f.r1))
     if isinstance(f, SectorIndicator):
-        xs, ys = kernels.primitive_points(a, b, c, d, float(f.support_radius()))
-        vals, amb = f.evaluate_batch(xs, ys, 1e-12)
-        return float(vals[~amb].sum())
+        out = np.zeros(len(matrices))
+        for owner, xs, ys in kernels.primitive_points(matrices, float(f.support_radius())):
+            vals, amb = f.evaluate_batch(xs, ys, 1e-12)
+            out += np.bincount(owner, weights=np.where(amb, 0, vals), minlength=len(out))
+        return out
     if isinstance(f, ProductPair):
-        return _torus_value(point, f.f) * _torus_value(point, f.g)
+        return _torus_values(matrices, f.f) * _torus_values(matrices, f.g)
     raise InputError(f"unsupported test function {type(f).__name__} on torus samples")
+
+
+def _disc_counts(matrices: np.ndarray, radius: float) -> np.ndarray:
+    """One kernel call per lattice, on Python floats taken a block at a time."""
+    block = 1024
+    rows = (row for lo in range(0, len(matrices), block) for row in matrices[lo : lo + block].tolist())
+    return np.fromiter(
+        (kernels.count_primitive_in_disc(a, b, c, d, radius) for a, b, c, d in rows),
+        np.float64,
+        len(matrices),
+    )
 
 
 def _surface_value(s: TranslationSurface, f: TestFunction, budget=None) -> float:
@@ -269,25 +296,30 @@ def _surface_value(s: TranslationSurface, f: TestFunction, budget=None) -> float
 
 
 def _values(samples, f: TestFunction, threads: int = 1, budget=None) -> np.ndarray:
+    """Transform values in sample order.  Torus samples, a HaarSample or a
+    sequence of TorusPoint, go through one (n, 4) array and the vectorized
+    kernel; ``threads`` spreads only surfaces over a thread pool."""
+    if threads < 1:
+        raise InputError(f"threads must be at least 1, got {threads}")
     if isinstance(samples, HaarSample):
-        items = samples.points
-    elif isinstance(samples, StratumSample):
-        items = samples.surfaces
-    else:
-        items = tuple(samples)
+        return _torus_values(samples.matrices, f)
+    items = samples.surfaces if isinstance(samples, StratumSample) else tuple(samples)
+    if items and all(isinstance(item, TorusPoint) for item in items):
+        entries = [[float(x) for x in item.g.entries()] for item in items]
+        return _torus_values(np.array(entries, dtype=np.float64), f)
 
     def eval_one(item):
-        if isinstance(item, TorusPoint):
-            return _torus_value(item, f)
-        if isinstance(item, TranslationSurface):
-            return _surface_value(item, f, budget)
-        raise InputError(f"unsupported sample type {type(item).__name__}")
+        if not isinstance(item, TranslationSurface):
+            raise InputError(f"unsupported sample type {type(item).__name__}")
+        return _surface_value(item, f, budget)
 
     out = np.zeros(len(items))
-    if threads <= 1 or len(items) < 4:
+    if threads == 1 or len(items) < 4:
         for i, item in enumerate(items):
             out[i] = eval_one(item)
         return out
+    from concurrent.futures import ThreadPoolExecutor
+
     with ThreadPoolExecutor(max_workers=threads) as pool:
         for i, val in enumerate(pool.map(eval_one, items, chunksize=64)):
             out[i] = val

@@ -1,4 +1,5 @@
 import json
+import threading
 from fractions import Fraction
 
 import pytest
@@ -128,6 +129,22 @@ def test_mc_torus_is_deterministic_across_runs_and_threads(capsys):
         outputs.append(out)
     assert outputs[0] == outputs[1] == outputs[2]
     assert json.loads(outputs[0])["n_samples"] == 40
+
+
+@pytest.mark.parametrize("threads", ["0", "-1"])
+@pytest.mark.parametrize("command", ["mc-torus", "mc-stratum"])
+def test_threads_below_one_is_an_input_error(command, threads, capsys, monkeypatch, torus_file):
+    def no_threads(self):
+        raise AssertionError("a thread was started")
+
+    monkeypatch.setattr(threading.Thread, "start", no_threads)
+    argv = {
+        "mc-torus": ["mc-torus", "--samples", "8", "--seed", "1", "--radius", "3"],
+        "mc-stratum": ["mc-stratum", "--surface", torus_file, "--samples", "8", "--seed", "1"],
+    }[command]
+    code, out, err = run(capsys, argv + ["--threads", threads])
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"] == "INPUT"
 
 
 def test_mc_stratum_reads_budget(capsys, torus_file):

@@ -1,12 +1,14 @@
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from saddlekit import kernels
-from saddlekit.errors import ResourceLimitError
-from saddlekit.mc import sample_torus_haar
+from saddlekit.errors import ResourceLimitError, SingularMatrixError
+from saddlekit.mc import estimate_mean_transform, sample_torus_haar
+from saddlekit.sv import SectorIndicator
 
 
 def brute_force_count(a, b, c, d, radius):
@@ -45,21 +47,29 @@ def reference_points(a, b, c, d, radius):
     return ix[keep], iy[keep]
 
 
+def points_by_owner(matrices, radius):
+    """The batched kernel's points as one sorted list per matrix."""
+    found = [[] for _ in range(len(matrices))]
+    for owner, xs, ys in kernels.primitive_points(matrices, radius):
+        for i, x, y in zip(owner.tolist(), xs.tolist(), ys.tolist()):
+            found[i].append((x, y))
+    return [sorted(pts) for pts in found]
+
+
 def test_kernel_matches_brute_force_on_haar_samples():
-    for point in sample_torus_haar(6, seed=3, y_max=8.0).points:
-        g = point.g
+    for a, b, c, d in sample_torus_haar(6, seed=3, y_max=8.0).matrices.tolist():
         for radius in (1.0, 2.5, 6.0):
-            expected = brute_force_count(g.a, g.b, g.c, g.d, radius)
-            assert kernels.count_primitive_in_disc(g.a, g.b, g.c, g.d, radius) == expected
+            expected = brute_force_count(a, b, c, d, radius)
+            assert kernels.count_primitive_in_disc(a, b, c, d, radius) == expected
 
 
 def test_points_match_the_square_reference_on_haar_samples():
-    for point in sample_torus_haar(60, seed=11).points:
-        entries = point.g.entries()
-        for radius in (0.5, 4.0, 8.0):
-            xs, ys = kernels.primitive_points(*entries, radius)
+    matrices = sample_torus_haar(60, seed=11).matrices
+    for radius in (0.5, 4.0, 8.0):
+        batched = points_by_owner(matrices, radius)
+        for entries, got in zip(matrices.tolist(), batched):
             rx, ry = reference_points(*entries, radius)
-            assert sorted(zip(xs.tolist(), ys.tolist())) == sorted(zip(rx.tolist(), ry.tolist()))
+            assert got == sorted(zip(rx.tolist(), ry.tolist()))
             assert kernels.count_primitive_in_disc(*entries, radius) == rx.size
 
 
@@ -74,3 +84,38 @@ def test_huge_radius_is_refused_before_allocating(radius):
         tracemalloc.stop()
     assert peak < 1 << 20
     assert float(exc.value.details["rows"]) > np.iinfo(np.intp).max
+
+
+@pytest.mark.parametrize("radius", [1e300, math.nan])
+def test_batched_kernel_refuses_a_huge_radius_before_allocating(radius):
+    matrices = sample_torus_haar(50, seed=2).matrices
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimitError) as exc:
+            next(kernels.primitive_points(matrices, radius))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert float(exc.value.details["rows"]) > np.iinfo(np.intp).max
+
+
+def test_batched_kernel_refuses_one_singular_row():
+    matrices = np.array(sample_torus_haar(50, seed=2).matrices)
+    matrices[17] = (1.0, 2.0, 0.5, 1.0)
+    with pytest.raises(SingularMatrixError):
+        next(kernels.primitive_points(matrices, 4.0))
+
+
+def test_sector_mean_over_20k_samples_keeps_memory_flat():
+    # The sample's 2.5 million points at R = 8 take 60 MB as owner, x and y
+    # arrays; the batched kernel holds one chunk of rows at a time.
+    samples = sample_torus_haar(20000, seed=11)
+    f = SectorIndicator(Fraction(8), 0.3, 0.4)
+    tracemalloc.start()
+    try:
+        estimate_mean_transform(samples, f)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * (1 << 20)

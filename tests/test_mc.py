@@ -1,12 +1,16 @@
 import hashlib
 import json
+import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from saddlekit import mc
+from saddlekit.exactplane import FloatMatrix
+from saddlekit.oracle import TorusPoint
 from saddlekit.surface import TranslationSurface
-from saddlekit.sv import AnnulusIndicator, SectorIndicator
+from saddlekit.sv import AnnulusIndicator, DiscIndicator, ProductPair, SectorIndicator
 
 
 def test_stratum_sampler_rejects_invalid_surfaces_only(octagon, monkeypatch):
@@ -44,3 +48,81 @@ def test_haar_mean_is_bit_identical_for_a_fixed_seed(f):
     assert reports[0] == reports[1]
     assert json.loads(reports[0])["n_samples"] == 300
 
+
+def reference_haar_matrices(n, seed, y_max):
+    """The sampler as one FloatMatrix and TorusPoint per sample, stacked."""
+    rng = np.random.default_rng(seed)
+    lo = math.sqrt(3.0) / 2.0
+    points = []
+    while len(points) < n:
+        batch = max(16, int((n - len(points)) * 1.2))
+        xs = rng.uniform(-0.5, 0.5, batch)
+        us = rng.uniform(0.0, 1.0, batch)
+        ys = 1.0 / (1.0 / lo - us * (1.0 / lo - 1.0 / y_max))
+        ths = rng.uniform(0.0, 2.0 * math.pi, batch)
+        for x, y, th in zip(xs, ys, ths):
+            if x * x + y * y < 1.0:
+                continue
+            if len(points) >= n:
+                break
+            sy = math.sqrt(y)
+            base = FloatMatrix(1.0 / sy, x / sy, 0.0, sy)
+            points.append(TorusPoint(FloatMatrix.rotation(th).compose(base)))
+    return np.array([p.g.entries() for p in points], dtype=np.float64)
+
+
+@pytest.mark.parametrize(
+    "n, seed, y_max", [(1, 0, 2.0), (17, 3, 8.0), (500, 5, 1e6), (3000, 11, 50.0), (20000, 1011, 50.0)]
+)
+def test_haar_matrix_equals_the_object_loop_bit_for_bit(n, seed, y_max):
+    got = mc.sample_torus_haar(n, seed, y_max).matrices
+    want = reference_haar_matrices(n, seed, y_max)
+    assert got.shape == want.shape == (n, 4)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+PINNED_HAAR_REPORTS = {
+    "disc": (DiscIndicator(Fraction(6)), "9db298083744621fe2e7d5c8a739b89ec8b61d89ea55e39223d07d7efa6d7acc"),
+    "annulus": (
+        AnnulusIndicator(Fraction(2), Fraction(5)),
+        "0493cc4b1fa8f2a03414d887b4a59e5d3ac493183df2e224a0af89ab2ebf762f",
+    ),
+    "sector": (
+        SectorIndicator(Fraction(4), 0.3, 0.6),
+        "160ebc0aac8769ee4f0712c34181b589c9bcd155c0a10e554b59994287b197f2",
+    ),
+    "pair": (
+        ProductPair(DiscIndicator(Fraction(3)), SectorIndicator(Fraction(5), -1.0, 0.4)),
+        "92d2f48220c5c0a73930bc8b69e966d77094ebf2c11f9c5837b8a44ea5552106",
+    ),
+}
+
+
+def _sha(payload):
+    return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
+
+
+@pytest.fixture(scope="module")
+def haar_3000():
+    return mc.sample_torus_haar(3000, seed=11)
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_HAAR_REPORTS))
+def test_haar_mean_report_is_pinned(name, haar_3000):
+    # Digests of the per-sample kernel's reports, taken before the kernel
+    # was vectorized.
+    f, digest = PINNED_HAAR_REPORTS[name]
+    assert _sha(mc.estimate_mean_transform(haar_3000, f).to_json_dict()) == digest
+
+
+def test_sector_tail_histogram_is_pinned(haar_3000):
+    hist = mc.tail_histogram(haar_3000, SectorIndicator(Fraction(6), 2.0, 0.7), 30)
+    assert not hist.degenerate
+    assert _sha(hist.to_json_dict()) == "fa1a433a51a99b14ee9c77450512126d6bb597e23ac133ca8a02a92f1fa0f8ce"
+
+
+def test_torus_point_sequence_takes_the_matrix_path(haar_3000):
+    matrices = haar_3000.matrices[:200]
+    points = [TorusPoint(FloatMatrix(*row)) for row in matrices.tolist()]
+    f = ProductPair(AnnulusIndicator(Fraction(1), Fraction(4)), SectorIndicator(Fraction(5), 0.3, 0.6))
+    assert np.array_equal(mc._values(points, f), mc._torus_values(matrices, f))
