@@ -199,11 +199,6 @@ class FloatMatrix:
         ct, st = math.cos(theta), math.sin(theta)
         return cls(ct, -st, st, ct)
 
-    @classmethod
-    def stretch(cls, r: float) -> "FloatMatrix":
-        """diag(r, 1/r)."""
-        return cls(r, 0.0, 0.0, 1.0 / r)
-
     def det(self) -> float:
         return self.a * self.d - self.b * self.c
 

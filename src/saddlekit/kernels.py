@@ -1,9 +1,9 @@
-"""The vectorized lattice kernel: primitive points of M Z^2 in a disc.
+"""The lattice kernels: primitive points of M Z^2 in a closed disc.
 
-One numpy row routine serves every float lattice in the package.  Rows q run
-over 1 <= q <= qmax, the bound that |M v| <= radius puts on a coordinate;
-in each row the p candidates are the real roots of the disc's quadratic,
-padded by one on either side, and membership is decided by the float
+Both kernels search rows q = 1..qmax, where qmax is the bound that
+|M v| <= radius puts on a coordinate.  In each row the p candidates run from
+the floor of the lower real root of the disc's quadratic minus one to the
+floor of the upper root plus one, and membership is decided by the float
 expression (a*p + b*q)**2 + (c*p + d*q)**2 <= radius**2, so results are
 bit-deterministic for given float inputs.
 
@@ -13,13 +13,23 @@ fl(-x) = -fl(x), so the image of (-p, -q) is the negated image of (p, q),
 up to the sign of a zero, and the float test decides both points alike.
 The other half is therefore the mirror image: ``count_primitive_in_disc``
 doubles its count and ``primitive_points`` yields each point with its
-negation.  The gcd is taken only of points already inside the disc.
+negation.
 
-``count_primitive_in_disc`` counts for one matrix; the Monte Carlo disc and
-annulus values make one call per sample and radius.  ``primitive_points``
-takes an (n, 4) array of matrices (a, b, c, d), works through it in chunks
-of about ``_CHUNK_ROWS`` lattice rows, so its temporaries stay bounded
-whatever n is, and yields the points of each chunk with their owning row.
+``count_primitive_in_disc`` counts for one matrix in plain Python floats
+and ints, one row at a time: it walks in from both padded ends to the first
+and last points inside, lo and hi, and counts the p in [lo, hi] prime to q
+by Moebius inversion over the squarefree divisors of q, read from a table
+that grows with the rows asked for.  That is exact when the points inside
+form one run, which holds when A = a^2 + c^2, half the second difference of
+|M (p, q)|^2 along a row, exceeds 32u k^2 r^2 (u = 2^-53,
+k = |M|_F^2 / det), a bound on twice the float error of the test; its
+docstring has the proof.  Below the bound each point of the run is tested
+instead.
+
+``primitive_points`` takes an (n, 4) array of matrices (a, b, c, d), works
+through it in numpy chunks of about ``_CHUNK_ROWS`` lattice rows, so its
+temporaries stay bounded whatever n is, and yields the points of each chunk
+with their owning row.
 """
 
 from __future__ import annotations
@@ -28,17 +38,52 @@ import math
 
 import numpy as np
 
-from .errors import ResourceLimitError, SingularMatrixError
+from .errors import InputError, ResourceLimitError, SingularMatrixError
 
 BACKEND = "python"
 
-_MAX_ROWS = np.iinfo(np.intp).max
+# Below 2**53 rows every p and q the kernels meet is exactly a float.
+_MAX_ROWS = 1 << 53
 _CHUNK_ROWS = 1 << 10
+_U = 2.0**-53  # unit roundoff of float64
+
+# _DIVISORS[q] is ((d, mu(d)), ...) over the squarefree divisors d of q.
+# It is only ever replaced whole, never changed in place.
+_DIVISORS: list = [()]
+
+
+def _divisor_table(q: int, qmax: int) -> list:
+    """The divisor table, first grown to cover q if it does not yet: to
+    twice its length, but no further than qmax, the last row of the call.
+    The new table is built aside and swapped in by one assignment."""
+    global _DIVISORS
+    table = _DIVISORS
+    if q < len(table):
+        return table
+    n = max(q, min(2 * len(table), qmax))
+    # mu is the Dirichlet inverse of 1: sum over d | m of mu(d) is [m = 1].
+    mu = [0, 1] + [0] * (n - 1)
+    for d in range(1, n + 1):
+        for m in range(2 * d, n + 1, d):
+            mu[m] -= mu[d]
+    table = [[] for _ in range(n + 1)]
+    for d in range(1, n + 1):
+        if mu[d]:
+            entry = (d, mu[d])
+            for m in range(d, n + 1, d):
+                table[m].append(entry)
+    _DIVISORS = table = [tuple(row) for row in table]
+    return table
+
+
+def _check_radius(radius) -> None:
+    if radius < 0:
+        raise InputError(f"radius must be nonnegative, got {radius}")
 
 
 def _qmax(reach: float, radius) -> int:
     """floor(reach) + 1, the last row that can meet the disc, refused when
-    the band of rows would not fit in an index (also for inf and NaN)."""
+    the band of rows is too long to search (also for inf and NaN)."""
     qmax = math.floor(reach) + 1 if math.isfinite(reach) else math.inf
     if 2 * qmax + 1 > _MAX_ROWS:
         raise ResourceLimitError(
@@ -56,12 +101,9 @@ def _runs(lengths):
 
 
 def _candidates(q, a, b, c, d, r2):
-    """Candidate points of rows q >= 1, as (row index into q, p).
-
-    a, b, c, d and r2 are scalars or arrays aligned with q.  A row's
-    candidates run from the floor of its lower root minus one to the floor
-    of its upper root plus one; a row the disc misses has none.
-    """
+    """Candidate points of rows q >= 1, as (row index into q, p), for arrays
+    q, a, b, c, d aligned by row and a scalar r2.  A row the disc misses has
+    none."""
     A = a * a + c * c
     B = 2.0 * (a * b + c * d)
     C = b * b + d * d
@@ -84,6 +126,7 @@ def primitive_points(matrices, radius: float):
     images (xs, ys) of the primitive (p, q) with |M_i (p, q)| <= radius and
     the row i each belongs to.  Every row is checked before any is walked.
     """
+    _check_radius(radius)
     m = np.asarray(matrices, dtype=np.float64).reshape(-1, 4)
     if m.shape[0] == 0:
         return
@@ -119,17 +162,86 @@ def primitive_points(matrices, radius: float):
 
 
 def count_primitive_in_disc(a: float, b: float, c: float, d: float, radius: float) -> int:
-    """Primitive lattice points of [[a,b],[c,d]] Z^2 inside the closed disc."""
+    """Primitive lattice points of [[a,b],[c,d]] Z^2 inside the closed disc.
+
+    Row by row the count equals that of testing every candidate, as
+    ``_candidates`` lists them.  Walking in from the padded ends finds the
+    first and last points inside, lo and hi, and the p in [lo, hi] prime to
+    q are counted as sum over squarefree d | q of mu(d) (hi//d - (lo-1)//d).
+    That is exact if no point of [lo, hi] fails the float test.
+
+    Why none does.  Along a row F(p) = |M (p, q)|^2 is a quadratic in p
+    with second difference 2A, A = a^2 + c^2, so for integers p1 < p2 < p3
+    F(p2) <= max(F(p1), F(p3)) - A: a hole at p2 between two points that
+    pass needs a rounding error above A/2 at one of the three.  Each of the
+    six float operations of the test has relative error at most u = 2^-53,
+    which puts the float value f within 7u S of F, where
+    S = (|a p| + |b q|)^2 + (|c p| + |d q|)^2 <= |M|_F^2 |(p, q)|^2 and
+    |(p, q)|^2 <= F |M|_F^2 / det^2.  With k = |M|_F^2 / det, then,
+    |f - F| <= 7u k^2 F.  At lo and hi f <= r^2, so F <= r^2 / (1 - 7u k^2)
+    there and, F being convex, on all of [lo, hi], where every error is
+    therefore below 8u k^2 r^2 once k^2 < 2^47.  Underflow adds at most
+    2^-1070 (1 + 2 k r), less than 2u k^2 r^2 once k^2 r^2 > 2^-1000, and k
+    itself is computed to a relative 2^-28.  So no row has a hole when
+    A > 32u k^2 r^2.  Otherwise each point of [lo, hi] is tested for
+    membership and its gcd with q taken.  Throughout, p and q are floats
+    exactly: rows stop below 2^52, and |(p, q)| <= 1.1 reach on [lo, hi].
+    """
+    _check_radius(radius)
     det = abs(a * d - b * c)
     if det == 0:
         raise SingularMatrixError("matrix is singular")
-    qmax = _qmax(radius * math.sqrt(a * a + b * b + c * c + d * d) / det, radius)
+    fr = a * a + b * b + c * c + d * d
+    qmax = _qmax(radius * math.sqrt(fr) / det, radius)
     r2 = radius * radius
-    q = np.arange(1, qmax + 1, dtype=np.int64)
-    row, ps = _candidates(q, a, b, c, d, r2)
-    qs = q[row]
-    t1 = a * ps + b * qs
-    t2 = c * ps + d * qs
-    inside = t1 * t1 + t2 * t2 <= r2
-    upper = np.count_nonzero(np.gcd(ps[inside], qs[inside]) == 1)
-    return 2 * int(upper) + (2 if a * a + c * c <= r2 else 0)
+    A = a * a + c * c
+    B = 2.0 * (a * b + c * d)
+    C = b * b + d * d
+    # The row bounds below are the expressions of _candidates, operation
+    # for operation, with the scalar factors taken out of the loop.
+    BB, A4, A2, nB = B * B, 4.0 * A, 2.0 * A, -B
+    k = fr / det
+    k2 = k * k
+    one_run = k2 < 2.0**47 and 2.0**-1000 < k2 * r2 and 32.0 * _U * k2 * r2 < A
+    table = _DIVISORS
+    upper = 0
+    for q in range(1, qmax + 1):
+        qq = q * q
+        disc = BB * qq - A4 * (C * qq - r2)
+        if not disc >= 0:
+            continue
+        try:
+            half = math.sqrt(disc) / A2
+            mid = nB * q / A2
+            lo = math.floor(mid - half) - 1
+            hi = math.floor(mid + half) + 1
+        except (ArithmeticError, ValueError):
+            raise ResourceLimitError(f"a disc of radius {radius} leaves the float64 range on this lattice") from None
+        bq, dq = b * q, d * q
+        while lo <= hi:
+            t1, t2 = a * lo + bq, c * lo + dq
+            if t1 * t1 + t2 * t2 <= r2:
+                break
+            lo += 1
+        else:
+            continue
+        while True:
+            t1, t2 = a * hi + bq, c * hi + dq
+            if t1 * t1 + t2 * t2 <= r2:
+                break
+            hi -= 1
+        if one_run:
+            try:
+                divisors = table[q]
+            except IndexError:
+                table = _divisor_table(q, qmax)
+                divisors = table[q]
+            below = lo - 1
+            for dv, mu in divisors:
+                upper += mu * (hi // dv - below // dv)
+        else:
+            for p in range(lo, hi + 1):
+                t1, t2 = a * p + bq, c * p + dq
+                if t1 * t1 + t2 * t2 <= r2 and math.gcd(p, q) == 1:
+                    upper += 1
+    return 2 * upper + (2 if A <= r2 else 0)

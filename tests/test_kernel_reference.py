@@ -8,6 +8,9 @@ points of each lattice as a set, and the counts.
 """
 
 import math
+import sys
+import threading
+import tracemalloc
 
 import numpy as np
 
@@ -98,3 +101,74 @@ def test_half_plane_kernels_match_the_whole_band_reference():
             assert np.array_equal(want, have), f"radius {radius}"
         pairs += len(matrices)
     assert pairs >= 100_000
+
+
+def test_lattices_past_the_no_hole_bound_test_each_point():
+    # det 1 and A = a^2 + c^2 near 1e-5: the bound 32u k^2 r^2 is far above
+    # A, and row q = 1 still meets the disc, some 10^5 points long.
+    for a, c, b in ((0.003, 0.001, 0.3), (0.0031, 0.0007, -0.41), (0.002, 0.0024, 0.77)):
+        d = (1.0 + b * c) / a
+        A = a * a + c * c
+        k = (a * a + b * b + c * c + d * d) / abs(a * d - b * c)
+        for radius in (350.0, 610.0):
+            assert A <= 32.0 * 2.0**-53 * k * k * radius * radius
+            assert radius * math.sqrt(A) > 1.0
+            xs, _ = reference_points(a, b, c, d, radius)
+            assert kernels.count_primitive_in_disc(a, b, c, d, radius) == xs.size
+
+
+def test_counts_do_not_depend_on_how_the_divisor_table_grew(monkeypatch):
+    matrices = np.concatenate(
+        (sample_torus_haar(40, seed=5).matrices, near_cusp_lattices(10, np.random.default_rng(3)))
+    ).tolist()
+    monkeypatch.setattr(kernels, "_DIVISORS", [()])
+    first = [kernels.count_primitive_in_disc(*row, 40.0) for row in matrices]
+    grown = len(kernels._DIVISORS)
+
+    monkeypatch.setattr(kernels, "_DIVISORS", [()])
+    kernels.count_primitive_in_disc(1.0, 0.0, 0.0, 1.0, 2.5)
+    assert 1 < len(kernels._DIVISORS) < grown
+    after = [kernels.count_primitive_in_disc(*row, 40.0) for row in matrices]
+    assert after == first
+    assert first == [reference_points(*row, 40.0)[0].size for row in matrices]
+
+
+def test_one_count_near_the_cusp_stays_small_in_memory(monkeypatch):
+    # The numpy row kernel took about 150 kB here; the row count holds a
+    # few floats and ints, plus the divisor table it grows.
+    row = near_cusp_lattices(1, np.random.default_rng(7))[0].tolist()
+    monkeypatch.setattr(kernels, "_DIVISORS", [()])
+    tracemalloc.start()
+    try:
+        count = kernels.count_primitive_in_disc(*row, 40.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert count == reference_points(*row, 40.0)[0].size
+    assert peak < 16 * 1024
+
+
+def test_threads_growing_the_divisor_table_count_alike(monkeypatch):
+    # Each thread starts from the smallest table and grows it on its own;
+    # a half-built or lost table would show as a wrong count.
+    matrices = sample_torus_haar(8, seed=9, y_max=2.0).matrices.tolist()
+    radii = (5.0, 20.0, 40.0, 80.0)
+    want = [[reference_points(*row, r)[0].size for r in radii] for row in matrices]
+    monkeypatch.setattr(kernels, "_DIVISORS", [()])
+    got = {}
+
+    def work(i):
+        got[i] = [[kernels.count_primitive_in_disc(*row, r) for r in radii] for row in matrices[i:] + matrices[:i]]
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not any(t.is_alive() for t in threads)
+    assert [got[i] for i in range(6)] == [want[i:] + want[:i] for i in range(6)]

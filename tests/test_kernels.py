@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from saddlekit import kernels
-from saddlekit.errors import ResourceLimitError, SingularMatrixError
+from saddlekit.errors import InputError, ResourceLimitError, SingularMatrixError
 from saddlekit.mc import estimate_mean_transform, sample_torus_haar
 from saddlekit.sv import SectorIndicator
 
@@ -119,3 +119,47 @@ def test_sector_mean_over_20k_samples_keeps_memory_flat():
     finally:
         tracemalloc.stop()
     assert peak < 5 * (1 << 20)
+
+
+def test_negative_radius_is_an_input_error_in_both_kernels():
+    with pytest.raises(InputError):
+        kernels.count_primitive_in_disc(1.0, 0.0, 0.0, 1.0, -5.0)
+    with pytest.raises(InputError):
+        next(kernels.primitive_points([[1.0, 0.0, 0.0, 1.0]], -5.0))
+
+
+def test_radius_zero_holds_no_point_and_nan_is_refused():
+    assert kernels.count_primitive_in_disc(1.0, 0.0, 0.0, 1.0, 0.0) == 0
+    assert sum(owner.size for owner, _, _ in kernels.primitive_points([[1.0, 0.0, 0.0, 1.0]], 0.0)) == 0
+    with pytest.raises(ResourceLimitError):
+        kernels.count_primitive_in_disc(1.0, 0.0, 0.0, 1.0, math.nan)
+
+
+@pytest.mark.parametrize(
+    "entries, radius",
+    [((1e100, 0.0, 0.0, 1e100), 1e103), ((1e-163, 0.0, 0.0, 1e10), 1e-160)],
+    ids=["disc-overflows", "A-underflows"],
+)
+def test_rows_outside_the_float_range_are_refused(entries, radius):
+    with pytest.raises(ResourceLimitError):
+        kernels.count_primitive_in_disc(*entries, radius)
+
+
+def test_divisor_table_matches_brute_force_to_1e4(monkeypatch):
+    n = 10**4
+    mobius = [0] * (n + 1)
+    for m in range(1, n + 1):
+        rest, sign, p = m, 1, 2
+        while p * p <= rest:
+            if rest % p == 0:
+                rest //= p
+                sign = 0 if rest % p == 0 else -sign
+            p += 1
+        mobius[m] = -sign if rest > 1 else sign
+    monkeypatch.setattr(kernels, "_DIVISORS", [()])
+    table = kernels._divisor_table(n, n)
+    assert len(table) == n + 1
+    for q in range(1, n + 1):
+        small = [d for d in range(1, math.isqrt(q) + 1) if q % d == 0]
+        divisors = set(small) | {q // d for d in small}
+        assert sorted(table[q]) == sorted((d, mobius[d]) for d in divisors if mobius[d]), q

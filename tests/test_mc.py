@@ -121,6 +121,28 @@ def test_sector_tail_histogram_is_pinned(haar_3000):
     assert _sha(hist.to_json_dict()) == "fa1a433a51a99b14ee9c77450512126d6bb597e23ac133ca8a02a92f1fa0f8ce"
 
 
+# Digests of the numpy row kernel's reports, taken before disc counts moved
+# to the scalar Moebius row count.
+PINNED_VARIANCE_REPORTS = {
+    4: "eac196fc01dccf88237446c7d938ab084e708adf1ed720d27b6802920616d549",
+    10: "0968c85f3abfc9f76430693b5bc61b06293a7949d202cf79b0c3f260a8f98e4a",
+    20: "bd5f8d5a2896365f6cf2215f2ec2d7938f702cf1380ffade05c75e8c274a9dad",
+}
+
+
+@pytest.mark.parametrize("radius", sorted(PINNED_VARIANCE_REPORTS))
+def test_variance_report_is_pinned(radius, haar_3000):
+    report = mc.estimate_L2_and_variance(haar_3000, radius)
+    assert _sha(report.to_json_dict()) == PINNED_VARIANCE_REPORTS[radius]
+
+
+def test_borel_cantelli_table_is_pinned(haar_3000):
+    rows = mc.borel_cantelli_table((4, 8, 16), (8, 16, 32), haar_3000)
+    assert _sha([row.to_json_dict() for row in rows]) == (
+        "04d417bbbcd83f5a662af43e11ae0f609e2472f359db4419b140834929cffed5"
+    )
+
+
 def test_torus_point_sequence_takes_the_matrix_path(haar_3000):
     matrices = haar_3000.matrices[:200]
     points = [TorusPoint(FloatMatrix(*row)) for row in matrices.tolist()]
