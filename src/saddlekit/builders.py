@@ -183,8 +183,8 @@ def regular_octagon_approx(denom: int = 10 ** 6) -> TranslationSurface:
 def centered_octagon_h2(steps: Sequence[ExactVector] = None) -> TranslationSurface:
     """The octagon surface triangulated from an extra center vertex.
 
-    The center is a regular marked point; the stratum signature still
-    reports {2} (order-0 vertices are dropped when a genuine zero exists).
+    The center is a regular marked point, a zero of order 0: the stratum
+    signature is (2, 0), with relative homology of rank 5.
     """
     if steps is None:
         steps = [_vec(1, 0), _vec(1, 1), _vec(0, 1), _vec(-1, 1)]

@@ -126,6 +126,18 @@ def _sub(p, q):
     return (p[0] - q[0], p[1] - q[1])
 
 
+def _unit_cross(a: int, b: int):
+    """An int pair q with (a, b) x q = a q_y - b q_x = 1; gcd(a, b) = 1.
+
+    The modular inverse u of a mod |b| (extended Euclid) gives a u - 1 = b v,
+    and q = (v, u).
+    """
+    if b == 0:
+        return (0, a)  # a = +/-1
+    u = pow(a, -1, abs(b))
+    return ((a * u - 1) // b, u)
+
+
 def _turn(p, q, r) -> int:
     """(q - p) x (r - q): positive when p -> q -> r turns counterclockwise."""
     return (q[0] - p[0]) * (r[1] - q[1]) - (q[1] - p[1]) * (r[0] - q[0])

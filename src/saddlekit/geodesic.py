@@ -23,11 +23,17 @@ strip's two boundary paths differ by triangle boundaries, hence are
 homologous), reduced to canonical form.
 
 Every straight line that is followed rather than searched for (a traced
-connection, the strip a Chew path walks along, a leaf parallel to a
-cylinder's boundary) goes through one walker, _corridor, which crosses one
-triangle at a time and reports on which side of the line each new vertex
-lies.  It runs on ints too, scaled by K = lcm(D, the denominators of the
-line's direction and base point); ExactVectors are built for results only.
+connection, the strip a Chew path walks along, the closed leaf that finds
+the cylinder beside a connection) goes through one walker, _corridor, which
+crosses one triangle at a time and reports on which side of the line each
+new vertex lies.  It runs on ints too, scaled by K = lcm(D, the denominators
+of the line's direction); ExactVectors are built for results only.
+
+Scaled by K, the vertices lie on the lines of a connection's primitive
+direction at integer levels, so the leaf half a level to its left meets no
+vertex and closes after one period: detect_cylinder traces it in the
+doubled frame, with ints only, and every connection of a rational surface
+bounds a cylinder on each side.
 """
 
 from __future__ import annotations
@@ -41,7 +47,9 @@ from fractions import Fraction
 from typing import List, Optional, Tuple
 
 from .errors import BlockedAtVertex, InputError, ResourceLimitError
-from .exactplane import ExactVector, _ints, _scale_of, _turn, _vec, format_rational, to_fraction
+from .exactplane import (
+    ExactVector, _ints, _scale_of, _unit_cross, _vec, format_rational, to_fraction,
+)
 from .surface import Slot, TranslationSurface, _in_wedge
 
 DEFAULT_BUDGET = 500_000
@@ -530,121 +538,74 @@ class Cylinder:
 
 
 @dataclass(frozen=True)
-class NotOnBoundary:
-    pass
-
-
-@dataclass(frozen=True)
 class Unknown:
     reason: str
 
 
-def _inside(p, tri) -> bool:
-    """p lies strictly inside the counterclockwise triangle tri; int pairs."""
-    return all(_turn(a, b, p) > 0 for a, b in zip(tri, tri[1:] + tri[:1]))
-
-
-def _leaf(s, t0, off0, q, d, max_trace_sq, max_steps=200_000):
-    """Flow from q in direction d until the leaf closes, hits a vertex, or
-    exhausts the trace budget.
-
-    Returns ("closed", period, min_left, min_right), ("vertex", pos) or
-    ("budget",).  min_left / min_right are the smallest positive and
-    negative-side |cross(d, v - q)| over vertices of the visited strip.
-    """
-    k, corners, [(ox, oy), (dx, dy)] = _frame(s, off0 - q, d)  # q at the origin
-    pts = [(ox + px, oy + py) for px, py in corners[t0]]
-    sides = [dx * py - dy * px for px, py in pts]
-    min_left = min((v for v in sides if v > 0), default=None)
-    min_right = min((-v for v in sides if v < 0), default=None)
-    # q is inside t0: the leaf leaves through the edge from a right-hand to
-    # a left-hand corner, or else through the corner on the line.
-    i = next((i for i in range(3) if sides[i] < 0 < sides[(i + 1) % 3]), None)
-    if i is None:
-        return ("vertex", _vec(pts[sides.index(0)], k) + q)
-    # The crossing at ray parameter n / m is past the budget when
-    # (n / m)^2 |d|^2 > max_trace_sq, with positions in units of 1/k.
-    limit = Fraction(max_trace_sq) * k * k
-    d_sq = (dx * dx + dy * dy) * limit.denominator
-    walk = _corridor(s, corners, (t0, i), pts[i], pts[(i + 1) % 3], (dx, dy))
-    for _, (u, _), (ux, uy), (x0, x1), (y0, y1), apex, side in islice(walk, max_steps):
-        e0, e1 = y0 - x0, y1 - x1
-        n, m = x0 * e1 - x1 * e0, dx * e1 - dy * e0
-        if n * n * d_sq > limit.numerator * m * m:
-            return ("budget",)
-        if u == t0:
-            w = (ux - ox, uy - oy)
-            if dx * w[1] - dy * w[0] == 0 and dx * w[0] + dy * w[1] > 0:
-                gaps = (v if v is None else Fraction(v, k * k) for v in (min_left, min_right))
-                return ("closed", _vec(w, k), *gaps)
-        if side == 0:
-            return ("vertex", _vec(apex, k) + q)
-        if side > 0:
-            min_left = side if min_left is None or side < min_left else min_left
-        else:
-            min_right = -side if min_right is None or -side < min_right else min_right
-    return ("budget",)
-
-
 def detect_cylinder(s: TranslationSurface, conn: SaddleConnection, max_trace):
-    """Cylinder with the connection on its boundary, if one closes up.
+    """The cylinder on the left of the connection, which holds it on its
+    boundary, or Unknown when its circumference exceeds max_trace.
 
-    Traces the parallel leaf at a small exact offset on each side of the
-    connection; a closed leaf yields the maximal cylinder (circumference =
-    leaf period, height = clearance to the nearest strip vertices).  Returns
-    Unknown when tracing exceeds max_trace.  On surfaces with rational edge
-    data every rational direction is completely periodic, so NotOnBoundary
-    is not produced by this tracer; it remains part of the result type for
-    callers.
+    Scaled by k (_frame), every developed vertex is an int point, and with
+    (a, b) the primitive direction of the connection it lies on a line
+    a y - b x = n with n an integer; n mod 1 is well defined on the surface,
+    since the holonomy of a closed loop is an int vector.  So a leaf at a
+    level n outside the integers meets no vertex, and it closes: it covers a
+    closed leaf of the torus R^2 / Z^2, of which the surface is a finite
+    branched cover.  The leaves at levels in (0, 1) next to the connection
+    form one cylinder, whose lower boundary at n = 0 holds the connection;
+    reversed, the connection bounds the cylinder on its right in the same
+    way.  Every connection of a rational surface thus lies on a cylinder
+    boundary on each side.
+
+    The leaf traced is the one at n = 1/2, in the doubled frame through an
+    int point q with a q_y - b q_x = 1.  It crosses the edge opposite the
+    start corner, whose ends lie on either side of it, and closes when it
+    crosses that edge again at a translation parallel to (a, b), the period.
+    The lowest vertex on its left among the triangles it crosses bounds the
+    cylinder: the crossed triangles cover the band from the leaf up to it.
     """
     s.validate()
     max_trace = to_fraction(max_trace)
     if max_trace <= 0:
         raise InputError("max_trace must be positive")
-    max_trace_sq = max_trace * max_trace
     d = conn.holonomy
-    d_sq = d.norm_sq()
-    k, chain, crossings, _, _ = _strip(s, conn.start_corner, d)
-    if tuple(crossings) != conn.crossings:
+    if tuple(_strip(s, conn.start_corner, d)[2]) != conn.crossings:
         raise InputError("crossing sequence inconsistent with chain")
-    mid = d.scale(Fraction(1, 2))
-    perp = d.perp()
-
-    for side in (1, -1):
-        eps = s.min_edge_norm_sq() / d_sq / 8
-        for _ in range(60):
-            q = mid + perp.scale(side * eps)
-            # Locate q in the strip, in the frame of q's denominators.
-            kq = math.lcm(k, _scale_of([q]))
-            m, qi = kq // k, _ints(q, kq)
-            placed = next(((tri, pts[0]) for tri, pts in chain
-                           if _inside(qi, [(x * m, y * m) for x, y in pts])), None)
-            if placed is None:
-                eps /= 2
-                continue
-            result = _leaf(s, placed[0], _vec(placed[1], k), q, d, max_trace_sq)
-            if result[0] == "budget":
-                return Unknown("trace budget exceeded")
-            if result[0] == "vertex":
-                eps /= 2
-                continue
-            _, period, min_left, min_right = result
-            toward = min_right if side == 1 else min_left
-            away = min_left if side == 1 else min_right
-            expected = eps * d_sq
-            if toward is None or away is None:
-                raise InputError("closed leaf with no bounding vertices")
-            if toward == expected:
-                extent = toward + away
-                return Cylinder(
-                    width_sq=period.norm_sq(),
-                    height_sq=extent * extent / d_sq,
-                    period=period,
-                )
-            if toward < expected:
-                # A singular leaf lies strictly between; aim inside the gap.
-                eps = toward / d_sq / 2
-                continue
-            eps /= 2
-        # retries exhausted on this side; try the other side
-    return Unknown("offset search exhausted")
+    k, corners, [(dx, dy)] = _frame(s, d)
+    g = math.gcd(dx, dy)
+    a, b = dx // g, dy // g
+    qx, qy = _unit_cross(a, b)
+    kk = 2 * k
+    corners = [tuple((2 * px, 2 * py) for px, py in tri) for tri in corners]
+    t, c = conn.start_corner
+    tri = corners[t]
+    ox, oy = tri[c][0] + qx, tri[c][1] + qy  # the start vertex at -q
+    x, y = ((px - ox, py - oy) for px, py in (tri[(c + 1) % 3], tri[(c + 2) % 3]))
+    start = (t, (c + 1) % 3)
+    # A crossing sits at (n / m) (a, b) from q, the first at (n0 / m0) (a, b);
+    # the leaf's length between them is past max_trace when
+    # (n m0 - n0 m)^2 |(a, b)|^2 > (max_trace kk)^2 (m m0)^2.
+    limit = max_trace * max_trace * kk * kk
+    ab_sq = (a * a + b * b) * limit.denominator
+    n0 = m0 = None
+    min_left = a * y[1] - b * y[0]
+    walk = _corridor(s, corners, start, x, y, (a, b))
+    for slot, _, _, (x0, x1), (y0, y1), _, side in islice(walk, _MAX_CROSSINGS):
+        e0, e1 = y0 - x0, y1 - x1
+        n, m = x0 * e1 - x1 * e0, a * e1 - b * e0
+        if n0 is None:
+            n0, m0 = n, m
+        gap = n * m0 - n0 * m
+        if gap * gap * ab_sq > limit.numerator * (m * m0) ** 2:
+            return Unknown("circumference exceeds max_trace")
+        if slot == start:
+            w = (x0 - x[0], x1 - x[1])
+            if w != (0, 0) and a * w[1] - b * w[0] == 0:
+                period = _vec(w, kk)
+                # A vertex at level n has side 2n - 1.
+                height_sq = Fraction((min_left + 1) ** 2, (a * a + b * b) * kk * kk)
+                return Cylinder(period.norm_sq(), height_sq, period)
+        if 0 < side < min_left:
+            min_left = side
+    raise ResourceLimitError("leaf trace did not close")

@@ -158,17 +158,10 @@ class TranslationSurface:
                 f"zero orders {sorted(orders.values())} do not sum to 2g-2 for genus {genus}"
             )
 
-        # Order-0 vertices are removable marked points: excluded from the
-        # signature when genuine zeros exist, reported as-is otherwise
-        # (marked tori have nothing else).
-        positive = sorted((k for k in orders.values() if k > 0), reverse=True)
-        if positive:
-            reported = tuple(positive)
-        else:
-            reported = tuple(sorted(orders.values(), reverse=True))
-        n_dim = 2 * genus + len(reported) - 1
-
-        self._signature = StratumSignature(reported, genus, n_dim)
+        # Order-0 vertices are marked points, zeros of order 0: every vertex
+        # belongs to Sigma, and H_1(S, Sigma) has rank 2g + V - 1.
+        reported = tuple(sorted(orders.values(), reverse=True))
+        self._signature = StratumSignature(reported, genus, 2 * genus + len(reported) - 1)
         self._validated = True
         return self._signature
 

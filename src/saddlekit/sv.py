@@ -28,7 +28,6 @@ from .exactplane import ExactVector, compare_sqrt_sum, format_rational, to_fract
 from .geodesic import (
     SaddleConnection,
     Cylinder,
-    NotOnBoundary,
     Unknown,
     _outside_class,
     connections,
@@ -545,12 +544,14 @@ class ClassLabel:
     """Result of classify.
 
     second_length_sq is the exact squared second shortest nonhomologous
-    length for Omega0, and for Omega1 / Omega2 when classify could afford
-    to resolve it; otherwise it is None and detail gives the interval that
-    holds it.  H1, H2 and Unknown leave it None.
+    length for Omega0, and for Omega2 when classify could afford to resolve
+    it; otherwise it is None and detail gives the interval that holds it.
+    H1, H2 and Unknown leave it None.  Omega1 (the shortest connection on no
+    cylinder boundary) is never produced on rational input: every connection
+    of a rational surface bounds a cylinder on each side (detect_cylinder).
     """
 
-    label: str  # H1 | H2 | Omega0 | Omega1 | Omega2 | Unknown
+    label: str  # H1 | H2 | Omega0 | Omega2 | Unknown
     shortest_length_sq: Optional[Fraction] = None
     second_length_sq: Optional[Fraction] = None
     cylinder: Optional[Cylinder] = None
@@ -652,12 +653,14 @@ def classify(
     short nontrivial closed curve (closed connection, non-backtracking
     two-chain, or cylinder core below eps0).  Otherwise, with gamma the
     shortest connection and eps the second shortest nonhomologous length:
-    Omega0 when eps <= |gamma|^p, else Omega2 when gamma bounds a cylinder,
-    else Omega1; Unknown when cylinder tracing exhausts its budget.
+    Omega0 when eps <= |gamma|^p, else Omega2: on rational input gamma
+    always bounds a cylinder.  Unknown means that the circumference of a
+    cylinder classify had to trace exceeds cylinder_trace: one beside a
+    short connection, which decides H2, or the one gamma bounds.
 
     Omega0 is decided by the first connection outside +/-[gamma] in the
     length-ordered search up to |gamma|^p.
-    Omega0 reports eps exactly.  Omega1 and Omega2 report it exactly when
+    Omega0 reports eps exactly.  Omega2 reports it exactly when
     U, the squared length of the shortest triangulation edge outside
     +/-[gamma], is at most cylinder_trace^2 and the search stays within the
     budget; otherwise second_length_sq is None and detail says that eps lies
@@ -693,12 +696,9 @@ def classify(
             detail="second shortest below power of shortest",
         )
     res = detect_cylinder(s, gamma, cylinder_trace)
-    if isinstance(res, Cylinder):
-        label, detail = "Omega2", "shortest bounds a cylinder"
-    elif isinstance(res, NotOnBoundary):
-        label, detail = "Omega1", "shortest not on a cylinder boundary"
-    else:
+    if isinstance(res, Unknown):
         return ClassLabel("Unknown", shortest_length_sq=g_sq, detail="cylinder trace budget")
+    detail = "shortest bounds a cylinder"
     e_sq = None
     bound = nonhomologous_edge_bound(s, gamma)
     if bound <= to_fraction(cylinder_trace) ** 2:
@@ -711,7 +711,5 @@ def classify(
             "; second shortest nonhomologous length in "
             f"(|gamma|^p, sqrt({format_rational(bound)})]"
         )
-    return ClassLabel(
-        label, shortest_length_sq=g_sq, second_length_sq=e_sq,
-        cylinder=res if label == "Omega2" else None, detail=detail,
-    )
+    return ClassLabel("Omega2", shortest_length_sq=g_sq, second_length_sq=e_sq, cylinder=res,
+                      detail=detail)

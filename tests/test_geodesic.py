@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -16,7 +17,6 @@ from saddlekit.exactplane import ExactMatrix, ExactVector, primitive_points_in_d
 from saddlekit.geodesic import (
     Cylinder,
     Unknown,
-    _leaf,
     _segment,
     connections,
     count,
@@ -172,6 +172,84 @@ def test_detect_cylinder_budget_exhaustion(torus):
     assert isinstance(res, Unknown)
 
 
+def test_detect_cylinder_where_every_offset_point_sat_on_an_edge(torus):
+    # The antidiagonal of the square: the old offset search placed every
+    # trial point on the crossed edge (1, 1) and gave up.
+    conn = trace_connection(torus, 0, V(-1, 1))
+    assert detect_cylinder(torus, conn, 10) == Cylinder(2, Fraction(1, 2), V(-1, 1))
+
+
+def test_detect_cylinder_budget_is_the_circumference(torus):
+    # Circumference sqrt(2) = 1.41421356...
+    conn = trace_connection(torus, 0, V(-1, 1))
+    assert isinstance(detect_cylinder(torus, conn, Fraction(1414214, 10 ** 6)), Cylinder)
+    assert isinstance(detect_cylinder(torus, conn, Fraction(1414213, 10 ** 6)), Unknown)
+
+
+def _sl2q(rng):
+    """A random SL(2, Q) matrix: shear, diagonal, lower shear."""
+    def q():
+        return Fraction(rng.randint(-5, 5), rng.choice((1, 2, 3, 4, 5, 7)))
+
+    p = Fraction(rng.randint(1, 5), rng.randint(1, 5))
+    m = ExactMatrix.shear(q()).compose(ExactMatrix.diagonal(p, 1 / p))
+    return m.compose(ExactMatrix.of(1, 0, q(), 1))
+
+
+def test_detect_cylinder_on_random_unit_tori():
+    # A unit-area torus is one cylinder in each primitive direction h, of
+    # circumference |h| and height 1 / |h|.
+    rng = random.Random(3)
+    for _ in range(10):
+        s = torus_from_matrix(_sl2q(rng))
+        for conn in connections(s, 9 * s.min_edge_norm_sq()):
+            h_sq = conn.length_sq()
+            cyl = detect_cylinder(s, conn, 100)
+            assert cyl == Cylinder(h_sq, 1 / h_sq, conn.holonomy), conn
+
+
+def test_detect_cylinder_is_equivariant(tracer_corpus):
+    rng = random.Random(8)
+    checked = 0
+    for s, radius in tracer_corpus:
+        conns = enumerate_connections(s, radius).connections
+        for _ in range(2):
+            g = _sl2q(rng)
+            img = apply_surface(g, s)
+            # Circumferences grow by at most the operator norm of g.
+            bound = 1000 * sum(abs(x) for x in g.entries())
+            for conn in conns:
+                cyl = detect_cylinder(s, conn, 1000)
+                # The same segment on the image, from the same corner.
+                moved = dataclasses.replace(conn, holonomy=g.apply(conn.holonomy))
+                got = detect_cylinder(img, moved, bound)
+                assert got.period == g.apply(cyl.period)
+                assert got.width_sq * got.height_sq == cyl.width_sq * cyl.height_sq
+                checked += 1
+    assert checked > 100
+
+
+def test_detect_cylinder_on_the_reverse_is_the_right_side(slit_13_15):
+    conn = trace_connection(slit_13_15, 0, V(1, 0))
+    left = detect_cylinder(slit_13_15, conn, 20)
+    right = detect_cylinder(slit_13_15, reverse_of(slit_13_15, conn), 20)
+    assert (left.width_sq, left.height_sq) == (4, Fraction(1, 25))
+    assert (right.width_sq, right.height_sq) == (1, Fraction(16, 25))
+
+
+def test_detect_cylinder_is_a_cylinder_exactly_within_the_budget(tracer_corpus):
+    for s, radius in tracer_corpus:
+        for conn in enumerate_connections(s, radius).connections:
+            cyl = detect_cylinder(s, conn, 10 ** 4)
+            assert isinstance(cyl, Cylinder)
+            # The period is a positive multiple of the connection.
+            assert cyl.period.cross(conn.holonomy) == 0 and cyl.period.dot(conn.holonomy) > 0
+            for max_trace in (Fraction(1, 2), 1, 3):
+                within = cyl.width_sq <= max_trace * max_trace
+                assert detect_cylinder(s, conn, max_trace) == (cyl if within else Unknown(
+                    "circumference exceeds max_trace"))
+
+
 def test_resource_limit(torus):
     with pytest.raises(ResourceLimitError):
         enumerate_connections(torus, 40, budget=50)
@@ -247,19 +325,6 @@ def test_walk_past_a_connection_is_blocked_at_its_end(tracer_corpus):
                 _segment(s, conn.start_corner, conn.holonomy.scale(2))
             assert blocked.value.position == conn.holonomy
             assert blocked.value.vertex == conn.end
-
-
-def test_leaf_aimed_at_a_vertex_reports_the_hit(torus):
-    off = V(0, 0)
-    corners = torus.triangles[0].corner_positions()
-    centroid = V(sum(p.x for p in corners) / 3, sum(p.y for p in corners) / 3)
-    # Each corner of the triangle itself, then the lattice point 3 * centroid,
-    # several crossings away: the line from the centroid meets no vertex
-    # before it.
-    targets = list(corners) + [centroid.scale(3)]
-    for target in targets:
-        result = _leaf(torus, 0, off, centroid, target - centroid, Fraction(10 ** 6))
-        assert result == ("vertex", target)
 
 
 # --- the length-ordered search ----------------------------------------------

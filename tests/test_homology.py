@@ -62,11 +62,7 @@ def test_free_edges_are_a_basis(surfaces, name):
     sig = s.signature()
     # Rank of H_1(S, Sigma) over every vertex, marked points included.
     assert len(hom.free) == 2 * sig.genus + s.n_vertices() - 1
-    if name != "centered-octagon":
-        assert len(hom.free) == sig.dim_relative_homology
-    else:
-        # Its removable marked point is left out of the signature.
-        assert len(hom.free) == sig.dim_relative_homology + 1
+    assert len(hom.free) == sig.dim_relative_homology
 
 
 @pytest.mark.parametrize("name", NAMES)

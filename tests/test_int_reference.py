@@ -2,24 +2,25 @@
 
 `_reference_corridor`, `_reference_segment` and `_reference_leaf` are the
 Fraction walker that preceded the int one, `_reference_start_corner` its
-wedge test and `_reference_detect_cylinder` its offset search; they are kept
-here as the reference, as `test_delaunay._reference_diamond_of` is.
+wedge test and `_reference_detect_cylinder` the offset search that the
+half-step leaf of `detect_cylinder` replaced; they are kept here as the
+reference, as `test_delaunay._reference_diamond_of` is.
 `_reference_vertices` is the Fraction cone-angle winding of the validation
 that preceded the int one.
 """
 
+import math
 import random
 from fractions import Fraction
 from itertools import islice
 
 from saddlekit import mc
-from saddlekit.builders import marked_torus, octagon_h2, slit_torus
+from saddlekit.builders import marked_torus, octagon_h2, slit_torus, square_torus
 from saddlekit.errors import BlockedAtVertex, InputError, ResourceLimitError
 from saddlekit.exactplane import ZERO, ExactMatrix, ExactVector
 from saddlekit.geodesic import (
     Cylinder,
     Unknown,
-    _leaf,
     _segment,
     _start_corner,
     connections,
@@ -118,22 +119,13 @@ def _reference_leaf(s, t0, off0, q, d, max_trace_sq, max_steps=200_000):
     return ("budget",)
 
 
-def _crossing_sq(s, t0, off0, q, d, n):
-    """Squared distances from q to the first n edges the leaf crosses."""
-    corners = [off0 - q + v for v in s.triangles[t0].corner_positions()]
-    sides = [d.cross(v) for v in corners]
-    i = next(i for i in range(3) if sides[i] < 0 < sides[(i + 1) % 3])
-    walk = _reference_corridor(s, (t0, i), corners[i], corners[(i + 1) % 3], d)
-    return [(x.cross(y - x) / d.cross(y - x)) ** 2 * d.norm_sq() for _, _, _, x, y, _, _ in islice(walk, n)]
-
-
 def _point_in_triangle(p, a, b, c):
     return (b - a).cross(p - a) > 0 and (c - b).cross(p - b) > 0 and (a - c).cross(p - c) > 0
 
 
-def _reference_detect_cylinder(s, conn, max_trace, starts):
-    """detect_cylinder's offset search on the reference walker; appends the
-    start (triangle, offset, q) of every leaf it traces to starts."""
+def _reference_detect_cylinder(s, conn, max_trace):
+    """The offset search that detect_cylinder replaced, on the reference
+    walker: leaves at a small exact offset on each side of the connection."""
     max_trace_sq = max_trace * max_trace
     d = conn.holonomy
     d_sq = d.norm_sq()
@@ -153,7 +145,6 @@ def _reference_detect_cylinder(s, conn, max_trace, starts):
                 eps /= 2
                 continue
             result = _reference_leaf(s, placed[0], placed[1], q, d, max_trace_sq)
-            starts.append((placed[0], placed[1], q))
             if result[0] == "budget":
                 return Unknown("trace budget exceeded")
             if result[0] == "vertex":
@@ -285,28 +276,33 @@ def test_start_corner_and_trace_match_the_fraction_walker():
                     assert got == ref
 
 
-def test_leaf_matches_the_fraction_walker_at_detect_cylinder_offsets():
+def test_detect_cylinder_matches_the_offset_search_within_its_budget():
+    # The square torus adds connections whose offset points all fall on a
+    # triangulation edge, where the offset search gives up.
+    torus = square_torus()
     kinds = {}
-    for s, conns in _CORPUS:
+    for s, conns in _CORPUS + [(torus, list(connections(torus, 9)))]:
         for conn in conns[:8]:
-            # The far triangle's corners: leaves aimed at them end at a vertex.
-            t, off = _reference_segment(s, conn.start_corner, conn.holonomy)[0][-1]
-            targets = [off + p for p in s.triangles[t].corner_positions()]
-            for max_trace in (Fraction(3), Fraction(40)):
-                starts = []
-                expected = _reference_detect_cylinder(s, conn, max_trace, starts)
-                assert detect_cylinder(s, conn, max_trace) == expected
-                for tri, off0, q in starts:
-                    for d in [conn.holonomy] + [v - q for v in targets]:
-                        args = (s, tri, off0, q, d, max_trace * max_trace)
-                        ref = _reference_leaf(*args)
-                        assert _leaf(*args) == ref
-                        kinds[ref[0]] = True
-                    # A budget equal to a crossing's distance lets the leaf cross.
-                    for bound_sq in _crossing_sq(s, tri, off0, q, conn.holonomy, 3):
-                        args = (s, tri, off0, q, conn.holonomy, bound_sq)
-                        assert _leaf(*args) == _reference_leaf(*args)
-    assert kinds.keys() == {"closed", "vertex", "budget"}, kinds
+            # A budget just under the circumference, as the reference's
+            # leaves start beside the connection's midpoint.
+            w = detect_cylinder(s, conn, 10 ** 4).width_sq
+            below = Fraction(math.isqrt(w.numerator * 10 ** 6 // w.denominator) - 1, 1000)
+            for max_trace in (Fraction(3), Fraction(40), below):
+                got = detect_cylinder(s, conn, max_trace)
+                ref = _reference_detect_cylinder(s, conn, max_trace)
+                if isinstance(ref, Cylinder):
+                    if ref.width_sq <= max_trace * max_trace:
+                        assert got == ref
+                        kinds["same"] = True
+                    else:
+                        assert got == Unknown("circumference exceeds max_trace")
+                        kinds["longer"] = True
+                elif isinstance(got, Cylinder):
+                    assert got.width_sq <= max_trace * max_trace
+                    wide = _reference_detect_cylinder(s, conn, 1000 * max_trace)
+                    assert wide in (got, Unknown("offset search exhausted"))
+                    kinds["new"] = True
+    assert kinds.keys() == {"same", "longer", "new"}, kinds
 
 
 def test_validation_matches_the_fraction_winding_on_stratum_draws():
@@ -318,8 +314,7 @@ def test_validation_matches_the_fraction_winding_on_stratum_draws():
             corner_vertex, orders = _reference_vertices(s)
             assert {corner: s.corner_vertex(corner) for corner in corner_vertex} == corner_vertex
             assert s.vertex_orders() == orders
-            positive = sorted((k for k in orders.values() if k > 0), reverse=True)
-            reported = tuple(positive or sorted(orders.values(), reverse=True))
+            reported = tuple(sorted(orders.values(), reverse=True))
             genus = (sum(orders.values()) + 2) // 2
             assert s.validate() == StratumSignature(reported, genus, 2 * genus + len(reported) - 1)
             checked += 1

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from saddlekit import mc
+from saddlekit.builders import centered_octagon_h2
 from saddlekit.exactplane import FloatMatrix
 from saddlekit.oracle import TorusPoint
 from saddlekit.surface import TranslationSurface
@@ -33,6 +34,17 @@ def test_stratum_sample_is_pinned(octagon):
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "8a663023cf6973d012ab9553d24e994f3e1ca534a5e023670b6630998c40b4e2"
     )
+
+
+def test_stratum_sampler_moves_a_marked_point_with_the_zero():
+    # H(2, 0): the center of the octagon is a free period coordinate too.
+    base = centered_octagon_h2()
+    sample = mc.sample_stratum_local(base, "0.05", 20, seed=1)
+    assert len(sample.surfaces) == 20
+    for s in sample.surfaces:
+        assert s.validate() == base.validate()
+        assert s.validate().zero_orders == (2, 0)
+    assert len({s.to_json() for s in sample.surfaces}) == 20
 
 
 @pytest.mark.parametrize(

@@ -35,12 +35,13 @@ def test_square_torus_signature(torus):
     assert sig.dim_relative_homology == 2
 
 
-def test_centered_octagon_collapses_to_h2():
+def test_centered_octagon_keeps_its_marked_point():
+    # The center is a zero of order 0 and belongs to Sigma, as in H(2, 0).
     s = centered_octagon_h2()
     sig = s.validate()
-    assert sig.zero_orders == (2,)
+    assert sig.zero_orders == (2, 0)
     assert sig.genus == 2
-    assert sig.dim_relative_homology == 4
+    assert sig.dim_relative_homology == 5
 
 
 def test_slit_torus_signature():

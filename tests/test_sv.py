@@ -9,6 +9,7 @@ from saddlekit.builders import (
     sheared_torus,
     slit_torus,
     square_torus,
+    torus_from_basis,
     torus_from_matrix,
 )
 from saddlekit.errors import AmbiguousMembershipError, InputError
@@ -149,6 +150,16 @@ def test_classify_small_slit_is_omega_branch():
     label = classify(s, Fraction(1, 2), Fraction(1, 6))
     assert label.label in ("Omega1", "Omega2")
     assert label.label == "Omega2"  # rational data: the direction is periodic
+
+
+def test_classify_rhombus_torus_omega2():
+    # The shortest connection (-1, 3) bounds a cylinder of circumference
+    # sqrt(10) and area 15, the torus's.
+    s = torus_from_basis(V(5, 0), V(4, 3))
+    label = classify(s, 4, Fraction(1, 2))
+    assert label.label == "Omega2"
+    assert (label.cylinder.width_sq, label.cylinder.height_sq) == (10, Fraction(45, 2))
+    assert label.second_length_sq == 25
 
 
 def test_classify_moderate_slit_h2(slit_13_15):
