@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from . import chew, delaunay, geodesic, mc, oracle, sv
 from .errors import InputError, SaddlekitError
-from .exactplane import ExactMatrix, ExactVector, to_fraction
+from .exactplane import ExactMatrix, ExactVector, sorted_by_length, to_fraction
 from .surface import TranslationSurface, area
 
 
@@ -93,7 +93,7 @@ def cmd_enumerate(args):
             {
                 "radius": args.radius,
                 "n_connections": len(hs.connections),
-                "n_vectors": len(hs.vectors()),
+                "n_vectors": hs.n_vectors(),
                 "connections": [
                     {
                         "holonomy": c.holonomy.to_json(),
@@ -159,10 +159,7 @@ def cmd_classify(args):
 
 def cmd_torus_exact(args):
     t = oracle.TorusPoint(_matrix_from_arg(args.matrix))
-    vectors = sorted(
-        oracle.torus_holonomy(t, to_fraction(args.radius)),
-        key=lambda v: (v.norm_sq(), v.x, v.y),
-    )
+    vectors = sorted_by_length(oracle.torus_holonomy(t, to_fraction(args.radius)))
     _emit(args, {"n_vectors": len(vectors), "vectors": [v.to_json() for v in vectors]})
     return 0
 
@@ -175,8 +172,8 @@ def cmd_slit_exact(args):
         {
             "n_vectors": len(res.vectors),
             "n_corrections": len(res.corrections),
-            "vectors": [v.to_json() for v in sorted(res.vectors, key=lambda v: (v.norm_sq(), v.x, v.y))],
-            "corrections": [v.to_json() for v in sorted(res.corrections, key=lambda v: (v.norm_sq(), v.x, v.y))],
+            "vectors": [v.to_json() for v in sorted_by_length(res.vectors)],
+            "corrections": [v.to_json() for v in sorted_by_length(res.corrections)],
         },
     )
     return 0

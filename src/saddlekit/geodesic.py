@@ -13,9 +13,11 @@ every connection of that length is already in it: connections come out
 shortest first, and a caller may stop at any length.  The search scales the
 surface by D, the lcm of its edge-coordinate denominators, so developed
 positions are int pairs and every decision is an exact integer sign or
-cross-multiplied comparison; a squared distance is an int (num, den) pair,
-and Fractions are built only for the connections it yields.  The int corner
-positions are the surface's own, built once by validation (`int_corners`).
+cross-multiplied comparison; a squared distance is an int (num, den) pair.
+Connections of one length are sorted on int keys at that scale too, and no
+connection is reached twice, so none is deduplicated; Fractions are built
+only for the connections yielded.  The int corner positions are the
+surface's own, built once by validation (`int_corners`).
 
 The homology class of an emitted connection is the chain of triangulation
 edges along the right-hand boundary of the developed triangle strip (the
@@ -94,6 +96,12 @@ class HolonomySet:
     def vectors(self) -> frozenset:
         return frozenset(c.holonomy for c in self.connections)
 
+    def n_vectors(self) -> int:
+        """len(vectors()), counted without hashing: the connections come in
+        stream order, where equal holonomies are adjacent."""
+        cs = self.connections
+        return sum(1 for a, b in zip(cs, cs[1:]) if a.holonomy != b.holonomy) + (len(cs) > 0)
+
     def __len__(self):
         return len(self.connections)
 
@@ -155,42 +163,33 @@ def _visible_dist_sq(x, y, a, b):
     return c * c, fd
 
 
-def _connection(s: TranslationSurface, homology, node, last_lower: Slot,
-                holonomy: ExactVector, end_corner: Slot) -> SaddleConnection:
-    """Build a found connection from its state's parent links.
-
-    A link is (parent, crossed slot, lower-boundary slot or None); the root
-    link's lower slot is the start corner.  last_lower closes the strip's
-    lower boundary at the end vertex.
-    """
-    crossings, lower = [], [last_lower]
-    while node is not None:
-        node, crossed, low = node
-        crossings.append(crossed)
-        if low is not None:
-            lower.append(low)
-    crossings.reverse()
-    return SaddleConnection(
-        holonomy=holonomy,
-        start=s.corner_vertex(lower[-1]),
-        end=s.corner_vertex(end_corner),
-        crossings=tuple(crossings),
-        homology_class=homology.class_of_slots(lower),
-        start_corner=lower[-1],
-    )
-
-
 _STATE, _FOUND = 0, 1  # on equal floats, states are expanded before connections leave
 
 
 def connections(s: TranslationSurface, radius_sq, budget: Optional[int] = None):
     """Saddle connections of squared length <= radius_sq, shortest first.
 
-    Yields each connection once, in increasing (sort_key(), start_corner)
-    order, so a caller may stop at any length.  Raises ResourceLimitError
-    when more than budget states are expanded; its details say how far the
-    search got, and every connection strictly shorter than radius_sq_reached
-    has been yielded by then.
+    Yields each connection once, in strictly increasing (sort_key(),
+    start_corner) order, so a caller may stop at any length.  Raises
+    ResourceLimitError when more than budget states are expanded; its
+    details say how far the search got, and every connection strictly
+    shorter than radius_sq_reached has been yielded by then.
+
+    No connection is reached twice.  The corners around a vertex split the
+    directions there into half-open wedges [out-edge, in-edge): a root finds
+    the out-edge and searches the open wedge.  A state's new vertex either
+    lies inside its open wedge, is found, and splits the wedge into two open
+    ones, or lies outside and the wedge passes on whole.  So the open wedges
+    alive at any time are disjoint, and the segment from a vertex in a given
+    direction, on a given sheet, is found at most once.
+
+    Found connections of one length leave the heap together.  Each is keyed
+    by ints at the surface's scale D: (hx^2 + hy^2, hx, hy, start, end,
+    crossings, start_corner) with (hx, hy) its holonomy times D.  As D > 0,
+    that key orders connections exactly as (sort_key(), start_corner) does;
+    the holonomy's Fractions and the homology class are built only for the
+    connections yielded, and equal holonomies of a group share one
+    ExactVector.
     """
     # Scaled by D, every developed position is an int pair.
     scale, corners = s.int_corners()
@@ -199,6 +198,7 @@ def connections(s: TranslationSurface, radius_sq, budget: Optional[int] = None):
     elif budget < 1:
         raise InputError(f"budget must be at least 1, got {budget}")
     homology = s.homology()
+    vertex = s.corner_vertex
     scale_sq = scale * scale
     limit = Fraction(radius_sq) * scale_sq
     rn, rd = limit.numerator, limit.denominator
@@ -232,16 +232,32 @@ def connections(s: TranslationSurface, radius_sq, budget: Optional[int] = None):
             group = [payload]
             while heap and heap[0][0] == fkey:
                 group.append(heapq.heappop(heap)[4])
-            # start_corner participates in identity: distinct parallel
-            # segments (e.g. the two banks of a slit) agree in holonomy,
-            # endpoints and crossings.
-            found = {}
-            for node, last_lower, h, end_corner in group:
-                conn = _connection(s, homology, node, last_lower, _vec(h, scale), end_corner)
-                found.setdefault((conn.sort_key(), conn.start_corner), conn)
-            for k in sorted(found):
+            keys = []
+            for node, last_lower, (hx, hy), end_corner in group:
+                # A link is (parent, crossed slot, lower-boundary slot or
+                # None); the root link's lower slot is the start corner, and
+                # last_lower closes the strip's lower boundary at the end.
+                crossings, lower = [], [last_lower]
+                while node is not None:
+                    node, crossed, low = node
+                    crossings.append(crossed)
+                    if low is not None:
+                        lower.append(low)
+                crossings.reverse()
+                start_corner = lower[-1]
+                keys.append((hx * hx + hy * hy, hx, hy, vertex(start_corner), vertex(end_corner),
+                             tuple(crossings), start_corner, lower))
+            # start_corner is part of the key: distinct parallel segments
+            # (e.g. the two banks of a slit) agree in holonomy, endpoints
+            # and crossings.  No two keys are equal, so lower never decides.
+            keys.sort()
+            h = holonomy = None
+            for _, hx, hy, start, end, crossings, start_corner, lower in keys:
+                if (hx, hy) != h:
+                    h, holonomy = (hx, hy), _vec((hx, hy), scale)
                 yielded += 1
-                yield found[k]
+                yield SaddleConnection(holonomy, start, end, crossings,
+                                       homology.class_of_slots(lower), start_corner)
             continue
         if states >= budget:
             # An entry with the same float may hold a smaller exact key.
@@ -308,7 +324,7 @@ def enumerate_connections(
 
 def count(s: TranslationSurface, radius=None, *, radius_sq=None, budget=None) -> int:
     """Number of distinct holonomy vectors of length <= radius."""
-    return len(enumerate_connections(s, radius, radius_sq=radius_sq, budget=budget).vectors())
+    return enumerate_connections(s, radius, radius_sq=radius_sq, budget=budget).n_vectors()
 
 
 def shortest(s: TranslationSurface, budget=None) -> SaddleConnection:
@@ -564,6 +580,9 @@ def detect_cylinder(s: TranslationSurface, conn: SaddleConnection, max_trace):
     crosses that edge again at a translation parallel to (a, b), the period.
     The lowest vertex on its left among the triangles it crosses bounds the
     cylinder: the crossed triangles cover the band from the leaf up to it.
+    A leaf still open after _MAX_CROSSINGS crossings raises
+    ResourceLimitError with the connection's holonomy, the crossings made
+    and the squared length of leaf traced (circumference_sq_reached).
     """
     s.validate()
     max_trace = to_fraction(max_trace)
@@ -589,6 +608,7 @@ def detect_cylinder(s: TranslationSurface, conn: SaddleConnection, max_trace):
     limit = max_trace * max_trace * kk * kk
     ab_sq = (a * a + b * b) * limit.denominator
     n0 = m0 = None
+    gap, mm = 0, 1
     min_left = a * y[1] - b * y[0]
     walk = _corridor(s, corners, start, x, y, (a, b))
     for slot, _, _, (x0, x1), (y0, y1), _, side in islice(walk, _MAX_CROSSINGS):
@@ -596,8 +616,8 @@ def detect_cylinder(s: TranslationSurface, conn: SaddleConnection, max_trace):
         n, m = x0 * e1 - x1 * e0, a * e1 - b * e0
         if n0 is None:
             n0, m0 = n, m
-        gap = n * m0 - n0 * m
-        if gap * gap * ab_sq > limit.numerator * (m * m0) ** 2:
+        gap, mm = n * m0 - n0 * m, m * m0
+        if gap * gap * ab_sq > limit.numerator * mm * mm:
             return Unknown("circumference exceeds max_trace")
         if slot == start:
             w = (x0 - x[0], x1 - x[1])
@@ -608,4 +628,9 @@ def detect_cylinder(s: TranslationSurface, conn: SaddleConnection, max_trace):
                 return Cylinder(period.norm_sq(), height_sq, period)
         if 0 < side < min_left:
             min_left = side
-    raise ResourceLimitError("leaf trace did not close")
+    # The walk never ends by itself, so it stopped at the crossing cap.
+    reached = Fraction(gap * gap * (a * a + b * b), (mm * kk) ** 2)
+    raise ResourceLimitError(
+        "leaf trace did not close", holonomy=d.to_json(), crossings=_MAX_CROSSINGS,
+        circumference_sq_reached=format_rational(reached),
+    )

@@ -186,6 +186,16 @@ def count_primitive_in_disc(a: float, b: float, c: float, d: float, radius: floa
     A > 32u k^2 r^2.  Otherwise each point of [lo, hi] is tested for
     membership and its gcd with q taken.  Throughout, p and q are floats
     exactly: rows stop below 2^52, and |(p, q)| <= 1.1 reach on [lo, hi].
+
+    Where that bound holds, the rows stop at the last one a passing point
+    can reach, well before qmax on a skewed lattice.  From (p, q) =
+    M^-1 (x, y), q = (a y - c x) / det and |q| <= sqrt(A F) / det.  A point
+    that passes has f <= fl(r^2) <= r^2 (1 + u), so by the errors above
+    F (1 - 7u k^2) <= r^2 (1 + u + 2u k^2) <= r^2 (1 + 3u k^2), as k >= 2;
+    hence F <= r^2 / (1 - 10u k^2) and q <= r sqrt(A) / (det sqrt(1 - 10u k^2)).
+    det, A and k^2 are computed to a relative 2^-28 and the rest of that
+    expression to a few u, so its float value raised by 2^-20, floored, plus
+    one is a row past every passing point.
     """
     _check_radius(radius)
     det = abs(a * d - b * c)
@@ -203,6 +213,9 @@ def count_primitive_in_disc(a: float, b: float, c: float, d: float, radius: floa
     k = fr / det
     k2 = k * k
     one_run = k2 < 2.0**47 and 2.0**-1000 < k2 * r2 and 32.0 * _U * k2 * r2 < A
+    if one_run:
+        reach = radius * math.sqrt(A) / (det * math.sqrt(1.0 - 10.0 * _U * k2))
+        qmax = min(qmax, math.floor(reach * (1.0 + 2.0**-20)) + 1)
     table = _DIVISORS
     upper = 0
     for q in range(1, qmax + 1):

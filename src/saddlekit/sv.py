@@ -24,7 +24,7 @@ from .errors import (
     PrecisionLimitError,
     ResourceLimitError,
 )
-from .exactplane import ExactVector, compare_sqrt_sum, format_rational, to_fraction
+from .exactplane import ExactVector, compare_sqrt_sum, format_rational, sorted_by_length, to_fraction
 from .geodesic import (
     SaddleConnection,
     Cylinder,
@@ -406,7 +406,7 @@ class ARReport:
 
 
 def _holonomy_array(vectors) -> np.ndarray:
-    vecs = sorted(vectors, key=lambda v: (v.norm_sq(), v.x, v.y))
+    vecs = sorted_by_length(vectors)
     if not vecs:
         return np.zeros((0, 2))
     return np.array([[float(v.x), float(v.y)] for v in vecs])
@@ -657,6 +657,9 @@ def classify(
     always bounds a cylinder.  Unknown means that the circumference of a
     cylinder classify had to trace exceeds cylinder_trace: one beside a
     short connection, which decides H2, or the one gamma bounds.
+
+    A cylinder trace that reaches the crossing cap of detect_cylinder first
+    raises its ResourceLimitError unchanged, with the progress it carries.
 
     Omega0 is decided by the first connection outside +/-[gamma] in the
     length-ordered search up to |gamma|^p.

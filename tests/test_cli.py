@@ -1,11 +1,14 @@
+import hashlib
 import json
 import threading
 from fractions import Fraction
 
 import pytest
 
-from saddlekit import cli
+from saddlekit import cli, sv
+from saddlekit.builders import octagon_h2, regular_octagon_approx, slit_torus, square_torus
 from saddlekit.delaunay import delaunay_l1
+from saddlekit.exactplane import ExactVector
 from saddlekit.geodesic import enumerate_connections
 
 
@@ -218,3 +221,64 @@ def test_chew_check_on_square_torus(capsys, torus_file):
     assert code == 0 and err == ""
     data = json.loads(out)
     assert data["checked"] == 16 and data["certified_failures"] == 0
+
+
+# sha256 of the stdout of each command on the exact-enum corpus, recorded
+# while results were still sorted and deduplicated on Fraction keys.
+_CORPUS = {
+    "square": square_torus,
+    "slit": lambda: slit_torus(ExactVector.of(Fraction(1, 3), Fraction(1, 5))),
+    "octagon": octagon_h2,
+    "roct": regular_octagon_approx,
+}
+_PINNED_OUTPUTS = {
+    "count-square": (
+        ["count", "--surface", "square", "--radius", "20"],
+        "d70d51acb919987cfa496f4337b517a73763982a15c24b73a71a415c72af16a7",
+    ),
+    "count-slit": (
+        ["count", "--surface", "slit", "--radius", "8"],
+        "d616ae8bc720b5c87e70c81cad3aaba86b1a832336065dd06a25c55bd07d4a7a",
+    ),
+    "count-regular-octagon": (
+        ["count", "--surface", "roct", "--radius", "6"],
+        "7500d46c82706583feea373f3ddd3203f00b8251884311e81b2bf8fb8cff99c5",
+    ),
+    "enumerate-octagon": (
+        ["enumerate", "--surface", "octagon", "--radius", "12"],
+        "143d5a68d099b2d18e8cbd71ef9e3000a3ae1de259f5cf6e7e918af3fec5a8e9",
+    ),
+    "enumerate-slit-csv": (
+        ["enumerate", "--surface", "slit", "--radius", "8", "--format", "csv"],
+        "322bd2e234f5935f2bb98bbb71cc7a8e691e74a2a6052d47a92ab9a737dcbd3e",
+    ),
+    "torus-exact": (
+        ["torus-exact", "--matrix", "2,1,1,1", "--radius", "20"],
+        "fbfaab6dd630f672ef6fccc0a73344fe5d6fcf3419ef5034287c46f3229f5317",
+    ),
+    "slit-exact": (
+        ["slit-exact", "--matrix", "1,0,0,1", "--slit", "1/3,1/5", "--radius", "8"],
+        "a0326fb2f7ce519e8616ce5412217fed9925cc094d764ce4cff1c8c46318c923",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PINNED_OUTPUTS))
+def test_exact_output_is_pinned(name, capsys, tmp_path):
+    argv, digest = _PINNED_OUTPUTS[name]
+    if "--surface" in argv:
+        i = argv.index("--surface") + 1
+        path = tmp_path / f"{argv[i]}.json"
+        path.write_text(_CORPUS[argv[i]]().to_json())
+        argv = argv[:i] + [str(path)] + argv[i + 1:]
+    code, out, err = run(capsys, argv)
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_holonomy_array_is_pinned():
+    pts = sv._holonomy_array(enumerate_connections(octagon_h2(), 8).vectors())
+    assert pts.shape == (112, 2)
+    assert hashlib.sha256(pts.tobytes()).hexdigest() == (
+        "39e979f3dd8d6c4495ac59b3e450f4ee13bcf7f809f8d5ca9cb7367d09a8c15a"
+    )

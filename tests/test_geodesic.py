@@ -4,8 +4,11 @@ from fractions import Fraction
 
 import pytest
 
+from saddlekit import geodesic, mc
 from saddlekit.builders import (
+    centered_octagon_h2,
     marked_torus,
+    octagon_h2,
     regular_octagon_approx,
     sheared_torus,
     slit_torus,
@@ -250,6 +253,22 @@ def test_detect_cylinder_is_a_cylinder_exactly_within_the_budget(tracer_corpus):
                     "circumference exceeds max_trace"))
 
 
+def test_leaf_trace_cap_reports_progress(torus, monkeypatch):
+    # The leaf beside (2, 1) crosses an edge at every quarter of its period
+    # and closes at the fifth crossing.
+    conn = trace_connection(torus, 0, V(2, 1))
+    for cap in range(1, 5):
+        monkeypatch.setattr(geodesic, "_MAX_CROSSINGS", cap)
+        with pytest.raises(ResourceLimitError, match="leaf trace did not close") as exc:
+            detect_cylinder(torus, conn, 100)
+        assert exc.value.details == {
+            "holonomy": ["2", "1"], "crossings": cap,
+            "circumference_sq_reached": str(Fraction(5 * (cap - 1) ** 2, 16)),
+        }
+    monkeypatch.setattr(geodesic, "_MAX_CROSSINGS", 5)
+    assert detect_cylinder(torus, conn, 100) == Cylinder(5, Fraction(1, 5), V(2, 1))
+
+
 def test_resource_limit(torus):
     with pytest.raises(ResourceLimitError):
         enumerate_connections(torus, 40, budget=50)
@@ -346,6 +365,33 @@ def test_stream_is_length_ordered_and_radius_prefix_closed(ordered_corpus):
         assert enumerate_connections(s, r).connections == tuple(
             c for c in wide if c.length_sq() <= r * r
         )
+
+
+def _stream_corpus():
+    """The corpus surfaces, 20 stratum draws near the octagon and SL(2, Q)
+    images of the corpus."""
+    corpus = [
+        square_torus(), slit_torus(V(Fraction(1, 3), Fraction(1, 5))), octagon_h2(),
+        regular_octagon_approx(), marked_torus(V(Fraction(1, 2), Fraction(1, 3))),
+        centered_octagon_h2(), torus_from_matrix(ExactMatrix.diagonal(Fraction(1, 8), 8)),
+    ]
+    draws = list(mc.sample_stratum_local(octagon_h2(), "1/20", 20, seed=3).surfaces)
+    rng = random.Random(4)
+    return corpus + draws + [apply_surface(_sl2q(rng), s) for s in corpus]
+
+
+def test_stream_is_strictly_increasing_and_counts_distinct_holonomies():
+    # Strictly increasing: no connection is reached twice.  Equal holonomies
+    # are adjacent, so count agrees with hashing the holonomies.
+    total = 0
+    for s in _stream_corpus():
+        radius_sq = 16 * s.min_edge_norm_sq()
+        stream = [(c.sort_key(), c.start_corner) for c in connections(s, radius_sq)]
+        assert all(a < b for a, b in zip(stream, stream[1:]))
+        hs = enumerate_connections(s, radius_sq=radius_sq)
+        assert count(s, radius_sq=radius_sq) == hs.n_vectors() == len(hs.vectors())
+        total += len(stream)
+    assert total > 1000
 
 
 @pytest.mark.parametrize(

@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from saddlekit import geodesic
 from saddlekit.builders import (
     octagon_h2,
     sheared_torus,
@@ -12,7 +13,7 @@ from saddlekit.builders import (
     torus_from_basis,
     torus_from_matrix,
 )
-from saddlekit.errors import AmbiguousMembershipError, InputError
+from saddlekit.errors import AmbiguousMembershipError, InputError, ResourceLimitError
 from saddlekit.exactplane import ExactMatrix, ExactVector, primitive_points_in_disc
 from saddlekit.geodesic import count, enumerate_connections, shortest
 from saddlekit.surface import apply_surface
@@ -143,6 +144,15 @@ def test_classify_thin_torus_omega2():
     assert label.cylinder.width_sq == Fraction(1, 64)
     # epsilon(X, omega) = 8 exceeds |gamma|^p
     assert label.second_length_sq == 64
+
+
+def test_classify_passes_the_leaf_trace_progress_through(thin_torus, monkeypatch):
+    monkeypatch.setattr(geodesic, "_MAX_CROSSINGS", 2)
+    with pytest.raises(ResourceLimitError, match="leaf trace did not close") as exc:
+        classify(thin_torus, Fraction(1, 2), Fraction(1, 2))
+    assert exc.value.details["holonomy"] == ["-1/8", "0"]
+    assert exc.value.details["crossings"] == 2
+    assert Fraction(exc.value.details["circumference_sq_reached"]) > 0
 
 
 def test_classify_small_slit_is_omega_branch():
