@@ -1,14 +1,16 @@
 """Command-line front end: thin bindings over the library calls.
 
-Reports are JSON with sorted keys by default (stable for golden-file
-comparisons) or CSV via --format csv.  Exit codes: 0 success, 1 domain
-error with machine-readable JSON on stderr, 2 usage error.
+Reports are JSON with sorted keys (stable for golden-file comparisons);
+enumerate, tails and bc-table also print their table as CSV via --format
+csv.  Exit codes: 0 success, 1 domain error with machine-readable JSON on
+stderr, 2 usage error.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import os
@@ -273,8 +275,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, surface=False, radius=False, stochastic=False, budget=False):
-        p.add_argument("--format", choices=("json", "csv"), default="json")
+    def common(p, surface=False, radius=False, stochastic=False, budget=False, table=False):
+        if table:
+            p.add_argument("--format", choices=("json", "csv"), default="json")
         if budget:
             p.add_argument("--budget", type=int, default=None)
         if surface:
@@ -292,83 +295,72 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate", help="check surface invariants, print the signature")
     common(p, surface=True)
-    p.set_defaults(fn_impl=cmd_validate)
 
     p = sub.add_parser("count", help="number of distinct holonomy vectors up to a radius")
     common(p, surface=True, radius=True, budget=True)
-    p.set_defaults(fn_impl=cmd_count)
 
     p = sub.add_parser("enumerate", help="list saddle connections up to a radius")
-    common(p, surface=True, radius=True, budget=True)
-    p.set_defaults(fn_impl=cmd_enumerate)
+    common(p, surface=True, radius=True, budget=True, table=True)
 
     p = sub.add_parser("delaunay", help="L1 Delaunay triangulation with certificates")
     common(p, surface=True)
-    p.set_defaults(fn_impl=cmd_delaunay)
 
     p = sub.add_parser("chew-check", help="verify the sqrt(10) path bound over connections")
     common(p, surface=True, radius=True, budget=True)
-    p.set_defaults(fn_impl=cmd_chew_check)
 
     p = sub.add_parser("transform", help="sum a test function over the holonomy set")
     common(p, surface=True, budget=True)
     p.add_argument("--fn", required=True, help="test function JSON (inline or path)")
-    p.set_defaults(fn_impl=cmd_transform)
 
     p = sub.add_parser("classify", help="short-curve classification of a surface")
     common(p, surface=True, budget=True)
     p.add_argument("--eps0", required=True)
     p.add_argument("--p", required=True)
-    p.set_defaults(fn_impl=cmd_classify)
 
     p = sub.add_parser("torus-exact", help="exact holonomy of a lattice torus")
     common(p, radius=True)
     p.add_argument("--matrix", required=True, help="a,b,c,d with det 1")
-    p.set_defaults(fn_impl=cmd_torus_exact)
 
     p = sub.add_parser("slit-exact", help="predicted slit-torus holonomy with corrections")
     common(p, radius=True)
     p.add_argument("--matrix", required=True)
     p.add_argument("--slit", required=True, help="slit holonomy x,y")
-    p.set_defaults(fn_impl=cmd_slit_exact)
 
     p = sub.add_parser("mc-torus", help="Monte Carlo mean of the counting function")
     common(p, radius=True, stochastic=True)
-    p.set_defaults(fn_impl=cmd_mc_torus)
 
     p = sub.add_parser("mc-stratum", help="local period-coordinate sampling statistics")
     common(p, surface=True, stochastic=True, budget=True)
     p.add_argument("--spread", type=str, default="0.05")
     p.add_argument("--fn", default=None)
     p.add_argument("--radius", default=None)
-    p.set_defaults(fn_impl=cmd_mc_stratum)
 
     p = sub.add_parser("variance", help="L2 and variance estimate of the count")
     common(p, radius=True, stochastic=True)
-    p.set_defaults(fn_impl=cmd_variance)
 
     p = sub.add_parser("tails", help="exceedance histogram and tail exponent fit")
-    common(p, stochastic=True)
+    common(p, stochastic=True, table=True)
     p.add_argument("--surface", default=None)
     p.add_argument("--spread", type=str, default="0.05")
     p.add_argument("--fn", default=None)
     p.add_argument("--kmax", type=int, default=40)
-    p.set_defaults(fn_impl=cmd_tails)
 
     p = sub.add_parser("bc-table", help="variance versus error budget per radius")
-    common(p, stochastic=True)
+    common(p, stochastic=True, table=True)
     p.add_argument("--radii", required=True, help="comma-separated increasing radii")
     p.add_argument("--errors", required=True, help="comma-separated error bounds")
-    p.set_defaults(fn_impl=cmd_bc_table)
 
     return parser
 
 
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
-        return args.fn_impl(args)
+        # Looked up at call time, so a replaced cmd_* function is the one run.
+        return globals()["cmd_" + args.command.replace("-", "_")](args)
     except SaddlekitError as exc:
         sys.stderr.write(json.dumps(exc.to_json_dict(), sort_keys=True, default=str) + "\n")
         return 1

@@ -4,13 +4,14 @@ The geometry runs in the rotated frame (u, v) = (x + y, x - y), where the L1
 norm is max(|u|, |v|) and every L1 disc ("diamond") is an axis-parallel
 square (Chew 1989; Bonichon, Gavoille, Hanusse and Perkovic 2015).  The
 circumscribing diamond of a triangle comes from the bounding box of its
-vertices, and an empty diamond through an edge from interval arithmetic along
-a line of squares.  An interior edge is locally Delaunay when each adjacent
-triangle's diamond has the opposite vertex outside or on its boundary;
-flipping repeats until no edge violates this.  Everything is decided
-exactly, on ints after scaling by D: the flips start from the surface's int
-corner positions (`TranslationSurface.int_corners`, scaled by D, the lcm of
-its edge-coordinate denominators) and `diamond_of` scales its three points by
+vertices, and whether an empty diamond passes through an edge from the
+bounding box of the edge's endpoints, in closed form.  An interior edge is
+locally Delaunay when each adjacent triangle's diamond has the opposite
+vertex outside or on its boundary; flipping repeats until no edge violates
+this.  Everything is decided exactly, on ints after scaling by D: the
+flips start from the surface's int corner positions
+(`TranslationSurface.int_corners`, scaled by D, the lcm of its
+edge-coordinate denominators) and `diamond_of` scales its three points by
 the lcm of theirs, so positions are int pairs and a diamond is an int square
 (cu, cv, r) in the doubled frame (U, V) = 2(x + y, x - y).  Fractions are
 built only for the output surface and its certificates.
@@ -29,9 +30,6 @@ from .errors import DegenerateDiamondError, FlipCycleError, InputError
 from .exactplane import ExactVector, _ints, _scale_of, _sub, _turn, _vec
 from .surface import Slot, TranslationSurface, Triangle
 
-_F0 = Fraction(0)
-_F1 = Fraction(1)
-_HALF = Fraction(1, 2)
 # Diamond sides NE, NW, SW, SE as (axis, sign): the side p[axis] = c[axis] + sign * r
 # of the square in the rotated frame (u, v) = (x + y, x - y).
 _SIDES = ((0, 1), (1, -1), (0, -1), (1, 1))
@@ -55,11 +53,6 @@ class DiamondCertificate:
             "center": self.center.to_json(),
             "radius_l1": format_rational(self.radius_l1),
         }
-
-
-def _rotated(p: ExactVector) -> Tuple[Fraction, Fraction]:
-    """(u, v) = (x + y, x - y), where L1 diamonds are axis-parallel squares."""
-    return (p.x + p.y, p.x - p.y)
 
 
 # --- int geometry: points are int pairs after scaling by D -----------------
@@ -346,93 +339,37 @@ def _incircle_strict(a, b, c, d) -> bool:
     return det > 0
 
 
-class _Feasible1D:
-    """Feasible set of linear constraints alpha * t + beta >= 0 (or > 0)."""
-
-    def __init__(self):
-        self.lo = None  # Fraction or None for -inf
-        self.hi = None
-        self.empty = False
-        self.strict = []  # (alpha, beta) strict constraints
-
-    def add(self, alpha: Fraction, beta: Fraction, strict: bool = False):
-        if self.empty:
-            return
-        if alpha == 0:
-            if beta < 0 or (strict and beta == 0):
-                self.empty = True
-            return
-        bound = -beta / alpha
-        if alpha > 0:
-            if self.lo is None or bound > self.lo:
-                self.lo = bound
-        else:
-            if self.hi is None or bound < self.hi:
-                self.hi = bound
-        if strict:
-            self.strict.append((alpha, beta))
-        if self.lo is not None and self.hi is not None and self.lo > self.hi:
-            self.empty = True
-
-    def nonempty(self) -> bool:
-        if self.empty:
-            return False
-        if self.lo is not None and self.hi is not None and self.lo == self.hi:
-            t = self.lo
-            return all(al * t + be > 0 for al, be in self.strict)
-        return True
-
-    def snapshot(self):
-        return (self.lo, self.hi, self.empty, tuple(self.strict))
-
-    def restore(self, snap):
-        self.lo, self.hi, self.empty, strict = snap
-        self.strict = list(strict)
-
-
 def _edge_empty_diamond_exists(a, b, c, d) -> bool:
-    """Exists an L1 disc with a, b on its boundary and c, d outside or on.
+    """Exists an L1 disc with the int points a, b on its boundary and c, d
+    outside or on it.
 
-    In the rotated frame each side pins one of cu +- r or cv +- r, so a pair
-    of distinct sides for a and b fixes a line of squares along which every
-    side and exclusion condition is linear.
+    In the doubled rotated frame an L1 disc is a square Q, the set
+    max(|U - cu|, |V - cv|) <= r.  The disc exists iff some Q holds a and b
+    and has c and d outside its interior: shrink Q about b until a reaches
+    its boundary, then about a until b does; each image lies in the one
+    before, so c and d stay outside.  Let [lo, hi] be the bounding box of a
+    and b and m > 0 its larger extent (a != b).  Q holds a and b iff it contains the box,
+    so 2r >= m.  A point p lies on or beyond Q's side U = cu + r only if
+    p_U >= hi[0], and then the square [hi[0] - m, hi[0]] x [lo[1], lo[1] + m]
+    is such a Q; likewise for the other three sides.  Equal or adjacent
+    sides for c and d share the square of extent m flush with the box at
+    that side or corner.  Opposite sides along one axis need an extent
+    2r >= m around the box and between the two points, which fits iff the
+    points are at least m apart along that axis.
     """
-    a, b, c, d = (_rotated(p) for p in (a, b, c, d))
-    for ka, ea in _SIDES:
-        for kb, eb in _SIDES:
-            if (ka, ea) == (kb, eb):
-                continue  # two points on one side line: excluded by genericity
-            # cu, cv and r along the line, each as (slope, intercept) in t.
-            center = [(_F1, _F0), (_F1, _F0)]
-            if ka == kb:  # opposite sides fix r and c[ka]; t = c[1 - ka]
-                r = (_F0, (a[ka] - b[ka]) * ea * _HALF)
-                center[ka] = (_F0, (a[ka] + b[ka]) * _HALF)
-            else:  # adjacent sides; t = r
-                r = (_F1, _F0)
-                center[ka] = (-ea, a[ka])
-                center[kb] = (-eb, b[kb])
+    pa, pb, pc, pd = (_doubled(p) for p in (a, b, c, d))
+    lo = [min(pa[k], pb[k]) for k in (0, 1)]
+    hi = [max(pa[k], pb[k]) for k in (0, 1)]
+    m = max(hi[0] - lo[0], hi[1] - lo[1])
 
-            def lin(p, k, e, q):
-                """e (p[k] - c[k]) + q r as (alpha, beta) of alpha t + beta."""
-                return q * r[0] - e * center[k][0], e * (p[k] - center[k][1]) + q * r[1]
+    def beyond(p):
+        return [(k, e) for k, e in _SIDES if (p[k] >= hi[k] if e > 0 else p[k] <= lo[k])]
 
-            base = _Feasible1D()
-            base.add(*r, strict=True)
-            # a and b within the square along the other axis.
-            for p, k in ((a, 1 - ka), (b, 1 - kb)):
-                base.add(*lin(p, k, 1, 1))
-                base.add(*lin(p, k, -1, 1))
-            if not base.nonempty():
-                continue
-            snap = base.snapshot()
-            for kc, ec in _SIDES:
-                for kd, ed in _SIDES:
-                    base.restore(snap)
-                    base.add(*lin(c, kc, ec, -1))
-                    base.add(*lin(d, kd, ed, -1))
-                    if base.nonempty():
-                        return True
-    return False
+    return any(
+        kc != kd or ec == ed or ec * (pc[kc] - pd[kc]) >= m
+        for kc, ec in beyond(pc)
+        for kd, ed in beyond(pd)
+    )
 
 
 def _needs_flip(tris, glue, slot) -> bool:
@@ -455,10 +392,7 @@ def _needs_flip(tris, glue, slot) -> bool:
             cd = _sub(c, d)
             return convex and cd[0] * cd[0] + cd[1] * cd[1] < b[0] * b[0] + b[1] * b[1]
         return False
-    if not convex:
-        return False
-    # Similar quads give the same answer, so the scaled ints serve as is.
-    return not _edge_empty_diamond_exists(*(ExactVector(Fraction(x), Fraction(y)) for x, y in (a, b, c, d)))
+    return convex and not _edge_empty_diamond_exists(a, b, c, d)
 
 
 def _state_key(tris, glue):

@@ -195,6 +195,22 @@ def test_flag_only_on_commands_that_read_it(capsys, torus_file):
     assert "--threads" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["count", "validate", "delaunay"])
+def test_format_only_on_commands_with_a_table(command, capsys, torus_file):
+    argv = [command, "--surface", torus_file] + (["--radius", "2"] if command == "count" else [])
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv + ["--format", "csv"])
+    assert exc.value.code == 2
+    assert "--format" in capsys.readouterr().err
+
+
+def test_main_dispatches_to_the_current_command_function(capsys, monkeypatch, torus_file):
+    argv = ["validate", "--surface", torus_file]
+    assert run(capsys, argv)[0] == 0
+    monkeypatch.setattr(cli, "cmd_validate", lambda args: 7)
+    assert run(capsys, argv)[0] == 7
+
+
 def test_budget_error_reports_progress(capsys, torus, torus_file):
     code, _, err = run(capsys, ["count", "--surface", torus_file, "--radius", "40", "--budget", "50"])
     assert code == 1
