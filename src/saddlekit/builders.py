@@ -15,6 +15,8 @@ from .exactplane import ExactMatrix, ExactVector, to_fraction
 from .surface import Slot, TranslationSurface, Triangle
 
 _F0 = Fraction(0)
+_OCTAGON_DENOM = 10 ** 6  # grid of the regular octagon's rational vertices
+_MARGIN_FACTOR = 4  # wrap_points_in_torus: square side over point spread
 
 
 def _vec(x, y) -> ExactVector:
@@ -173,22 +175,23 @@ def octagon_h2(
     return s
 
 
-def regular_octagon_approx(denom: int = 10 ** 6) -> TranslationSurface:
-    """Rational-vertex approximation of the regular octagon surface."""
-    r = Fraction(round((2 ** 0.5 / 2) * denom), denom)
+def regular_octagon_approx() -> TranslationSurface:
+    """Rational-vertex approximation of the regular octagon surface, with
+    vertices on the grid of step 1/_OCTAGON_DENOM."""
+    r = Fraction(round((2 ** 0.5 / 2) * _OCTAGON_DENOM), _OCTAGON_DENOM)
     steps = [_vec(1, 0), ExactVector(r, r), _vec(0, 1), ExactVector(-r, r)]
     return octagon_h2(steps)
 
 
-def centered_octagon_h2(steps: Sequence[ExactVector] = None) -> TranslationSurface:
-    """The octagon surface triangulated from an extra center vertex.
+def centered_octagon_h2() -> TranslationSurface:
+    """The octagon surface of ``octagon_h2()`` triangulated from an extra
+    center vertex.
 
     The center is a regular marked point, a zero of order 0: the stratum
     signature is (2, 0), with relative homology of rank 5.
     """
-    if steps is None:
-        steps = [_vec(1, 0), _vec(1, 1), _vec(0, 1), _vec(-1, 1)]
-    sides = list(steps) + [-e for e in steps]
+    steps = [_vec(1, 0), _vec(1, 1), _vec(0, 1), _vec(-1, 1)]
+    sides = steps + [-e for e in steps]
     verts = [ExactVector(_F0, _F0)]
     for e in sides[:-1]:
         verts.append(verts[-1] + e)
@@ -214,11 +217,11 @@ def centered_octagon_h2(steps: Sequence[ExactVector] = None) -> TranslationSurfa
 # --- planar point sets wrapped into a large torus -------------------------
 
 
-def wrap_points_in_torus(points: Sequence[ExactVector], margin_factor: int = 4):
+def wrap_points_in_torus(points: Sequence[ExactVector]):
     """Embed a planar point set as marked points of a large square torus.
 
     Returns (surface, vertex_ids) where vertex_ids[i] is the vertex id of
-    points[i] on the surface.  The square side is margin_factor times the
+    points[i] on the surface.  The square side is _MARGIN_FACTOR times the
     point spread, so wrap-around geometry stays far from the configuration.
     """
     if len(points) < 1:
@@ -226,11 +229,10 @@ def wrap_points_in_torus(points: Sequence[ExactVector], margin_factor: int = 4):
     xs = [p.x for p in points]
     ys = [p.y for p in points]
     span = max(max(xs) - min(xs), max(ys) - min(ys), Fraction(1))
-    side = span * margin_factor
+    side = span * _MARGIN_FACTOR
+    # Each shifted coordinate lies in [span, 2 span], inside (0, side).
     origin = ExactVector(min(xs) - span, min(ys) - span)
     shifted = [p - origin for p in points]
-    if any(not (0 < p.x < side and 0 < p.y < side) for p in shifted):
-        raise InputError("margin too small to contain the points")
 
     tris, gluings, corner_of_point = _triangulate_square_with_points(side, shifted)
     s = TranslationSurface(tris, gluings)

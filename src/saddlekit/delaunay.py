@@ -33,6 +33,9 @@ from .surface import Slot, TranslationSurface, Triangle
 # Diamond sides NE, NW, SW, SE as (axis, sign): the side p[axis] = c[axis] + sign * r
 # of the square in the rotated frame (u, v) = (x + y, x - y).
 _SIDES = ((0, 1), (1, -1), (0, -1), (1, 1))
+# Flip budget of each pass: _FLIPS_BASE + _FLIPS_PER_TRIANGLE per triangle.
+_FLIPS_BASE = 400
+_FLIPS_PER_TRIANGLE = 60
 
 
 @dataclass(frozen=True, slots=True)
@@ -255,9 +258,7 @@ def _flip_until_stable(tris, glue, vertex, decide, max_flips, flips_so_far=0) ->
     return flips
 
 
-def delaunay_l1(
-    s: TranslationSurface, max_flips: Optional[int] = None
-) -> DelaunayTriangulation:
+def delaunay_l1(s: TranslationSurface) -> DelaunayTriangulation:
     """Flip non-locally-Delaunay edges (FIFO) until none remain.
 
     Runs a Euclidean Delaunay pass first (exact incircle flips, which always
@@ -271,8 +272,7 @@ def delaunay_l1(
     tris = [list(tri) for tri in corners]
     glue = dict(s.gluings)
     vertex = {(t, c): s.corner_vertex((t, c)) for t in range(s.n_triangles()) for c in range(3)}
-    if max_flips is None:
-        max_flips = 400 + 60 * len(tris)
+    max_flips = _FLIPS_BASE + _FLIPS_PER_TRIANGLE * len(tris)
 
     flips = _flip_until_stable(tris, glue, vertex, _euclidean_needs_flip, max_flips)
     flips = _flip_until_stable(tris, glue, vertex, _needs_flip, max_flips, flips)

@@ -17,6 +17,8 @@ from .errors import InputError, PrecisionLimitError, SingularMatrixError
 
 Rational = Union[Fraction, int, str]
 
+_MAX_BITS = 256  # compare_sqrt_sum gives up past this interval precision
+
 
 def to_fraction(x) -> Fraction:
     """Coerce ints, Fractions, "num/den" strings and floats to Fraction.
@@ -352,13 +354,13 @@ def is_perfect_square(q: Fraction):
     return None
 
 
-def compare_sqrt_sum(terms: Iterable[Fraction], bound_sq: Fraction, max_bits: int = 256) -> int:
+def compare_sqrt_sum(terms: Iterable[Fraction], bound_sq: Fraction) -> int:
     """Sign of (sum_i sqrt(t_i)) - sqrt(bound_sq), decided exactly or by
     certified intervals.
 
     Returns -1, 0 or +1.  Exact routes: all-square terms, and the two-term
     case via (a+b)^2 vs c with the cross term 2*sqrt(t0*t1) squared away.
-    Raises PrecisionLimitError if still undecided at max_bits (which can only
+    Raises PrecisionLimitError if still undecided at _MAX_BITS (which can only
     happen at exact equality of irrational sums).
     """
     terms = [to_fraction(t) for t in terms]
@@ -401,7 +403,7 @@ def compare_sqrt_sum(terms: Iterable[Fraction], bound_sq: Fraction, max_bits: in
         return (left > right) - (left < right)
 
     prec = 64
-    while prec <= max_bits:
+    while prec <= _MAX_BITS:
         lo = Fraction(0)
         hi = Fraction(0)
         for t in terms:
@@ -415,5 +417,5 @@ def compare_sqrt_sum(terms: Iterable[Fraction], bound_sq: Fraction, max_bits: in
             return 1
         prec *= 2
     raise PrecisionLimitError(
-        f"sqrt-sum comparison undecided at {max_bits} bits", terms=len(terms)
+        f"sqrt-sum comparison undecided at {_MAX_BITS} bits", terms=len(terms)
     )

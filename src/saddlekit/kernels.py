@@ -30,6 +30,9 @@ instead.
 through it in numpy chunks of about ``_CHUNK_ROWS`` lattice rows, so its
 temporaries stay bounded whatever n is, and yields the points of each chunk
 with their owning row.
+
+Both kernels refuse, before walking it, a lattice that needs more rows than
+the work budget, ``geodesic.default_budget()`` unless one is passed.
 """
 
 from __future__ import annotations
@@ -39,6 +42,7 @@ import math
 import numpy as np
 
 from .errors import InputError, ResourceLimitError, SingularMatrixError
+from .geodesic import default_budget
 
 BACKEND = "python"
 
@@ -93,6 +97,15 @@ def _qmax(reach: float, radius) -> int:
     return qmax
 
 
+def _within_budget(rows: int, budget, radius) -> None:
+    """Refuse a lattice that needs more than ``budget`` rows before any is
+    walked; None reads ``geodesic.default_budget()``."""
+    budget = default_budget() if budget is None else budget
+    if rows > budget:
+        msg = f"a disc of radius {radius} needs {rows} lattice rows, over the budget of {budget}"
+        raise ResourceLimitError(msg, rows=rows, budget=budget)
+
+
 def _runs(lengths):
     """For consecutive runs of the given lengths: each entry's run and its
     offset within the run."""
@@ -118,13 +131,14 @@ def _candidates(q, a, b, c, d, r2):
     return row, plo[row] + offset
 
 
-def primitive_points(matrices, radius: float):
+def primitive_points(matrices, radius: float, budget=None):
     """Primitive points of each lattice M_i Z^2 in the closed disc.
 
     ``matrices`` is an (n, 4) array whose row i is (a, b, c, d) of
     M_i = [[a, b], [c, d]].  Yields, chunk by chunk, (owner, xs, ys): the
     images (xs, ys) of the primitive (p, q) with |M_i (p, q)| <= radius and
-    the row i each belongs to.  Every row is checked before any is walked.
+    the row i each belongs to.  Every row is checked before any is walked,
+    and a lattice of more than ``budget`` rows is refused.
     """
     _check_radius(radius)
     m = np.asarray(matrices, dtype=np.float64).reshape(-1, 4)
@@ -135,7 +149,7 @@ def primitive_points(matrices, radius: float):
     if not det.all():
         raise SingularMatrixError(f"matrix {int(np.argmin(det))} is singular")
     reach = radius * np.sqrt(a * a + b * b + c * c + d * d) / det
-    _qmax(float(reach.max()), radius)
+    _within_budget(_qmax(float(reach.max()), radius), budget, radius)
     qmax = np.floor(reach).astype(np.int64) + 1
     ends = np.cumsum(qmax)
     r2 = radius * radius
@@ -161,8 +175,11 @@ def primitive_points(matrices, radius: float):
         lo = hi
 
 
-def count_primitive_in_disc(a: float, b: float, c: float, d: float, radius: float) -> int:
+def count_primitive_in_disc(a: float, b: float, c: float, d: float, radius: float, budget=None) -> int:
     """Primitive lattice points of [[a,b],[c,d]] Z^2 inside the closed disc.
+
+    A lattice whose walk, after the row cutoff below, needs more than
+    ``budget`` rows is refused before it starts.
 
     Row by row the count equals that of testing every candidate, as
     ``_candidates`` lists them.  Walking in from the padded ends finds the
@@ -216,6 +233,7 @@ def count_primitive_in_disc(a: float, b: float, c: float, d: float, radius: floa
     if one_run:
         reach = radius * math.sqrt(A) / (det * math.sqrt(1.0 - 10.0 * _U * k2))
         qmax = min(qmax, math.floor(reach * (1.0 + 2.0**-20)) + 1)
+    _within_budget(qmax, budget, radius)
     table = _DIVISORS
     upper = 0
     for q in range(1, qmax + 1):

@@ -16,9 +16,11 @@ shows the points inside a row form one run whenever the lattice's A =
 a^2 + c^2 exceeds it; on the rare lattices where it does not, each point
 of the run is tested instead.  A sector transform runs the batched numpy
 ``kernels.primitive_points`` once over the whole array and sums each
-chunk's non-ambiguous hits per sample with ``np.bincount``.  ``threads``
-spreads only stratum surfaces over a thread pool; torus samples always run
-in the calling thread.  All estimators are bit-deterministic for a fixed
+chunk's non-ambiguous hits per sample with ``np.bincount``.  A stratum
+surface's transform is ``sv.transform_report`` at the surface's area, so
+the surface is never rescaled.  ``threads`` spreads only stratum surfaces
+over a thread pool; torus samples always run in the calling thread.  All
+estimators are bit-deterministic for a fixed
 seed and thread count independent: values are computed into an
 index-ordered array and reduced by numpy's fixed pairwise summation.
 """
@@ -35,8 +37,8 @@ import numpy as np
 from . import kernels
 from .errors import AcceptanceRateError, InputError, SurfaceError
 from .exactplane import ExactVector, to_fraction
-from .geodesic import enumerate_connections
-from .oracle import TorusPoint, siegel_constant_torus
+from .geodesic import default_budget
+from .oracle import siegel_constant_torus
 from .surface import TranslationSurface, Triangle, area
 from .sv import (
     AnnulusIndicator,
@@ -44,11 +46,14 @@ from .sv import (
     ProductPair,
     SectorIndicator,
     TestFunction,
+    transform_report,
 )
 
 RNG_ALGORITHM = "pcg64"
 
 _FUNDAMENTAL_AREA = math.pi / 3  # hyperbolic area of the modular domain
+_GRID = 1 << 12  # dyadic steps per unit of spread in the stratum sampler
+_MIN_ACCEPTANCE = 0.10  # the stratum sampler gives up below this rate
 
 
 @dataclass(frozen=True, eq=False)
@@ -128,8 +133,6 @@ def sample_stratum_local(
     spread,
     n: int,
     seed: int,
-    grid: int = 1 << 12,
-    min_acceptance: float = 0.10,
 ) -> StratumSample:
     """Perturb free period coordinates by dyadic-grid noise in
     [-spread, spread]^2, rebuild dependent edges, and keep surfaces that
@@ -161,18 +164,18 @@ def sample_stratum_local(
     attempts = 0
     while len(out) < n:
         attempts += 1
-        if attempts > max(64, 4 * n) and len(out) < min_acceptance * attempts:
+        if attempts > max(64, 4 * n) and len(out) < _MIN_ACCEPTANCE * attempts:
             raise AcceptanceRateError(
-                f"acceptance rate {len(out)}/{attempts} below {min_acceptance}",
+                f"acceptance rate {len(out)}/{attempts} below {_MIN_ACCEPTANCE}",
                 accepted=len(out),
                 attempts=attempts,
             )
-        ks = rng.integers(-grid, grid + 1, size=(len(free_idx), 2))
+        ks = rng.integers(-_GRID, _GRID + 1, size=(len(free_idx), 2))
         vals: List[Optional[ExactVector]] = [None] * len(pairs)
         for j, idx in enumerate(free_idx):
             delta = ExactVector(
-                spread * Fraction(int(ks[j, 0]), grid),
-                spread * Fraction(int(ks[j, 1]), grid),
+                spread * Fraction(int(ks[j, 0]), _GRID),
+                spread * Fraction(int(ks[j, 1]), _GRID),
             )
             vals[idx] = base_vals[idx] + delta
         for idx, combo in dep_rows.items():
@@ -251,7 +254,7 @@ def _torus_values(matrices: np.ndarray, f: TestFunction) -> np.ndarray:
         return _disc_counts(matrices, float(f.r2)) - _disc_counts(matrices, float(f.r1))
     if isinstance(f, SectorIndicator):
         out = np.zeros(len(matrices))
-        for owner, xs, ys in kernels.primitive_points(matrices, float(f.support_radius())):
+        for owner, xs, ys in kernels.primitive_points(matrices, float(f.support_radius()), default_budget()):
             vals, amb = f.evaluate_batch(xs, ys, 1e-12)
             out += np.bincount(owner, weights=np.where(amb, 0, vals), minlength=len(out))
         return out
@@ -262,62 +265,31 @@ def _torus_values(matrices: np.ndarray, f: TestFunction) -> np.ndarray:
 
 def _disc_counts(matrices: np.ndarray, radius: float) -> np.ndarray:
     """One kernel call per lattice, on Python floats taken a block at a time."""
+    budget = default_budget()
     block = 1024
     rows = (row for lo in range(0, len(matrices), block) for row in matrices[lo : lo + block].tolist())
     return np.fromiter(
-        (kernels.count_primitive_in_disc(a, b, c, d, radius) for a, b, c, d in rows),
+        (kernels.count_primitive_in_disc(a, b, c, d, radius, budget) for a, b, c, d in rows),
         np.float64,
         len(matrices),
     )
 
 
-def _surface_value(s: TranslationSurface, f: TestFunction, budget=None) -> float:
-    """Transform on the area-normalized surface, computed analytically:
-    vectors scale by 1/sqrt(area), so membership tests are rescaled
-    exactly instead of rescaling the surface."""
-    a = area(s)
-    if isinstance(f, ProductPair):
-        return _surface_value(s, f.f, budget) * _surface_value(s, f.g, budget)
-    support_sq = f.support_radius() ** 2 * a
-    hs = enumerate_connections(s, radius_sq=support_sq, budget=budget)
-    vectors = hs.vectors()
-    if isinstance(f, DiscIndicator):
-        r_sq = f.r * f.r * a
-        return float(sum(1 for v in vectors if v.norm_sq() <= r_sq))
-    if isinstance(f, AnnulusIndicator):
-        lo_sq = f.r1 * f.r1 * a
-        hi_sq = f.r2 * f.r2 * a
-        return float(sum(1 for v in vectors if lo_sq < v.norm_sq() <= hi_sq))
-    if isinstance(f, SectorIndicator):
-        r_sq = f.r * f.r * a
-        total = 0
-        for v in vectors:
-            if v.norm_sq() > r_sq:
-                continue
-            inside, amb = f.angular_inside(v)  # scale-free
-            if inside and not amb:
-                total += 1
-        return float(total)
-    raise InputError(f"unsupported test function {type(f).__name__} on surfaces")
-
-
 def _values(samples, f: TestFunction, threads: int = 1, budget=None) -> np.ndarray:
-    """Transform values in sample order.  Torus samples, a HaarSample or a
-    sequence of TorusPoint, go through one (n, 4) array and the vectorized
-    kernel; ``threads`` spreads only surfaces over a thread pool."""
+    """Transform values in sample order.  A HaarSample goes through its
+    (n, 4) array and the vectorized kernel; each surface is scaled to unit
+    area by ``sv.transform_report``.  ``threads`` spreads only surfaces over
+    a thread pool."""
     if threads < 1:
         raise InputError(f"threads must be at least 1, got {threads}")
     if isinstance(samples, HaarSample):
         return _torus_values(samples.matrices, f)
     items = samples.surfaces if isinstance(samples, StratumSample) else tuple(samples)
-    if items and all(isinstance(item, TorusPoint) for item in items):
-        entries = [[float(x) for x in item.g.entries()] for item in items]
-        return _torus_values(np.array(entries, dtype=np.float64), f)
 
     def eval_one(item):
         if not isinstance(item, TranslationSurface):
             raise InputError(f"unsupported sample type {type(item).__name__}")
-        return _surface_value(item, f, budget)
+        return transform_report(item, f, budget, area(item)).value
 
     out = np.zeros(len(items))
     if threads == 1 or len(items) < 4:

@@ -27,6 +27,8 @@ from .exactplane import (
 )
 from .geodesic import default_budget
 
+_ZETA2_TERMS = 200_000  # terms of zeta2_partial
+
 
 @dataclass(frozen=True)
 class TorusPoint:
@@ -212,14 +214,14 @@ def sv_measure_torus(max_index: int = 24) -> SiegelVeechMeasureTorus:
     )
 
 
-def zeta2_partial(terms: int = 200_000) -> Tuple[float, float]:
-    """Partial sum of sum 1/n^2 with an integral tail bound; independent of
-    the closed form."""
+def zeta2_partial() -> Tuple[float, float]:
+    """Partial sum of sum 1/n^2 over _ZETA2_TERMS terms with an integral
+    tail bound; independent of the closed form."""
     s = 0.0
-    for n in range(terms, 0, -1):
+    for n in range(_ZETA2_TERMS, 0, -1):
         s += 1.0 / (n * n)
     # Tail is between 1/(terms+1) and 1/terms.
-    return (s + 1.0 / (terms + 1), s + 1.0 / terms)
+    return (s + 1.0 / (_ZETA2_TERMS + 1), s + 1.0 / _ZETA2_TERMS)
 
 
 def siegel_constant_torus() -> float:

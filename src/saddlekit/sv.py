@@ -1,11 +1,14 @@
 """Transforms of compactly supported test functions over holonomy sets.
 
 The transform of an indicator is an exact count over the enumerated
-holonomy vectors.  Sector boundaries are rational approximants of the true
-rays; points closer to a boundary than the declared margin are counted as
-ambiguous and surfaced, never silently assigned.  The rotational averaging
-operator evaluates float images of the exact holonomy set under
-stretch-rotate matrices, again with an explicit ambiguity margin.
+holonomy vectors: ``TestFunction.evaluate_exact(v, area)`` alone decides
+membership of v / sqrt(area), and ``_tally`` is the one loop that sums it,
+for every transform here and for the stratum samples of ``mc``.  Sector
+boundaries are rational approximants of the true rays; points closer to a
+boundary than the declared margin are counted as ambiguous and surfaced,
+never silently assigned.  The rotational averaging operator evaluates
+float images of the exact holonomy set under stretch-rotate matrices, again
+with an explicit ambiguity margin.
 """
 
 from __future__ import annotations
@@ -42,6 +45,8 @@ from .surface import TranslationSurface
 
 _RAY_SCALE = 1 << 32
 _SECTOR_MARGIN = Fraction(1, 1 << 20)  # angular slack around approximate rays
+_DELTA_NUM = 1e-9  # float safety margin of the rotational average
+_AMBIGUOUS_TOLERANCE = 0.01  # largest ambiguous share A_R accepts
 
 
 def _ray_approx(angle: float) -> ExactVector:
@@ -57,8 +62,9 @@ class TestFunction:
     def support_radius(self) -> Fraction:
         raise NotImplementedError
 
-    def evaluate_exact(self, v: ExactVector) -> Tuple[int, bool]:
-        """(value, ambiguous) on an exact vector."""
+    def evaluate_exact(self, v: ExactVector, area=1) -> Tuple[int, bool]:
+        """(value, ambiguous) at v / sqrt(area): at v itself for area 1, and
+        on the area-normalized copy of a surface of that area otherwise."""
         raise NotImplementedError
 
     def evaluate_batch(self, xs, ys, delta: float):
@@ -84,8 +90,8 @@ class DiscIndicator(TestFunction):
     def support_radius(self) -> Fraction:
         return self.r
 
-    def evaluate_exact(self, v: ExactVector):
-        return (1 if v.norm_sq() <= self.r * self.r else 0, False)
+    def evaluate_exact(self, v: ExactVector, area=1):
+        return (1 if v.norm_sq() <= self.r * self.r * area else 0, False)
 
     def evaluate_batch(self, xs, ys, delta: float):
         r2 = float(self.r) ** 2
@@ -114,9 +120,9 @@ class AnnulusIndicator(TestFunction):
     def support_radius(self) -> Fraction:
         return self.r2
 
-    def evaluate_exact(self, v: ExactVector):
+    def evaluate_exact(self, v: ExactVector, area=1):
         n = v.norm_sq()
-        return (1 if self.r1 * self.r1 < n <= self.r2 * self.r2 else 0, False)
+        return (1 if self.r1 * self.r1 * area < n <= self.r2 * self.r2 * area else 0, False)
 
     def evaluate_batch(self, xs, ys, delta: float):
         lo = float(self.r1) ** 2
@@ -164,9 +170,6 @@ class SectorIndicator(TestFunction):
     def support_radius(self) -> Fraction:
         return self.r
 
-    def margin(self) -> Fraction:
-        return _SECTOR_MARGIN
-
     def angular_inside(self, v: ExactVector) -> Tuple[bool, bool]:
         """(inside, ambiguous) for the angular condition alone (scale-free).
 
@@ -183,8 +186,8 @@ class SectorIndicator(TestFunction):
             return (False, True)
         return (c1 > 0 and c2 > 0, False)
 
-    def evaluate_exact(self, v: ExactVector):
-        if v.norm_sq() > self.r * self.r:
+    def evaluate_exact(self, v: ExactVector, area=1):
+        if v.norm_sq() > self.r * self.r * area:
             return (0, False)
         inside, ambiguous = self.angular_inside(v)
         if ambiguous:
@@ -259,7 +262,9 @@ class TriangleIndicator(TestFunction):
         num = math.isqrt(m.numerator * m.denominator) + 1
         return Fraction(num, m.denominator)
 
-    def evaluate_exact(self, v: ExactVector):
+    def evaluate_exact(self, v: ExactVector, area=1):
+        if area != 1:
+            raise InputError("a triangle indicator is not scale-free: it needs a surface of area 1")
         c1 = self.p.cross(v)
         c2 = (self.q - self.p).cross(v - self.p)
         c3 = (-self.q).cross(v - self.q)
@@ -334,22 +339,31 @@ class TransformReport:
     n_vectors: int
 
 
-def transform_report(
-    s: TranslationSurface, f: TestFunction, budget: Optional[int] = None
-) -> TransformReport:
+def _tally(vectors, f: TestFunction, area) -> Tuple[int, int]:
+    """(sum of the non-ambiguous values, ambiguous count) of f over the
+    vectors.  A product tallies each factor on the same vectors, multiplies
+    the sums and adds the ambiguous counts."""
     if isinstance(f, ProductPair):
-        inner = pair_transform(s, f.f, f.g, budget=budget)
-        return TransformReport(value=inner, ambiguous=0, n_vectors=0)
-    hs = enumerate_connections(s, radius=f.support_radius(), budget=budget)
-    total = 0
-    ambiguous = 0
-    vectors = hs.vectors()
+        (fs, fa), (gs, ga) = _tally(vectors, f.f, area), _tally(vectors, f.g, area)
+        return fs * gs, fa + ga
+    total = ambiguous = 0
     for v in vectors:
-        val, amb = f.evaluate_exact(v)
+        val, amb = f.evaluate_exact(v, area)
         if amb:
             ambiguous += 1
         else:
             total += val
+    return total, ambiguous
+
+
+def transform_report(
+    s: TranslationSurface, f: TestFunction, budget: Optional[int] = None, area=1
+) -> TransformReport:
+    """Transform of f on the copy of s scaled to unit area, for s of the
+    given area, with its ambiguous count: one enumeration up to the support
+    radius times sqrt(area)."""
+    vectors = enumerate_connections(s, radius_sq=f.support_radius() ** 2 * area, budget=budget).vectors()
+    total, ambiguous = _tally(vectors, f, area)
     return TransformReport(value=float(total), ambiguous=ambiguous, n_vectors=len(vectors))
 
 
@@ -376,20 +390,7 @@ def pair_transform(
     For product integrands the double sum factors exactly into the product
     of the single transforms; one enumeration covers both supports.
     """
-    r = max(f.support_radius(), g.support_radius())
-    hs = enumerate_connections(s, radius=r, budget=budget)
-    vectors = hs.vectors()
-
-    def total(fn):
-        acc = 0
-        for v in vectors:
-            val, amb = fn.evaluate_exact(v)
-            if amb:
-                raise AmbiguousMembershipError("ambiguous membership in pair transform")
-            acc += val
-        return acc
-
-    return float(total(f)) * float(total(g))
+    return transform(s, ProductPair(f, g), budget)
 
 
 # --- rotational averaging ---------------------------------------------------
@@ -400,9 +401,6 @@ class ARReport:
     value: float
     ambiguous_fraction: float
     quadrature_n: int
-
-    def __float__(self):
-        return self.value
 
 
 def _holonomy_array(vectors) -> np.ndarray:
@@ -418,27 +416,26 @@ def rotational_average_AR(
     R: float,
     quadrature_n: int = 256,
     budget: Optional[int] = None,
-    delta_num: float = 1e-9,
-    ambiguous_tolerance: float = 0.01,
-    _points: Optional[np.ndarray] = None,
 ) -> ARReport:
     """Average of the transform over rotated, diag(R, 1/R)-stretched copies.
 
     Trapezoidal quadrature over the full rotation; since the surface's
     holonomy set transforms equivariantly, images of the exact vectors are
-    tested in floats with the safety margin delta_num and ambiguous points
+    tested in floats with the safety margin _DELTA_NUM and ambiguous points
     are counted, never assigned.
     """
     if quadrature_n < 8:
         raise InputError("quadrature_n must be at least 8")
     if R < 1:
         raise InputError("stretch factor must be >= 1")
-    if _points is None:
-        pre_radius = f.support_radius() * to_fraction(R)
-        hs = enumerate_connections(s, radius=pre_radius, budget=budget)
-        pts = _holonomy_array(hs.vectors())
-    else:
-        pts = _points
+    pre_radius = f.support_radius() * to_fraction(R)
+    hs = enumerate_connections(s, radius=pre_radius, budget=budget)
+    return _rotational_average(_holonomy_array(hs.vectors()), f, R, quadrature_n)
+
+
+def _rotational_average(pts: np.ndarray, f: TestFunction, R: float, quadrature_n: int) -> ARReport:
+    """The quadrature of rotational_average_AR on an (n, 2) array of
+    holonomy vectors up to the support radius times R."""
     if pts.shape[0] == 0:
         return ARReport(0.0, 0.0, quadrature_n)
     xs = pts[:, 0]
@@ -454,11 +451,11 @@ def rotational_average_AR(
         # a_R r_theta applied to every vector at every grid angle
         ix = R * (ct * xs - st * ys)
         iy = (st * xs + ct * ys) / R
-        vals, amb = f.evaluate_batch(ix, iy, delta_num)
+        vals, amb = f.evaluate_batch(ix, iy, _DELTA_NUM)
         total += float(vals[~amb].sum())
         ambiguous += int(amb.sum())
     frac = ambiguous / (quadrature_n * pts.shape[0])
-    if frac > ambiguous_tolerance:
+    if frac > _AMBIGUOUS_TOLERANCE:
         raise AmbiguousMembershipError(
             f"ambiguous membership fraction {frac:.4g} exceeds tolerance",
             fraction=frac,
@@ -514,12 +511,12 @@ def sector_sandwich(
     # The stretched cone has angular width ~2 theta_r; resolve each window
     # with a dozen grid cells (the reported margin carries the residual).
     n_eff = max(quadrature_n, int(12.0 * math.pi / theta_r) + 1)
-    lo_n = rotational_average_AR(s, w1, R, n_eff, budget=budget, _points=pts)
-    hi_n = rotational_average_AR(s, w2, R, n_eff, budget=budget, _points=pts)
-    lo_2n = rotational_average_AR(s, w1, R, 2 * n_eff, budget=budget, _points=pts)
-    hi_2n = rotational_average_AR(s, w2, R, 2 * n_eff, budget=budget, _points=pts)
+    lo_n = _rotational_average(pts, w1, R, n_eff)
+    hi_n = _rotational_average(pts, w2, R, n_eff)
+    lo_2n = _rotational_average(pts, w1, R, 2 * n_eff)
+    hi_2n = _rotational_average(pts, w2, R, 2 * n_eff)
     # R <= pre_radius: the exact count N(R) comes from the same enumeration.
-    n_count = sum(1 for v in vectors if v.norm_sq() <= r_frac * r_frac)
+    n_count, _ = _tally(vectors, DiscIndicator(r_frac), 1)
     scaled = theta_r / math.pi * n_count
     margin = 2.0 * max(abs(lo_2n.value - lo_n.value), abs(hi_2n.value - hi_n.value))
     margin += (lo_2n.ambiguous_fraction + hi_2n.ambiguous_fraction) * max(n_count, 1)

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import threading
 from fractions import Fraction
 
@@ -276,6 +277,15 @@ _PINNED_OUTPUTS = {
         ["slit-exact", "--matrix", "1,0,0,1", "--slit", "1/3,1/5", "--radius", "8"],
         "a0326fb2f7ce519e8616ce5412217fed9925cc094d764ce4cff1c8c46318c923",
     ),
+    "transform-octagon-sector": (
+        ["transform", "--surface", "octagon", "--fn",
+         json.dumps({"variant": "sector", "theta": 0.0, "half_angle": math.pi / 4, "r": "8"})],
+        "a467a3b17c5a94f04ec680b99e19db941388b4cce659ecd2e3489e64a4231e9c",
+    ),
+    "mc-stratum-octagon": (
+        ["mc-stratum", "--surface", "octagon", "--samples", "20", "--seed", "7", "--radius", "1/2"],
+        "68d83544f6de0f1081d1fa0d8f8966b9777f4a93fddad3fef2f87bfe62d11bb2",
+    ),
 }
 
 
@@ -290,6 +300,33 @@ def test_exact_output_is_pinned(name, capsys, tmp_path):
     code, out, err = run(capsys, argv)
     assert code == 0 and err == ""
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_transform_of_a_nested_product_is_the_product_of_its_factors(capsys, torus_file):
+    disc = {"variant": "disc", "r": "2"}
+    annulus = {"variant": "annulus", "r1": "1", "r2": "3"}
+    sector = {"variant": "sector", "r": "3", "theta": 0.3, "half_angle": 0.6}
+    nested = {"variant": "product", "f": disc, "g": {"variant": "product", "f": annulus, "g": sector}}
+    reports = []
+    for fn in (disc, annulus, sector, nested):
+        code, out, err = run(capsys, ["transform", "--surface", torus_file, "--fn", json.dumps(fn)])
+        assert code == 0 and err == ""
+        reports.append(json.loads(out))
+    *factors, product = reports
+    assert all(rep["ambiguous"] == 0 for rep in reports)
+    assert product["value"] == math.prod(rep["value"] for rep in factors) > 0
+    # One enumeration up to the largest support radius, 3.
+    assert product["n_vectors"] == factors[1]["n_vectors"] == factors[2]["n_vectors"] > 0
+
+
+def test_stratum_mean_of_a_triangle_is_an_input_error(capsys, tmp_path, octagon):
+    path = tmp_path / "octagon.json"
+    path.write_text(octagon.to_json())
+    tri = sv.TriangleIndicator(ExactVector.of(1, 0), ExactVector.of(0, 1)).to_json()
+    argv = ["mc-stratum", "--surface", str(path), "--samples", "2", "--seed", "7", "--fn", tri]
+    code, out, err = run(capsys, argv)
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"] == "INPUT"
 
 
 def test_holonomy_array_is_pinned():

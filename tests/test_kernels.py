@@ -1,4 +1,5 @@
 import math
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -143,6 +144,33 @@ def test_radius_zero_holds_no_point_and_nan_is_refused():
 def test_rows_outside_the_float_range_are_refused(entries, radius):
     with pytest.raises(ResourceLimitError):
         kernels.count_primitive_in_disc(*entries, radius)
+
+
+def test_a_lattice_of_1e8_rows_is_refused_within_a_second():
+    start = time.perf_counter()
+    with pytest.raises(ResourceLimitError) as exc:
+        kernels.count_primitive_in_disc(1e-8, 0.0, 0.0, 1e8, 1.0)
+    assert time.perf_counter() - start < 1.0
+    assert exc.value.details["rows"] > exc.value.details["budget"] == 500_000
+
+
+def test_the_row_budget_is_exact_and_read_from_the_environment(monkeypatch):
+    # The identity at radius 20 walks rows 1..21 after the row cutoff.
+    assert kernels.count_primitive_in_disc(1.0, 0.0, 0.0, 1.0, 20.0, budget=21) == 768
+    with pytest.raises(ResourceLimitError) as exc:
+        kernels.count_primitive_in_disc(1.0, 0.0, 0.0, 1.0, 20.0, budget=20)
+    assert (exc.value.details["rows"], exc.value.details["budget"]) == (21, 20)
+    monkeypatch.setenv("SADDLEKIT_BUDGET", "20")
+    with pytest.raises(ResourceLimitError):
+        kernels.count_primitive_in_disc(1.0, 0.0, 0.0, 1.0, 20.0)
+
+
+def test_batched_kernel_refuses_one_lattice_over_the_budget():
+    matrices = np.array(sample_torus_haar(50, seed=2).matrices)
+    matrices[17] = (1e-8, 0.0, 0.0, 1e8)
+    with pytest.raises(ResourceLimitError) as exc:
+        next(kernels.primitive_points(matrices, 1.0))
+    assert exc.value.details["rows"] > exc.value.details["budget"] == 500_000
 
 
 def test_divisor_table_matches_brute_force_to_1e4(monkeypatch):

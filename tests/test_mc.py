@@ -8,10 +8,12 @@ import pytest
 
 from saddlekit import mc
 from saddlekit.builders import centered_octagon_h2
+from saddlekit.errors import InputError
 from saddlekit.exactplane import FloatMatrix
+from saddlekit.geodesic import enumerate_connections
 from saddlekit.oracle import TorusPoint
-from saddlekit.surface import TranslationSurface
-from saddlekit.sv import AnnulusIndicator, DiscIndicator, ProductPair, SectorIndicator
+from saddlekit.surface import TranslationSurface, area
+from saddlekit.sv import AnnulusIndicator, DiscIndicator, ProductPair, SectorIndicator, TestFunction
 
 
 def test_stratum_sampler_rejects_invalid_surfaces_only(octagon, monkeypatch):
@@ -34,6 +36,54 @@ def test_stratum_sample_is_pinned(octagon):
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "8a663023cf6973d012ab9553d24e994f3e1ca534a5e023670b6630998c40b4e2"
     )
+
+
+def _reference_surface_value(s: TranslationSurface, f: TestFunction, budget=None) -> float:
+    """Transform on the area-normalized surface, computed analytically:
+    vectors scale by 1/sqrt(area), so membership tests are rescaled
+    exactly instead of rescaling the surface."""
+    a = area(s)
+    if isinstance(f, ProductPair):
+        return _reference_surface_value(s, f.f, budget) * _reference_surface_value(s, f.g, budget)
+    support_sq = f.support_radius() ** 2 * a
+    hs = enumerate_connections(s, radius_sq=support_sq, budget=budget)
+    vectors = hs.vectors()
+    if isinstance(f, DiscIndicator):
+        r_sq = f.r * f.r * a
+        return float(sum(1 for v in vectors if v.norm_sq() <= r_sq))
+    if isinstance(f, AnnulusIndicator):
+        lo_sq = f.r1 * f.r1 * a
+        hi_sq = f.r2 * f.r2 * a
+        return float(sum(1 for v in vectors if lo_sq < v.norm_sq() <= hi_sq))
+    if isinstance(f, SectorIndicator):
+        r_sq = f.r * f.r * a
+        total = 0
+        for v in vectors:
+            if v.norm_sq() > r_sq:
+                continue
+            inside, amb = f.angular_inside(v)  # scale-free
+            if inside and not amb:
+                total += 1
+        return float(total)
+    raise InputError(f"unsupported test function {type(f).__name__} on surfaces")
+
+
+@pytest.mark.parametrize(
+    "f",
+    [
+        DiscIndicator(Fraction(6, 5)),
+        AnnulusIndicator(Fraction(1, 2), Fraction(6, 5)),
+        SectorIndicator(Fraction(6, 5), 0.3, 0.6),
+        ProductPair(AnnulusIndicator(Fraction(2, 5), Fraction(1)), SectorIndicator(Fraction(6, 5), 0.3, 0.6)),
+    ],
+    ids=["disc", "annulus", "sector", "product"],
+)
+def test_stratum_values_equal_the_per_shape_reference(octagon, f):
+    # At spread 0.2 these radii give 3 to 5 distinct values over the draws.
+    sample = mc.sample_stratum_local(octagon, "0.2", 20, seed=7)
+    want = np.array([_reference_surface_value(s, f) for s in sample.surfaces])
+    assert len(set(want.tolist())) > 1
+    assert mc._values(sample, f).tobytes() == want.tobytes()
 
 
 def test_stratum_sampler_moves_a_marked_point_with_the_zero():
@@ -153,10 +203,3 @@ def test_borel_cantelli_table_is_pinned(haar_3000):
     assert _sha([row.to_json_dict() for row in rows]) == (
         "04d417bbbcd83f5a662af43e11ae0f609e2472f359db4419b140834929cffed5"
     )
-
-
-def test_torus_point_sequence_takes_the_matrix_path(haar_3000):
-    matrices = haar_3000.matrices[:200]
-    points = [TorusPoint(FloatMatrix(*row)) for row in matrices.tolist()]
-    f = ProductPair(AnnulusIndicator(Fraction(1), Fraction(4)), SectorIndicator(Fraction(5), 0.3, 0.6))
-    assert np.array_equal(mc._values(points, f), mc._torus_values(matrices, f))

@@ -93,6 +93,43 @@ def test_product_pair_routes_through_transform(torus):
     assert transform_report(torus, h).value == 32
 
 
+def test_product_reports_the_enumerations_vectors(torus):
+    h = ProductPair(DiscIndicator(1), DiscIndicator(2))
+    assert transform_report(torus, h).n_vectors == count(torus, 2) == 8
+
+
+def test_product_with_an_ambiguous_factor_counts_it(torus):
+    h = ProductPair(DiscIndicator(2), SectorIndicator(3, 0.0, math.pi / 4))
+    rep = transform_report(torus, h)
+    sector = transform_report(torus, h.g)
+    assert rep.ambiguous == sector.ambiguous > 0
+    assert rep.value == transform(torus, h.f) * sector.value
+    with pytest.raises(AmbiguousMembershipError):
+        transform(torus, h)
+    with pytest.raises(AmbiguousMembershipError):
+        pair_transform(torus, h.f, h.g)
+
+
+@pytest.mark.parametrize(
+    "f",
+    [DiscIndicator(Fraction(3, 2)), AnnulusIndicator(1, Fraction(5, 2)), SectorIndicator(3, 0.0, math.pi / 4)],
+    ids=["disc", "annulus", "sector"],
+)
+def test_membership_at_an_area_is_membership_of_the_scaled_vector(f):
+    # v / sqrt(4) = v / 2, so both sides are exact.
+    for x in range(-7, 8):
+        for y in range(-7, 8):
+            v = V(x, y)
+            assert f.evaluate_exact(v, 4) == f.evaluate_exact(v.scale(Fraction(1, 2)))
+
+
+def test_triangle_membership_needs_unit_area():
+    f = TriangleIndicator(V(1, 0), V(0, 1))
+    assert f.evaluate_exact(V(Fraction(1, 4), Fraction(1, 4)), 1) == (1, False)
+    with pytest.raises(InputError):
+        f.evaluate_exact(V(Fraction(1, 4), Fraction(1, 4)), 2)
+
+
 def test_rotational_average_identity(torus):
     f = DiscIndicator(Fraction(3, 2))
     rep = rotational_average_AR(torus, f, 1.0, 64)
