@@ -9,19 +9,30 @@ a lower side it advances counterclockwise to the nearest other corner, the
 mirror image of the upper case.  Each hop is an edge of the triangulation, so
 the result is an edge path homotopic to the connection, certified by exact
 holonomy summation.
+
+The walk runs on the int corners of geodesic's strip, developed at its
+scale K, where rotations, reflections and the side tests are int
+operations.  Each step asks `delaunay.diamond_of` for the current
+triangle's diamond, the one place Fractions enter: the diamond's centre
+has denominators dividing 4K and its radius dividing 2K, so the step reads
+both back as ints at 4K and decides the clockwise order there, every
+position scaled by the radius.  Fractions are built again only for the
+returned ChewPath, from the hopped edges' own int vectors.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import List, Optional, Sequence, Tuple
 
-from .delaunay import DelaunayTriangulation, DiamondCertificate, delaunay_l1, diamond_of
+from .delaunay import DelaunayTriangulation, delaunay_l1, diamond_of
 from .errors import BlockedAtVertex, ChewCaseError, InputError
-from .exactplane import ZERO, ExactVector, compare_sqrt_sum, sqrt_bounds
-from .geodesic import SaddleConnection, _segment, _start_corner
+from .exactplane import ExactVector, _ints, _scale_of, _vec, compare_sqrt_sum, sqrt_bounds
+from .geodesic import SaddleConnection, _start_corner, _strip
 from .surface import Slot, TranslationSurface
 
 
@@ -64,59 +75,58 @@ class ChewPath:
         return json.dumps(self.to_json_dict(), sort_keys=True, separators=(",", ":"))
 
 
-def _rotation_power(d: ExactVector) -> int:
+def _rotation_power(d) -> int:
     """Quarter turns k so that rot^k(d) has positive x and |slope| <= 1."""
-    cur = d
+    x, y = d
     for k in range(4):
-        if cur.x > 0 and abs(cur.y) <= cur.x:
+        if x > 0 and abs(y) <= x:
             return k
-        cur = ExactVector(-cur.y, cur.x)
+        x, y = -y, x
     raise InputError("zero displacement has no direction")
 
 
-def _rot(p: ExactVector, k: int) -> ExactVector:
+def _rot(p, k: int):
+    x, y = p
     for _ in range(k):
-        p = ExactVector(-p.y, p.x)
-    return p
+        x, y = -y, x
+    return x, y
 
 
-def _clockwise_param(center: ExactVector, r: Fraction, p: ExactVector) -> Fraction:
+def _clockwise_param(center, r: int, p) -> int:
     """Position of boundary point p walking N -> E -> S -> W clockwise,
-    in units of sides (range [0, 4))."""
-    dx = p.x - center.x
-    dy = p.y - center.y
+    in units of sides times r (range [0, 4r))."""
+    dx = p[0] - center[0]
+    dy = p[1] - center[1]
     if dx >= 0 and dy >= 0:
-        return dx / r
-    if dx >= 0 and dy < 0:
-        return 2 - dx / r
-    if dx < 0 and dy <= 0:
-        return 2 - dx / r
-    return 4 + dx / r
+        return dx
+    if dy <= 0:
+        return 2 * r - dx
+    return 4 * r + dx
 
 
-def _walk_step(diamond: DiamondCertificate, corners, z_idx: int):
+def _walk_step(center, r: int, corners, z_idx: int):
     """Choose the next corner index per the diamond walk.
 
     corners are the (rotated, possibly reflected) positions of the current
-    triangle; z is at z_idx and lies on or above the segment in this frame.
-    From an upper side of the circumscribing diamond the walk advances
-    clockwise to the nearest other corner; from a lower side it advances
-    counterclockwise to the nearest other corner (the mirror image); the
-    hop from the lower-left side to a lower-right corner is the special case
-    of that rule where such a corner exists.
+    triangle and center and r its circumscribing diamond's centre and L1
+    radius, all ints at one scale; z is at z_idx and lies on or above the
+    segment in this frame.  From an upper side of the diamond the walk
+    advances clockwise to the nearest other corner; from a lower side it
+    advances counterclockwise to the nearest other corner (the mirror
+    image); the hop from the lower-left side to a lower-right corner is the
+    special case of that rule where such a corner exists.
     """
-    cen, r = diamond.center, diamond.radius_l1
     z = corners[z_idx]
-    dx = z.x - cen.x
-    dy = z.y - cen.y
+    dx = z[0] - center[0]
+    dy = z[1] - center[1]
     upper = dy > 0 or (dy == 0 and dx < 0)
-    pz = _clockwise_param(cen, r, z)
+    pz = _clockwise_param(center, r, z)
     best = None
     for i in range(3):
         if i == z_idx:
             continue
-        pw = _clockwise_param(cen, r, corners[i])
-        dist = (pw - pz) % 4 if upper else (pz - pw) % 4
+        pw = _clockwise_param(center, r, corners[i])
+        dist = (pw - pz) % (4 * r) if upper else (pz - pw) % (4 * r)
         if dist == 0:
             raise ChewCaseError("coincident boundary positions on the diamond")
         if best is None or dist < best[0]:
@@ -151,83 +161,76 @@ def chew_path(dt: DelaunayTriangulation, conn: SaddleConnection) -> ChewPath:
 
 def _chew_on_surface(s: TranslationSurface, corners, d: ExactVector) -> ChewPath:
     start = _start_corner(s, corners, d)
-    chain = _segment(s, start, d)[0]
-    if len(chain) == 1:  # d runs along the corner's out-edge
-        return _assemble_path([(start, 1)], [d], [ZERO, d], d)
+    scale, placed, _, _, _ = _strip(s, start, d)
+    if len(placed) == 1:  # d runs along the corner's out-edge
+        return _assemble_path(s, [(start, 1)], d)
 
-    k = _rotation_power(d)
-    d_rot = _rot(d, k)
-    corner_abs = [pts for _, pts in chain]
-    corner_rot = [[_rot(p, k) for p in pls] for pls in corner_abs]
-
-    z = ZERO
-    target = d
-    j = 0
-    path_edges: List[Tuple[Slot, int]] = []
-    path_vectors: List[ExactVector] = []
-    path_vertices: List[ExactVector] = [ZERO]
+    target = _ints(d, scale)
+    k = _rotation_power(target)
+    d_rot = _rot(target, k)
+    # The last strip triangle having each developed position as a vertex.
+    last = {p: j for j, (_, pts) in enumerate(placed) for p in pts}
+    z = (0, 0)
+    edges: List[Tuple[Slot, int]] = []
     guard = 0
     while z != target:
         guard += 1
-        if guard > 4 * len(chain) + 16:
+        if guard > 4 * len(placed) + 16:
             raise ChewCaseError("diamond walk made no progress")
-        # Last strip triangle having z as a vertex (developed position).
-        j = max(idx for idx in range(len(chain)) if any(p == z for p in corner_abs[idx]))
-        pls = corner_abs[j]
-        z_idx = next(i for i in range(3) if pls[i] == z)
-        rot_pls = corner_rot[j]
-        z_rot = rot_pls[z_idx]
-        above = d_rot.cross(z_rot) >= 0
-        if above:
-            frame = rot_pls
-        else:
-            frame = [ExactVector(p.x, -p.y) for p in rot_pls]
-        dia = diamond_of(frame[0], frame[1], frame[2])
-        next_idx = _walk_step(dia, frame, z_idx)
-        w = pls[next_idx]
-        slot_dir = _edge_between(s, chain[j], z_idx, next_idx)
-        path_edges.append(slot_dir)
-        path_vectors.append(w - z)
-        path_vertices.append(w)
-        z = w
-    return _assemble_path(path_edges, path_vectors, path_vertices, d)
+        j = last[z]
+        pts = placed[j][1]
+        z_idx = pts.index(z)
+        # At 4 * scale the diamond's centre and radius are ints too.
+        frame = [_rot((4 * x, 4 * y), k) for x, y in pts]
+        if d_rot[0] * frame[z_idx][1] - d_rot[1] * frame[z_idx][0] < 0:  # below: reflect
+            frame = [(x, -y) for x, y in frame]
+        dia = diamond_of(*(_vec(p, 4 * scale) for p in frame))
+        r = dia.radius_l1
+        center = _ints(dia.center, 4 * scale)
+        next_idx = _walk_step(center, r.numerator * (4 * scale // r.denominator), frame, z_idx)
+        edges.append(_edge_between(s, placed[j], z_idx, next_idx))
+        z = pts[next_idx]
+    return _assemble_path(s, edges, d)
 
 
-def _assemble_path(edges, vectors, vertices, holonomy) -> ChewPath:
-    total = ZERO
-    for v in vectors:
-        total = total + v
-    if total != holonomy:
+def _assemble_path(s: TranslationSurface, edges, holonomy: ExactVector) -> ChewPath:
+    """The ChewPath of an edge path from the origin.
+
+    Each edge's vector is its own, read from the surface's int corners at K
+    = lcm(D, the holonomy's denominators) and signed by its direction; their
+    sum must be the holonomy, which certifies the homotopy.  The vertices
+    are the running sums.  Fractions are built here only, for the result.
+    """
+    scale, tris = s.int_corners()
+    k = math.lcm(scale, _scale_of([holonomy]))
+    m = k // scale
+    hops = []
+    for (t, c), sign in edges:
+        (x0, y0), (x1, y1) = tris[t][c], tris[t][(c + 1) % 3]
+        hops.append((sign * m * (x1 - x0), sign * m * (y1 - y0)))
+    vertices = list(accumulate(hops, lambda p, q: (p[0] + q[0], p[1] + q[1]), initial=(0, 0)))
+    hx, hy = _ints(holonomy, k)
+    if vertices[-1] != (hx, hy):
         raise InputError("path holonomy does not certify homotopy")
+    norms = [Fraction(x * x + y * y, k * k) for x, y in hops]
     lo = Fraction(0)
     hi = Fraction(0)
-    for v in vectors:
-        l, h = sqrt_bounds(v.norm_sq(), 64)
+    for n in norms:
+        l, h = sqrt_bounds(n, 64)
         lo += l
         hi += h
-    target_sq = holonomy.norm_sq()
-    cert = compare_sqrt_sum([v.norm_sq() for v in vectors], 10 * target_sq) <= 0
+    target_sq = Fraction(hx * hx + hy * hy, k * k)
+    cert = compare_sqrt_sum(norms, 10 * target_sq) <= 0
     ratio_ub = float(hi) / float(target_sq) ** 0.5 if target_sq else 1.0
     return ChewPath(
         edges=tuple(edges),
-        edge_vectors=tuple(vectors),
-        vertices=tuple(vertices),
+        edge_vectors=tuple(_vec(v, k) for v in hops),
+        vertices=tuple(_vec(v, k) for v in vertices),
         holonomy=holonomy,
         total_length_sq_lower=lo * lo,
         total_length_sq_upper=hi * hi,
         ratio_upper_bound=ratio_ub,
         sqrt10_certified=cert,
-    )
-
-
-def _concat_paths(a: ChewPath, b: ChewPath) -> ChewPath:
-    vectors = a.edge_vectors + b.edge_vectors
-    vertices = a.vertices + tuple(a.vertices[-1] + (v - b.vertices[0]) for v in b.vertices[1:])
-    return _assemble_path(
-        list(a.edges) + list(b.edges),
-        list(vectors),
-        list(vertices),
-        a.holonomy + b.holonomy,
     )
 
 
@@ -239,6 +242,8 @@ def planar_chew(points: Sequence[ExactVector], a: int, b: int,
     If the segment a -> b passes exactly through a third point, the path is
     the concatenation of the two sub-paths (the bound telescopes).
     """
+    if not (0 <= a < len(points) and 0 <= b < len(points)):
+        raise InputError(f"endpoint indices must lie in [0, {len(points)})")
     if a == b:
         raise InputError("endpoints must differ")
     ctx = prepared if prepared is not None else prepare_planar(points)
@@ -259,7 +264,7 @@ def _planar_chew_rec(ctx, start_id, d, depth):
         rest = _planar_chew_rec(
             ctx, ctx["surface_vertex_to_id"][blocked.vertex], d - blocked.position, depth + 1
         )
-        return _concat_paths(first, rest)
+        return _assemble_path(dt.surface, first.edges + rest.edges, d)
 
 
 def prepare_planar(points: Sequence[ExactVector]) -> dict:

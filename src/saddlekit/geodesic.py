@@ -463,8 +463,15 @@ def _start_corner(s: TranslationSurface, corners, d: ExactVector) -> Slot:
 
 
 def _strip(s: TranslationSurface, corner: Slot, d: ExactVector):
-    """The int walk behind _segment: (k, placed, crossings, lower, end) with
-    the placed corners as int pairs in the frame k."""
+    """Develop the strip crossed by the segment 0 -> d leaving corner.
+
+    Returns (k, placed, crossings, lower, end): the frame k, the placed
+    triangles as (triangle, its three corner positions as int pairs at k)
+    with the start vertex at the origin, the slots crossed, the slots along
+    the strip's lower boundary up to the vertex at d, and that vertex.
+    Raises BlockedAtVertex if the segment meets a vertex short of d,
+    InputError if no vertex sits at d.
+    """
     k, corners, [(dx, dy)] = _frame(s, d)
     t, c = corner
     (ox, oy), (x1, y1), (x2, y2) = (corners[t][(c + i) % 3] for i in range(3))
@@ -493,19 +500,6 @@ def _strip(s: TranslationSurface, corner: Slot, d: ExactVector):
                 raise BlockedAtVertex(_vec((ax, ay), k), end)
             raise InputError("trace left the segment corridor; displacement invalid")
     raise ResourceLimitError("segment trace did not terminate")
-
-
-def _segment(s: TranslationSurface, corner: Slot, d: ExactVector):
-    """Develop the strip crossed by the segment 0 -> d leaving corner.
-
-    Returns (placements, crossings, lower, end): the placed triangles as
-    (triangle, its three corner positions) with the start vertex at the
-    origin, the slots crossed, the slots along the strip's lower boundary up
-    to the vertex at d, and that vertex.  Raises BlockedAtVertex if the
-    segment meets a vertex short of d, InputError if no vertex sits at d.
-    """
-    k, placed, crossings, lower, end = _strip(s, corner, d)
-    return [(t, tuple(_vec(p, k) for p in pts)) for t, pts in placed], crossings, lower, end
 
 
 def trace_connection(

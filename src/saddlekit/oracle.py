@@ -13,13 +13,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, Set, Tuple
 
 from .errors import InputError, ResourceLimitError
 from .exactplane import (
     ExactMatrix,
     ExactVector,
-    FloatMatrix,
     euler_phi,
     lattice_box_bound,
     primitive_points_in_disc,

@@ -32,7 +32,7 @@ from .errors import (
     InputError,
     SingularMatrixError,
 )
-from .exactplane import ExactMatrix, ExactVector, _ints, _scale_of, format_rational, to_fraction
+from .exactplane import ExactMatrix, ExactVector, _ints, _scale_of
 
 Slot = Tuple[int, int]
 

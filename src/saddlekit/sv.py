@@ -29,7 +29,6 @@ from .errors import (
 )
 from .exactplane import ExactVector, compare_sqrt_sum, format_rational, sorted_by_length, to_fraction
 from .geodesic import (
-    SaddleConnection,
     Cylinder,
     Unknown,
     _outside_class,

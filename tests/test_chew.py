@@ -7,6 +7,7 @@ import pytest
 from saddlekit.builders import sheared_torus, slit_torus, square_torus, torus_from_matrix
 from saddlekit.chew import chew_path, follows_parallel_count, planar_chew, prepare_planar
 from saddlekit.delaunay import DegenerateDiamondError, delaunay_l1
+from saddlekit.errors import InputError
 from saddlekit.exactplane import ExactMatrix, ExactVector, compare_sqrt_sum
 from saddlekit.geodesic import (
     detect_cylinder,
@@ -77,6 +78,13 @@ def test_planar_two_points():
     assert path.ratio_upper_bound <= 1.0 + 1e-9
 
 
+@pytest.mark.parametrize("a, b", [(-1, 0), (0, 7), (4, 0), (0, -4)])
+def test_planar_endpoint_out_of_range_is_an_input_error(a, b):
+    pts = [V(0, 0), V(1, 0), V(1, 1), V(0, 1)]
+    with pytest.raises(InputError, match="endpoint indices"):
+        planar_chew(pts, a, b)
+
+
 def test_planar_unit_square():
     pts = [V(0, 0), V(1, 0), V(1, 1), V(0, 1)]
     path = planar_chew(pts, 0, 2)
@@ -120,27 +128,31 @@ def test_walk_from_lower_left_side_with_upper_corners(monkeypatch):
     # Triangle (0, 0), (1, 5/8), (0, 1): its diamond has centre (5/16, 1/2)
     # and radius 13/16, z = (0, 0) lies on the lower-left side and both
     # other corners lie on upper sides, so no corner is on the lower right.
+    # The step sees ints at one scale u; the corner (0, 1) reads u back.
     import saddlekit.chew as chew
 
     seen = []
     step = chew._walk_step
 
-    def spy(diamond, corners, z_idx):
+    def spy(center, r, corners, z_idx):
         z = corners[z_idx]
-        seen.append((diamond, z, {corners[i] - z for i in range(3) if i != z_idx}))
-        return step(diamond, corners, z_idx)
+        rel = {(x - z[0], y - z[1]) for i, (x, y) in enumerate(corners) if i != z_idx}
+        seen.append((center, r, z, rel))
+        return step(center, r, corners, z_idx)
 
     monkeypatch.setattr(chew, "_walk_step", spy)
     pts = [V(0, 0), V(1, Fraction(5, 8)), V(0, 1), V(2, Fraction(7, 4))]
     path = planar_chew(pts, 0, 3)
-    hits = [
-        (dia, z) for dia, z, rel in seen
-        if rel == {V(1, Fraction(5, 8)), V(0, 1)}
-    ]
+    hits = []
+    for center, r, z, rel in seen:
+        for _, u in rel:
+            if u > 0 and {V(Fraction(x, u), Fraction(y, u)) for x, y in rel} == {V(1, Fraction(5, 8)), V(0, 1)}:
+                hits.append((center, r, z, u))
     assert hits
-    for dia, z in hits:
-        assert dia.radius_l1 == Fraction(13, 16)
-        assert z.x < dia.center.x and z.y < dia.center.y  # lower-left side
+    for (cx, cy), r, (zx, zy), u in hits:
+        assert V(Fraction(cx - zx, u), Fraction(cy - zy, u)) == V(Fraction(5, 16), Fraction(1, 2))
+        assert Fraction(r, u) == Fraction(13, 16)
+        assert zx < cx and zy < cy  # lower-left side
     assert path.edge_vectors[0] == V(1, Fraction(5, 8))
     total = V(0, 0)
     for v in path.edge_vectors:

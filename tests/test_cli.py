@@ -282,6 +282,14 @@ _PINNED_OUTPUTS = {
          json.dumps({"variant": "sector", "theta": 0.0, "half_angle": math.pi / 4, "r": "8"})],
         "a467a3b17c5a94f04ec680b99e19db941388b4cce659ecd2e3489e64a4231e9c",
     ),
+    "chew-check-square": (
+        ["chew-check", "--surface", "square", "--radius", "6"],
+        "889ce8cf33c21f3f7b9163b611144b280a11162494b0c67bb721743bd6785b7f",
+    ),
+    "chew-check-slit": (
+        ["chew-check", "--surface", "slit", "--radius", "5/2"],
+        "3298ffad1f2927a335662d38977e9b3224204cda8a6722d995f6d1682814d213",
+    ),
     "mc-stratum-octagon": (
         ["mc-stratum", "--surface", "octagon", "--samples", "20", "--seed", "7", "--radius", "1/2"],
         "68d83544f6de0f1081d1fa0d8f8966b9777f4a93fddad3fef2f87bfe62d11bb2",

@@ -20,7 +20,7 @@ from saddlekit.exactplane import ExactMatrix, ExactVector, primitive_points_in_d
 from saddlekit.geodesic import (
     Cylinder,
     Unknown,
-    _segment,
+    _strip,
     connections,
     count,
     detect_cylinder,
@@ -305,7 +305,7 @@ def test_homology_classes_negate_under_reversal(torus, octagon, slit_13_15):
             assert rev.homology_class == tuple(-x for x in c.homology_class)
             assert reverse_of(s, rev) == c
             # The class of the reversed segment, walked from its own start.
-            _, _, lower, _ = _segment(s, rev.start_corner, rev.holonomy)
+            _, _, _, lower, _ = _strip(s, rev.start_corner, rev.holonomy)
             assert homology.class_of_slots(lower) == rev.homology_class
 
 
@@ -331,7 +331,7 @@ def test_walk_from_start_corner_reproduces_enumeration(tracer_corpus):
         conns = enumerate_connections(s, radius).connections
         assert conns
         for conn in conns:
-            _, crossings, lower, end = _segment(s, conn.start_corner, conn.holonomy)
+            _, _, crossings, lower, end = _strip(s, conn.start_corner, conn.holonomy)
             assert tuple(crossings) == conn.crossings
             assert end == conn.end
             assert homology.class_of_slots(lower) == conn.homology_class
@@ -341,7 +341,7 @@ def test_walk_past_a_connection_is_blocked_at_its_end(tracer_corpus):
     for s, radius in tracer_corpus:
         for conn in enumerate_connections(s, radius).connections:
             with pytest.raises(BlockedAtVertex) as blocked:
-                _segment(s, conn.start_corner, conn.holonomy.scale(2))
+                _strip(s, conn.start_corner, conn.holonomy.scale(2))
             assert blocked.value.position == conn.holonomy
             assert blocked.value.vertex == conn.end
 

@@ -6,7 +6,10 @@ wedge test and `_reference_detect_cylinder` the offset search that the
 half-step leaf of `detect_cylinder` replaced; they are kept here as the
 reference, as `test_delaunay._reference_diamond_of` is.
 `_reference_vertices` is the Fraction cone-angle winding of the validation
-that preceded the int one.
+that preceded the int one.  `_reference_chew_on_surface`, with its
+`_rotation_power`, `_rot`, `_clockwise_param`, `_walk_step` and
+`_assemble_path`, is the Fraction diamond walk that preceded the int one in
+`chew`, and `_reference_planar_chew_rec` its planar recursion.
 """
 
 import math
@@ -14,15 +17,22 @@ import random
 from fractions import Fraction
 from itertools import islice
 
-from saddlekit import mc
+from typing import List, Tuple
+
+from saddlekit import chew, mc
 from saddlekit.builders import marked_torus, octagon_h2, slit_torus, square_torus
-from saddlekit.errors import BlockedAtVertex, InputError, ResourceLimitError
-from saddlekit.exactplane import ZERO, ExactMatrix, ExactVector
+from saddlekit.chew import ChewPath, _edge_between
+from saddlekit.delaunay import delaunay_l1, diamond_of
+from saddlekit.errors import (
+    BlockedAtVertex, ChewCaseError, DegenerateDiamondError, FlipCycleError, InputError,
+    ResourceLimitError, SaddlekitError,
+)
+from saddlekit.exactplane import ZERO, ExactMatrix, ExactVector, _vec, compare_sqrt_sum, sqrt_bounds
 from saddlekit.geodesic import (
     Cylinder,
     Unknown,
-    _segment,
     _start_corner,
+    _strip,
     connections,
     detect_cylinder,
     trace_connection,
@@ -32,6 +42,12 @@ from saddlekit.surface import StratumSignature, apply_surface
 
 def V(x, y):
     return ExactVector.of(x, y)
+
+
+def _segment(s, corner, d):
+    """_strip with its placed corners as ExactVectors."""
+    k, placed, crossings, lower, end = _strip(s, corner, d)
+    return [(t, tuple(_vec(p, k) for p in pts)) for t, pts in placed], crossings, lower, end
 
 
 # --- the Fraction reference -------------------------------------------------
@@ -162,6 +178,153 @@ def _reference_detect_cylinder(s, conn, max_trace):
                 continue
             eps /= 2
     return Unknown("offset search exhausted")
+
+
+def _rotation_power(d: ExactVector) -> int:
+    """Quarter turns k so that rot^k(d) has positive x and |slope| <= 1."""
+    cur = d
+    for k in range(4):
+        if cur.x > 0 and abs(cur.y) <= cur.x:
+            return k
+        cur = ExactVector(-cur.y, cur.x)
+    raise InputError("zero displacement has no direction")
+
+
+def _rot(p: ExactVector, k: int) -> ExactVector:
+    for _ in range(k):
+        p = ExactVector(-p.y, p.x)
+    return p
+
+
+def _clockwise_param(center: ExactVector, r: Fraction, p: ExactVector) -> Fraction:
+    """Position of boundary point p walking N -> E -> S -> W clockwise,
+    in units of sides (range [0, 4))."""
+    dx = p.x - center.x
+    dy = p.y - center.y
+    if dx >= 0 and dy >= 0:
+        return dx / r
+    if dx >= 0 and dy < 0:
+        return 2 - dx / r
+    if dx < 0 and dy <= 0:
+        return 2 - dx / r
+    return 4 + dx / r
+
+
+def _walk_step(diamond, corners, z_idx: int):
+    cen, r = diamond.center, diamond.radius_l1
+    z = corners[z_idx]
+    dx = z.x - cen.x
+    dy = z.y - cen.y
+    upper = dy > 0 or (dy == 0 and dx < 0)
+    pz = _clockwise_param(cen, r, z)
+    best = None
+    for i in range(3):
+        if i == z_idx:
+            continue
+        pw = _clockwise_param(cen, r, corners[i])
+        dist = (pw - pz) % 4 if upper else (pz - pw) % 4
+        if dist == 0:
+            raise ChewCaseError("coincident boundary positions on the diamond")
+        if best is None or dist < best[0]:
+            best = (dist, i)
+    return best[1]
+
+
+def _reference_chew_on_surface(s, corners, d: ExactVector) -> ChewPath:
+    start = _start_corner(s, corners, d)
+    chain = _segment(s, start, d)[0]
+    if len(chain) == 1:  # d runs along the corner's out-edge
+        return _assemble_path([(start, 1)], [d], [ZERO, d], d)
+
+    k = _rotation_power(d)
+    d_rot = _rot(d, k)
+    corner_abs = [pts for _, pts in chain]
+    corner_rot = [[_rot(p, k) for p in pls] for pls in corner_abs]
+
+    z = ZERO
+    target = d
+    j = 0
+    path_edges: List[Tuple] = []
+    path_vectors: List[ExactVector] = []
+    path_vertices: List[ExactVector] = [ZERO]
+    guard = 0
+    while z != target:
+        guard += 1
+        if guard > 4 * len(chain) + 16:
+            raise ChewCaseError("diamond walk made no progress")
+        # Last strip triangle having z as a vertex (developed position).
+        j = max(idx for idx in range(len(chain)) if any(p == z for p in corner_abs[idx]))
+        pls = corner_abs[j]
+        z_idx = next(i for i in range(3) if pls[i] == z)
+        rot_pls = corner_rot[j]
+        z_rot = rot_pls[z_idx]
+        above = d_rot.cross(z_rot) >= 0
+        if above:
+            frame = rot_pls
+        else:
+            frame = [ExactVector(p.x, -p.y) for p in rot_pls]
+        dia = diamond_of(frame[0], frame[1], frame[2])
+        next_idx = _walk_step(dia, frame, z_idx)
+        w = pls[next_idx]
+        slot_dir = _edge_between(s, chain[j], z_idx, next_idx)
+        path_edges.append(slot_dir)
+        path_vectors.append(w - z)
+        path_vertices.append(w)
+        z = w
+    return _assemble_path(path_edges, path_vectors, path_vertices, d)
+
+
+def _assemble_path(edges, vectors, vertices, holonomy) -> ChewPath:
+    total = ZERO
+    for v in vectors:
+        total = total + v
+    if total != holonomy:
+        raise InputError("path holonomy does not certify homotopy")
+    lo = Fraction(0)
+    hi = Fraction(0)
+    for v in vectors:
+        l, h = sqrt_bounds(v.norm_sq(), 64)
+        lo += l
+        hi += h
+    target_sq = holonomy.norm_sq()
+    cert = compare_sqrt_sum([v.norm_sq() for v in vectors], 10 * target_sq) <= 0
+    ratio_ub = float(hi) / float(target_sq) ** 0.5 if target_sq else 1.0
+    return ChewPath(
+        edges=tuple(edges),
+        edge_vectors=tuple(vectors),
+        vertices=tuple(vertices),
+        holonomy=holonomy,
+        total_length_sq_lower=lo * lo,
+        total_length_sq_upper=hi * hi,
+        ratio_upper_bound=ratio_ub,
+        sqrt10_certified=cert,
+    )
+
+
+def _reference_concat_paths(a: ChewPath, b: ChewPath) -> ChewPath:
+    vectors = a.edge_vectors + b.edge_vectors
+    vertices = a.vertices + tuple(a.vertices[-1] + (v - b.vertices[0]) for v in b.vertices[1:])
+    return _assemble_path(
+        list(a.edges) + list(b.edges),
+        list(vectors),
+        list(vertices),
+        a.holonomy + b.holonomy,
+    )
+
+
+def _reference_planar_chew_rec(ctx, start_id, d, depth):
+    if depth > 8:
+        raise InputError("too many collinear splits")
+    dt = ctx["dt"]
+    corners = ctx["id_to_corners"][start_id]
+    try:
+        return _reference_chew_on_surface(dt.surface, corners, d)
+    except BlockedAtVertex as blocked:
+        first = _reference_planar_chew_rec(ctx, start_id, blocked.position, depth + 1)
+        rest = _reference_planar_chew_rec(
+            ctx, ctx["surface_vertex_to_id"][blocked.vertex], d - blocked.position, depth + 1
+        )
+        return _reference_concat_paths(first, rest)
 
 
 def _reference_vertices(s):
@@ -321,3 +484,73 @@ def test_validation_matches_the_fraction_winding_on_stratum_draws():
         # The draws are dyadic with large denominators.
         assert max(s.int_corners()[0] for s in sample.surfaces) >= 1 << 10
     assert checked == 26
+
+
+def _walk_outcome(f, *args):
+    try:
+        return f(*args)
+    except BlockedAtVertex as exc:
+        return BlockedAtVertex, str(exc), exc.position, exc.vertex
+    except SaddlekitError as exc:
+        return type(exc), str(exc)
+
+
+def test_chew_walk_matches_the_fraction_walk():
+    rng = random.Random(11)
+    bases = [square_torus(), slit_torus(V(Fraction(1, 3), Fraction(1, 5))), octagon_h2(),
+             marked_torus(V(Fraction(1, 2), Fraction(1, 3))),
+             marked_torus(V(Fraction(1, 3), Fraction(1, 5)))]
+    kinds, walks = {}, 0
+    for base in bases:
+        triangulated = [(base, delaunay_l1(base))]
+        while len(triangulated) < 3:  # the base and two SL(2, Q) images of it
+            img = apply_surface(_sl2q(rng), base)
+            try:
+                triangulated.append((img, delaunay_l1(img)))
+            except DegenerateDiamondError:
+                pass
+        for s, dt in triangulated:
+            for conn in connections(s, 16):
+                corners = sorted(c for c, v in dt.vertex_of_corner.items() if v == conn.start)
+                got = _walk_outcome(chew._chew_on_surface, dt.surface, corners, conn.holonomy)
+                ref = _walk_outcome(_reference_chew_on_surface, dt.surface, corners, conn.holonomy)
+                assert got == ref, (s, conn.holonomy)
+                kinds[got[0] if isinstance(got, tuple) else "path"] = True
+                walks += 1
+    assert walks >= 1000, walks
+    # Paths, and the octagon's sheet defect: a walk blocked or run off its corridor.
+    assert {"path", BlockedAtVertex, InputError} <= kinds.keys(), kinds
+
+
+def _through_a_third_point(pts, a, b):
+    d = pts[b] - pts[a]
+    return any(
+        d.cross(p - pts[a]) == 0 and 0 < d.dot(p - pts[a]) < d.norm_sq()
+        for i, p in enumerate(pts) if i not in (a, b)
+    )
+
+
+def test_planar_chew_matches_the_fraction_walk():
+    # Points of a half-integer grid in [0, 6]^2, so some segments pass
+    # through a third point and the walk is split and concatenated.
+    sets, pairs, split, seed = 0, 0, 0, 0
+    while sets < 20:
+        rng = random.Random(seed)
+        seed += 1
+        n = rng.randint(4, 10)
+        pts = sorted({(rng.randint(0, 12), rng.randint(0, 12)) for _ in range(n)})
+        pts = [V(Fraction(x, 2), Fraction(y, 2)) for x, y in pts]
+        try:
+            ctx = chew.prepare_planar(pts)
+        except (DegenerateDiamondError, FlipCycleError):
+            continue
+        sets += 1
+        for a in range(len(pts)):
+            for b in range(len(pts)):
+                if a != b:
+                    got = _walk_outcome(chew.planar_chew, pts, a, b, ctx)
+                    ref = _walk_outcome(_reference_planar_chew_rec, ctx, ctx["ids"][a], pts[b] - pts[a], 0)
+                    assert got == ref, (pts, a, b)
+                    pairs += 1
+                    split += _through_a_third_point(pts, a, b)
+    assert pairs >= 500 and split >= 10, (pairs, split)
