@@ -134,10 +134,9 @@ def _walk_step(center, r: int, corners, z_idx: int):
     return best[1]
 
 
-def _edge_between(s, placement, p_idx: int, q_idx: int):
-    """Directed triangulation edge from corner p to corner q of a placed
-    triangle: (slot, direction)."""
-    tri, _ = placement
+def _edge_between(tri: int, p_idx: int, q_idx: int):
+    """Directed triangulation edge from corner p to corner q of triangle
+    tri: (slot, direction)."""
     if (p_idx + 1) % 3 == q_idx:
         return ((tri, p_idx), 1)
     if (q_idx + 1) % 3 == p_idx:
@@ -188,7 +187,7 @@ def _chew_on_surface(s: TranslationSurface, corners, d: ExactVector) -> ChewPath
         r = dia.radius_l1
         center = _ints(dia.center, 4 * scale)
         next_idx = _walk_step(center, r.numerator * (4 * scale // r.denominator), frame, z_idx)
-        edges.append(_edge_between(s, placed[j], z_idx, next_idx))
+        edges.append(_edge_between(placed[j][0], z_idx, next_idx))
         z = pts[next_idx]
     return _assemble_path(s, edges, d)
 

@@ -8,7 +8,10 @@ vertices, and whether an empty diamond passes through an edge from the
 bounding box of the edge's endpoints, in closed form.  An interior edge is
 locally Delaunay when each adjacent triangle's diamond has the opposite
 vertex outside or on its boundary; flipping repeats until no edge violates
-this.  Everything is decided exactly, on ints after scaling by D: the
+this.  The flip budget is the one stopping rule: a set whose flips do not
+settle within it raises FlipCycleError.  The public `is_locally_delaunay` is
+the one verifier: `delaunay_l1` tests every edge of its output with it.
+Everything is decided exactly, on ints after scaling by D: the
 flips start from the surface's int corner positions
 (`TranslationSurface.int_corners`, scaled by D, the lcm of its
 edge-coordinate denominators) and `diamond_of` scales its three points by
@@ -24,7 +27,7 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from .errors import DegenerateDiamondError, FlipCycleError, InputError
 from .exactplane import ExactVector, _ints, _scale_of, _sub, _turn, _vec
@@ -33,7 +36,8 @@ from .surface import Slot, TranslationSurface, Triangle
 # Diamond sides NE, NW, SW, SE as (axis, sign): the side p[axis] = c[axis] + sign * r
 # of the square in the rotated frame (u, v) = (x + y, x - y).
 _SIDES = ((0, 1), (1, -1), (0, -1), (1, 1))
-# Flip budget of each pass: _FLIPS_BASE + _FLIPS_PER_TRIANGLE per triangle.
+# Flip budget of both passes together: _FLIPS_BASE + _FLIPS_PER_TRIANGLE per
+# triangle.  It is delaunay_l1's one stopping rule.
 _FLIPS_BASE = 400
 _FLIPS_PER_TRIANGLE = 60
 
@@ -188,8 +192,6 @@ def _flip(tris, glue, vertex, slot: Slot):
     the flipped quad (new labels)."""
     t, i = slot
     u, j = glue[slot]
-    if (u, j) == (t, i):
-        raise InputError("cannot flip a self-glued slot")
     a, b, c, d = _developed_quad(tris, glue, slot)
     # Quad ccw cycle a -> d -> b -> c; new diagonal d -> c.
     if _turn(d, b, c) <= 0 or _turn(d, c, a) <= 0:
@@ -235,26 +237,16 @@ def _euclidean_needs_flip(tris, glue, slot) -> bool:
     return _incircle_strict(*_developed_quad(tris, glue, slot))
 
 
-def _flip_until_stable(tris, glue, vertex, decide, max_flips, flips_so_far=0) -> int:
-    pending = deque(sorted({tuple(sorted((sl, glue[sl])))[0] for sl in glue}))
-    seen_states = set()
-    flips = flips_so_far
+def _flip_until_stable(tris, glue, vertex, decide, max_flips, flips=0) -> int:
+    pending = deque(sorted({min(sl, glue[sl]) for sl in glue}))
     while pending:
         slot = pending.popleft()
-        if slot not in glue:
-            continue
         if not decide(tris, glue, slot):
             continue
         if flips >= max_flips:
             raise FlipCycleError("flip budget exhausted", flips=flips)
-        state = _state_key(tris, glue)
-        if state in seen_states:
-            raise FlipCycleError("flip cycle detected", flips=flips)
-        seen_states.add(state)
-        touched = _flip(tris, glue, vertex, slot)
+        pending.extend(_flip(tris, glue, vertex, slot))
         flips += 1
-        for ts in touched:
-            pending.append(ts)
     return flips
 
 
@@ -264,9 +256,13 @@ def delaunay_l1(s: TranslationSurface) -> DelaunayTriangulation:
     Runs a Euclidean Delaunay pass first (exact incircle flips, which always
     terminate) and then L1 flips from that start; cocircular quadruples are
     accepted on-boundary with ties broken toward the strictly shorter
-    diagonal.  A repeated global state raises FlipCycleError; the final
-    triangulation is certified per triangle and re-verified by a full scan
-    of its edges against those certificates.
+    diagonal.  The one stopping rule is the flip budget, _FLIPS_BASE +
+    _FLIPS_PER_TRIANGLE per triangle for both passes together: a set whose
+    flips have not settled within it raises FlipCycleError("flip budget
+    exhausted", flips=...).  The final triangulation is certified per
+    triangle, then each edge is tested once, from its first slot in gluing
+    order, with `is_locally_delaunay`; the first failing slot raises
+    FlipCycleError("post-hoc Delaunay verification failed", slot=...).
     """
     scale, corners = s.int_corners()
     tris = [list(tri) for tri in corners]
@@ -282,9 +278,11 @@ def delaunay_l1(s: TranslationSurface) -> DelaunayTriangulation:
     )
     surface.validate()
     diamonds = [_diamond(*tri) for tri in tris]
-    slot = _first_non_delaunay_slot(tris, glue, diamonds)
-    if slot is not None:
-        raise FlipCycleError("post-hoc Delaunay verification failed", slot=slot)
+    tested = set()
+    for slot, mate in glue.items():
+        if mate not in tested and not is_locally_delaunay(surface, slot):
+            raise FlipCycleError("post-hoc Delaunay verification failed", slot=slot)
+        tested.add(slot)
     # Consistency: the maintained vertex labels must refine to the same
     # partition the new surface derives on its own.
     derived = {}
@@ -299,27 +297,6 @@ def delaunay_l1(s: TranslationSurface) -> DelaunayTriangulation:
         flip_count=flips,
         vertex_of_corner=vertex,
     )
-
-
-def _first_non_delaunay_slot(tris, glue, diamonds) -> Optional[Slot]:
-    """The first slot, in gluing order, that fails `is_locally_delaunay`,
-    tested against diamonds[t], triangle t's diamond with corner 0 at the
-    origin.  Both slots of an edge pose the same two tests, so each edge is
-    tested once, from its first slot."""
-    checked = set()
-    for slot, mate in glue.items():
-        if mate in checked:
-            continue
-        checked.add(slot)
-        (t, i), (u, j) = slot, mate
-        P, Q = tris[t], tris[u]
-        # Q's corner j sits on P's corner i+1: the shift from u's frame to t's.
-        sx, sy = _sub(P[(i + 1) % 3], Q[j])
-        dq, cp = Q[(j + 2) % 3], P[(i + 2) % 3]
-        if (_dist(diamonds[t], (dq[0] + sx, dq[1] + sy)) < diamonds[t][2]
-                or _dist(diamonds[u], (cp[0] - sx, cp[1] - sy)) < diamonds[u][2]):
-            return slot
-    return None
 
 
 def _incircle_strict(a, b, c, d) -> bool:
@@ -393,10 +370,6 @@ def _needs_flip(tris, glue, slot) -> bool:
             return convex and cd[0] * cd[0] + cd[1] * cd[1] < b[0] * b[0] + b[1] * b[1]
         return False
     return convex and not _edge_empty_diamond_exists(a, b, c, d)
-
-
-def _state_key(tris, glue):
-    return hash((tuple(map(tuple, tris)), tuple(sorted(glue.items()))))
 
 
 # --- planar brute force (testing oracle) -----------------------------------

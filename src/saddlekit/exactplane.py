@@ -291,33 +291,48 @@ def lattice_box_bound(g: ExactMatrix, radius: Fraction) -> int:
     return math.isqrt(bound_sq.numerator // bound_sq.denominator) + 1
 
 
+def _coset_in_disc(m, lim: int, shift=(0, 0), step: int = 1):
+    """The int points p of shift + step Z^2 with |m p|^2 <= lim, row by row.
+
+    m = (a, b, c, d) is a nonsingular int matrix.  With A = a^2 + c^2,
+    B = ab + cd and det = ad - bc, A |m(x, y)|^2 = (Ax + By)^2 + det^2 y^2,
+    so row y holds points iff det^2 y^2 <= A lim, and its points are exactly
+    the x with |Ax + By| <= isqrt(A lim - det^2 y^2).
+    """
+    a, b, c, d = m
+    A, B, det2 = a * a + c * c, a * b + c * d, (a * d - b * c) ** 2
+    sx, sy = shift
+    top = math.isqrt(A * lim // det2)
+    for y in range(sy - (top + sy) // step * step, top + 1, step):
+        half = math.isqrt(A * lim - det2 * y * y)
+        lo = -((half + B * y + A * sx) // (A * step))
+        hi = (half - B * y - A * sx) // (A * step)
+        for i in range(lo, hi + 1):
+            yield sx + step * i, y
+
+
 def primitive_points_in_disc(radius: Rational, g: ExactMatrix | None = None) -> list:
     """All g w with w a primitive integer vector and |g w| <= radius.
 
     g defaults to the identity.  The comparison is exact: g is scaled by the
     lcm D of its denominators and the radius enters only as D^2 radius^2, so
-    membership is an integer test.  Points are returned sorted by
-    (norm^2, x, y).
+    membership is an integer test, walked row by row (`_coset_in_disc`).
+    Points are returned sorted by (norm^2, x, y).
     """
     r = to_fraction(radius)
     if r <= 0:
         raise InputError("radius must be positive")
     g = ExactMatrix.identity() if g is None else g
-    bound = lattice_box_bound(g, r)
     den = math.lcm(*(x.denominator for x in g.entries()))
     a, b, c, d = (int(x * den) for x in g.entries())
     lim = r * r * den * den
     lim = lim.numerator // lim.denominator  # integer n <= lim iff n <= floor(lim)
     found = []
-    for p in range(-bound, bound + 1):
-        for q in range(-bound, bound + 1):
-            if math.gcd(p, q) != 1:
-                continue
+    for p, q in _coset_in_disc((a, b, c, d), lim):
+        if math.gcd(p, q) == 1:
             x = a * p + b * q
             y = c * p + d * q
-            n = x * x + y * y
-            if n <= lim:
-                found.append((n, x, y))
+            found.append((x * x + y * y, x, y))
     found.sort()
     return [ExactVector(Fraction(x, den), Fraction(y, den)) for _, x, y in found]
 

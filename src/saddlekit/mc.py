@@ -404,13 +404,10 @@ class VarianceReport:
         }
 
 
-def estimate_L2_and_variance(
-    samples, radius: float, c_sv: Optional[float] = None, threads: int = 1
-) -> VarianceReport:
+def estimate_L2_and_variance(samples, radius: float, threads: int = 1) -> VarianceReport:
     """Second moment of the counting function and its excess over the
-    squared analytic mean c pi R^2."""
-    if c_sv is None:
-        c_sv = siegel_constant_torus()
+    squared analytic mean c pi R^2, c = `siegel_constant_torus()`."""
+    c_sv = siegel_constant_torus()
     values = torus_count_values(samples, radius, threads=threads)
     rep = _report_from_values(values, getattr(samples, "seed", None), {"radius": radius})
     l_hat = rep.second_moment
@@ -492,11 +489,11 @@ def borel_cantelli_table(
     radii: Sequence[float],
     errors: Sequence[float],
     samples,
-    c_sv: Optional[float] = None,
     threads: int = 1,
 ) -> List[BorelCantelliRow]:
     """Per-radius variance versus squared error budget, with the empirical
-    exceedance of |N - c pi R^2| > e(R) alongside its Chebyshev bound."""
+    exceedance of |N - c pi R^2| > e(R) alongside its Chebyshev bound,
+    c = `siegel_constant_torus()`."""
     if len(samples) == 0:
         raise InputError("the Borel-Cantelli table needs at least one sample")
     if len(radii) != len(errors):
@@ -505,8 +502,7 @@ def borel_cantelli_table(
         raise InputError("error terms must be positive")
     if any(b <= a for a, b in zip(radii, radii[1:])):
         raise InputError("radii must be strictly increasing")
-    if c_sv is None:
-        c_sv = siegel_constant_torus()
+    c_sv = siegel_constant_torus()
     rows = []
     partial = 0.0
     for radius, err in zip(radii, errors):

@@ -19,6 +19,7 @@ from .errors import InputError, ResourceLimitError
 from .exactplane import (
     ExactMatrix,
     ExactVector,
+    _coset_in_disc,
     euler_phi,
     lattice_box_bound,
     primitive_points_in_disc,
@@ -128,53 +129,40 @@ def slit_torus_holonomy(t: SlitTorusPoint, radius) -> SlitHolonomyResult:
         raise InputError("radius must be positive")
     g = t.g
     v0 = g.inverse().apply(t.v)  # slit in lattice coordinates
-    bound = lattice_box_bound(g, radius) + int(abs(v0.x) + abs(v0.y)) + 2
-    _check_box(bound)
+    _check_box(lattice_box_bound(g, radius) + int(abs(v0.x) + abs(v0.y)) + 2)
     # Lattice coordinates scaled by L are int pairs, and so are their images
     # under g scaled by D; the disc test is an int test against
     # (D L radius)^2, as in primitive_points_in_disc.
     L = math.lcm(v0.x.denominator, v0.y.denominator)
     vx, vy = int(v0.x * L), int(v0.y * L)
     D = math.lcm(*(x.denominator for x in g.entries()))
-    a, b, c, d = (int(x * D) for x in g.entries())
+    a, b, c, d = m = tuple(int(x * D) for x in g.entries())
     scale = D * L
     lim = radius * radius * scale * scale
     lim = lim.numerator // lim.denominator
 
     def image(x, y):
-        """Scaled image of (x, y) if it lies in the disc, else None."""
-        ix, iy = a * x + b * y, c * x + d * y
-        if ix * ix + iy * iy <= lim:
-            return ExactVector(Fraction(ix, scale), Fraction(iy, scale))
-        return None
+        return ExactVector(Fraction(a * x + b * y, scale), Fraction(c * x + d * y, scale))
 
     vectors = set()
     corrections = set()
-    for p in range(-bound, bound + 1):
-        for q in range(-bound, bound + 1):
-            w = (p * L, q * L)
-            if math.gcd(p, q) == 1:
-                img = image(*w)
-                if img is not None:
-                    # Loop at a marked point; exists on the copy based at 0
-                    # unless it hits v, and at v unless it hits -v's copy.
-                    blocked_at_zero = _passes_through(w, (vx, vy), L)
-                    blocked_at_v = _passes_through(w, (-vx, -vy), L)
-                    if blocked_at_zero and blocked_at_v:
-                        corrections.add(img)
-                    else:
-                        vectors.add(img)
-            for sign in (1, -1):
-                target = (sign * vx, sign * vy)
-                shifted = (w[0] + target[0], w[1] + target[1])
-                img = image(*shifted)
-                if img is not None and shifted != (0, 0):
-                    # Segment between the two marked points: blocked by an
-                    # interior lattice point or an interior copy of v.
-                    if _passes_through(shifted, (0, 0), L) or _passes_through(shifted, target, L):
-                        corrections.add(img)
-                    else:
-                        vectors.add(img)
+    # A primitive lattice vector, scaled by L, is a loop at a marked point.
+    # It exists on the copy based at 0 unless it hits v, and at v unless it
+    # hits -v's copy.
+    for w in _coset_in_disc(m, lim, step=L):
+        if math.gcd(*w) == L:
+            if _passes_through(w, (vx, vy), L) and _passes_through(w, (-vx, -vy), L):
+                corrections.add(image(*w))
+            else:
+                vectors.add(image(*w))
+    # The cosets +v + L Z^2 and -v + L Z^2: a segment between the two marked
+    # points, blocked by an interior lattice point or an interior copy of v.
+    for target in ((vx, vy), (-vx, -vy)):
+        for w in _coset_in_disc(m, lim, target, L):
+            if _passes_through(w, (0, 0), L) or _passes_through(w, target, L):
+                corrections.add(image(*w))
+            else:
+                vectors.add(image(*w))
     return SlitHolonomyResult(frozenset(vectors), frozenset(corrections))
 
 

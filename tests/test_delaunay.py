@@ -23,8 +23,9 @@ from saddlekit.delaunay import (
     FlipCycleError,
     _SIDES,
     _diamond,
+    _FLIPS_BASE,
+    _FLIPS_PER_TRIANGLE,
     _edge_empty_diamond_exists,
-    _first_non_delaunay_slot,
     delaunay_l1,
     diamond_of,
     is_locally_delaunay,
@@ -144,8 +145,7 @@ def _locally_ok(s, slot):
 
 def _generic_images(n, seed):
     """Images of corpus surfaces under random rational matrices of positive
-    determinant whose triangles all have diamonds, as (surface, int corner
-    positions, int diamonds)."""
+    determinant whose triangles all have diamonds."""
     rng = random.Random(seed)
     sources = [octagon_h2(), centered_octagon_h2(), slit_torus(V(Fraction(1, 3), Fraction(1, 5)))]
 
@@ -157,29 +157,24 @@ def _generic_images(n, seed):
         if g.det() <= 0:
             continue
         s = apply_surface(g, rng.choice(sources))
-        tris = s.int_corners()[1]
         try:
-            diamonds = [_diamond(*tri) for tri in tris]
+            for tri in s.int_corners()[1]:
+                _diamond(*tri)
         except DegenerateDiamondError:
             continue
         n -= 1
-        yield s, tris, diamonds
+        yield s
 
 
-def test_edge_scan_reports_the_first_slot_of_the_per_slot_scan():
+def test_both_slots_of_an_edge_pose_the_same_local_delaunay_test():
+    # delaunay_l1 tests each edge once, from its first slot in gluing order.
     # Unflipped triangulations fail on some edges, on one side or on both.
-    # Shuffled gluing orders reach each one-sided edge from either side.
-    rng = random.Random(4)
     failures = 0
-    for s, tris, diamonds in _generic_images(80, seed=4):
-        ok = {slot: is_locally_delaunay(s, slot) for slot in s.gluings}
-        order = list(s.gluings)
-        for _ in range(6):
-            rng.shuffle(order)
-            glue = {slot: s.gluings[slot] for slot in order}
-            expected = next((slot for slot in order if not ok[slot]), None)
-            assert _first_non_delaunay_slot(tris, glue, diamonds) == expected
-            failures += expected is not None
+    for s in _generic_images(80, seed=4):
+        for slot, mate in s.gluings.items():
+            ok = is_locally_delaunay(s, slot)
+            assert ok == is_locally_delaunay(s, mate), slot
+            failures += not ok
     assert failures >= 100
 
 
@@ -564,7 +559,7 @@ def _seeded_planar_set(seed):
 
 
 # Seeds whose sets end in FlipCycleError today: the post-hoc scan fails on
-# all but seed 51, whose flips cycle.
+# all but seed 51, whose flips exhaust the flip budget.
 _PLANAR_DEFECT_SEEDS = {7, 21, 47, 51, 52, 53, 59, 69, 132}
 
 
@@ -580,3 +575,20 @@ def test_seeded_planar_set_triangulates(seed):
     except DegenerateDiamondError:
         return
     assert all(is_locally_delaunay(dt.surface, slot) for slot in dt.surface.gluings)
+
+
+def test_a_repeated_triangulation_is_not_a_cycle():
+    # The flips revisit a triangulation with a different pending queue and
+    # then settle.
+    dt = prepare_planar(_seeded_planar_set(331))["dt"]
+    assert dt.flip_count == 27
+    assert all(is_locally_delaunay(dt.surface, slot) for slot in dt.surface.gluings)
+
+
+def test_flips_that_never_settle_exhaust_the_budget():
+    points = _seeded_planar_set(289)
+    n_triangles = wrap_points_in_torus(points)[0].n_triangles()
+    with pytest.raises(FlipCycleError, match="flip budget exhausted") as info:
+        prepare_planar(points)
+    assert info.value.code == "FLIP_CYCLE"
+    assert info.value.details == {"flips": _FLIPS_BASE + _FLIPS_PER_TRIANGLE * n_triangles}

@@ -11,6 +11,7 @@ from saddlekit.exactplane import (
     ExactMatrix,
     ExactVector,
     FloatMatrix,
+    _coset_in_disc,
     apply_matrix,
     compare_sqrt_sum,
     euler_phi,
@@ -68,6 +69,28 @@ def test_primitive_points_radius_5_halves():
         for s2 in (1, -1):
             assert (s1, 2 * s2) in got
             assert (2 * s1, s2) in got
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.tuples(*[st.integers(-7, 7)] * 4).filter(lambda m: m[0] * m[3] != m[1] * m[2]),
+    st.integers(0, 300),
+    st.tuples(st.integers(-9, 9), st.integers(-9, 9)),
+    st.integers(1, 5),
+)
+def test_coset_walk_matches_the_box_scan(m, lim, shift, step):
+    a, b, c, d = m
+    # |m p| <= sqrt(lim) bounds |p|_inf by sqrt(lim) times the larger row of m^-1.
+    bound = math.isqrt(lim * max(a * a + c * c, b * b + d * d) // (a * d - b * c) ** 2) + 1
+    box = {
+        (x, y)
+        for x in range(-bound, bound + 1)
+        for y in range(-bound, bound + 1)
+        if (x - shift[0]) % step == 0 == (y - shift[1]) % step
+        and (a * x + b * y) ** 2 + (c * x + d * y) ** 2 <= lim
+    }
+    walked = list(_coset_in_disc(m, lim, shift, step))
+    assert len(walked) == len(box) and set(walked) == box
 
 
 def test_primitive_count_asymptotic_envelope():

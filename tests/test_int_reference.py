@@ -266,7 +266,7 @@ def _reference_chew_on_surface(s, corners, d: ExactVector) -> ChewPath:
         dia = diamond_of(frame[0], frame[1], frame[2])
         next_idx = _walk_step(dia, frame, z_idx)
         w = pls[next_idx]
-        slot_dir = _edge_between(s, chain[j], z_idx, next_idx)
+        slot_dir = _edge_between(chain[j][0], z_idx, next_idx)
         path_edges.append(slot_dir)
         path_vectors.append(w - z)
         path_vertices.append(w)
