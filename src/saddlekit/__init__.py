@@ -7,5 +7,5 @@ lattice oracles, and Monte Carlo estimators for counting asymptotics.
 
 __version__ = "0.1.0"
 
-from .exactplane import ExactMatrix, ExactVector, FloatMatrix  # noqa: F401
+from .exactplane import ExactMatrix, ExactVector  # noqa: F401
 from .surface import StratumSignature, TranslationSurface, Triangle  # noqa: F401

@@ -220,9 +220,10 @@ def centered_octagon_h2() -> TranslationSurface:
 def wrap_points_in_torus(points: Sequence[ExactVector]):
     """Embed a planar point set as marked points of a large square torus.
 
-    Returns (surface, vertex_ids) where vertex_ids[i] is the vertex id of
-    points[i] on the surface.  The square side is _MARGIN_FACTOR times the
-    point spread, so wrap-around geometry stays far from the configuration.
+    Returns (surface, vertex_ids, origin): vertex_ids[i] is the vertex id of
+    points[i] on the surface, and points[i] - origin is its position in the
+    square [0, side]^2.  The square side is _MARGIN_FACTOR times the point
+    spread, so wrap-around geometry stays far from the configuration.
     """
     if len(points) < 1:
         raise InputError("need at least one point")

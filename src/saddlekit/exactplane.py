@@ -4,20 +4,40 @@ All geometric decisions elsewhere in the package reduce to exact sign or
 ordering tests, on rationals or on int pairs scaled by a common denominator
 (squared Euclidean norms, L1 norms, cross products).  Floating point appears
 only in reports.
+
+The one work budget of the package lives here too: ``default_budget()``,
+500,000 unless ``SADDLEKIT_BUDGET`` says otherwise, bounds the enumeration's
+states, the lattice kernels' rows and the rows and points of the exact
+disc walk.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Union
 
-from .errors import InputError, PrecisionLimitError, SingularMatrixError
+from .errors import InputError, PrecisionLimitError, ResourceLimitError, SingularMatrixError
 
 Rational = Union[Fraction, int, str]
 
 _MAX_BITS = 256  # compare_sqrt_sum gives up past this interval precision
+
+DEFAULT_BUDGET = 500_000
+
+
+def default_budget() -> int:
+    """The work budget: ``SADDLEKIT_BUDGET`` if set, else DEFAULT_BUDGET."""
+    env = os.environ.get("SADDLEKIT_BUDGET")
+    try:
+        budget = int(env) if env else DEFAULT_BUDGET
+    except ValueError:
+        raise InputError(f"SADDLEKIT_BUDGET must be an integer, got {env!r}")
+    if budget < 1:
+        raise InputError(f"SADDLEKIT_BUDGET must be at least 1, got {budget}")
+    return budget
 
 
 def to_fraction(x) -> Fraction:
@@ -210,60 +230,6 @@ class ExactMatrix:
         return (self.a, self.b, self.c, self.d)
 
 
-@dataclass(frozen=True, slots=True)
-class FloatMatrix:
-    """2x2 float matrix for report-side transformations (rotations, a_R)."""
-
-    a: float
-    b: float
-    c: float
-    d: float
-
-    def __post_init__(self):
-        for entry in (self.a, self.b, self.c, self.d):
-            if not math.isfinite(entry):
-                raise InputError("FloatMatrix entries must be finite")
-
-    @classmethod
-    def rotation(cls, theta: float) -> "FloatMatrix":
-        ct, st = math.cos(theta), math.sin(theta)
-        return cls(ct, -st, st, ct)
-
-    def det(self) -> float:
-        return self.a * self.d - self.b * self.c
-
-    def apply(self, v) -> tuple:
-        if isinstance(v, ExactVector):
-            x, y = float(v.x), float(v.y)
-        else:
-            x, y = v
-        return (self.a * x + self.b * y, self.c * x + self.d * y)
-
-    def compose(self, other: "FloatMatrix") -> "FloatMatrix":
-        return FloatMatrix(
-            self.a * other.a + self.b * other.c,
-            self.a * other.b + self.b * other.d,
-            self.c * other.a + self.d * other.c,
-            self.c * other.b + self.d * other.d,
-        )
-
-    def entries(self) -> tuple:
-        return (self.a, self.b, self.c, self.d)
-
-
-def apply_matrix(m, v):
-    """Linear action of an ExactMatrix or FloatMatrix on a vector.
-
-    Exact in, exact out when both operands are exact; FloatMatrix returns a
-    float pair.
-    """
-    if isinstance(m, ExactMatrix) and isinstance(v, ExactVector):
-        return m.apply(v)
-    if isinstance(m, FloatMatrix):
-        return m.apply(v)
-    raise InputError(f"unsupported operands {type(m).__name__}, {type(v).__name__}")
-
-
 def euler_phi(n: int) -> int:
     """Number of 1 <= k <= n coprime to n, by trial-division factorization."""
     if n < 1:
@@ -282,15 +248,6 @@ def euler_phi(n: int) -> int:
     return result
 
 
-def lattice_box_bound(g: ExactMatrix, radius: Fraction) -> int:
-    """Integer B with |g w| <= radius implying |w|_inf <= B."""
-    # w = g^{-1} (g w), and the rows of g^{-1} are (d, -b)/det and (-c, a)/det.
-    det = g.det()
-    row_sq = max(g.b * g.b + g.d * g.d, g.a * g.a + g.c * g.c)
-    bound_sq = radius * radius * row_sq / (det * det)
-    return math.isqrt(bound_sq.numerator // bound_sq.denominator) + 1
-
-
 def _coset_in_disc(m, lim: int, shift=(0, 0), step: int = 1):
     """The int points p of shift + step Z^2 with |m p|^2 <= lim, row by row.
 
@@ -298,15 +255,31 @@ def _coset_in_disc(m, lim: int, shift=(0, 0), step: int = 1):
     B = ab + cd and det = ad - bc, A |m(x, y)|^2 = (Ax + By)^2 + det^2 y^2,
     so row y holds points iff det^2 y^2 <= A lim, and its points are exactly
     the x with |Ax + By| <= isqrt(A lim - det^2 y^2).
+
+    Before it yields a point, the walk counts its rows, then its points (one
+    isqrt per row), and raises ResourceLimitError with ``rows`` or
+    ``points`` and ``budget`` if either exceeds ``default_budget()``.
     """
     a, b, c, d = m
     A, B, det2 = a * a + c * c, a * b + c * d, (a * d - b * c) ** 2
     sx, sy = shift
     top = math.isqrt(A * lim // det2)
-    for y in range(sy - (top + sy) // step * step, top + 1, step):
+    first = sy - (top + sy) // step * step
+
+    def row(y):
         half = math.isqrt(A * lim - det2 * y * y)
-        lo = -((half + B * y + A * sx) // (A * step))
-        hi = (half - B * y - A * sx) // (A * step)
+        return -((half + B * y + A * sx) // (A * step)), (half - B * y - A * sx) // (A * step)
+
+    budget = default_budget()
+    rows = (top - first) // step + 1
+    if rows > budget:
+        raise ResourceLimitError("lattice disc exceeds the budget", rows=rows, budget=budget)
+    ys = range(first, top + 1, step)
+    points = sum(hi + 1 - lo for lo, hi in map(row, ys))
+    if points > budget:
+        raise ResourceLimitError("lattice disc exceeds the budget", points=points, budget=budget)
+    for y in ys:
+        lo, hi = row(y)
         for i in range(lo, hi + 1):
             yield sx + step * i, y
 
@@ -316,8 +289,9 @@ def primitive_points_in_disc(radius: Rational, g: ExactMatrix | None = None) -> 
 
     g defaults to the identity.  The comparison is exact: g is scaled by the
     lcm D of its denominators and the radius enters only as D^2 radius^2, so
-    membership is an integer test, walked row by row (`_coset_in_disc`).
-    Points are returned sorted by (norm^2, x, y).
+    membership is an integer test, walked row by row (`_coset_in_disc`,
+    which refuses a disc of more rows or points than the budget).  Points
+    are returned sorted by (norm^2, x, y).
     """
     r = to_fraction(radius)
     if r <= 0:

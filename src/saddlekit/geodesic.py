@@ -42,7 +42,6 @@ from __future__ import annotations
 
 import heapq
 import math
-import os
 from itertools import count as _serial, islice
 from dataclasses import dataclass
 from fractions import Fraction
@@ -50,22 +49,9 @@ from typing import List, Optional, Tuple
 
 from .errors import BlockedAtVertex, InputError, ResourceLimitError
 from .exactplane import (
-    ExactVector, _ints, _scale_of, _unit_cross, _vec, format_rational, to_fraction,
+    ExactVector, _ints, _scale_of, _unit_cross, _vec, default_budget, format_rational, to_fraction,
 )
 from .surface import Slot, TranslationSurface, _in_wedge
-
-DEFAULT_BUDGET = 500_000
-
-
-def default_budget() -> int:
-    env = os.environ.get("SADDLEKIT_BUDGET")
-    try:
-        budget = int(env) if env else DEFAULT_BUDGET
-    except ValueError:
-        raise InputError(f"SADDLEKIT_BUDGET must be an integer, got {env!r}")
-    if budget < 1:
-        raise InputError(f"SADDLEKIT_BUDGET must be at least 1, got {budget}")
-    return budget
 
 
 @dataclass(frozen=True, slots=True)
@@ -336,28 +322,21 @@ def shortest(s: TranslationSurface, budget=None) -> SaddleConnection:
     return next(connections(s, s.min_edge_norm_sq(), budget))
 
 
-def _outside_class(homology, gamma: SaddleConnection, mode: str):
-    """Predicate on homology classes: not +/- [gamma] (mode "pm") or not an
-    integer multiple of [gamma] (mode "proportional")."""
-    if mode == "pm":
-        return lambda cls: not homology.is_pm(cls, gamma.homology_class)
-    if mode == "proportional":
-        return lambda cls: not homology.is_proportional(cls, gamma.homology_class)
-    raise InputError(f"unknown mode {mode!r}")
+def _outside_class(homology, gamma: SaddleConnection):
+    """Predicate on homology classes: not +/- [gamma]."""
+    return lambda cls: not homology.is_pm(cls, gamma.homology_class)
 
 
-def nonhomologous_edge_bound(
-    s: TranslationSurface, gamma: SaddleConnection, mode: str = "pm"
-) -> Fraction:
-    """Squared length U of the shortest triangulation edge whose class lies
-    outside [gamma] in the given mode.
+def nonhomologous_edge_bound(s: TranslationSurface, gamma: SaddleConnection) -> Fraction:
+    """Squared length U of the shortest triangulation edge whose class is
+    not +/- [gamma].
 
     Triangulation edges are saddle connections, so the shortest connection
-    outside [gamma] has squared length at most U.  Such an edge exists: the
-    three edges of a triangle are not all parallel to gamma.
+    outside +/- [gamma] has squared length at most U.  Such an edge exists:
+    the three edges of a triangle are not all parallel to gamma.
     """
     homology = s.homology()
-    outside = _outside_class(homology, gamma, mode)
+    outside = _outside_class(homology, gamma)
     return min(
         s.edge_vector(slot).norm_sq()
         for slot in s.slots()
@@ -365,21 +344,16 @@ def nonhomologous_edge_bound(
     )
 
 
-def second_shortest_nonhomologous(
-    s: TranslationSurface, mode: str = "pm", budget=None
-) -> SaddleConnection:
-    """Shortest connection whose class differs from the shortest's.
+def second_shortest_nonhomologous(s: TranslationSurface, budget=None) -> SaddleConnection:
+    """Shortest connection whose class is not +/- the class of the shortest.
 
-    mode "pm": class not equal to +/- the class of the shortest (default);
-    mode "proportional": class not an integer multiple of it.
-
-    The search is bounded by U = nonhomologous_edge_bound(s, gamma, mode):
-    the edge that attains U lies outside the class, so the search finds an
+    The search is bounded by U = nonhomologous_edge_bound(s, gamma): the
+    edge that attains U lies outside the class, so the search finds an
     answer and stops at the first one.
     """
     gamma = shortest(s, budget=budget)
-    bound = nonhomologous_edge_bound(s, gamma, mode)
-    outside = _outside_class(s.homology(), gamma, mode)
+    bound = nonhomologous_edge_bound(s, gamma)
+    outside = _outside_class(s.homology(), gamma)
     return next(c for c in connections(s, bound, budget) if outside(c.homology_class))
 
 

@@ -101,12 +101,3 @@ class EdgeHomology:
     def is_pm(class_a: Tuple[int, ...], class_b: Tuple[int, ...]) -> bool:
         """True iff [a] = [b] or [a] = -[b]."""
         return class_a == class_b or class_a == tuple(-x for x in class_b)
-
-    @staticmethod
-    def is_proportional(class_a: Tuple[int, ...], class_b: Tuple[int, ...]) -> bool:
-        """True iff [a] = k [b] for some integer k."""
-        j = next((j for j, x in enumerate(class_b) if x), None)
-        if j is None:
-            return not any(class_a)
-        k = class_a[j] // class_b[j]
-        return all(x == k * y for x, y in zip(class_a, class_b))

@@ -32,7 +32,7 @@ temporaries stay bounded whatever n is, and yields the points of each chunk
 with their owning row.
 
 Both kernels refuse, before walking it, a lattice that needs more rows than
-the work budget, ``geodesic.default_budget()`` unless one is passed.
+the work budget, ``exactplane.default_budget()`` unless one is passed.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ import math
 import numpy as np
 
 from .errors import InputError, ResourceLimitError, SingularMatrixError
-from .geodesic import default_budget
+from .exactplane import default_budget
 
 BACKEND = "python"
 
@@ -99,7 +99,7 @@ def _qmax(reach: float, radius) -> int:
 
 def _within_budget(rows: int, budget, radius) -> None:
     """Refuse a lattice that needs more than ``budget`` rows before any is
-    walked; None reads ``geodesic.default_budget()``."""
+    walked; None reads ``exactplane.default_budget()``."""
     budget = default_budget() if budget is None else budget
     if rows > budget:
         msg = f"a disc of radius {radius} needs {rows} lattice rows, over the budget of {budget}"

@@ -16,7 +16,8 @@ shows the points inside a row form one run whenever the lattice's A =
 a^2 + c^2 exceeds it; on the rare lattices where it does not, each point
 of the run is tested instead.  A sector transform runs the batched numpy
 ``kernels.primitive_points`` once over the whole array and sums each
-chunk's non-ambiguous hits per sample with ``np.bincount``.  A stratum
+chunk's non-ambiguous hits per sample with ``np.bincount``.  Both kernels
+take their row budget from ``exactplane.default_budget()``.  A stratum
 surface's transform is ``sv.transform_report`` at the surface's area, so
 the surface is never rescaled.  ``threads`` spreads only stratum surfaces
 over a thread pool; torus samples always run in the calling thread.  All
@@ -36,8 +37,7 @@ import numpy as np
 
 from . import kernels
 from .errors import AcceptanceRateError, InputError, SurfaceError
-from .exactplane import ExactVector, to_fraction
-from .geodesic import default_budget
+from .exactplane import ExactVector, default_budget, to_fraction
 from .oracle import siegel_constant_torus
 from .surface import TranslationSurface, Triangle, area
 from .sv import (
@@ -77,8 +77,9 @@ def sample_torus_haar(n: int, seed: int, y_max: float = 50.0) -> HaarSample:
     x is uniform on [-1/2, 1/2]; y follows 1/y^2 on [sqrt(3)/2, y_max] by
     CDF inversion; pairs with x^2 + y^2 < 1 are rejected; the frame is spun
     by a uniform rotation.  The mass removed above y_max is (1/y_max) / (pi/3).
-    The sample is r(theta) [[1/sqrt(y), x/sqrt(y)], [0, sqrt(y)]], composed
-    entry by entry as FloatMatrix.compose does, with math.cos and math.sin.
+    The sample is r(theta) [[1/sqrt(y), x/sqrt(y)], [0, sqrt(y)]], each
+    entry of the product a row of r(theta) = [[cos, -sin], [sin, cos]] (from
+    math.cos and math.sin) times a column of the base, summed left to right.
     """
     if n < 1:
         raise InputError("sample count must be positive")

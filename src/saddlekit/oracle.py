@@ -6,6 +6,11 @@ holonomy by the lattice, in both orientations.  For rational slit vectors
 the idealized formula overcounts: segments that pass through the other
 marked point on the way are excluded by an exact rationality test, and the
 excluded vectors are reported as corrections.
+
+The exact oracles walk the disc row by row (``exactplane._coset_in_disc``),
+which refuses a disc of more rows or points than
+``exactplane.default_budget()``; the determinant histogram refuses more
+ordered pairs than that budget.
 """
 
 from __future__ import annotations
@@ -20,61 +25,42 @@ from .exactplane import (
     ExactMatrix,
     ExactVector,
     _coset_in_disc,
+    default_budget,
     euler_phi,
-    lattice_box_bound,
     primitive_points_in_disc,
     to_fraction,
 )
-from .geodesic import default_budget
 
 _ZETA2_TERMS = 200_000  # terms of zeta2_partial
 
 
 @dataclass(frozen=True)
 class TorusPoint:
-    """Unit-covolume lattice g Z^2, exact or float."""
+    """Unit-covolume lattice g Z^2 of an exact matrix g."""
 
-    g: object  # ExactMatrix | FloatMatrix
+    g: ExactMatrix
 
     def __post_init__(self):
-        det = self.g.det()
-        if isinstance(self.g, ExactMatrix):
-            if det != 1:
-                raise InputError("torus matrix must have determinant one")
-        else:
-            if abs(det - 1.0) > 1e-12:
-                raise InputError("torus matrix determinant must be 1 within 1e-12")
-
-    def is_exact(self) -> bool:
-        return isinstance(self.g, ExactMatrix)
+        if not isinstance(self.g, ExactMatrix):
+            raise InputError("torus matrix must be an ExactMatrix")
+        if self.g.det() != 1:
+            raise InputError("torus matrix must have determinant one")
 
 
 @dataclass(frozen=True)
 class SlitTorusPoint:
-    g: object
+    g: ExactMatrix
     v: ExactVector
 
     def __post_init__(self):
         TorusPoint(self.g)
-        if not isinstance(self.g, ExactMatrix):
-            raise InputError("slit torus oracle requires an exact matrix")
         w = self.g.inverse().apply(self.v)
         if w.x.denominator == 1 and w.y.denominator == 1:
             raise InputError("slit vector must not lie in the lattice")
 
 
-def _check_box(bound: int):
-    """Refuse a box of lattice cells [-bound, bound]^2 larger than the budget."""
-    cells, budget = (2 * bound + 1) ** 2, default_budget()
-    if cells > budget:
-        raise ResourceLimitError("lattice box exceeds the budget", cells=cells, budget=budget)
-
-
 def torus_holonomy(t: TorusPoint, radius) -> Set[ExactVector]:
-    """{g w : w primitive, |g w| <= radius}, exact for exact matrices."""
-    if not t.is_exact():
-        raise InputError("exact holonomy needs an exact matrix")
-    _check_box(lattice_box_bound(t.g, to_fraction(radius)))
+    """{g w : w primitive, |g w| <= radius}, exact."""
     return set(primitive_points_in_disc(radius, t.g))
 
 
@@ -129,7 +115,6 @@ def slit_torus_holonomy(t: SlitTorusPoint, radius) -> SlitHolonomyResult:
         raise InputError("radius must be positive")
     g = t.g
     v0 = g.inverse().apply(t.v)  # slit in lattice coordinates
-    _check_box(lattice_box_bound(g, radius) + int(abs(v0.x) + abs(v0.y)) + 2)
     # Lattice coordinates scaled by L are int pairs, and so are their images
     # under g scaled by D; the disc test is an int test against
     # (D L radius)^2, as in primitive_points_in_disc.
@@ -216,14 +201,19 @@ def siegel_constant_torus() -> float:
     return 6.0 / (math.pi * math.pi)
 
 
-def _primitive_array(bound: int):
+def _pair_determinants(bound: int):
+    """The primitive vectors of length at most bound as int64 arrays xs and
+    ys, and the n x n matrix of det(v_i, v_j); refused before the matrix is
+    allocated when its n^2 entries exceed the budget."""
     import numpy as np
 
     pts = primitive_points_in_disc(bound)
-    return (
-        np.array([int(v.x) for v in pts], dtype=np.int64),
-        np.array([int(v.y) for v in pts], dtype=np.int64),
-    )
+    pairs, budget = len(pts) ** 2, default_budget()
+    if pairs > budget:
+        raise ResourceLimitError("determinant pairs exceed the budget", pairs=pairs, budget=budget)
+    xs = np.array([int(v.x) for v in pts], dtype=np.int64)
+    ys = np.array([int(v.y) for v in pts], dtype=np.int64)
+    return xs, ys, xs[:, None] * ys[None, :] - ys[:, None] * xs[None, :]
 
 
 def determinant_histogram(bound: int) -> Dict[int, int]:
@@ -231,8 +221,7 @@ def determinant_histogram(bound: int) -> Dict[int, int]:
     length at most bound; the finite-volume shadow of the nu spectrum."""
     import numpy as np
 
-    xs, ys = _primitive_array(bound)
-    dets = xs[:, None] * ys[None, :] - ys[:, None] * xs[None, :]
+    _, _, dets = _pair_determinants(bound)
     values, counts = np.unique(dets, return_counts=True)
     return {int(v): int(c) for v, c in zip(values, counts)}
 
@@ -241,8 +230,7 @@ def collinear_pairs_are_opposite(bound: int) -> bool:
     """det = 0 on primitive pairs only at v2 = +-v1 (eta support check)."""
     import numpy as np
 
-    xs, ys = _primitive_array(bound)
-    dets = xs[:, None] * ys[None, :] - ys[:, None] * xs[None, :]
+    xs, ys, dets = _pair_determinants(bound)
     zi, zj = np.nonzero(dets == 0)
     same = (xs[zi] == xs[zj]) & (ys[zi] == ys[zj])
     opp = (xs[zi] == -xs[zj]) & (ys[zi] == -ys[zj])

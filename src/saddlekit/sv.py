@@ -686,7 +686,7 @@ def classify(
         return ClassLabel("H2", shortest_length_sq=g_sq, detail="short connections, no short loop")
     # Connections come shortest first, so the first one outside +/-[gamma]
     # is the only candidate for eps <= |gamma|^p.
-    outside = _outside_class(s.homology(), gamma, "pm")
+    outside = _outside_class(s.homology(), gamma)
     near = next((c for c in connections(s, _power_bound_sq(g_sq, p), budget)
                  if outside(c.homology_class)), None)
     if near is not None and _power_leq(near.length_sq(), g_sq, p):

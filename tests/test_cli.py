@@ -166,27 +166,34 @@ def test_mc_torus_huge_radius_is_a_resource_limit(capsys):
     assert json.loads(err)["error"] == "RESOURCE_LIMIT"
 
 
-@pytest.mark.parametrize("argv, cells", [
-    (["torus-exact", "--matrix", "1,0,0,1", "--radius", "1e400"], (2 * (10 ** 400 + 1) + 1) ** 2),
-    (["slit-exact", "--matrix", "1,0,0,1", "--slit", "1/3,1/5", "--radius", "400"], 807 ** 2),
-])
-def test_exact_oracles_refuse_a_box_beyond_the_budget(capsys, argv, cells):
+@pytest.mark.parametrize("argv, key, work", [
+    (["torus-exact", "--matrix", "1,0,0,1", "--radius", "1e400"], "rows", 2 * 10 ** 400 + 1),
+    (["slit-exact", "--matrix", "1,0,0,1", "--slit", "1/3,1/5", "--radius", "400"], "points", 502625),
+], ids=["torus-rows", "slit-points"])
+def test_exact_oracles_refuse_a_disc_beyond_the_budget(capsys, argv, key, work):
     code, out, err = run(capsys, argv)
     assert code == 1 and out == ""
     payload = json.loads(err)
     assert payload["error"] == "RESOURCE_LIMIT"
-    assert (payload["cells"], payload["budget"]) == (cells, 500_000)
+    assert (payload[key], payload["budget"]) == (work, 500_000)
 
 
 def test_exact_oracle_box_reads_the_budget_variable(capsys, monkeypatch):
-    # The identity box at radius 20 has 43^2 = 1849 cells.
+    # The identity disc of radius 20 has 1257 lattice points in 41 rows.
     argv = ["torus-exact", "--matrix", "1,0,0,1", "--radius", "20"]
-    monkeypatch.setenv("SADDLEKIT_BUDGET", "1849")
+    monkeypatch.setenv("SADDLEKIT_BUDGET", "1257")
     code, out, _ = run(capsys, argv)
     assert code == 0 and json.loads(out)["n_vectors"] == 768
-    monkeypatch.setenv("SADDLEKIT_BUDGET", "1848")
+    monkeypatch.setenv("SADDLEKIT_BUDGET", "1256")
     code, _, err = run(capsys, argv)
-    assert code == 1 and json.loads(err)["cells"] == 1849
+    assert code == 1 and json.loads(err)["points"] == 1257
+
+
+def test_exact_oracle_walks_a_skewed_lattice_within_the_budget(capsys):
+    # Its (2B+1)^2 box would have 644809 cells; the walk visits 801 points.
+    code, out, _ = run(capsys, ["torus-exact", "--matrix", "100,0,0,1/100", "--radius", "4"])
+    assert code == 0
+    assert json.loads(out) == {"n_vectors": 2, "vectors": [["0", "-1/100"], ["0", "1/100"]]}
 
 
 def test_flag_only_on_commands_that_read_it(capsys, torus_file):

@@ -6,13 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from saddlekit.errors import InputError
+from saddlekit.errors import InputError, ResourceLimitError
 from saddlekit.exactplane import (
     ExactMatrix,
     ExactVector,
-    FloatMatrix,
     _coset_in_disc,
-    apply_matrix,
     compare_sqrt_sum,
     euler_phi,
     format_rational,
@@ -93,6 +91,21 @@ def test_coset_walk_matches_the_box_scan(m, lim, shift, step):
     assert len(walked) == len(box) and set(walked) == box
 
 
+@pytest.mark.parametrize("budget, details", [
+    (100, {"points": 1257, "budget": 100}),
+    (1256, {"points": 1257, "budget": 1256}),
+    (40, {"rows": 41, "budget": 40}),
+])
+def test_the_disc_walk_refuses_more_rows_or_points_than_the_budget(monkeypatch, budget, details):
+    # The identity disc of radius 20 has 1257 lattice points in 41 rows.
+    monkeypatch.setenv("SADDLEKIT_BUDGET", str(budget))
+    with pytest.raises(ResourceLimitError) as exc:
+        primitive_points_in_disc(20)
+    assert exc.value.details == details
+    monkeypatch.setenv("SADDLEKIT_BUDGET", "1257")
+    assert len(primitive_points_in_disc(20)) == 768
+
+
 def test_primitive_count_asymptotic_envelope():
     # |count - pi R^2 / zeta(2)| / R^2 should shrink with R.
     c = 6 / math.pi ** 2
@@ -106,9 +119,9 @@ def test_primitive_count_asymptotic_envelope():
 
 def test_apply_matrix_examples():
     v = ExactVector.of(3, 4)
-    assert apply_matrix(ExactMatrix.identity(), v) == v
-    assert apply_matrix(ExactMatrix.diagonal(2, Fraction(1, 2)), ExactVector.of(1, 1)) == ExactVector.of(2, Fraction(1, 2))
-    assert apply_matrix(ExactMatrix.shear(1), ExactVector.of(0, 1)) == ExactVector.of(1, 1)
+    assert ExactMatrix.identity().apply(v) == v
+    assert ExactMatrix.diagonal(2, Fraction(1, 2)).apply(ExactVector.of(1, 1)) == ExactVector.of(2, Fraction(1, 2))
+    assert ExactMatrix.shear(1).apply(ExactVector.of(0, 1)) == ExactVector.of(1, 1)
 
 
 @given(
@@ -153,11 +166,6 @@ def test_rational_serialization():
 def test_to_fraction_rejects_non_rationals(bad):
     with pytest.raises(InputError):
         to_fraction(bad)
-
-
-def test_float_matrix_rejects_nonfinite():
-    with pytest.raises(InputError):
-        FloatMatrix(1.0, float("inf"), 0.0, 1.0)
 
 
 def test_sqrt_bounds_enclose():

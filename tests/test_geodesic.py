@@ -132,23 +132,14 @@ def test_second_shortest_skips_parallel_homologous(slit_13_15):
     assert snd.length_sq() > gamma.length_sq()
 
 
-def test_second_shortest_proportional_mode(torus):
-    pm = second_shortest_nonhomologous(torus, mode="pm")
-    prop = second_shortest_nonhomologous(torus, mode="proportional")
-    assert pm.length_sq() == prop.length_sq() == 1
-
-
 def test_second_shortest_within_edge_bound(torus, slit_13_15, thin_torus):
     # the doubling search stops at the shortest edge outside the class
     assert nonhomologous_edge_bound(torus, shortest(torus)) == 1
     for s in (torus, slit_13_15, thin_torus):
         gamma = shortest(s)
-        for mode in ("pm", "proportional"):
-            snd = second_shortest_nonhomologous(s, mode=mode)
-            assert gamma.length_sq() <= snd.length_sq()
-            assert snd.length_sq() <= nonhomologous_edge_bound(s, gamma, mode)
-    with pytest.raises(InputError):
-        nonhomologous_edge_bound(torus, shortest(torus), mode="parallel")
+        snd = second_shortest_nonhomologous(s)
+        assert gamma.length_sq() <= snd.length_sq()
+        assert snd.length_sq() <= nonhomologous_edge_bound(s, gamma)
 
 
 def test_detect_cylinder_square_torus(torus):
@@ -454,10 +445,9 @@ def test_second_shortest_is_first_outside_class(torus, slit_13_15, thin_torus, o
     for s in (torus, slit_13_15, thin_torus, octagon):
         homology = EdgeHomology(s)
         gamma = shortest(s)
-        for mode, same in (("pm", homology.is_pm), ("proportional", homology.is_proportional)):
-            bound = nonhomologous_edge_bound(s, gamma, mode)
-            expected = next(
-                c for c in enumerate_connections(s, radius_sq=bound).connections
-                if not same(c.homology_class, gamma.homology_class)
-            )
-            assert second_shortest_nonhomologous(s, mode=mode) == expected
+        bound = nonhomologous_edge_bound(s, gamma)
+        expected = next(
+            c for c in enumerate_connections(s, radius_sq=bound).connections
+            if not homology.is_pm(c.homology_class, gamma.homology_class)
+        )
+        assert second_shortest_nonhomologous(s) == expected

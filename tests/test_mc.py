@@ -9,9 +9,7 @@ import pytest
 from saddlekit import mc
 from saddlekit.builders import centered_octagon_h2
 from saddlekit.errors import InputError
-from saddlekit.exactplane import FloatMatrix
 from saddlekit.geodesic import enumerate_connections
-from saddlekit.oracle import TorusPoint
 from saddlekit.surface import TranslationSurface, area
 from saddlekit.sv import AnnulusIndicator, DiscIndicator, ProductPair, SectorIndicator, TestFunction
 
@@ -112,12 +110,13 @@ def test_haar_mean_is_bit_identical_for_a_fixed_seed(f):
 
 
 def reference_haar_matrices(n, seed, y_max):
-    """The sampler as one FloatMatrix and TorusPoint per sample, stacked."""
+    """The sampler one sample at a time: r(theta) times the base matrix,
+    each entry composed in plain floats, with the 1e-12 determinant check."""
     rng = np.random.default_rng(seed)
     lo = math.sqrt(3.0) / 2.0
-    points = []
-    while len(points) < n:
-        batch = max(16, int((n - len(points)) * 1.2))
+    rows = []
+    while len(rows) < n:
+        batch = max(16, int((n - len(rows)) * 1.2))
         xs = rng.uniform(-0.5, 0.5, batch)
         us = rng.uniform(0.0, 1.0, batch)
         ys = 1.0 / (1.0 / lo - us * (1.0 / lo - 1.0 / y_max))
@@ -125,12 +124,16 @@ def reference_haar_matrices(n, seed, y_max):
         for x, y, th in zip(xs, ys, ths):
             if x * x + y * y < 1.0:
                 continue
-            if len(points) >= n:
+            if len(rows) >= n:
                 break
             sy = math.sqrt(y)
-            base = FloatMatrix(1.0 / sy, x / sy, 0.0, sy)
-            points.append(TorusPoint(FloatMatrix.rotation(th).compose(base)))
-    return np.array([p.g.entries() for p in points], dtype=np.float64)
+            a0, b0, c0, d0 = 1.0 / sy, x / sy, 0.0, sy
+            ct, st = math.cos(th), math.sin(th)
+            a, b = ct * a0 + -st * c0, ct * b0 + -st * d0
+            c, d = st * a0 + ct * c0, st * b0 + ct * d0
+            assert abs(a * d - b * c - 1.0) <= 1e-12
+            rows.append((a, b, c, d))
+    return np.array(rows, dtype=np.float64)
 
 
 @pytest.mark.parametrize(

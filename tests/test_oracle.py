@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from saddlekit.builders import slit_torus, torus_from_matrix
-from saddlekit.errors import InputError
+from saddlekit.errors import InputError, ResourceLimitError
 from saddlekit.exactplane import ExactMatrix, ExactVector, euler_phi, primitive_points_in_disc
 from saddlekit.geodesic import enumerate_connections
 from saddlekit.surface import apply_surface
@@ -91,6 +91,13 @@ def test_torus_holonomy_agrees_with_enumeration():
 def test_torus_point_validates_determinant():
     with pytest.raises(InputError):
         TorusPoint(ExactMatrix.of(2, 0, 0, 1))
+
+
+def test_torus_point_refuses_a_matrix_that_is_not_exact():
+    with pytest.raises(InputError, match="ExactMatrix"):
+        TorusPoint((1.0, 0.0, 0.0, 1.0))
+    with pytest.raises(InputError, match="ExactMatrix"):
+        SlitTorusPoint((1.0, 0.0, 0.0, 1.0), V(Fraction(1, 3), Fraction(1, 5)))
 
 
 def test_slit_holonomy_direct_formula():
@@ -207,6 +214,17 @@ def test_determinant_histogram_shadow():
 
 def test_collinear_pairs_eta_support():
     assert collinear_pairs_are_opposite(12)
+
+
+@pytest.mark.parametrize("pairs_of", [determinant_histogram, collinear_pairs_are_opposite])
+def test_determinant_pairs_read_the_budget(pairs_of, monkeypatch):
+    # Bound 12 has 264 primitive vectors, so 264^2 = 69696 ordered pairs.
+    monkeypatch.setenv("SADDLEKIT_BUDGET", "69696")
+    assert pairs_of(12)
+    monkeypatch.setenv("SADDLEKIT_BUDGET", "69695")
+    with pytest.raises(ResourceLimitError) as exc:
+        pairs_of(12)
+    assert exc.value.details == {"pairs": 69696, "budget": 69695}
 
 
 def test_measure_serialization():

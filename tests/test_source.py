@@ -10,6 +10,11 @@ import saddlekit
 _MODULES = sorted(p for p in Path(saddlekit.__file__).parent.glob("*.py") if p.name != "__init__.py")
 
 
+def _trees():
+    """Every module of the package, __init__ included, parsed: stem -> tree."""
+    return {p.stem: ast.parse(p.read_text()) for p in Path(saddlekit.__file__).parent.glob("*.py")}
+
+
 def _unused_imports(tree):
     imported = {}
     for node in ast.walk(tree):
@@ -82,8 +87,7 @@ def test_an_unused_import_is_found():
 
 
 def test_package_loads_every_private_name_it_defines():
-    sources = Path(saddlekit.__file__).parent.glob("*.py")
-    assert _unloaded_private_names({p.stem: ast.parse(p.read_text()) for p in sources}) == []
+    assert _unloaded_private_names(_trees()) == []
 
 
 def test_an_unloaded_private_name_is_found():
@@ -97,4 +101,83 @@ def test_an_unloaded_private_name_is_found():
     trees = {"a": ast.parse(a), "b": ast.parse(b)}
     assert _unloaded_private_names(trees) == [
         ("a", 1, "_spare"), ("a", 6, "_Unused"), ("a", 8, "_state_key")
+    ]
+
+
+def _environment_reads(trees):
+    """(module, enclosing top-level definition or None, line) of each read of
+    the process environment: an ``environ`` or ``getenv`` attribute, or a
+    from-import of either from os."""
+    env_names = {"environ", "environb", "getenv", "getenvb"}
+    found = []
+    for module, tree in trees.items():
+        for top in tree.body:
+            owner = getattr(top, "name", None)
+            for node in ast.walk(top):
+                if isinstance(node, ast.Attribute):
+                    names = {node.attr}
+                elif isinstance(node, ast.ImportFrom) and node.module == "os":
+                    names = {alias.name for alias in node.names}
+                else:
+                    continue
+                if names & env_names:
+                    found.append((module, owner, node.lineno))
+    return sorted(found, key=lambda r: (r[0], r[2]))
+
+
+def _package_imports(tree):
+    """(line, module) of each saddlekit module the tree imports, at any depth:
+    ``from .m import x``, ``from . import m``, ``import saddlekit.m`` and
+    their absolute forms."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            parts = (["saddlekit"] if node.level else []) + (node.module.split(".") if node.module else [])
+            if parts[:1] != ["saddlekit"]:
+                continue
+            if len(parts) > 1:
+                found.add((node.lineno, parts[1]))
+            else:
+                found.update((node.lineno, alias.name) for alias in node.names)
+        elif isinstance(node, ast.Import):
+            found.update(
+                (node.lineno, alias.name.split(".")[1])
+                for alias in node.names
+                if alias.name.startswith("saddlekit.")
+            )
+    return sorted(found)
+
+
+def test_only_default_budget_reads_the_environment():
+    reads = _environment_reads(_trees())
+    assert [(module, owner) for module, owner, _ in reads] == [("exactplane", "default_budget")]
+
+
+def test_an_environment_read_is_found():
+    a = "import os\ndef default_budget():\n    return os.environ.get('X')\n"
+    b = (
+        "from os import getenv\nimport os\nLIMIT = os.environ['Y']\n"
+        "class C:\n    def f(self):\n        return os.getenv('Z')\n"
+    )
+    trees = {"a": ast.parse(a), "b": ast.parse(b)}
+    assert _environment_reads(trees) == [
+        ("a", "default_budget", 3), ("b", None, 1), ("b", None, 3), ("b", "C", 6)
+    ]
+
+
+@pytest.mark.parametrize("module", ["exactplane", "kernels", "oracle"])
+def test_lower_layers_import_nothing_from_geodesic(module):
+    assert "geodesic" not in {name for _, name in _package_imports(_trees()[module])}
+
+
+def test_a_package_import_is_found():
+    tree = ast.parse(
+        "from .geodesic import default_budget\nfrom . import kernels, sv\n"
+        "import saddlekit.oracle\nfrom saddlekit.surface import area\n"
+        "from saddlekit import mc\nimport numpy\nfrom math import gcd\n"
+        "def f():\n    from .builders import square_torus\n"
+    )
+    assert _package_imports(tree) == [
+        (1, "geodesic"), (2, "kernels"), (2, "sv"), (3, "oracle"),
+        (4, "surface"), (5, "mc"), (9, "builders"),
     ]
