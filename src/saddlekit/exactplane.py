@@ -248,40 +248,48 @@ def euler_phi(n: int) -> int:
     return result
 
 
-def _coset_in_disc(m, lim: int, shift=(0, 0), step: int = 1):
-    """The int points p of shift + step Z^2 with |m p|^2 <= lim, row by row.
+def _cosets_in_disc(m, lim: int, shifts=((0, 0),), step: int = 1):
+    """The int points (x, y) of shift + step Z^2 with |m (x, y)|^2 <= lim,
+    row by row, for each shift in turn, as triples (shift, x, y).
 
     m = (a, b, c, d) is a nonsingular int matrix.  With A = a^2 + c^2,
     B = ab + cd and det = ad - bc, A |m(x, y)|^2 = (Ax + By)^2 + det^2 y^2,
     so row y holds points iff det^2 y^2 <= A lim, and its points are exactly
     the x with |Ax + By| <= isqrt(A lim - det^2 y^2).
 
-    Before it yields a point, the walk counts its rows, then its points (one
-    isqrt per row), and raises ResourceLimitError with ``rows`` or
-    ``points`` and ``budget`` if either exceeds ``default_budget()``.
+    The cosets share one budget.  Before it yields a point, the walk counts,
+    coset by coset, its rows, then its points (one isqrt per row), and
+    raises ResourceLimitError with ``budget`` and the running total of
+    ``rows`` or ``points`` once either exceeds ``default_budget()``.
     """
     a, b, c, d = m
     A, B, det2 = a * a + c * c, a * b + c * d, (a * d - b * c) ** 2
-    sx, sy = shift
     top = math.isqrt(A * lim // det2)
-    first = sy - (top + sy) // step * step
 
-    def row(y):
+    def row(sx, y):
         half = math.isqrt(A * lim - det2 * y * y)
         return -((half + B * y + A * sx) // (A * step)), (half - B * y - A * sx) // (A * step)
 
     budget = default_budget()
-    rows = (top - first) // step + 1
-    if rows > budget:
-        raise ResourceLimitError("lattice disc exceeds the budget", rows=rows, budget=budget)
-    ys = range(first, top + 1, step)
-    points = sum(hi + 1 - lo for lo, hi in map(row, ys))
-    if points > budget:
-        raise ResourceLimitError("lattice disc exceeds the budget", points=points, budget=budget)
-    for y in ys:
-        lo, hi = row(y)
-        for i in range(lo, hi + 1):
-            yield sx + step * i, y
+    walks = []
+    rows = points = 0
+    for shift in shifts:
+        sx, sy = shift
+        first = sy - (top + sy) // step * step
+        rows += (top - first) // step + 1
+        if rows > budget:
+            raise ResourceLimitError("lattice disc exceeds the budget", rows=rows, budget=budget)
+        ys = range(first, top + 1, step)
+        points += sum(hi + 1 - lo for lo, hi in (row(sx, y) for y in ys))
+        if points > budget:
+            raise ResourceLimitError("lattice disc exceeds the budget", points=points, budget=budget)
+        walks.append((shift, ys))
+    for shift, ys in walks:
+        sx = shift[0]
+        for y in ys:
+            lo, hi = row(sx, y)
+            for i in range(lo, hi + 1):
+                yield shift, sx + step * i, y
 
 
 def primitive_points_in_disc(radius: Rational, g: ExactMatrix | None = None) -> list:
@@ -289,7 +297,7 @@ def primitive_points_in_disc(radius: Rational, g: ExactMatrix | None = None) -> 
 
     g defaults to the identity.  The comparison is exact: g is scaled by the
     lcm D of its denominators and the radius enters only as D^2 radius^2, so
-    membership is an integer test, walked row by row (`_coset_in_disc`,
+    membership is an integer test, walked row by row (`_cosets_in_disc`,
     which refuses a disc of more rows or points than the budget).  Points
     are returned sorted by (norm^2, x, y).
     """
@@ -302,7 +310,7 @@ def primitive_points_in_disc(radius: Rational, g: ExactMatrix | None = None) -> 
     lim = r * r * den * den
     lim = lim.numerator // lim.denominator  # integer n <= lim iff n <= floor(lim)
     found = []
-    for p, q in _coset_in_disc((a, b, c, d), lim):
+    for _, p, q in _cosets_in_disc((a, b, c, d), lim):
         if math.gcd(p, q) == 1:
             x = a * p + b * q
             y = c * p + d * q

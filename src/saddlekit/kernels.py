@@ -1,11 +1,12 @@
 """The lattice kernels: primitive points of M Z^2 in a closed disc.
 
 Both kernels search rows q = 1..qmax, where qmax is the bound that
-|M v| <= radius puts on a coordinate.  In each row the p candidates run from
-the floor of the lower real root of the disc's quadratic minus one to the
-floor of the upper root plus one, and membership is decided by the float
+|M v| <= radius puts on a coordinate, and decide membership by the float
 expression (a*p + b*q)**2 + (c*p + d*q)**2 <= radius**2, so results are
-bit-deterministic for given float inputs.
+bit-deterministic for given float inputs.  A row's candidates run from the
+floor of its lower float root mid - half, minus one, to the floor of its
+upper root mid + half, plus one, where mid -+ half solve the disc's
+quadratic in p.
 
 Only the half plane q >= 1 and the point (1, 0) are searched; row q = 0
 holds no other primitive point.  Rounding to nearest is odd-symmetric,
@@ -16,15 +17,17 @@ doubles its count and ``primitive_points`` yields each point with its
 negation.
 
 ``count_primitive_in_disc`` counts for one matrix in plain Python floats
-and ints, one row at a time: it walks in from both padded ends to the first
-and last points inside, lo and hi, and counts the p in [lo, hi] prime to q
-by Moebius inversion over the squarefree divisors of q, read from a table
-that grows with the rows asked for.  That is exact when the points inside
-form one run, which holds when A = a^2 + c^2, half the second difference of
-|M (p, q)|^2 along a row, exceeds 32u k^2 r^2 (u = 2^-53,
-k = |M|_F^2 / det), a bound on twice the float error of the test; its
-docstring has the proof.  Below the bound each point of the run is tested
-instead.
+and ints, one row at a time, and counts the p of a row's run [lo, hi] prime
+to q by Moebius inversion over the squarefree divisors of q, read from a
+table that grows with the rows asked for.  The points inside a row form one
+run when A = a^2 + c^2, half the second difference of |M (p, q)|^2 along a
+row, exceeds 32u k^2 r^2 (u = 2^-53, k = |M|_F^2 / det), a bound on twice
+the float error of the test.  Under that bound a row whose float roots
+both lie further than ``_TAU`` from every integer, and whose half is above
+a floor computed once per call, takes lo = floor(mid - half) + 1 and
+hi = floor(mid + half) with no membership test; any other row walks in
+from its padded ends to its first and last points inside.  Below the bound
+each point of the run is tested instead.  Its docstring has the proofs.
 
 ``primitive_points`` takes an (n, 4) array of matrices (a, b, c, d), works
 through it in numpy chunks of about ``_CHUNK_ROWS`` lattice rows, so its
@@ -50,6 +53,8 @@ BACKEND = "python"
 _MAX_ROWS = 1 << 53
 _CHUNK_ROWS = 1 << 10
 _U = 2.0**-53  # unit roundoff of float64
+_TAU = 2.0**-20  # how far a certified root keeps from every integer
+_UNTAU = 1.0 - _TAU
 
 # _DIVISORS[q] is ((d, mu(d)), ...) over the squarefree divisors d of q.
 # It is only ever replaced whole, never changed in place.
@@ -182,13 +187,14 @@ def count_primitive_in_disc(a: float, b: float, c: float, d: float, radius: floa
     ``budget`` rows is refused before it starts.
 
     Row by row the count equals that of testing every candidate, as
-    ``_candidates`` lists them.  Walking in from the padded ends finds the
-    first and last points inside, lo and hi, and the p in [lo, hi] prime to
-    q are counted as sum over squarefree d | q of mu(d) (hi//d - (lo-1)//d).
-    That is exact if no point of [lo, hi] fails the float test.
+    ``_candidates`` lists them.  Where the points of a row that pass form
+    one run [lo, hi], the p in it prime to q are counted as sum over
+    squarefree d | q of mu(d) (hi//d - (lo-1)//d).  Most rows read lo and hi
+    off their float roots (the certificate below); any other row walks in
+    from its padded ends to its first and last points that pass.
 
-    Why none does.  Along a row F(p) = |M (p, q)|^2 is a quadratic in p
-    with second difference 2A, A = a^2 + c^2, so for integers p1 < p2 < p3
+    No holes.  Along a row F(p) = |M (p, q)|^2 is a quadratic in p with
+    second difference 2A, A = a^2 + c^2, so for integers p1 < p2 < p3
     F(p2) <= max(F(p1), F(p3)) - A: a hole at p2 between two points that
     pass needs a rounding error above A/2 at one of the three.  Each of the
     six float operations of the test has relative error at most u = 2^-53,
@@ -204,15 +210,60 @@ def count_primitive_in_disc(a: float, b: float, c: float, d: float, radius: floa
     membership and its gcd with q taken.  Throughout, p and q are floats
     exactly: rows stop below 2^52, and |(p, q)| <= 1.1 reach on [lo, hi].
 
-    Where that bound holds, the rows stop at the last one a passing point
-    can reach, well before qmax on a skewed lattice.  From (p, q) =
-    M^-1 (x, y), q = (a y - c x) / det and |q| <= sqrt(A F) / det.  A point
-    that passes has f <= fl(r^2) <= r^2 (1 + u), so by the errors above
-    F (1 - 7u k^2) <= r^2 (1 + u + 2u k^2) <= r^2 (1 + 3u k^2), as k >= 2;
-    hence F <= r^2 / (1 - 10u k^2) and q <= r sqrt(A) / (det sqrt(1 - 10u k^2)).
-    det, A and k^2 are computed to a relative 2^-28 and the rest of that
-    expression to a few u, so its float value raised by 2^-20, floored, plus
-    one is a row past every passing point.
+    Row cutoff.  Where that bound holds, the rows stop at the last one a
+    passing point can reach, well before qmax on a skewed lattice.  From
+    (p, q) = M^-1 (x, y), q = (a y - c x) / det and |q| <= sqrt(A F) / det.
+    A point that passes has f <= fl(r^2) <= r^2 (1 + u), so by the errors
+    above F (1 - 7u k^2) <= r^2 (1 + u + 2u k^2) <= r^2 (1 + 3u k^2), as
+    k >= 2; hence F <= r^2 / (1 - 10u k^2) and
+    q <= r sqrt(A) / (det sqrt(1 - 10u k^2)).  det, A and k^2 are computed
+    to a relative 2^-28 and the rest of that expression to a few u, so its
+    float value raised by 2^-20, floored, plus one is a row past every
+    passing point.
+
+    The certificate, also only under that bound.  From here on r^2 is the
+    float radius**2 the test compares with, A, B = 2 (a b + c d) and C =
+    b^2 + d^2 are exact in the float entries, s = |M|_F^2, and the exact
+    roots of F = r^2 are m -+ e, e = sqrt(D) / 2A with
+    D = B^2 q^2 - 4A (C q^2 - r^2) = 4 (A r^2 - det^2 q^2).  Three facts:
+
+    1. The band.  By |f - F| <= 7u k^2 F, the underflow term and
+       7u k^2 < 1/9, f > r^2 where F >= r^2 + delta and f < r^2 where
+       F <= r^2 - delta, for delta = 12u k^2 r^2.
+    2. The float roots.  The computed B is within 2.01u s of B however much
+       a b and c d cancel, A and C within a relative 2.01u; with |B| <= s,
+       A C <= s^2 / 4 and det^2 <= s^2 / 4, B B q^2 comes within
+       7.1u s^2 q^2 of B^2 q^2, 4A (C q^2 - r^2) within
+       8.2u s^2 q^2 + 16.4u A r^2 of its value, and the last subtraction
+       adds u |D| <= u (4A r^2 + s^2 q^2).  So disc is within
+       E = 24u ((s qmax)^2 + A r^2), ``err``, of D.  Let half > h,
+       ``floor``, where E <= A^2 h^2 (below).  Then
+       sqrt(disc) >= 2A h (1 - 5u), D >= 2.9 A^2 h^2 and e >= h/2 > 0:
+       the row meets the disc, so det q < r sqrt(A), and
+       |sqrt(disc) - sqrt(D)| <= E / sqrt(D) <= E / (A h).  Every exact
+       root, m and e are at most W = k r / sqrt(A) in size.  half comes
+       within 0.51 E / (A^2 h) + 5u W of e; mid within 5.2u W of m, as the
+       error of B adds at most 1.01u s q / A < 1.01u W; the float roots
+       mid -+ half within 1.1u W more; and x - floor(x) is computed within
+       u.  In all a float root x is within eps = 0.51 E / (A^2 h) + 12u W
+       of its exact root, and u W < 2^-28 as A > 32u k^2 r^2.
+    3. The slope.  F(p) - r^2 = A (p - m + e)(p - m - e).  An integer at
+       least t beyond a root has F >= r^2 + 2A e t.  An integer at least t
+       inside both roots has F <= r^2 - A e t: two factors of at least t
+       whose sum is 2e have a product of at least e t.
+
+    Let tau = ``_TAU`` and h = tau + (E / A + 48u k^2 r^2) / (A tau), so
+    E <= A^2 tau h <= A^2 h^2 and 0.51 E / (A^2 h) + 24u k^2 r^2 / (A h)
+    <= 0.51 tau.  If half > h and both float roots have x - floor(x) in
+    (tau, 1 - tau), each floor(x) lies at least t = tau - u - eps below its
+    exact root and floor(x) + 1 at least t above it, where
+    t >= 0.49 tau - u - 12u W + 24u k^2 r^2 / (A h) > 24u k^2 r^2 / (A h),
+    so A e t >= A h t / 2 > delta.  Write x0 = floor(mid - half) and
+    x1 = floor(mid + half).  By 1 and 3 the candidates x0 - 1 and x0 fail,
+    x0 + 1 passes unless it is x1 + 1, which fails, and x1 passes; no holes
+    puts every p between them in the run.  So lo = x0 + 1 and hi = x1, as
+    the walk would find them.  The float values of E and h are within a
+    relative 2^-27 of these, covered by the slack in 24, 48 and 0.49.
     """
     _check_radius(radius)
     det = abs(a * d - b * c)
@@ -230,9 +281,13 @@ def count_primitive_in_disc(a: float, b: float, c: float, d: float, radius: floa
     k = fr / det
     k2 = k * k
     one_run = k2 < 2.0**47 and 2.0**-1000 < k2 * r2 and 32.0 * _U * k2 * r2 < A
+    floor = math.inf  # no row is certified below the no-hole bound
     if one_run:
         reach = radius * math.sqrt(A) / (det * math.sqrt(1.0 - 10.0 * _U * k2))
         qmax = min(qmax, math.floor(reach * (1.0 + 2.0**-20)) + 1)
+        # E and h of the certificate in the docstring.
+        err = 24.0 * _U * (fr * fr * qmax * qmax + A * r2)
+        floor = _TAU + (err / A + 48.0 * _U * k2 * r2) / (A * _TAU)
     _within_budget(qmax, budget, radius)
     table = _DIVISORS
     upper = 0
@@ -244,35 +299,40 @@ def count_primitive_in_disc(a: float, b: float, c: float, d: float, radius: floa
         try:
             half = math.sqrt(disc) / A2
             mid = nB * q / A2
-            lo = math.floor(mid - half) - 1
-            hi = math.floor(mid + half) + 1
+            x_lo, x_hi = mid - half, mid + half
+            lo, hi = math.floor(x_lo), math.floor(x_hi)
         except (ArithmeticError, ValueError):
             raise ResourceLimitError(f"a disc of radius {radius} leaves the float64 range on this lattice") from None
-        bq, dq = b * q, d * q
-        while lo <= hi:
-            t1, t2 = a * lo + bq, c * lo + dq
-            if t1 * t1 + t2 * t2 <= r2:
-                break
+        if half > floor and _TAU < x_lo - lo < _UNTAU and _TAU < x_hi - hi < _UNTAU:
             lo += 1
         else:
-            continue
-        while True:
-            t1, t2 = a * hi + bq, c * hi + dq
-            if t1 * t1 + t2 * t2 <= r2:
-                break
-            hi -= 1
-        if one_run:
-            try:
-                divisors = table[q]
-            except IndexError:
-                table = _divisor_table(q, qmax)
-                divisors = table[q]
-            below = lo - 1
-            for dv, mu in divisors:
-                upper += mu * (hi // dv - below // dv)
-        else:
-            for p in range(lo, hi + 1):
-                t1, t2 = a * p + bq, c * p + dq
-                if t1 * t1 + t2 * t2 <= r2 and math.gcd(p, q) == 1:
-                    upper += 1
+            # Not certified: walk in from the padded ends.
+            lo, hi = lo - 1, hi + 1
+            bq, dq = b * q, d * q
+            while lo <= hi:
+                t1, t2 = a * lo + bq, c * lo + dq
+                if t1 * t1 + t2 * t2 <= r2:
+                    break
+                lo += 1
+            else:
+                continue
+            while True:
+                t1, t2 = a * hi + bq, c * hi + dq
+                if t1 * t1 + t2 * t2 <= r2:
+                    break
+                hi -= 1
+            if not one_run:
+                for p in range(lo, hi + 1):
+                    t1, t2 = a * p + bq, c * p + dq
+                    if t1 * t1 + t2 * t2 <= r2 and math.gcd(p, q) == 1:
+                        upper += 1
+                continue
+        try:
+            divisors = table[q]
+        except IndexError:
+            table = _divisor_table(q, qmax)
+            divisors = table[q]
+        below = lo - 1
+        for dv, mu in divisors:
+            upper += mu * (hi // dv - below // dv)
     return 2 * upper + (2 if A <= r2 else 0)

@@ -9,12 +9,13 @@ Lebesgue patch, never a claim about the global measure.
 Torus samples are one (n, 4) float64 array of matrices.  Disc and annulus
 transforms are counts of primitive lattice points, one
 ``kernels.count_primitive_in_disc`` call per sample and radius: a scalar
-row count that walks each row of the half plane q >= 1 in to its first and
-last points inside and counts the p prime to q between them by Moebius
-inversion.  A per-call bound on the float error of the membership test
-shows the points inside a row form one run whenever the lattice's A =
-a^2 + c^2 exceeds it; on the rare lattices where it does not, each point
-of the run is tested instead.  A sector transform runs the batched numpy
+count over the rows of the half plane q >= 1 that counts the p prime to q
+in each row's run of points inside by Moebius inversion.  Where a per-call
+bound on the float error of the membership test shows each row's points
+form one run, most rows take the run's ends from the floor of their float
+roots, certified far enough from every integer; the rest walk in from
+padded ends, and on the rare lattices past that bound each point of the
+run is tested instead.  A sector transform runs the batched numpy
 ``kernels.primitive_points`` once over the whole array and sums each
 chunk's non-ambiguous hits per sample with ``np.bincount``.  Both kernels
 take their row budget from ``exactplane.default_budget()``.  A stratum

@@ -7,10 +7,10 @@ the idealized formula overcounts: segments that pass through the other
 marked point on the way are excluded by an exact rationality test, and the
 excluded vectors are reported as corrections.
 
-The exact oracles walk the disc row by row (``exactplane._coset_in_disc``),
+The exact oracles walk the disc row by row (``exactplane._cosets_in_disc``),
 which refuses a disc of more rows or points than
-``exactplane.default_budget()``; the determinant histogram refuses more
-ordered pairs than that budget.
+``exactplane.default_budget()``; the slit oracle's three cosets share that
+budget.  The determinant histogram refuses more ordered pairs than it.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from .errors import InputError, ResourceLimitError
 from .exactplane import (
     ExactMatrix,
     ExactVector,
-    _coset_in_disc,
+    _cosets_in_disc,
     default_budget,
     euler_phi,
     primitive_points_in_disc,
@@ -131,23 +131,21 @@ def slit_torus_holonomy(t: SlitTorusPoint, radius) -> SlitHolonomyResult:
 
     vectors = set()
     corrections = set()
-    # A primitive lattice vector, scaled by L, is a loop at a marked point.
-    # It exists on the copy based at 0 unless it hits v, and at v unless it
-    # hits -v's copy.
-    for w in _coset_in_disc(m, lim, step=L):
-        if math.gcd(*w) == L:
-            if _passes_through(w, (vx, vy), L) and _passes_through(w, (-vx, -vy), L):
-                corrections.add(image(*w))
-            else:
-                vectors.add(image(*w))
-    # The cosets +v + L Z^2 and -v + L Z^2: a segment between the two marked
-    # points, blocked by an interior lattice point or an interior copy of v.
-    for target in ((vx, vy), (-vx, -vy)):
-        for w in _coset_in_disc(m, lim, target, L):
-            if _passes_through(w, (0, 0), L) or _passes_through(w, target, L):
-                corrections.add(image(*w))
-            else:
-                vectors.add(image(*w))
+    # The three cosets share one walk and one budget.  A primitive lattice
+    # vector, scaled by L, is a loop at a marked point: it exists on the
+    # copy based at 0 unless it hits v, and at v unless it hits -v's copy.
+    # On the cosets +v + L Z^2 and -v + L Z^2 a segment runs between the
+    # two marked points, blocked by an interior lattice point or an
+    # interior copy of v.
+    for target, x, y in _cosets_in_disc(m, lim, ((0, 0), (vx, vy), (-vx, -vy)), L):
+        w = (x, y)
+        if target == (0, 0):
+            if math.gcd(x, y) != L:
+                continue
+            blocked = _passes_through(w, (vx, vy), L) and _passes_through(w, (-vx, -vy), L)
+        else:
+            blocked = _passes_through(w, (0, 0), L) or _passes_through(w, target, L)
+        (corrections if blocked else vectors).add(image(x, y))
     return SlitHolonomyResult(frozenset(vectors), frozenset(corrections))
 
 

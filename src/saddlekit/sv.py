@@ -80,17 +80,19 @@ class TestFunction:
 @dataclass(frozen=True)
 class DiscIndicator(TestFunction):
     r: Fraction
+    r_sq: Fraction = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "r", to_fraction(self.r))
         if self.r <= 0:
             raise InputError("disc radius must be positive")
+        object.__setattr__(self, "r_sq", self.r * self.r)
 
     def support_radius(self) -> Fraction:
         return self.r
 
     def evaluate_exact(self, v: ExactVector, area=1):
-        return (1 if v.norm_sq() <= self.r * self.r * area else 0, False)
+        return (1 if v.norm_sq() <= self.r_sq * area else 0, False)
 
     def evaluate_batch(self, xs, ys, delta: float):
         r2 = float(self.r) ** 2
@@ -109,19 +111,23 @@ class DiscIndicator(TestFunction):
 class AnnulusIndicator(TestFunction):
     r1: Fraction
     r2: Fraction
+    r1_sq: Fraction = field(init=False, repr=False, compare=False)
+    r2_sq: Fraction = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "r1", to_fraction(self.r1))
         object.__setattr__(self, "r2", to_fraction(self.r2))
         if not (0 <= self.r1 < self.r2):
             raise InputError("annulus radii must satisfy 0 <= r1 < r2")
+        object.__setattr__(self, "r1_sq", self.r1 * self.r1)
+        object.__setattr__(self, "r2_sq", self.r2 * self.r2)
 
     def support_radius(self) -> Fraction:
         return self.r2
 
     def evaluate_exact(self, v: ExactVector, area=1):
         n = v.norm_sq()
-        return (1 if self.r1 * self.r1 * area < n <= self.r2 * self.r2 * area else 0, False)
+        return (1 if self.r1_sq * area < n <= self.r2_sq * area else 0, False)
 
     def evaluate_batch(self, xs, ys, delta: float):
         lo = float(self.r1) ** 2
@@ -156,11 +162,13 @@ class SectorIndicator(TestFunction):
     half_angle: float
     ray_lo: ExactVector = field(init=False, compare=False)
     ray_hi: ExactVector = field(init=False, compare=False)
+    r_sq: Fraction = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "r", to_fraction(self.r))
         if self.r <= 0:
             raise InputError("sector radius must be positive")
+        object.__setattr__(self, "r_sq", self.r * self.r)
         if not (0 < self.half_angle < math.pi / 2):
             raise InputError("half_angle must lie in (0, pi/2)")
         object.__setattr__(self, "ray_lo", _ray_approx(self.theta - self.half_angle))
@@ -186,7 +194,7 @@ class SectorIndicator(TestFunction):
         return (c1 > 0 and c2 > 0, False)
 
     def evaluate_exact(self, v: ExactVector, area=1):
-        if v.norm_sq() > self.r * self.r * area:
+        if v.norm_sq() > self.r_sq * area:
             return (0, False)
         inside, ambiguous = self.angular_inside(v)
         if ambiguous:

@@ -189,6 +189,20 @@ def test_exact_oracle_box_reads_the_budget_variable(capsys, monkeypatch):
     assert code == 1 and json.loads(err)["points"] == 1257
 
 
+def test_the_slit_oracle_walks_its_three_cosets_within_one_budget(capsys, monkeypatch):
+    # The lattice and the cosets +-(1/3, 1/5) each meet the disc of radius
+    # 20 in 1257 points: 3771 in all.
+    argv = ["slit-exact", "--matrix", "1,0,0,1", "--slit", "1/3,1/5", "--radius", "20"]
+    monkeypatch.setenv("SADDLEKIT_BUDGET", "3771")
+    code, out, _ = run(capsys, argv)
+    assert code == 0 and json.loads(out)["n_vectors"] == 3196
+    monkeypatch.setenv("SADDLEKIT_BUDGET", "3770")
+    code, out, err = run(capsys, argv)
+    assert code == 1 and out == ""
+    payload = json.loads(err)
+    assert (payload["error"], payload["points"], payload["budget"]) == ("RESOURCE_LIMIT", 3771, 3770)
+
+
 def test_exact_oracle_walks_a_skewed_lattice_within_the_budget(capsys):
     # Its (2B+1)^2 box would have 644809 cells; the walk visits 801 points.
     code, out, _ = run(capsys, ["torus-exact", "--matrix", "100,0,0,1/100", "--radius", "4"])

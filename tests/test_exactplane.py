@@ -10,7 +10,7 @@ from saddlekit.errors import InputError, ResourceLimitError
 from saddlekit.exactplane import (
     ExactMatrix,
     ExactVector,
-    _coset_in_disc,
+    _cosets_in_disc,
     compare_sqrt_sum,
     euler_phi,
     format_rational,
@@ -87,7 +87,7 @@ def test_coset_walk_matches_the_box_scan(m, lim, shift, step):
         if (x - shift[0]) % step == 0 == (y - shift[1]) % step
         and (a * x + b * y) ** 2 + (c * x + d * y) ** 2 <= lim
     }
-    walked = list(_coset_in_disc(m, lim, shift, step))
+    walked = [(x, y) for _, x, y in _cosets_in_disc(m, lim, (shift,), step)]
     assert len(walked) == len(box) and set(walked) == box
 
 

@@ -13,6 +13,7 @@ import threading
 import tracemalloc
 
 import numpy as np
+import pytest
 
 from saddlekit import kernels
 from saddlekit.mc import sample_torus_haar
@@ -172,3 +173,93 @@ def test_threads_growing_the_divisor_table_count_alike(monkeypatch):
         sys.setswitchinterval(switch)
     assert not any(t.is_alive() for t in threads)
     assert [got[i] for i in range(6)] == [want[i:] + want[:i] for i in range(6)]
+
+
+# Adversarial lattices for the row certificate, each count compared with
+# testing every candidate.  The integer shears S keep the lattice and move
+# its points to other rows, where the float roots round differently.
+SHEARS = ((1, 0, 0, 1), (1, 1, 0, 1), (1, 0, 2, 1), (2, 1, 1, 1), (1, -3, 1, -2))
+
+
+def times(m, s):
+    a, b, c, d = m
+    e, f, g, h = s
+    return (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
+
+
+def nearby_radii(radius, steps=4):
+    """radius and its float neighbours up to ``steps`` ulps either way."""
+    out, down, up = [radius], radius, radius
+    for _ in range(steps):
+        down, up = math.nextafter(down, 0.0), math.nextafter(up, math.inf)
+        out += [down, up]
+    return out
+
+
+def assert_counts_match(lattices, radii):
+    for m in lattices:
+        for radius in radii:
+            want = reference_points(*m, radius)[0].size
+            assert kernels.count_primitive_in_disc(*m, radius) == want, (m, radius)
+
+
+@pytest.mark.parametrize("cos, sin", [(1.0, 0.0), (3 / 5, 4 / 5), (5 / 13, 12 / 13)], ids=["identity", "3-4-5", "5-12-13"])
+@pytest.mark.parametrize("radius", [5.0, 25.0, 65.0])
+def test_circles_through_lattice_points_match_the_reference(cos, sin, radius):
+    # Every circle of radius 5, 25 or 65 about 0 passes through primitive
+    # points of Z^2, so under an exact rotation many float roots sit within
+    # rounding of an integer.
+    turn = (cos, -sin, sin, cos)
+    assert_counts_match([times(turn, s) for s in SHEARS], nearby_radii(radius))
+
+
+def rotation(th):
+    return (math.cos(th), -math.sin(th), math.sin(th), math.cos(th))
+
+
+def test_tangent_rows_match_the_reference():
+    # Integer radii on the identity: row q = R touches the circle at p = 0.
+    assert_counts_match([(1.0, 0.0, 0.0, 1.0)], [float(r) for r in range(1, 41)])
+    # r(th) [[x, -x p / q], [0, 1 / x]] maps the primitive (p, q) to a point
+    # where the circle through it touches row q.  The shear by j moves that
+    # point to p - j q, and its long second column gives the row's disc a
+    # rounding error far above the test's, so near the tangent point the
+    # float roots are mostly rounding error.
+    rng = np.random.default_rng(41)
+    lattices = 0
+    while lattices < 60:
+        x = math.exp(rng.uniform(math.log(0.25), math.log(4.0)))
+        q = int(rng.integers(2, 12))
+        p = int(rng.integers(1, q))
+        if math.gcd(p, q) != 1:
+            continue
+        j = int(rng.integers(5, 60)) * int(rng.choice((-1, 1)))
+        m = times(times(rotation(rng.uniform(0.0, 2.0 * math.pi)), (x, -x * p / q, 0.0, 1 / x)), (1, j, 0, 1))
+        a, b, c, d = m
+        t1, t2 = a * (p - j * q) + b * q, c * (p - j * q) + d * q
+        assert_counts_match([m], nearby_radii(math.sqrt(t1 * t1 + t2 * t2), 1))
+        lattices += 1
+
+
+@pytest.mark.parametrize("margin", [1.001, 1e4, 1e6])
+def test_lattices_just_past_the_no_hole_bound_match_the_reference(margin):
+    # A = margin * 32u k^2 r^2: rows of thousands of points, with the
+    # certificate's floor on half from far above every row to a few units.
+    rng = np.random.default_rng(23)
+    for _ in range(6):
+        # About t rows meet the disc, as k is near 1 / x^2.
+        t, b, th = rng.uniform(1.5, 20.0), rng.uniform(-0.5, 0.5), rng.uniform(0.0, 2.0 * math.pi)
+        x = (t * math.sqrt(margin * 32.0 * 2.0**-53)) ** 0.25
+        m = times(rotation(th), (x, b, 0.0, 1 / x))
+        a, b, c, d = m
+        A = a * a + c * c
+        k = (a * a + b * b + c * c + d * d) / abs(a * d - b * c)
+        radius = math.sqrt(A / (margin * 32.0 * 2.0**-53)) / k
+        assert 32.0 * 2.0**-53 * k * k * radius * radius < A
+        assert 1.0 < radius * math.sqrt(A) < 40.0
+        assert_counts_match([m], [radius, radius * (1.0 + 1e-9)])
+
+
+@pytest.mark.parametrize("radius", [5.0, 25.0, 65.0])
+def test_near_cusp_lattices_match_the_reference(radius):
+    assert_counts_match(near_cusp_lattices(40, np.random.default_rng(int(radius))).tolist(), nearby_radii(radius, 1))

@@ -206,3 +206,24 @@ def test_borel_cantelli_table_is_pinned(haar_3000):
     assert _sha([row.to_json_dict() for row in rows]) == (
         "04d417bbbcd83f5a662af43e11ae0f609e2472f359db4419b140834929cffed5"
     )
+
+
+@pytest.mark.parametrize("job", ["mean", "borel-cantelli"])
+def test_disc_counts_make_one_kernel_call_per_sample_and_radius(job, monkeypatch):
+    # The traced benchmark pass expects kernels.count.calls to be exactly
+    # samples x radii on the monte-carlo workload.
+    samples = mc.sample_torus_haar(40, seed=3)
+    count = mc.kernels.count_primitive_in_disc
+    radii = []
+
+    def counted(*args):
+        radii.append(args[4])
+        return count(*args)
+
+    monkeypatch.setattr(mc.kernels, "count_primitive_in_disc", counted)
+    if job == "mean":
+        mc.estimate_mean_transform(samples, DiscIndicator(Fraction(6)))
+        assert radii == [6.0] * 40
+    else:
+        mc.borel_cantelli_table((4, 8, 16), (8, 16, 32), samples)
+        assert radii == [4.0] * 40 + [8.0] * 40 + [16.0] * 40
