@@ -191,13 +191,12 @@ def _seeded(args):
 
 def cmd_mc_torus(args):
     seed = _seeded(args)
-    samples = mc.sample_torus_haar(args.samples, seed, args.ymax)
+    samples = mc.sample_torus_haar(args.samples, seed)
     rep = mc.estimate_mean_transform(
         samples, sv.DiscIndicator(to_fraction(args.radius)), threads=args.threads
     )
     payload = rep.to_json_dict()
     payload["radius"] = args.radius
-    payload["y_max"] = args.ymax
     _emit(args, payload)
     return 0
 
@@ -216,7 +215,7 @@ def cmd_mc_stratum(args):
 
 def cmd_variance(args):
     seed = _seeded(args)
-    samples = mc.sample_torus_haar(args.samples, seed, args.ymax)
+    samples = mc.sample_torus_haar(args.samples, seed)
     rep = mc.estimate_L2_and_variance(samples, float(to_fraction(args.radius)), threads=args.threads)
     _emit(args, rep.to_json_dict())
     return 0
@@ -228,7 +227,7 @@ def cmd_tails(args):
         base = _load_surface(args.surface)
         samples = mc.sample_stratum_local(base, str(args.spread), args.samples, seed)
     else:
-        samples = mc.sample_torus_haar(args.samples, seed, args.ymax)
+        samples = mc.sample_torus_haar(args.samples, seed)
     f = _fn_from_arg(args.fn) if args.fn else sv.DiscIndicator(Fraction(1, 4))
     hist = mc.tail_histogram(samples, f, args.kmax, threads=args.threads)
     payload = hist.to_json_dict()
@@ -246,7 +245,7 @@ def cmd_tails(args):
 
 def cmd_bc_table(args):
     seed = _seeded(args)
-    samples = mc.sample_torus_haar(args.samples, seed, args.ymax)
+    samples = mc.sample_torus_haar(args.samples, seed)
     radii = [float(to_fraction(r)) for r in args.radii.split(",")]
     errors = [float(to_fraction(e)) for e in args.errors.split(",")]
     rows = mc.borel_cantelli_table(radii, errors, samples, threads=args.threads)
@@ -287,7 +286,6 @@ def build_parser() -> argparse.ArgumentParser:
         if stochastic:
             p.add_argument("--samples", type=int, required=True)
             p.add_argument("--seed", type=int, default=None)
-            p.add_argument("--ymax", type=float, default=50.0)
             p.add_argument(
                 "--threads", type=int, default=1,
                 help="worker threads for stratum surfaces, at least 1; torus samples ignore it",

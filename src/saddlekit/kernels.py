@@ -16,6 +16,32 @@ The other half is therefore the mirror image: ``count_primitive_in_disc``
 doubles its count and ``primitive_points`` yields each point with its
 negation.
 
+The cusp rule.  Deep in the cusp every row q != 0 misses the disc: the
+lines of the lattice parallel to its first column (a, c) lie det / sqrt(A)
+apart, further than the radius.  ``_in_the_cusp`` decides this from the
+float entries; ``count_primitive_in_disc`` then returns the axis term and
+``primitive_points`` gives the lattice no rows, both before the row bound
+and the budget check.  That is what walking the rows would give, as each
+row's float ``disc`` is negative.  Proof: let A = a^2 + c^2, C = b^2 + d^2,
+B = 2 (a b + c d) and det = a d - b c, exact in the float entries,
+P = A C = det^2 + B^2 / 4, r^2 the float radius**2 and u = 2^-53.  Row q
+has exact D = B^2 q^2 - 4A (C q^2 - r^2) = 4 (A r^2 - det^2 q^2).  By
+Cauchy-Schwarz |a b| + |c d|, |a d| + |b c| and |B| / 2 are at most
+sqrt(P).  So the computed B is within 4.01u sqrt(P) of B, B B q^2 within
+28.2u P q^2 of B^2 q^2 (q^2 rounded to a float included), and, A and C
+being within a relative 2.01u, 4A (C q^2 - r^2) within
+32.2u P q^2 + 16.1u A r^2 of its value; the last subtraction adds at most
+4.01u (P q^2 + A r^2).  The float disc is thus within
+E = 65u (P q^2 + A r^2) of D.  Likewise the float det * det is within
+5.04u P of det^2 and A * r2 within a relative 3.02u, so when the float
+det * det - A * r2 exceeds the float 24u A (C + r^2),
+det^2 - A r^2 >= 18.9u P + 20.9u A r^2.  Then 4 det^2 - 65u P > 4A r^2,
+so 4 det^2 q^2 - 4A r^2 - E grows with q and is at least
+10.6u P + 18.6u A r^2 > 0 at q = 1: disc <= D + E < 0 in every row.  The
+rule also asks 2^-450 < A, C < 2^450, which keeps every value of a row
+q < 2^52 finite, and each underflow error, at most 2^-1075 an operation,
+below 2^-100 of the bound it adds to.
+
 ``count_primitive_in_disc`` counts for one matrix in plain Python floats
 and ints, one row at a time, and counts the p of a row's run [lo, hi] prime
 to q by Moebius inversion over the squarefree divisors of q, read from a
@@ -35,7 +61,8 @@ temporaries stay bounded whatever n is, and yields the points of each chunk
 with their owning row.
 
 Both kernels refuse, before walking it, a lattice that needs more rows than
-the work budget, ``exactplane.default_budget()`` unless one is passed.
+the work budget, ``exactplane.default_budget()`` unless one is passed; a
+lattice in the cusp needs none.
 """
 
 from __future__ import annotations
@@ -111,6 +138,15 @@ def _within_budget(rows: int, budget, radius) -> None:
         raise ResourceLimitError(msg, rows=rows, budget=budget)
 
 
+def _in_the_cusp(det, A, C, r2):
+    """Whether every row q >= 1 misses the disc, by the cusp rule of the
+    module docstring, from det = a*d - b*c, A = a*a + c*c and C = b*b + d*d
+    computed in that order (det may be its absolute value).  Floats or,
+    elementwise, arrays."""
+    fits = (2.0**-450 < A) & (A < 2.0**450) & (2.0**-450 < C) & (C < 2.0**450)
+    return fits & (det * det - A * r2 > 24.0 * _U * A * (C + r2))
+
+
 def _runs(lengths):
     """For consecutive runs of the given lengths: each entry's run and its
     offset within the run."""
@@ -153,11 +189,14 @@ def primitive_points(matrices, radius: float, budget=None):
     det = np.abs(a * d - b * c)
     if not det.all():
         raise SingularMatrixError(f"matrix {int(np.argmin(det))} is singular")
-    reach = radius * np.sqrt(a * a + b * b + c * c + d * d) / det
+    r2 = radius * radius
+    A, C = a * a + c * c, b * b + d * d
+    # A lattice in the cusp gets reach -1: no rows, and nothing to budget.
+    cusp = _in_the_cusp(det, A, C, r2)
+    reach = np.where(cusp, -1.0, radius * np.sqrt(a * a + b * b + c * c + d * d) / det)
     _within_budget(_qmax(float(reach.max()), radius), budget, radius)
     qmax = np.floor(reach).astype(np.int64) + 1
     ends = np.cumsum(qmax)
-    r2 = radius * radius
     lo = 0
     while lo < qmax.size:
         hi = max(lo + 1, int(np.searchsorted(ends, ends[lo] - qmax[lo] + _CHUNK_ROWS, "right")))
@@ -172,7 +211,7 @@ def primitive_points(matrices, radius: float, budget=None):
         inside = np.flatnonzero(t1 * t1 + t2 * t2 <= r2)
         inside = inside[np.gcd(ps[inside], qs[inside]) == 1]
         # Row q = 0: only (1, 0), whose image is the first column.
-        axis = lo + np.flatnonzero(a[lo:hi] * a[lo:hi] + c[lo:hi] * c[lo:hi] <= r2)
+        axis = lo + np.flatnonzero(A[lo:hi] <= r2)
         owner = np.concatenate((sample[row[inside]], axis))
         xs = np.concatenate((t1[inside], a[axis]))
         ys = np.concatenate((t2[inside], c[axis]))
@@ -269,12 +308,16 @@ def count_primitive_in_disc(a: float, b: float, c: float, d: float, radius: floa
     det = abs(a * d - b * c)
     if det == 0:
         raise SingularMatrixError("matrix is singular")
-    fr = a * a + b * b + c * c + d * d
-    qmax = _qmax(radius * math.sqrt(fr) / det, radius)
     r2 = radius * radius
     A = a * a + c * c
-    B = 2.0 * (a * b + c * d)
     C = b * b + d * d
+    # A r^2 < det^2, which the rule implies, is false on most lattices and
+    # cheaper to test.
+    if A * r2 < det * det and _in_the_cusp(det, A, C, r2):
+        return 2 if A <= r2 else 0
+    fr = a * a + b * b + c * c + d * d
+    qmax = _qmax(radius * math.sqrt(fr) / det, radius)
+    B = 2.0 * (a * b + c * d)
     # The row bounds below are the expressions of _candidates, operation
     # for operation, with the scalar factors taken out of the loop.
     BB, A4, A2, nB = B * B, 4.0 * A, 2.0 * A, -B

@@ -1,10 +1,10 @@
 """Monte Carlo estimators over torus moduli and local stratum patches.
 
-Torus sampling draws from the modular fundamental domain (density 1/y^2,
-cusp truncated at y_max with the removed mass reported analytically) plus a
-uniform rotation.  Stratum sampling perturbs a free set of period
-coordinates on a dyadic grid and rejects invalid surfaces; it is a local
-Lebesgue patch, never a claim about the global measure.
+Torus sampling draws from the whole modular fundamental domain (density
+1/y^2, cusp included) plus a uniform rotation.  Stratum sampling perturbs a
+free set of period coordinates on a dyadic grid and rejects invalid
+surfaces; it is a local Lebesgue patch, never a claim about the global
+measure.
 
 Torus samples are one (n, 4) float64 array of matrices.  Disc and annulus
 transforms are counts of primitive lattice points, one
@@ -22,9 +22,9 @@ take their row budget from ``exactplane.default_budget()``.  A stratum
 surface's transform is ``sv.transform_report`` at the surface's area, so
 the surface is never rescaled.  ``threads`` spreads only stratum surfaces
 over a thread pool; torus samples always run in the calling thread.  All
-estimators are bit-deterministic for a fixed
-seed and thread count independent: values are computed into an
-index-ordered array and reduced by numpy's fixed pairwise summation.
+estimators are bit-deterministic for a fixed seed, whatever the thread
+count: values are computed into an index-ordered array and reduced by
+numpy's fixed pairwise summation.
 """
 
 from __future__ import annotations
@@ -52,7 +52,6 @@ from .sv import (
 
 RNG_ALGORITHM = "pcg64"
 
-_FUNDAMENTAL_AREA = math.pi / 3  # hyperbolic area of the modular domain
 _GRID = 1 << 12  # dyadic steps per unit of spread in the stratum sampler
 _MIN_ACCEPTANCE = 0.10  # the stratum sampler gives up below this rate
 
@@ -64,20 +63,21 @@ class HaarSample:
 
     matrices: np.ndarray
     seed: int
-    y_max: float
-    truncated_mass: float
     algorithm: str = RNG_ALGORITHM
 
     def __len__(self):
         return len(self.matrices)
 
 
-def sample_torus_haar(n: int, seed: int, y_max: float = 50.0) -> HaarSample:
-    """Unit-covolume lattices distributed per the truncated invariant measure.
+def sample_torus_haar(n: int, seed: int) -> HaarSample:
+    """Unit-covolume lattices distributed per the invariant measure.
 
-    x is uniform on [-1/2, 1/2]; y follows 1/y^2 on [sqrt(3)/2, y_max] by
-    CDF inversion; pairs with x^2 + y^2 < 1 are rejected; the frame is spun
-    by a uniform rotation.  The mass removed above y_max is (1/y_max) / (pi/3).
+    x is uniform on [-1/2, 1/2]; y follows 1/y^2 on [sqrt(3)/2, inf) by CDF
+    inversion, y = lo / (1 - u) with u uniform on [0, 1), so y <= lo 2^53;
+    pairs with x^2 + y^2 < 1 are rejected; the frame is spun by a uniform
+    rotation.  Deep in the cusp the lattice lines parallel to the short
+    first column are more than any fixed radius apart, and the kernels
+    count such a lattice without walking a row.
     The sample is r(theta) [[1/sqrt(y), x/sqrt(y)], [0, sqrt(y)]], each
     entry of the product a row of r(theta) = [[cos, -sin], [sin, cos]] (from
     math.cos and math.sin) times a column of the base, summed left to right.
@@ -86,8 +86,6 @@ def sample_torus_haar(n: int, seed: int, y_max: float = 50.0) -> HaarSample:
         raise InputError("sample count must be positive")
     if seed < 0:
         raise InputError("seed must be nonnegative")
-    if not (math.isfinite(y_max) and y_max >= 2):
-        raise InputError(f"y_max must be finite and at least 2, got {y_max}")
     rng = np.random.default_rng(seed)
     lo = math.sqrt(3.0) / 2.0
     parts = []
@@ -96,7 +94,7 @@ def sample_torus_haar(n: int, seed: int, y_max: float = 50.0) -> HaarSample:
         batch = max(16, int((n - have) * 1.2))
         xs = rng.uniform(-0.5, 0.5, batch)
         us = rng.uniform(0.0, 1.0, batch)
-        ys = 1.0 / (1.0 / lo - us * (1.0 / lo - 1.0 / y_max))
+        ys = lo / (1.0 - us)
         ths = rng.uniform(0.0, 2.0 * math.pi, batch)
         keep = np.flatnonzero(~(xs * xs + ys * ys < 1.0))[: n - have]
         x, th = xs[keep], ths[keep]
@@ -112,8 +110,7 @@ def sample_torus_haar(n: int, seed: int, y_max: float = 50.0) -> HaarSample:
     if not np.all(np.abs(det - 1.0) <= 1e-12):
         raise InputError("torus matrix determinant must be 1 within 1e-12")
     matrices.setflags(write=False)
-    truncated = (1.0 / y_max) / _FUNDAMENTAL_AREA
-    return HaarSample(matrices, seed, y_max, truncated)
+    return HaarSample(matrices, seed)
 
 
 # --- local stratum sampling -------------------------------------------------
@@ -204,48 +201,6 @@ def sample_stratum_local(
 
 
 # --- transform evaluation ---------------------------------------------------
-
-
-def cusp_disc_integral(radius: float, y_max: float) -> float:
-    """Exact integral of the primitive count over the cusp y > y_max.
-
-    For y > max(y_max, 1) the fundamental domain has full unit x-width and
-    the lattice rows at heights k sqrt(y) contribute, averaged over the
-    uniform x-shift, exactly 2 phi(k)/k sqrt(y (R^2 - k^2 y)) primitive
-    points per sign of k.  Integrating rows against dy/y^2 gives the closed
-    form below; the central row contributes its two shortest vectors
-    whenever y >= 1/R^2.
-    """
-    from .exactplane import euler_phi
-
-    if y_max <= 1:
-        raise InputError("cusp integral needs y_max > 1")
-    r = float(radius)
-    total = 2.0 * min(r * r, 1.0 / y_max)
-    kmax = int(math.floor(r / math.sqrt(y_max)))
-    for k in range(1, kmax + 1):
-        x = k * math.sqrt(y_max) / r
-        if x >= 1.0:
-            continue
-        total += 4.0 * euler_phi(k) * (
-            2.0 * math.sqrt(1.0 - x * x) / x + 2.0 * math.asin(x) - math.pi
-        )
-    return total
-
-
-def _cusp_correction_for(f: TestFunction, y_max: float) -> Optional[float]:
-    """Analytic cusp integral of the transform for the supported indicator
-    shapes, using the rotation-averaged sector fraction."""
-    if isinstance(f, DiscIndicator):
-        return cusp_disc_integral(float(f.r), y_max)
-    if isinstance(f, AnnulusIndicator):
-        return cusp_disc_integral(float(f.r2), y_max) - cusp_disc_integral(
-            float(f.r1), y_max
-        )
-    if isinstance(f, SectorIndicator):
-        fraction = f.half_angle / math.pi
-        return fraction * cusp_disc_integral(float(f.r), y_max)
-    return None
 
 
 def _torus_values(matrices: np.ndarray, f: TestFunction) -> np.ndarray:
@@ -351,41 +306,10 @@ def _report_from_values(values: np.ndarray, seed, params) -> SampleReport:
 def estimate_mean_transform(
     samples, f: TestFunction, threads: int = 1, budget=None
 ) -> SampleReport:
-    """Sample mean of the transform.
-
-    For Haar torus samples the reported mean is corrected for the cusp
-    truncation: the removed region's contribution has an exact closed form
-    (cusp_disc_integral), so mean = [(T - m) mean_trunc + cusp] / T with T
-    the full domain mass and m the truncated mass.  The raw truncated mean
-    and the correction are echoed in the parameters.
-    """
+    """Sample mean of the transform.  Haar torus samples cover the whole
+    measure, cusp included, so the mean needs no correction."""
     values = _values(samples, f, threads=threads, budget=budget)
-    seed = getattr(samples, "seed", None)
-    report = _report_from_values(values, seed, {"f": f.to_json_dict()})
-    if isinstance(samples, HaarSample):
-        cusp = _cusp_correction_for(f, samples.y_max)
-        if cusp is not None:
-            total = _FUNDAMENTAL_AREA
-            removed = 1.0 / samples.y_max
-            corrected = ((total - removed) * report.mean + cusp) / total
-            params = dict(report.parameters)
-            params.update(
-                {
-                    "mean_truncated": report.mean,
-                    "cusp_integral": cusp,
-                    "truncated_mass": samples.truncated_mass,
-                }
-            )
-            report = SampleReport(
-                n_samples=report.n_samples,
-                mean=corrected,
-                second_moment=report.second_moment,
-                variance=report.variance,
-                ci_radius=report.ci_radius,
-                seed=report.seed,
-                parameters=params,
-            )
-    return report
+    return _report_from_values(values, getattr(samples, "seed", None), {"f": f.to_json_dict()})
 
 
 @dataclass(frozen=True)

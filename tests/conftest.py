@@ -1,5 +1,7 @@
+import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from saddlekit.builders import (
@@ -48,3 +50,36 @@ def torus_file(tmp_path, torus):
     path = tmp_path / "torus.json"
     path.write_text(torus.to_json())
     return str(path)
+
+
+def reference_haar_matrices(n, seed, y_max=None):
+    """The Haar sampler one sample at a time: r(theta) times the base matrix,
+    each entry composed in plain floats, with the 1e-12 determinant check.
+    y = lo / (1 - u) is the sampler's draw over the whole cusp; a finite
+    y_max draws y by the inverse CDF truncated at y_max instead, which keeps
+    the lattices of tests written against that truncation bit for bit."""
+    rng = np.random.default_rng(seed)
+    lo = math.sqrt(3.0) / 2.0
+    rows = []
+    while len(rows) < n:
+        batch = max(16, int((n - len(rows)) * 1.2))
+        xs = rng.uniform(-0.5, 0.5, batch)
+        us = rng.uniform(0.0, 1.0, batch)
+        if y_max is None:
+            ys = lo / (1.0 - us)
+        else:
+            ys = 1.0 / (1.0 / lo - us * (1.0 / lo - 1.0 / y_max))
+        ths = rng.uniform(0.0, 2.0 * math.pi, batch)
+        for x, y, th in zip(xs, ys, ths):
+            if x * x + y * y < 1.0:
+                continue
+            if len(rows) >= n:
+                break
+            sy = math.sqrt(y)
+            a0, b0, c0, d0 = 1.0 / sy, x / sy, 0.0, sy
+            ct, st = math.cos(th), math.sin(th)
+            a, b = ct * a0 + -st * c0, ct * b0 + -st * d0
+            c, d = st * a0 + ct * c0, st * b0 + ct * d0
+            assert abs(a * d - b * c - 1.0) <= 1e-12
+            rows.append((a, b, c, d))
+    return np.array(rows, dtype=np.float64)

@@ -59,9 +59,6 @@ def empty_file(tmp_path):
         "budget zero",
         "budget negative",
         "budget env negative",
-        "ymax inf",
-        "ymax overflow",
-        "ymax nan",
     ],
 )
 def test_malformed_input_exits_1_with_input_code(
@@ -89,9 +86,6 @@ def test_malformed_input_exits_1_with_input_code(
         "budget zero": ["count", "--surface", torus_file, "--radius", "2", "--budget", "0"],
         "budget negative": ["count", "--surface", torus_file, "--radius", "2", "--budget", "-5"],
         "budget env negative": ["count", "--surface", torus_file, "--radius", "2"],
-        "ymax inf": ["mc-torus", "--samples", "10", "--seed", "1", "--radius", "3", "--ymax", "inf"],
-        "ymax overflow": ["mc-torus", "--samples", "10", "--seed", "1", "--radius", "3", "--ymax", "1e400"],
-        "ymax nan": ["mc-torus", "--samples", "10", "--seed", "1", "--radius", "3", "--ymax", "nan"],
     }[case]
     env = {"budget env": "abc", "budget env negative": "-5"}
     if case in env:

@@ -15,12 +15,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from conftest import reference_haar_matrices
 from saddlekit import kernels
 from saddlekit.mc import sample_torus_haar
 
 N_RADII = 50
 PER_RADIUS = 2000  # 100k (lattice, radius) pairs in all
-NEAR_CUSP = 500  # lattices of each batch drawn just below y_max
+NEAR_CUSP = 500  # lattices of each batch drawn just below Y_MAX
 Y_MAX = 50.0
 
 
@@ -55,11 +56,13 @@ def reference_points(a, b, c, d, radius):
     return t1[inside], t2[inside]
 
 
-def near_cusp_lattices(n, rng):
+def near_cusp_lattices(n, rng, y=None):
     """r(theta) [[1/sqrt(y), x/sqrt(y)], [0, sqrt(y)]] with y within 0.1%
-    below Y_MAX: the longest rows and thinnest lattices the sampler makes."""
+    below Y_MAX, thin lattices with long rows, as deep as the whole-band
+    reference can afford; or at the given height y."""
     x = rng.uniform(-0.5, 0.5, n)
-    y = Y_MAX * (1.0 - 1e-3 * rng.uniform(0.0, 1.0, n))
+    if y is None:
+        y = Y_MAX * (1.0 - 1e-3 * rng.uniform(0.0, 1.0, n))
     th = rng.uniform(0.0, 2.0 * math.pi, n)
     sy = np.sqrt(y)
     ct, st = np.cos(th), np.sin(th)
@@ -86,8 +89,8 @@ def test_half_plane_kernels_match_the_whole_band_reference():
     radii[:2] = (0.5, 20.0)
     pairs = 0
     for k, radius in enumerate(radii.tolist()):
-        haar = sample_torus_haar(PER_RADIUS - NEAR_CUSP, seed=k, y_max=(Y_MAX, 8.0, 2.0)[k % 3])
-        matrices = np.concatenate((haar.matrices, near_cusp_lattices(NEAR_CUSP, rng)))
+        haar = reference_haar_matrices(PER_RADIUS - NEAR_CUSP, k, (Y_MAX, 8.0, 2.0)[k % 3])
+        matrices = np.concatenate((haar, near_cusp_lattices(NEAR_CUSP, rng)))
         ref = [reference_points(*row, radius) for row in matrices.tolist()]
         ref_counts = [xs.size for xs, _ in ref]
         counts = [kernels.count_primitive_in_disc(*row, radius) for row in matrices.tolist()]
@@ -152,7 +155,7 @@ def test_one_count_near_the_cusp_stays_small_in_memory(monkeypatch):
 def test_threads_growing_the_divisor_table_count_alike(monkeypatch):
     # Each thread starts from the smallest table and grows it on its own;
     # a half-built or lost table would show as a wrong count.
-    matrices = sample_torus_haar(8, seed=9, y_max=2.0).matrices.tolist()
+    matrices = reference_haar_matrices(8, 9, 2.0).tolist()
     radii = (5.0, 20.0, 40.0, 80.0)
     want = [[reference_points(*row, r)[0].size for r in radii] for row in matrices]
     monkeypatch.setattr(kernels, "_DIVISORS", [()])
@@ -263,3 +266,48 @@ def test_lattices_just_past_the_no_hole_bound_match_the_reference(margin):
 @pytest.mark.parametrize("radius", [5.0, 25.0, 65.0])
 def test_near_cusp_lattices_match_the_reference(radius):
     assert_counts_match(near_cusp_lattices(40, np.random.default_rng(int(radius))).tolist(), nearby_radii(radius, 1))
+
+
+def assert_points_match(matrices, radius, owner, xs, ys):
+    """The batched kernel's points are the given ones, as sets per owner."""
+    want = sorted_points(matrices, owner, xs, ys)
+    got = sorted_points(matrices, *(np.concatenate(part) for part in zip(*kernels.primitive_points(matrices, radius))))
+    for w, g in zip(want, got):
+        assert np.array_equal(w, g), radius
+
+
+@pytest.mark.parametrize("radius", [4.0, 40.0])
+@pytest.mark.parametrize("y", [1e8, 1e12, 1e15])
+def test_deep_cusp_lattices_hold_their_first_column_and_walk_no_row(y, radius, monkeypatch):
+    # The lattice lines parallel to the first column lie sqrt(y) apart, so
+    # only +-(a, c) is in the disc.  Walked, the rows would number R sqrt(y)
+    # or more; a budget of one row refuses that.
+    monkeypatch.setenv("SADDLEKIT_BUDGET", "1")
+    matrices = near_cusp_lattices(8, np.random.default_rng(int(math.log10(y))), y)
+    assert [kernels.count_primitive_in_disc(*m, radius) for m in matrices.tolist()] == [2] * 8
+    a, c = matrices[:, 0], matrices[:, 2]
+    assert_points_match(matrices, radius, np.tile(np.arange(8), 2), np.concatenate((a, -a)), np.concatenate((c, -c)))
+
+
+@pytest.mark.parametrize("y", [2.0, 50.0, 1e3, 1e4])
+def test_lattices_at_the_cusp_rules_margin_match_the_reference(y):
+    # Radii where det^2 - A r^2 is t times the rule's bound 24u A C: row
+    # q = 1 is cut (t < 0) or touched (t = 0), or all but touched.  Up to
+    # t = 1 the rows are walked; past it no row's float disc is nonnegative.
+    rng = np.random.default_rng(int(y))
+    for m in near_cusp_lattices(4, rng, y):
+        a, b, c, d = m.tolist()
+        det, A, C = abs(a * d - b * c), a * a + c * c, b * b + d * d
+        for t in (-0.5, 0.0, 0.1, 0.5, 2.0, 10.0):
+            bound = 24.0 * 2.0**-53 * t
+            radius = math.sqrt((det * det - bound * A * C) / (A * (1.0 + bound)))
+            in_cusp = kernels._in_the_cusp(det, A, C, radius * radius)
+            assert in_cusp == (t > 1)
+            assert_counts_match([m.tolist()], nearby_radii(radius, 1))
+            xs, ys = reference_points(a, b, c, d, radius)
+            assert_points_match(m[None, :], radius, np.zeros(xs.size, np.int64), xs, ys)
+            if in_cusp:
+                qmax = math.floor(radius * math.sqrt(A + C) / det) + 1
+                q = np.arange(1, qmax + 1)
+                row, _ = kernels._candidates(q, *(np.full(qmax, v) for v in (a, b, c, d)), radius * radius)
+                assert row.size == 0

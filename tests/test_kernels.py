@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from conftest import reference_haar_matrices
 from saddlekit import kernels
 from saddlekit.errors import InputError, ResourceLimitError, SingularMatrixError
 from saddlekit.mc import estimate_mean_transform, sample_torus_haar
@@ -58,7 +59,7 @@ def points_by_owner(matrices, radius):
 
 
 def test_kernel_matches_brute_force_on_haar_samples():
-    for a, b, c, d in sample_torus_haar(6, seed=3, y_max=8.0).matrices.tolist():
+    for a, b, c, d in reference_haar_matrices(6, 3, 8.0).tolist():
         for radius in (1.0, 2.5, 6.0):
             expected = brute_force_count(a, b, c, d, radius)
             assert kernels.count_primitive_in_disc(a, b, c, d, radius) == expected
@@ -147,9 +148,11 @@ def test_rows_outside_the_float_range_are_refused(entries, radius):
 
 
 def test_a_lattice_of_1e8_rows_is_refused_within_a_second():
+    # The points (0, q), q = 1..10^8, of its short second column are in the
+    # disc, each in a row of its own.
     start = time.perf_counter()
     with pytest.raises(ResourceLimitError) as exc:
-        kernels.count_primitive_in_disc(1e-8, 0.0, 0.0, 1e8, 1.0)
+        kernels.count_primitive_in_disc(1e8, 0.0, 0.0, 1e-8, 1.0)
     assert time.perf_counter() - start < 1.0
     assert exc.value.details["rows"] > exc.value.details["budget"] == 500_000
 
@@ -167,7 +170,7 @@ def test_the_row_budget_is_exact_and_read_from_the_environment(monkeypatch):
 
 def test_batched_kernel_refuses_one_lattice_over_the_budget():
     matrices = np.array(sample_torus_haar(50, seed=2).matrices)
-    matrices[17] = (1e-8, 0.0, 0.0, 1e8)
+    matrices[17] = (1e8, 0.0, 0.0, 1e-8)
     with pytest.raises(ResourceLimitError) as exc:
         next(kernels.primitive_points(matrices, 1.0))
     assert exc.value.details["rows"] > exc.value.details["budget"] == 500_000

@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from conftest import reference_haar_matrices
 from saddlekit import mc
 from saddlekit.builders import centered_octagon_h2
 from saddlekit.errors import InputError
@@ -109,56 +110,41 @@ def test_haar_mean_is_bit_identical_for_a_fixed_seed(f):
     assert json.loads(reports[0])["n_samples"] == 300
 
 
-def reference_haar_matrices(n, seed, y_max):
-    """The sampler one sample at a time: r(theta) times the base matrix,
-    each entry composed in plain floats, with the 1e-12 determinant check."""
-    rng = np.random.default_rng(seed)
-    lo = math.sqrt(3.0) / 2.0
-    rows = []
-    while len(rows) < n:
-        batch = max(16, int((n - len(rows)) * 1.2))
-        xs = rng.uniform(-0.5, 0.5, batch)
-        us = rng.uniform(0.0, 1.0, batch)
-        ys = 1.0 / (1.0 / lo - us * (1.0 / lo - 1.0 / y_max))
-        ths = rng.uniform(0.0, 2.0 * math.pi, batch)
-        for x, y, th in zip(xs, ys, ths):
-            if x * x + y * y < 1.0:
-                continue
-            if len(rows) >= n:
-                break
-            sy = math.sqrt(y)
-            a0, b0, c0, d0 = 1.0 / sy, x / sy, 0.0, sy
-            ct, st = math.cos(th), math.sin(th)
-            a, b = ct * a0 + -st * c0, ct * b0 + -st * d0
-            c, d = st * a0 + ct * c0, st * b0 + ct * d0
-            assert abs(a * d - b * c - 1.0) <= 1e-12
-            rows.append((a, b, c, d))
-    return np.array(rows, dtype=np.float64)
+# sha256 of sample_torus_haar(n, seed, y_max).matrices from the sampler that
+# truncated the cusp at y_max, which the kernel tests drew their lattices
+# from; the truncated object loop must go on drawing them.
+TRUNCATED_SAMPLER_DIGESTS = {
+    (1, 0, 2.0): "0282b25b4d93a5f2fb4faecc528e8125ac2b58406a07a40f4f81275da0e6925d",
+    (17, 3, 8.0): "be9a0c9672be966398443d0d1bb0b237eefd75166495ceec0ed1c2755765fc55",
+    (500, 5, 1e6): "7ea25b648928567b129c3c0d67e30f0fb2c73d09d199cf0f98f2c16025188ff7",
+    (3000, 11, 50.0): "855d02ae2de76dc0ff6f18a4a640479147266b0b3c2e07a0a6d977366b5237b9",
+    (20000, 1011, 50.0): "a85db5c834b9c212b839f481cf2b9d0792fbd5ea867049edbefbb7b1c4e541e5",
+}
 
 
-@pytest.mark.parametrize(
-    "n, seed, y_max", [(1, 0, 2.0), (17, 3, 8.0), (500, 5, 1e6), (3000, 11, 50.0), (20000, 1011, 50.0)]
-)
+@pytest.mark.parametrize("n, seed, y_max", list(TRUNCATED_SAMPLER_DIGESTS))
 def test_haar_matrix_equals_the_object_loop_bit_for_bit(n, seed, y_max):
-    got = mc.sample_torus_haar(n, seed, y_max).matrices
-    want = reference_haar_matrices(n, seed, y_max)
+    got = mc.sample_torus_haar(n, seed).matrices
+    want = reference_haar_matrices(n, seed)
     assert got.shape == want.shape == (n, 4)
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    truncated = reference_haar_matrices(n, seed, y_max)
+    assert hashlib.sha256(truncated.tobytes()).hexdigest() == TRUNCATED_SAMPLER_DIGESTS[n, seed, y_max]
 
 
 PINNED_HAAR_REPORTS = {
-    "disc": (DiscIndicator(Fraction(6)), "9db298083744621fe2e7d5c8a739b89ec8b61d89ea55e39223d07d7efa6d7acc"),
+    "disc": (DiscIndicator(Fraction(6)), "dc68f61c20dbe119a37550820765670e73602692293e7984581b49cc83e2d79c"),
     "annulus": (
         AnnulusIndicator(Fraction(2), Fraction(5)),
-        "0493cc4b1fa8f2a03414d887b4a59e5d3ac493183df2e224a0af89ab2ebf762f",
+        "0b2322db5a9cff570ac85ac4f3dcb529b14ffab18bc90125ff098c6097931ef7",
     ),
     "sector": (
         SectorIndicator(Fraction(4), 0.3, 0.6),
-        "160ebc0aac8769ee4f0712c34181b589c9bcd155c0a10e554b59994287b197f2",
+        "25aeb0369801cdeb3a4fa134fe243f074135b7ebecb76d65ac9a7e5e6661a3be",
     ),
     "pair": (
         ProductPair(DiscIndicator(Fraction(3)), SectorIndicator(Fraction(5), -1.0, 0.4)),
-        "92d2f48220c5c0a73930bc8b69e966d77094ebf2c11f9c5837b8a44ea5552106",
+        "954af026420a8a43d739c82d35560830eebe481732334f5cacf659a9cf1ca9ff",
     ),
 }
 
@@ -174,8 +160,9 @@ def haar_3000():
 
 @pytest.mark.parametrize("name", sorted(PINNED_HAAR_REPORTS))
 def test_haar_mean_report_is_pinned(name, haar_3000):
-    # Digests of the per-sample kernel's reports, taken before the kernel
-    # was vectorized.
+    # Digests taken when the sampler came to cover the whole cusp.  On these
+    # 3000 lattices both kernels then matched the whole-band reference of
+    # test_kernel_reference.py at every radius pinned in this file.
     f, digest = PINNED_HAAR_REPORTS[name]
     assert _sha(mc.estimate_mean_transform(haar_3000, f).to_json_dict()) == digest
 
@@ -183,15 +170,14 @@ def test_haar_mean_report_is_pinned(name, haar_3000):
 def test_sector_tail_histogram_is_pinned(haar_3000):
     hist = mc.tail_histogram(haar_3000, SectorIndicator(Fraction(6), 2.0, 0.7), 30)
     assert not hist.degenerate
-    assert _sha(hist.to_json_dict()) == "fa1a433a51a99b14ee9c77450512126d6bb597e23ac133ca8a02a92f1fa0f8ce"
+    assert _sha(hist.to_json_dict()) == "4180e51fb4d22cdbb6828db49ad3a3dbbf900aaa7a0469ca47f104b5657f6afc"
 
 
-# Digests of the numpy row kernel's reports, taken before disc counts moved
-# to the scalar Moebius row count.
+# Digests taken with the mean reports above, on the same lattices.
 PINNED_VARIANCE_REPORTS = {
-    4: "eac196fc01dccf88237446c7d938ab084e708adf1ed720d27b6802920616d549",
-    10: "0968c85f3abfc9f76430693b5bc61b06293a7949d202cf79b0c3f260a8f98e4a",
-    20: "bd5f8d5a2896365f6cf2215f2ec2d7938f702cf1380ffade05c75e8c274a9dad",
+    4: "967ab5a178587c5712903be4006a950963c05613ef3e0bafd186b2db48af73df",
+    10: "4a168e37012e9f534d0989b5e3bc3456f71d6a15218809f1c510298bbd2ec94e",
+    20: "05336460dd30f85fb256d40c728f7f1938d806d84a0d50bf1c07529d2a510738",
 }
 
 
@@ -204,8 +190,45 @@ def test_variance_report_is_pinned(radius, haar_3000):
 def test_borel_cantelli_table_is_pinned(haar_3000):
     rows = mc.borel_cantelli_table((4, 8, 16), (8, 16, 32), haar_3000)
     assert _sha([row.to_json_dict() for row in rows]) == (
-        "04d417bbbcd83f5a662af43e11ae0f609e2472f359db4419b140834929cffed5"
+        "83a62a888e6d8bf23ba984b3c52b2dc932a58eda281e047bf7f822e52c33a4f3"
     )
+
+
+def exact_second_moment(radius):
+    """E[N(R)^2] under the Haar measure, N(R) the primitive vectors of the
+    lattice in the disc of radius R.  The pairs w = +-v give
+    2 E[N] = 2 pi R^2 / zeta(2).  The primitive pairs of determinant k fall
+    into phi(k) SL(2, Z) orbits, each of mean 1 / (k zeta(2)) times
+    4 pi (sqrt(R^4 - k^2) - k arccos(k / R^2)), the measure of the pairs in
+    the disc with that determinant; k and -k count alike."""
+    zeta2 = math.pi**2 / 6
+    r2 = radius * radius
+    total = 2 * math.pi * r2 / zeta2
+    for k in range(1, math.ceil(r2)):
+        phi = sum(1 for j in range(1, k + 1) if math.gcd(j, k) == 1)
+        total += 2 * phi / (k * zeta2) * 4 * math.pi * (math.sqrt(r2 * r2 - k * k) - k * math.acos(k / r2))
+    return total
+
+
+@pytest.fixture(scope="module")
+def haar_100k():
+    return mc.sample_torus_haar(100_000, seed=5)
+
+
+@pytest.mark.parametrize("radius", [2.0, 4.0, 8.0])
+def test_second_moment_is_within_three_standard_errors_of_the_exact_sum(radius, haar_100k):
+    # A sample that leaves out the cusp above y = 50 reads 9.4, 23 and 100
+    # standard errors high here.
+    report = mc.estimate_L2_and_variance(haar_100k, radius)
+    counts = mc.torus_count_values(haar_100k, radius)
+    stderr = float(np.std(counts * counts)) / math.sqrt(len(counts))
+    assert abs(report.l2_hat - exact_second_moment(radius)) < 3 * stderr
+
+
+def test_below_radius_one_every_lattice_has_none_or_two_primitive_vectors(haar_100k):
+    # Two independent primitive vectors span area at least 1 > R^2.
+    counts = mc.torus_count_values(haar_100k, 0.99)
+    assert set(counts.tolist()) == {0.0, 2.0}
 
 
 @pytest.mark.parametrize("job", ["mean", "borel-cantelli"])

@@ -1,11 +1,13 @@
 """Checks on the package source itself."""
 
+import argparse
 import ast
 from pathlib import Path
 
 import pytest
 
 import saddlekit
+from saddlekit import cli
 
 _MODULES = sorted(p for p in Path(saddlekit.__file__).parent.glob("*.py") if p.name != "__init__.py")
 
@@ -181,3 +183,55 @@ def test_a_package_import_is_found():
         (1, "geodesic"), (2, "kernels"), (2, "sv"), (3, "oracle"),
         (4, "surface"), (5, "mc"), (9, "builders"),
     ]
+
+
+def _unread_options(parser, tree):
+    """(command, dest) of each subcommand option that its ``cmd_*`` function
+    never reads as ``args.<dest>`` (or ``getattr(args, "<dest>", ...)``),
+    itself or through a module function that it passes ``args`` to."""
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+
+    def reads(name, position, seen):
+        if (name, position) in seen or name not in functions or position >= len(functions[name].args.args):
+            return set()
+        seen.add((name, position))
+        param = functions[name].args.args[position].arg
+        found = set()
+        for node in ast.walk(functions[name]):
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == param:
+                found.add(node.attr)
+            elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+                passed = [i for i, arg in enumerate(node.args) if isinstance(arg, ast.Name) and arg.id == param]
+                if node.func.id == "getattr" and passed == [0] and isinstance(node.args[1], ast.Constant):
+                    found.add(node.args[1].value)
+                for i in passed:
+                    found |= reads(node.func.id, i, seen)
+        return found
+
+    (subparsers,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return sorted(
+        (command, action.dest)
+        for command, sub in subparsers.choices.items()
+        for action in sub._actions
+        if not isinstance(action, argparse._HelpAction)
+        and action.dest not in reads("cmd_" + command.replace("-", "_"), 0, set())
+    )
+
+
+def test_every_cli_option_is_read_by_its_command():
+    assert _unread_options(cli.build_parser(), _trees()["cli"]) == []
+
+
+def test_an_unread_cli_option_is_found():
+    parser = argparse.ArgumentParser()
+    sub = parser.add_subparsers(dest="command")
+    a = sub.add_parser("a")
+    for flag in ("--x", "--y", "--w", "--v"):
+        a.add_argument(flag)
+    sub.add_parser("b-c").add_argument("--z")
+    tree = ast.parse(
+        "def _helper(n, opts):\n    return opts.y + getattr(opts, 'w', 0)\n"
+        "def cmd_a(args):\n    v = 1\n    return args.x + _helper(v, args) + v\n"
+        "def cmd_b_c(args):\n    return _helper(args, None)\n"
+    )
+    assert _unread_options(parser, tree) == [("a", "v"), ("b-c", "z")]
