@@ -10,14 +10,26 @@ mirror image of the upper case.  Each hop is an edge of the triangulation, so
 the result is an edge path homotopic to the connection, certified by exact
 holonomy summation.
 
+A walk starts from one corner of the Delaunay surface, on one sheet of its
+vertex.  `chew_path(dt, conn)` takes a connection of the surface that was
+given to `delaunay_l1` and starts from the connection's start_corner,
+carried through the flips onto its own sheet
+(`DelaunayTriangulation.carry`).  It raises InputError, and never guesses,
+when the carried corner is not at conn.start or its wedge does not hold the
+holonomy, and BlockedAtVertex when the segment meets a vertex short of its
+end.  A planar walk starts at a marked point, which has one sheet, from the
+one corner whose wedge holds the direction.
+
 The walk runs on the int corners of geodesic's strip, developed at its
 scale K, where rotations, reflections and the side tests are int
 operations.  Each step asks `delaunay.diamond_of` for the current
 triangle's diamond, the one place Fractions enter: the diamond's centre
 has denominators dividing 4K and its radius dividing 2K, so the step reads
 both back as ints at 4K and decides the clockwise order there, every
-position scaled by the radius.  Fractions are built again only for the
-returned ChewPath, from the hopped edges' own int vectors.
+position scaled by the radius.  The path's length bounds are int sums over
+one denominator, and the certificate is read off them; Fractions are built
+again only for the returned ChewPath, and for `compare_sqrt_sum` when the
+bounds straddle sqrt(10) times the holonomy's length.
 """
 
 from __future__ import annotations
@@ -31,7 +43,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from .delaunay import DelaunayTriangulation, delaunay_l1, diamond_of
 from .errors import BlockedAtVertex, ChewCaseError, InputError
-from .exactplane import ExactVector, _ints, _scale_of, _vec, compare_sqrt_sum, sqrt_bounds
+from .exactplane import ExactVector, _ints, _scale_of, _vec, compare_sqrt_sum
 from .geodesic import SaddleConnection, _start_corner, _strip
 from .surface import Slot, TranslationSurface
 
@@ -148,18 +160,17 @@ def chew_path(dt: DelaunayTriangulation, conn: SaddleConnection) -> ChewPath:
     """Edge path in the Delaunay triangulation homotopic to the connection,
     with total length at most sqrt(10) times the connection length.
 
-    Raises BlockedAtVertex when the segment from the first start corner
-    whose wedge holds the holonomy meets a vertex before its end."""
-    corners = [
-        corner for corner, vid in dt.vertex_of_corner.items() if vid == conn.start
-    ]
-    if not corners:
-        raise InputError(f"vertex {conn.start} not present in the triangulation")
-    return _chew_on_surface(dt.surface, sorted(corners), conn.holonomy)
+    conn is a connection of the surface given to `delaunay_l1`: the walk
+    starts from its start_corner, carried through the flips onto dt.surface
+    on its own sheet (`DelaunayTriangulation.carry`).  Raises InputError
+    when that corner's wedge does not hold the holonomy or the carried
+    corner is not at conn.start, and BlockedAtVertex when the segment meets
+    a vertex before its end."""
+    corner = dt.carry(conn.start_corner, conn.start, conn.holonomy)
+    return _chew_on_surface(dt.surface, corner, conn.holonomy)
 
 
-def _chew_on_surface(s: TranslationSurface, corners, d: ExactVector) -> ChewPath:
-    start = _start_corner(s, corners, d)
+def _chew_on_surface(s: TranslationSurface, start: Slot, d: ExactVector) -> ChewPath:
     scale, placed, _, _, _ = _strip(s, start, d)
     if len(placed) == 1:  # d runs along the corner's out-edge
         return _assemble_path(s, [(start, 1)], d)
@@ -198,7 +209,10 @@ def _assemble_path(s: TranslationSurface, edges, holonomy: ExactVector) -> ChewP
     Each edge's vector is its own, read from the surface's int corners at K
     = lcm(D, the holonomy's denominators) and signed by its direction; their
     sum must be the holonomy, which certifies the homotopy.  The vertices
-    are the running sums.  Fractions are built here only, for the result.
+    are the running sums.  The length bounds sum the hops'
+    `sqrt_bounds(|v|^2, 64)` as ints over one denominator; the certificate
+    is read off them, and `compare_sqrt_sum` decides only when they
+    straddle sqrt(10) |holonomy|.  Fractions are built for the result only.
     """
     scale, tris = s.int_corners()
     k = math.lcm(scale, _scale_of([holonomy]))
@@ -211,16 +225,25 @@ def _assemble_path(s: TranslationSurface, edges, holonomy: ExactVector) -> ChewP
     hx, hy = _ints(holonomy, k)
     if vertices[-1] != (hx, hy):
         raise InputError("path holonomy does not certify homotopy")
-    norms = [Fraction(x * x + y * y, k * k) for x, y in hops]
-    lo = Fraction(0)
-    hi = Fraction(0)
-    for n in norms:
-        l, h = sqrt_bounds(n, 64)
-        lo += l
-        hi += h
-    target_sq = Fraction(hx * hx + hy * hy, k * k)
-    cert = compare_sqrt_sum(norms, 10 * target_sq) <= 0
-    ratio_ub = float(hi) / float(target_sq) ** 0.5 if target_sq else 1.0
+    # Each hop's sqrt_bounds(n / k^2, 64) over the one denominator k^2 2^64:
+    # with g = gcd(n, k^2), n / k^2 is (n / g) / (k^2 / g) in lowest terms,
+    # bounded by isqrt((n / g) (k^2 / g) 4^64) + (0, 1) over (k^2 / g) 2^64.
+    k_sq = k * k
+    lo = hi = 0
+    for x, y in hops:
+        n = x * x + y * y
+        g = math.gcd(n, k_sq)
+        root = math.isqrt((n // g) * (k_sq // g) << 128)
+        lo += root * g
+        hi += (root + 1) * g
+    den = k_sq << 64
+    h_sq = hx * hx + hy * hy
+    bound = 10 * h_sq * k_sq << 128  # 10 |holonomy|^2, times den^2
+    cert = hi * hi <= bound or (lo * lo <= bound and compare_sqrt_sum(
+        [Fraction(x * x + y * y, k_sq) for x, y in hops], Fraction(10 * h_sq, k_sq)) <= 0)
+    # Int true division rounds correctly, as float() of the Fraction does.
+    ratio_ub = hi / den / (h_sq / k_sq) ** 0.5 if h_sq else 1.0
+    lo, hi = Fraction(lo, den), Fraction(hi, den)
     return ChewPath(
         edges=tuple(edges),
         edge_vectors=tuple(_vec(v, k) for v in hops),
@@ -255,9 +278,9 @@ def _planar_chew_rec(ctx, start_id, d, depth):
     if depth > 8:
         raise InputError("too many collinear splits")
     dt = ctx["dt"]
-    corners = ctx["id_to_corners"][start_id]
+    start = _start_corner(dt.surface, ctx["id_to_corners"][start_id], d)
     try:
-        return _chew_on_surface(dt.surface, corners, d)
+        return _chew_on_surface(dt.surface, start, d)
     except BlockedAtVertex as blocked:
         first = _planar_chew_rec(ctx, start_id, blocked.position, depth + 1)
         rest = _planar_chew_rec(

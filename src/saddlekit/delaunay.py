@@ -31,7 +31,7 @@ from typing import Dict, List, Tuple
 
 from .errors import DegenerateDiamondError, FlipCycleError, InputError
 from .exactplane import ExactVector, _ints, _scale_of, _sub, _turn, _vec
-from .surface import Slot, TranslationSurface, Triangle
+from .surface import Slot, TranslationSurface, Triangle, _in_wedge
 
 # Diamond sides NE, NW, SW, SE as (axis, sign): the side p[axis] = c[axis] + sign * r
 # of the square in the rotated frame (u, v) = (x + y, x - y).
@@ -172,10 +172,52 @@ def is_locally_delaunay(s: TranslationSurface, slot: Slot) -> bool:
 
 @dataclass
 class DelaunayTriangulation:
+    """The L1 Delaunay surface, its diamonds, and how it was reached.
+
+    vertex_of_corner gives each corner of `surface` the id of its vertex on
+    the input surface.  flips records every flip in order as (slot, mate,
+    new t, new u): the flipped edge's slot (t, i) and its glued mate (u, j)
+    on the triangulation before the flip, and the int corners (corner 0 at
+    the origin, at the input's scale D) of the two triangles that replace
+    t and u.  `carry` replays it on a corner; it stays out of `to_json`.
+    """
+
     surface: TranslationSurface
     certificates: Tuple[DiamondCertificate, ...]
-    flip_count: int
     vertex_of_corner: Dict[Slot, int]  # vertex ids of the input surface
+    flips: List[Tuple[Slot, Slot, tuple, tuple]]
+
+    @property
+    def flip_count(self) -> int:
+        return len(self.flips)
+
+    def carry(self, corner: Slot, vertex: int, direction: ExactVector) -> Slot:
+        """The corner of `surface` on the sheet that the input corner
+        `corner`, at `vertex`, opens in the given direction.
+
+        Each flip replaces the quad a -> d -> b -> c, cut by a -> b, with
+        the one cut by d -> c (see `_flip`).  A corner of the old pair goes
+        on as the new corner at the same point whose wedge holds the
+        direction: at a and b the two old corners merge into one, at c and
+        d the old corner splits in two.  Every other corner stays where it
+        is.  Raises InputError, and never guesses, when the corner's wedge
+        does not hold the direction or the carried corner is not at vertex.
+        """
+        r = _ints(direction, _scale_of([direction]))
+        for (t, i), (u, j), new_t, new_u in self.flips:
+            if corner[0] not in (t, u):
+                continue
+            a, b, c = new_u[2], new_t[1], new_t[2]  # and d at the origin
+            old, k = ((a, b, c), corner[1] - i) if corner[0] == t else ((b, a, (0, 0)), corner[1] - j)
+            if not _in_wedge(old, k % 3, r):
+                raise InputError("corner wedge does not contain the direction")
+            corner = next((x, n) for x, tri in ((t, new_t), (u, new_u)) for n in range(3)
+                          if tri[n] == old[k % 3] and _in_wedge(tri, n, r))
+        if self.vertex_of_corner.get(corner) != vertex:
+            raise InputError(f"corner is not at vertex {vertex}")
+        if not _in_wedge(self.surface.int_corners()[1][corner[0]], corner[1], r):
+            raise InputError("corner wedge does not contain the direction")
+        return corner
 
     def to_json_dict(self):
         data = self.surface.to_json_dict()
@@ -237,17 +279,18 @@ def _euclidean_needs_flip(tris, glue, slot) -> bool:
     return _incircle_strict(*_developed_quad(tris, glue, slot))
 
 
-def _flip_until_stable(tris, glue, vertex, decide, max_flips, flips=0) -> int:
+def _flip_until_stable(tris, glue, vertex, decide, max_flips, flips) -> None:
+    """Flip by decide until no edge needs it, appending to the record flips."""
     pending = deque(sorted({min(sl, glue[sl]) for sl in glue}))
     while pending:
         slot = pending.popleft()
         if not decide(tris, glue, slot):
             continue
-        if flips >= max_flips:
-            raise FlipCycleError("flip budget exhausted", flips=flips)
+        if len(flips) >= max_flips:
+            raise FlipCycleError("flip budget exhausted", flips=len(flips))
+        mate = glue[slot]
         pending.extend(_flip(tris, glue, vertex, slot))
-        flips += 1
-    return flips
+        flips.append((slot, mate, tuple(tris[slot[0]]), tuple(tris[mate[0]])))
 
 
 def delaunay_l1(s: TranslationSurface) -> DelaunayTriangulation:
@@ -270,8 +313,9 @@ def delaunay_l1(s: TranslationSurface) -> DelaunayTriangulation:
     vertex = {(t, c): s.corner_vertex((t, c)) for t in range(s.n_triangles()) for c in range(3)}
     max_flips = _FLIPS_BASE + _FLIPS_PER_TRIANGLE * len(tris)
 
-    flips = _flip_until_stable(tris, glue, vertex, _euclidean_needs_flip, max_flips)
-    flips = _flip_until_stable(tris, glue, vertex, _needs_flip, max_flips, flips)
+    flips = []
+    _flip_until_stable(tris, glue, vertex, _euclidean_needs_flip, max_flips, flips)
+    _flip_until_stable(tris, glue, vertex, _needs_flip, max_flips, flips)
 
     surface = TranslationSurface(
         [Triangle(tuple(_vec(_sub(P[(i + 1) % 3], P[i]), scale) for i in range(3))) for P in tris], glue
@@ -294,8 +338,8 @@ def delaunay_l1(s: TranslationSurface) -> DelaunayTriangulation:
     return DelaunayTriangulation(
         surface=surface,
         certificates=tuple(_certificate(dia, scale) for dia in diamonds),
-        flip_count=flips,
         vertex_of_corner=vertex,
+        flips=flips,
     )
 
 

@@ -421,19 +421,22 @@ def _corridor(s: TranslationSurface, corners, slot: Slot, x, y, d):
 
 
 def _start_corner(s: TranslationSurface, corners, d: ExactVector) -> Slot:
-    """First of the given corners whose half-open wedge [out-edge, in-edge)
-    holds the direction d.
+    """The one of the given corners whose half-open wedge [out-edge,
+    in-edge) holds the direction d.
 
     At a cone point of angle above 2 pi several corners hold d, one per
-    sheet; this takes the first in the given order, whatever its sheet.
+    sheet, and d alone does not say which: that raises InputError, as does
+    a direction that no corner holds.
     """
     _, tris = s.int_corners()
     # A positive multiple of d: only its direction matters.
     r = (d.x.numerator * d.y.denominator, d.y.numerator * d.x.denominator)
-    for t, c in corners:
-        if _in_wedge(tris[t], c, r):
-            return (t, c)
-    raise InputError("no corner wedge contains the direction")
+    held = [(t, c) for t, c in corners if _in_wedge(tris[t], c, r)]
+    if not held:
+        raise InputError("no corner wedge contains the direction")
+    if len(held) > 1:
+        raise InputError("several corner wedges contain the direction, one per sheet")
+    return held[0]
 
 
 def _strip(s: TranslationSurface, corner: Slot, d: ExactVector):
@@ -482,7 +485,9 @@ def trace_connection(
     """The saddle connection from a vertex with the given exact holonomy.
 
     Raises BlockedAtVertex if the straight segment passes through another
-    vertex first, InputError if no vertex sits at the displacement.
+    vertex first, InputError if no vertex sits at the displacement, and
+    InputError at a cone point, where the vertex and the holonomy leave one
+    segment per sheet (`_start_corner`).
     """
     s.validate()
     if displacement.is_zero():

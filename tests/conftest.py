@@ -83,3 +83,13 @@ def reference_haar_matrices(n, seed, y_max=None):
             assert abs(a * d - b * c - 1.0) <= 1e-12
             rows.append((a, b, c, d))
     return np.array(rows, dtype=np.float64)
+
+
+def sl2q(rng):
+    """A random SL(2, Q) matrix: shear, diagonal, lower shear."""
+    def q():
+        return Fraction(rng.randint(-5, 5), rng.choice((1, 2, 3, 4, 5, 7)))
+
+    p = Fraction(rng.randint(1, 5), rng.randint(1, 5))
+    m = ExactMatrix.shear(q()).compose(ExactMatrix.diagonal(p, 1 / p))
+    return m.compose(ExactMatrix.of(1, 0, q(), 1))

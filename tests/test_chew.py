@@ -1,21 +1,29 @@
+import dataclasses
 import math
 import random
 from fractions import Fraction
+from itertools import islice
 
 import pytest
+from conftest import sl2q
 
-from saddlekit.builders import sheared_torus, slit_torus, square_torus, torus_from_matrix
+from saddlekit import chew
+from saddlekit.builders import (
+    marked_torus, octagon_h2, sheared_torus, slit_torus, square_torus, torus_from_basis, torus_from_matrix,
+)
 from saddlekit.chew import chew_path, follows_parallel_count, planar_chew, prepare_planar
 from saddlekit.delaunay import DegenerateDiamondError, delaunay_l1
 from saddlekit.errors import InputError
-from saddlekit.exactplane import ExactMatrix, ExactVector, compare_sqrt_sum
+from saddlekit.exactplane import ExactMatrix, ExactVector, compare_sqrt_sum, sqrt_bounds
 from saddlekit.geodesic import (
+    connections,
     detect_cylinder,
     enumerate_connections,
     shortest,
     trace_connection,
     Cylinder,
 )
+from saddlekit.surface import _in_wedge, apply_surface
 
 SQRT10 = math.sqrt(10)
 
@@ -205,3 +213,105 @@ def test_chew_on_slit_surface(slit_13_15):
     for conn in hs.connections[:40]:
         path = chew_path(dt, conn)
         assert path.sqrt10_certified
+
+
+# --- walks on the connection's own sheet -------------------------------------
+
+_CORPUS = {
+    "octagon": (octagon_h2, 6),
+    "slit": (lambda: slit_torus(V(Fraction(1, 3), Fraction(1, 5))), Fraction(5, 2)),
+    "marked": (lambda: marked_torus(V(Fraction(1, 2), Fraction(1, 3))), 4),
+    "square": (square_torus, 4),
+}
+
+
+def _corpus_walks(name):
+    """(connection, its Chew path) for every connection of the corpus surface."""
+    build, radius = _CORPUS[name]
+    s = build()
+    dt = delaunay_l1(s)
+    return [(conn, chew_path(dt, conn)) for conn in enumerate_connections(s, radius).connections]
+
+
+@pytest.mark.parametrize("name, shared", [("octagon", 40), ("slit", 72)])
+def test_connections_on_other_sheets_walk_other_paths(name, shared):
+    # A cone point holds each direction once per sheet: connections with
+    # the same start and holonomy leave it on different sheets.
+    edges = {}
+    for conn, path in _corpus_walks(name):
+        edges.setdefault((conn.start, conn.holonomy), []).append(path.edges)
+    groups = [paths for paths in edges.values() if len(paths) > 1]
+    assert len(groups) == shared
+    for paths in groups:
+        assert len(set(paths)) == len(paths), paths
+
+
+@pytest.mark.parametrize("name, walks", [("octagon", 120), ("slit", 144), ("marked", 160), ("square", 32)])
+def test_every_corpus_connection_walks_and_certifies(name, walks):
+    done = _corpus_walks(name)
+    assert len(done) == walks
+    for conn, path in done:
+        assert path.holonomy == conn.holonomy and path.sqrt10_certified, conn
+        # The certificate read off the bounds is the exact comparison's.
+        norms = [v.norm_sq() for v in path.edge_vectors]
+        assert path.sqrt10_certified == (compare_sqrt_sum(norms, 10 * conn.length_sq()) <= 0)
+        lo = sum(sqrt_bounds(n, 64)[0] for n in norms)
+        hi = sum(sqrt_bounds(n, 64)[1] for n in norms)
+        assert (path.total_length_sq_lower, path.total_length_sq_upper) == (lo * lo, hi * hi)
+
+
+def test_every_connection_of_seeded_images_walks_and_certifies():
+    rng = random.Random(11)
+    images = walks = 0
+    for base in (octagon_h2(), marked_torus(V(Fraction(1, 2), Fraction(1, 3))),
+                 slit_torus(V(Fraction(1, 3), Fraction(1, 5)))):
+        for _ in range(15):
+            img = apply_surface(sl2q(rng), base)
+            try:
+                dt = delaunay_l1(img)
+            except DegenerateDiamondError:
+                continue
+            images += 1
+            for conn in islice(connections(img, 1024 * img.min_edge_norm_sq()), 30):
+                path = chew_path(dt, conn)
+                assert path.holonomy == conn.holonomy and path.sqrt10_certified, (img, conn)
+                walks += 1
+    assert (images, walks) == (41, 1230)
+
+
+def test_chew_path_refuses_a_corner_off_the_connection(octagon, slit_13_15):
+    # Every corner of the octagon's one vertex whose wedge does not hold
+    # the holonomy is refused, whether or not a flip moved it.
+    dt = delaunay_l1(octagon)
+    conn = enumerate_connections(octagon, 2).connections[0]
+    h = conn.holonomy
+    _, tris = octagon.int_corners()
+    wrong = [c for c in sorted(octagon.gluings) if not _in_wedge(tris[c[0]], c[1], (h.x, h.y))]
+    assert wrong
+    for corner in wrong:
+        with pytest.raises(InputError, match="corner wedge does not contain the direction"):
+            chew_path(dt, dataclasses.replace(conn, start_corner=corner))
+    # The connection's own corner, named with the other vertex.
+    dt = delaunay_l1(slit_13_15)
+    conn = enumerate_connections(slit_13_15, 1).connections[0]
+    with pytest.raises(InputError, match="is not at vertex"):
+        chew_path(dt, dataclasses.replace(conn, start=1 - conn.start))
+
+
+def test_a_path_of_exactly_sqrt10_is_decided_by_the_exact_comparison(monkeypatch):
+    # Hops (0, 5) and (3, -4) for h = (3, 1): the path is 10 long, exactly
+    # sqrt(10) |h|, so the bounds straddle 10 |h|^2 = 100 with the lower
+    # one squared equal to it.
+    s = torus_from_basis(V(3, -4), V(0, 5))
+    assert (s.edge_vector((0, 1)), s.edge_vector((0, 0))) == (V(0, 5), V(3, -4))
+    calls = []
+
+    def spy(terms, bound_sq):
+        calls.append((terms, bound_sq))
+        return compare_sqrt_sum(terms, bound_sq)
+
+    monkeypatch.setattr(chew, "compare_sqrt_sum", spy)
+    path = chew._assemble_path(s, [((0, 1), 1), ((0, 0), 1)], V(3, 1))
+    assert path.total_length_sq_lower == 100 < path.total_length_sq_upper
+    assert calls == [([25, 25], 100)]
+    assert path.sqrt10_certified

@@ -255,6 +255,17 @@ def test_chew_check_on_square_torus(capsys, torus_file):
     assert data["checked"] == 16 and data["certified_failures"] == 0
 
 
+def test_chew_check_on_the_octagon_walks_every_sheet(capsys, tmp_path, octagon):
+    # H(2) has one cone point of angle 6 pi: each walk starts on its
+    # connection's own sheet of it.
+    path = tmp_path / "octagon.json"
+    path.write_text(octagon.to_json())
+    code, out, err = run(capsys, ["chew-check", "--surface", str(path), "--radius", "6"])
+    assert code == 0 and err == ""
+    data = json.loads(out)
+    assert data["checked"] == 120 and data["certified_failures"] == 0
+
+
 # sha256 of the stdout of each command on the exact-enum corpus, recorded
 # while results were still sorted and deduplicated on Fraction keys.
 _CORPUS = {

@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from conftest import sl2q
 
 from saddlekit import geodesic, mc
 from saddlekit.builders import (
@@ -149,11 +150,21 @@ def test_detect_cylinder_square_torus(torus):
     assert cyl.width_sq == 1 and cyl.height_sq == 1
 
 
+def _from_corner(s, corner, d):
+    """The connection that leaves the given corner with holonomy d."""
+    return next(c for c in connections(s, d.norm_sq()) if (c.start_corner, c.holonomy) == (corner, d))
+
+
+# The corner of the slit torus's cone point 0 that holds (1, 0) on the sheet
+# of triangle 0; the other sheet's is (4, 0).
+_SLIT_CORNER = (0, 0)
+
+
 def test_detect_cylinder_slit_truncates(slit_13_15):
     # Slit with y-extent 1/5: horizontal leaves at heights inside (0, 1/5)
     # swap sheets across the slit, so the horizontal side of the square lies
     # on a circumference-2 cylinder of height 1/5 (truncated below 1).
-    conn = trace_connection(slit_13_15, 0, V(1, 0))
+    conn = _from_corner(slit_13_15, _SLIT_CORNER, V(1, 0))
     cyl = detect_cylinder(slit_13_15, conn, 20)
     assert isinstance(cyl, Cylinder)
     assert cyl.height_sq < 1
@@ -180,22 +191,12 @@ def test_detect_cylinder_budget_is_the_circumference(torus):
     assert isinstance(detect_cylinder(torus, conn, Fraction(1414213, 10 ** 6)), Unknown)
 
 
-def _sl2q(rng):
-    """A random SL(2, Q) matrix: shear, diagonal, lower shear."""
-    def q():
-        return Fraction(rng.randint(-5, 5), rng.choice((1, 2, 3, 4, 5, 7)))
-
-    p = Fraction(rng.randint(1, 5), rng.randint(1, 5))
-    m = ExactMatrix.shear(q()).compose(ExactMatrix.diagonal(p, 1 / p))
-    return m.compose(ExactMatrix.of(1, 0, q(), 1))
-
-
 def test_detect_cylinder_on_random_unit_tori():
     # A unit-area torus is one cylinder in each primitive direction h, of
     # circumference |h| and height 1 / |h|.
     rng = random.Random(3)
     for _ in range(10):
-        s = torus_from_matrix(_sl2q(rng))
+        s = torus_from_matrix(sl2q(rng))
         for conn in connections(s, 9 * s.min_edge_norm_sq()):
             h_sq = conn.length_sq()
             cyl = detect_cylinder(s, conn, 100)
@@ -208,7 +209,7 @@ def test_detect_cylinder_is_equivariant(tracer_corpus):
     for s, radius in tracer_corpus:
         conns = enumerate_connections(s, radius).connections
         for _ in range(2):
-            g = _sl2q(rng)
+            g = sl2q(rng)
             img = apply_surface(g, s)
             # Circumferences grow by at most the operator norm of g.
             bound = 1000 * sum(abs(x) for x in g.entries())
@@ -224,7 +225,7 @@ def test_detect_cylinder_is_equivariant(tracer_corpus):
 
 
 def test_detect_cylinder_on_the_reverse_is_the_right_side(slit_13_15):
-    conn = trace_connection(slit_13_15, 0, V(1, 0))
+    conn = _from_corner(slit_13_15, _SLIT_CORNER, V(1, 0))
     left = detect_cylinder(slit_13_15, conn, 20)
     right = detect_cylinder(slit_13_15, reverse_of(slit_13_15, conn), 20)
     assert (left.width_sq, left.height_sq) == (4, Fraction(1, 25))
@@ -266,11 +267,17 @@ def test_resource_limit(torus):
 
 
 def test_trace_connection_agrees_with_enumeration(slit_13_15):
-    hs = enumerate_connections(slit_13_15, 1)
-    for conn in hs.connections[:8]:
-        traced = trace_connection(slit_13_15, conn.start, conn.holonomy)
-        assert traced.holonomy == conn.holonomy
-        assert traced.end == conn.end
+    # At a point of cone angle 2 pi one corner holds each direction.
+    marked = marked_torus(V(Fraction(1, 2), Fraction(1, 3)))
+    conns = enumerate_connections(marked, 1).connections
+    assert conns
+    for conn in conns:
+        assert trace_connection(marked, conn.start, conn.holonomy) == conn
+    # Both vertices of the slit torus are cone points of angle 4 pi, where
+    # a vertex and a holonomy name one segment per sheet.
+    for conn in enumerate_connections(slit_13_15, 1).connections[:8]:
+        with pytest.raises(InputError, match="several corner wedges"):
+            trace_connection(slit_13_15, conn.start, conn.holonomy)
 
 
 def test_reverse_of_is_involution(slit_13_15):
@@ -368,7 +375,7 @@ def _stream_corpus():
     ]
     draws = list(mc.sample_stratum_local(octagon_h2(), "1/20", 20, seed=3).surfaces)
     rng = random.Random(4)
-    return corpus + draws + [apply_surface(_sl2q(rng), s) for s in corpus]
+    return corpus + draws + [apply_surface(sl2q(rng), s) for s in corpus]
 
 
 def test_stream_is_strictly_increasing_and_counts_distinct_holonomies():
