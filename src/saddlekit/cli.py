@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from . import chew, delaunay, geodesic, mc, oracle, sv
 from .errors import InputError, SaddlekitError
-from .exactplane import ExactMatrix, ExactVector, sorted_by_length, to_fraction
+from .exactplane import ExactMatrix, ExactVector, sorted_by_length, to_float, to_fraction
 from .surface import TranslationSurface, area
 
 
@@ -216,7 +216,7 @@ def cmd_mc_stratum(args):
 def cmd_variance(args):
     seed = _seeded(args)
     samples = mc.sample_torus_haar(args.samples, seed)
-    rep = mc.estimate_L2_and_variance(samples, float(to_fraction(args.radius)), threads=args.threads)
+    rep = mc.estimate_L2_and_variance(samples, to_float(args.radius), threads=args.threads)
     _emit(args, rep.to_json_dict())
     return 0
 
@@ -246,8 +246,8 @@ def cmd_tails(args):
 def cmd_bc_table(args):
     seed = _seeded(args)
     samples = mc.sample_torus_haar(args.samples, seed)
-    radii = [float(to_fraction(r)) for r in args.radii.split(",")]
-    errors = [float(to_fraction(e)) for e in args.errors.split(",")]
+    radii = [to_float(r) for r in args.radii.split(",")]
+    errors = [to_float(e) for e in args.errors.split(",")]
     rows = mc.borel_cantelli_table(radii, errors, samples, threads=args.threads)
     if args.format == "csv":
         header = [

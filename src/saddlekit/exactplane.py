@@ -60,6 +60,16 @@ def to_fraction(x) -> Fraction:
     raise InputError(f"cannot interpret {x!r} as a rational")
 
 
+def to_float(x) -> float:
+    """The float of to_fraction(x); InputError beyond the float range."""
+    q = to_fraction(x)
+    try:
+        return float(q)
+    except OverflowError:
+        digits = len(str(abs(q.numerator) // q.denominator))
+        raise InputError(f"{digits}-digit value is beyond the float range") from None
+
+
 def format_rational(q: Fraction) -> str:
     """Canonical serialization: "n" for integers, "num/den" otherwise."""
     if q.denominator == 1:

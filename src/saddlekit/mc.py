@@ -38,7 +38,7 @@ import numpy as np
 
 from . import kernels
 from .errors import AcceptanceRateError, InputError, SurfaceError
-from .exactplane import ExactVector, default_budget, to_fraction
+from .exactplane import ExactVector, default_budget, to_float, to_fraction
 from .oracle import siegel_constant_torus
 from .surface import TranslationSurface, Triangle, area
 from .sv import (
@@ -206,12 +206,12 @@ def sample_stratum_local(
 def _torus_values(matrices: np.ndarray, f: TestFunction) -> np.ndarray:
     """Transform of f on each lattice, one per row of the (n, 4) array."""
     if isinstance(f, DiscIndicator):
-        return _disc_counts(matrices, float(f.r))
+        return _disc_counts(matrices, to_float(f.r))
     if isinstance(f, AnnulusIndicator):
-        return _disc_counts(matrices, float(f.r2)) - _disc_counts(matrices, float(f.r1))
+        return _disc_counts(matrices, to_float(f.r2)) - _disc_counts(matrices, to_float(f.r1))
     if isinstance(f, SectorIndicator):
         out = np.zeros(len(matrices))
-        for owner, xs, ys in kernels.primitive_points(matrices, float(f.support_radius()), default_budget()):
+        for owner, xs, ys in kernels.primitive_points(matrices, to_float(f.support_radius()), default_budget()):
             vals, amb = f.evaluate_batch(xs, ys, 1e-12)
             out += np.bincount(owner, weights=np.where(amb, 0, vals), minlength=len(out))
         return out

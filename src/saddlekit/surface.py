@@ -310,10 +310,6 @@ def apply_surface(m: ExactMatrix, s: TranslationSurface) -> TranslationSurface:
     return TranslationSurface(triangles, s.gluings)
 
 
-def validate(s: TranslationSurface) -> StratumSignature:
-    return s.validate()
-
-
 def surfaces_equal(a: TranslationSurface, b: TranslationSurface) -> bool:
     """Structural equality: same triangles, same gluing pairing."""
     if len(a.triangles) != len(b.triangles):

@@ -30,14 +30,12 @@ from .errors import (
 from .exactplane import ExactVector, compare_sqrt_sum, format_rational, sorted_by_length, to_fraction
 from .geodesic import (
     Cylinder,
-    Unknown,
     _outside_class,
     connections,
     detect_cylinder,
     enumerate_connections,
     nonhomologous_edge_bound,
     reverse_of,
-    second_shortest_nonhomologous,
     shortest,
 )
 from .surface import TranslationSurface
@@ -102,8 +100,6 @@ class DiscIndicator(TestFunction):
         return inside.astype(np.int64), ambiguous
 
     def to_json_dict(self):
-        from .exactplane import format_rational
-
         return {"variant": "disc", "r": format_rational(self.r)}
 
 
@@ -140,8 +136,6 @@ class AnnulusIndicator(TestFunction):
         return inside.astype(np.int64), ambiguous
 
     def to_json_dict(self):
-        from .exactplane import format_rational
-
         return {
             "variant": "annulus",
             "r1": format_rational(self.r1),
@@ -223,8 +217,6 @@ class SectorIndicator(TestFunction):
         return inside.astype(np.int64), amb
 
     def to_json_dict(self):
-        from .exactplane import format_rational
-
         return {
             "variant": "sector",
             "r": format_rational(self.r),
@@ -545,25 +537,26 @@ def sector_sandwich(
 
 @dataclass(frozen=True)
 class ClassLabel:
-    """Result of classify.
+    """Result of classify: label is H1, H2, Omega0 or Omega2.
 
     second_length_sq is the exact squared second shortest nonhomologous
-    length for Omega0, and for Omega2 when classify could afford to resolve
-    it; otherwise it is None and detail gives the interval that holds it.
-    H1, H2 and Unknown leave it None.  Omega1 (the shortest connection on no
-    cylinder boundary) is never produced on rational input: every connection
-    of a rational surface bounds a cylinder on each side (detect_cylinder).
+    length for Omega0, and for Omega2 when classify resolves it; otherwise
+    it is None and detail gives the interval that holds it.  H1 and H2 leave
+    it None.  cylinder is the one the shortest connection bounds on its
+    left, for Omega2 only; it is None when that cylinder's circumference
+    exceeds the trace bound that detail names.  Omega1 (the shortest
+    connection on no cylinder boundary) is never produced on rational input:
+    every connection of a rational surface bounds a cylinder on each side
+    (detect_cylinder).
     """
 
-    label: str  # H1 | H2 | Omega0 | Omega2 | Unknown
+    label: str  # H1 | H2 | Omega0 | Omega2
     shortest_length_sq: Optional[Fraction] = None
     second_length_sq: Optional[Fraction] = None
     cylinder: Optional[Cylinder] = None
     detail: str = ""
 
     def to_json_dict(self):
-        from .exactplane import format_rational
-
         out = {"label": self.label, "detail": self.detail}
         if self.shortest_length_sq is not None:
             out["shortest_length_sq"] = format_rational(self.shortest_length_sq)
@@ -588,15 +581,16 @@ def _power_leq(x_sq: Fraction, y_sq: Fraction, p: Fraction) -> bool:
     return x_sq ** b <= y_sq ** a
 
 
-def _has_short_loop(s, hs, eps0: Fraction, cylinder_trace, budget):
+def _has_short_loop(s, hs, eps0: Fraction) -> bool:
     """Short homotopically nontrivial closed curve made of enumerated
     connections: a closed connection, a non-backtracking 2-chain, or a
-    cylinder core.  Returns (found, unknown)."""
+    cylinder core.  A cylinder is traced up to eps0 only: a leaf still open
+    there is longer than eps0, and so is the core."""
     eps0_sq = eps0 * eps0
     short = [c for c in hs.connections if c.holonomy.norm_sq() < eps0_sq]
     for c in short:
         if c.start == c.end:
-            return True, False
+            return True
     by_endpoints = {}
     for c in short:
         by_endpoints.setdefault((c.start, c.end), []).append(c)
@@ -616,16 +610,12 @@ def _has_short_loop(s, hs, eps0: Fraction, cylinder_trace, budget):
             if compare_sqrt_sum(
                 [c.holonomy.norm_sq(), m.holonomy.norm_sq()], eps0_sq
             ) < 0:
-                return True, False
-    unknown = False
+                return True
     for c in short:
-        res = detect_cylinder(s, c, cylinder_trace)
-        if isinstance(res, Cylinder):
-            if res.width_sq < eps0_sq:
-                return True, False
-        elif isinstance(res, Unknown):
-            unknown = True
-    return False, unknown
+        res = detect_cylinder(s, c, eps0)
+        if isinstance(res, Cylinder) and res.width_sq < eps0_sq:
+            return True
+    return False
 
 
 def _power_bound_sq(g_sq: Fraction, p: Fraction) -> Fraction:
@@ -649,29 +639,30 @@ def classify(
     eps0,
     p,
     budget: Optional[int] = None,
-    cylinder_trace=None,
 ) -> ClassLabel:
-    """Place a surface in the short-curve decomposition.
+    """Place a surface in the short-curve decomposition: H1, H2, Omega0 or
+    Omega2.
 
     H1: no connection shorter than eps0.  H2: short connections but no
     short nontrivial closed curve (closed connection, non-backtracking
     two-chain, or cylinder core below eps0).  Otherwise, with gamma the
     shortest connection and eps the second shortest nonhomologous length:
     Omega0 when eps <= |gamma|^p, else Omega2: on rational input gamma
-    always bounds a cylinder.  Unknown means that the circumference of a
-    cylinder classify had to trace exceeds cylinder_trace: one beside a
-    short connection, which decides H2, or the one gamma bounds.
+    always bounds a cylinder, so no trace is needed to decide the label.
+
+    Omega0 is decided by the first connection outside +/-[gamma] in the
+    length-ordered search up to |gamma|^p; when there is one, its length is
+    eps, and Omega0 or Omega2 reports it exactly.  When there is none,
+    Omega2 reports eps exactly if U, the squared length of the shortest
+    triangulation edge outside +/-[gamma], is at most T^2 with
+    T = 64 eps0 + 64, and the search up to U stays within the budget;
+    otherwise second_length_sq is None and detail says that eps lies in
+    (|gamma|^p, sqrt(U)].  Omega2 reports the cylinder on the left of gamma
+    when its circumference is at most T; otherwise cylinder is None and
+    detail names T.
 
     A cylinder trace that reaches the crossing cap of detect_cylinder first
     raises its ResourceLimitError unchanged, with the progress it carries.
-
-    Omega0 is decided by the first connection outside +/-[gamma] in the
-    length-ordered search up to |gamma|^p.
-    Omega0 reports eps exactly.  Omega2 reports it exactly when
-    U, the squared length of the shortest triangulation edge outside
-    +/-[gamma], is at most cylinder_trace^2 and the search stays within the
-    budget; otherwise second_length_sq is None and detail says that eps lies
-    in (|gamma|^p, sqrt(U)].
     """
     eps0 = to_fraction(eps0)
     if eps0 <= 0:
@@ -679,18 +670,14 @@ def classify(
     p = to_fraction(p)
     if not (0 < p < 1):
         raise InputError("p must lie in (0, 1)")
-    if cylinder_trace is None:
-        cylinder_trace = 64 * eps0 + 64
+    trace = 64 * eps0 + 64
     s.validate()
     gamma = shortest(s, budget=budget)
     g_sq = gamma.length_sq()
     if g_sq >= eps0 * eps0:
         return ClassLabel("H1", shortest_length_sq=g_sq, detail="no short connection")
     hs = enumerate_connections(s, radius=eps0, budget=budget)
-    found, unknown = _has_short_loop(s, hs, eps0, cylinder_trace, budget)
-    if unknown and not found:
-        return ClassLabel("Unknown", shortest_length_sq=g_sq, detail="cylinder trace budget")
-    if not found:
+    if not _has_short_loop(s, hs, eps0):
         return ClassLabel("H2", shortest_length_sq=g_sq, detail="short connections, no short loop")
     # Connections come shortest first, so the first one outside +/-[gamma]
     # is the only candidate for eps <= |gamma|^p.
@@ -702,21 +689,25 @@ def classify(
             "Omega0", shortest_length_sq=g_sq, second_length_sq=near.length_sq(),
             detail="second shortest below power of shortest",
         )
-    res = detect_cylinder(s, gamma, cylinder_trace)
-    if isinstance(res, Unknown):
-        return ClassLabel("Unknown", shortest_length_sq=g_sq, detail="cylinder trace budget")
+    cylinder = detect_cylinder(s, gamma, trace)
     detail = "shortest bounds a cylinder"
-    e_sq = None
-    bound = nonhomologous_edge_bound(s, gamma)
-    if bound <= to_fraction(cylinder_trace) ** 2:
-        try:
-            e_sq = second_shortest_nonhomologous(s, budget=budget).length_sq()
-        except ResourceLimitError:
-            pass
-    if e_sq is None:
-        detail += (
-            "; second shortest nonhomologous length in "
-            f"(|gamma|^p, sqrt({format_rational(bound)})]"
-        )
-    return ClassLabel("Omega2", shortest_length_sq=g_sq, second_length_sq=e_sq, cylinder=res,
+    if not isinstance(cylinder, Cylinder):
+        cylinder = None
+        detail += f" of circumference above {format_rational(trace)}"
+    if near is not None:
+        e_sq = near.length_sq()
+    else:
+        e_sq = None
+        bound = nonhomologous_edge_bound(s, gamma)
+        if bound <= trace * trace:
+            try:
+                e_sq = next(c for c in connections(s, bound, budget) if outside(c.homology_class)).length_sq()
+            except ResourceLimitError:
+                pass
+        if e_sq is None:
+            detail += (
+                "; second shortest nonhomologous length in "
+                f"(|gamma|^p, sqrt({format_rational(bound)})]"
+            )
+    return ClassLabel("Omega2", shortest_length_sq=g_sq, second_length_sq=e_sq, cylinder=cylinder,
                       detail=detail)

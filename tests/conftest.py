@@ -5,9 +5,7 @@ import numpy as np
 import pytest
 
 from saddlekit.builders import (
-    marked_torus,
     octagon_h2,
-    sheared_torus,
     slit_torus,
     square_torus,
     torus_from_matrix,

@@ -6,11 +6,12 @@ from fractions import Fraction
 
 import pytest
 
-from saddlekit import cli, sv
+from saddlekit import cli, mc, sv
 from saddlekit.builders import octagon_h2, regular_octagon_approx, slit_torus, square_torus
 from saddlekit.delaunay import delaunay_l1
-from saddlekit.exactplane import ExactVector
+from saddlekit.exactplane import ExactMatrix, ExactVector
 from saddlekit.geodesic import enumerate_connections
+from saddlekit.surface import apply_surface
 
 
 def run(capsys, argv):
@@ -59,6 +60,13 @@ def empty_file(tmp_path):
         "budget zero",
         "budget negative",
         "budget env negative",
+        "classify p",
+        "classify eps0",
+        "mc-torus radius overflow",
+        "variance radius overflow",
+        "bc radii overflow",
+        "bc errors overflow",
+        "tails fn overflow",
     ],
 )
 def test_malformed_input_exits_1_with_input_code(
@@ -86,6 +94,13 @@ def test_malformed_input_exits_1_with_input_code(
         "budget zero": ["count", "--surface", torus_file, "--radius", "2", "--budget", "0"],
         "budget negative": ["count", "--surface", torus_file, "--radius", "2", "--budget", "-5"],
         "budget env negative": ["count", "--surface", torus_file, "--radius", "2"],
+        "classify p": ["classify", "--surface", torus_file, "--eps0", "1/2", "--p", "3/2"],
+        "classify eps0": ["classify", "--surface", torus_file, "--eps0", "0", "--p", "1/2"],
+        "mc-torus radius overflow": ["mc-torus", "--samples", "5", "--seed", "1", "--radius", "1e400"],
+        "variance radius overflow": ["variance", "--samples", "5", "--seed", "1", "--radius", "1e400"],
+        "bc radii overflow": ["bc-table", "--samples", "5", "--seed", "1", "--radii", "1e400", "--errors", "8"],
+        "bc errors overflow": ["bc-table", "--samples", "5", "--seed", "1", "--radii", "4", "--errors", "1e400"],
+        "tails fn overflow": ["tails", "--samples", "5", "--seed", "1", "--fn", '{"variant":"disc","r":"1e400"}'],
     }[case]
     env = {"budget env": "abc", "budget env negative": "-5"}
     if case in env:
@@ -151,6 +166,20 @@ def test_mc_stratum_reads_budget(capsys, torus_file):
     code, out, err = run(capsys, argv)
     assert code == 1 and out == ""
     assert json.loads(err)["error"] == "RESOURCE_LIMIT"
+
+
+def test_classify_a_pushed_draw_without_its_cylinder(capsys, tmp_path):
+    # The shortest connection's cylinder is longer than the trace bound
+    # 64 eps0 + 64 = 96, which the detail names instead.
+    draw = mc.sample_stratum_local(octagon_h2(), "0.05", 30, seed=7).surfaces[0]
+    path = tmp_path / "pushed.json"
+    path.write_text(apply_surface(ExactMatrix.diagonal(Fraction(1, 4), 4), draw).to_json())
+    code, out, _ = run(capsys, ["classify", "--surface", str(path), "--eps0", "1/2", "--p", "1/2"])
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["label"] == "Omega2"
+    assert "cylinder" not in payload
+    assert "circumference above 96" in payload["detail"]
 
 
 def test_mc_torus_huge_radius_is_a_resource_limit(capsys):

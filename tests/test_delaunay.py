@@ -13,7 +13,6 @@ from saddlekit.builders import (
     regular_octagon_approx,
     sheared_torus,
     slit_torus,
-    square_torus,
     wrap_points_in_torus,
 )
 from saddlekit.chew import prepare_planar

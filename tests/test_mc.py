@@ -250,3 +250,13 @@ def test_disc_counts_make_one_kernel_call_per_sample_and_radius(job, monkeypatch
     else:
         mc.borel_cantelli_table((4, 8, 16), (8, 16, 32), samples)
         assert radii == [4.0] * 40 + [8.0] * 40 + [16.0] * 40
+
+
+@pytest.mark.parametrize("f", [
+    DiscIndicator(Fraction(10) ** 400),
+    AnnulusIndicator(1, Fraction(10) ** 400),
+    SectorIndicator(Fraction(10) ** 400, 0.0, 0.5),
+], ids=["disc", "annulus", "sector"])
+def test_haar_transform_refuses_a_radius_beyond_the_float_range(f):
+    with pytest.raises(InputError, match="beyond the float range"):
+        mc.estimate_mean_transform(mc.sample_torus_haar(5, 1), f)

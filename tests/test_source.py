@@ -10,6 +10,7 @@ import saddlekit
 from saddlekit import cli
 
 _MODULES = sorted(p for p in Path(saddlekit.__file__).parent.glob("*.py") if p.name != "__init__.py")
+_TEST_MODULES = sorted(Path(__file__).parent.glob("*.py"))
 
 
 def _trees():
@@ -76,9 +77,10 @@ def _unloaded_private_names(trees):
 
 def test_modules_are_found():
     assert {"chew.py", "geodesic.py", "surface.py"} <= {p.name for p in _MODULES}
+    assert {"conftest.py", "test_source.py", "test_sv.py"} <= {p.name for p in _TEST_MODULES}
 
 
-@pytest.mark.parametrize("path", _MODULES, ids=lambda p: p.stem)
+@pytest.mark.parametrize("path", _MODULES + _TEST_MODULES, ids=lambda p: p.stem)
 def test_module_uses_every_name_it_imports(path):
     assert _unused_imports(ast.parse(path.read_text())) == []
 

@@ -6,10 +6,8 @@ import pytest
 from saddlekit.builders import (
     centered_octagon_h2,
     marked_torus,
-    octagon_h2,
     regular_octagon_approx,
     slit_torus,
-    square_torus,
     wrap_points_in_torus,
 )
 from saddlekit.errors import (

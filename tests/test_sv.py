@@ -9,17 +9,16 @@ from saddlekit.builders import (
     octagon_h2,
     sheared_torus,
     slit_torus,
-    square_torus,
     torus_from_basis,
     torus_from_matrix,
 )
 from saddlekit.errors import AmbiguousMembershipError, InputError, ResourceLimitError
 from saddlekit.exactplane import ExactMatrix, ExactVector, primitive_points_in_disc
-from saddlekit.geodesic import count, enumerate_connections, shortest
-from saddlekit.surface import apply_surface
+from saddlekit.geodesic import count, detect_cylinder, enumerate_connections, shortest
+from saddlekit.mc import sample_stratum_local
+from saddlekit.surface import TranslationSurface, Triangle, apply_surface
 from saddlekit.sv import (
     AnnulusIndicator,
-    ClassLabel,
     DiscIndicator,
     ProductPair,
     SectorIndicator,
@@ -248,10 +247,72 @@ def test_classify_leaves_unresolved_second_length_open():
     assert "second_length_sq" not in label.to_json_dict()
 
 
-def test_classify_unknown_on_tiny_budget():
-    thin = torus_from_matrix(ExactMatrix.diagonal(Fraction(1, 8), 8))
-    label = classify(thin, Fraction(1, 2), Fraction(1, 6), cylinder_trace=Fraction(1, 50))
-    assert label.label == "Unknown"
+def _points_on_a_closed_leaf(n, w, h):
+    """R^2 / (n w Z + h Z) with n marked points w apart on the horizontal
+    leaf through 0; square i is [i w, (i + 1) w] x [0, h]."""
+    u, v = V(w, 0), V(0, h)
+    tris, gluings = [], {}
+    for i in range(n):
+        tris += [Triangle((u, v, -(u + v))), Triangle((u + v, -u, -v))]
+        right_to_left = ((2 * i, 1), (2 * ((i + 1) % n) + 1, 2))
+        for a, b in (((2 * i, 2), (2 * i + 1, 0)), ((2 * i, 0), (2 * i + 1, 1)), right_to_left):
+            gluings[a], gluings[b] = b, a
+    return TranslationSurface(tris, gluings)
+
+
+@pytest.mark.parametrize("n, w, label", [
+    (3, Fraction(1, 7), "Omega0"),  # core 3/7 < eps0
+    (3, Fraction(1, 6), "H2"),  # core exactly eps0 = 1/2
+    (5, Fraction(1, 8), "H2"),  # core 5/8
+], ids=["core-3/7", "core-1/2", "core-5/8"])
+def test_classify_decides_a_short_loop_by_the_cylinder_core(n, w, label):
+    # Every connection below eps0 joins neighbouring marked points on one
+    # horizontal leaf, so no closed connection or two-chain is short: only
+    # the core of the horizontal cylinder, traced up to eps0, can be.
+    s = _points_on_a_closed_leaf(n, w, 8)
+    assert classify(s, Fraction(1, 2), Fraction(1, 2)).label == label
+
+
+def _pushed_octagon_draws(n, g):
+    """g applied to the seed-7 patch draws around the octagon."""
+    return [apply_surface(g, s) for s in sample_stratum_local(octagon_h2(), "0.05", n, seed=7).surfaces]
+
+
+def test_classify_pushed_draw_is_omega2_without_a_cylinder():
+    # The shortest connection's cylinder is longer than 10^4, far past the
+    # trace bound 64 eps0 + 64 = 96: the label needs no trace, the report
+    # leaves the cylinder out and names the bound.
+    s = _pushed_octagon_draws(30, ExactMatrix.diagonal(Fraction(1, 4), 4))[0]
+    assert not isinstance(detect_cylinder(s, shortest(s), 10 ** 4), geodesic.Cylinder)
+    label = classify(s, Fraction(1, 2), Fraction(1, 2))
+    assert label.label == "Omega2"
+    assert label.cylinder is None
+    assert "circumference above 96" in label.detail
+    assert label.second_length_sq == Fraction(175326065, 268435456)
+    assert "cylinder" not in label.to_json_dict()
+
+
+def test_classify_labels_every_pushed_draw():
+    draws = _pushed_octagon_draws(30, ExactMatrix.diagonal(Fraction(1, 4), 4))
+    assert [classify(s, Fraction(1, 2), Fraction(1, 2)).label for s in draws] == ["Omega2"] * 30
+
+
+@pytest.mark.parametrize("g", [
+    ExactMatrix.diagonal(Fraction(1, 4), 4),
+    ExactMatrix.diagonal(Fraction(1, 16), 16),
+    ExactMatrix.of(Fraction(1, 8), Fraction(3, 8), 0, 8),
+], ids=["diag4", "diag16", "upper8"])
+def test_classify_is_invariant_under_a_quarter_turn(g):
+    # The label and both lengths; the reported cylinder may lie on the other
+    # side of the shortest connection, whose sign the tie-break picks.
+    r90 = ExactMatrix.of(0, -1, 1, 0)
+    for s in _pushed_octagon_draws(40, g):
+        for eps0 in (Fraction(1, 2), Fraction(2)):
+            a = classify(s, eps0, Fraction(1, 2))
+            b = classify(apply_surface(r90, s), eps0, Fraction(1, 2))
+            assert (a.label, a.shortest_length_sq, a.second_length_sq) == (
+                b.label, b.shortest_length_sq, b.second_length_sq
+            )
 
 
 def test_classify_scale_trigger_monotone(torus):
