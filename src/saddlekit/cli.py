@@ -4,6 +4,12 @@ Reports are JSON with sorted keys (stable for golden-file comparisons);
 enumerate, tails and bc-table also print their table as CSV via --format
 csv.  Exit codes: 0 success, 1 domain error with machine-readable JSON on
 stderr, 2 usage error.
+
+Work is bounded by the environment variable ``SADDLEKIT_BUDGET`` (default
+500,000: enumeration states, lattice rows and points); no command takes a
+flag for it.  A command that needs more exits 1 with ``RESOURCE_LIMIT`` and
+the progress it made, e.g. ``states``, ``connections`` and
+``radius_sq_reached`` for an enumeration.
 """
 
 from __future__ import annotations
@@ -79,14 +85,14 @@ def cmd_validate(args):
 
 def cmd_count(args):
     s = _load_surface(args.surface)
-    n = geodesic.count(s, to_fraction(args.radius), budget=args.budget)
+    n = geodesic.count(s, to_fraction(args.radius))
     _emit(args, {"count": n, "radius": args.radius})
     return 0
 
 
 def cmd_enumerate(args):
     s = _load_surface(args.surface)
-    hs = geodesic.enumerate_connections(s, to_fraction(args.radius), budget=args.budget)
+    hs = geodesic.enumerate_connections(s, to_fraction(args.radius))
     if args.format == "csv":
         _emit(args, {"header": hs.CSV_HEADER, "rows": hs.csv_rows()})
     else:
@@ -120,7 +126,7 @@ def cmd_delaunay(args):
 def cmd_chew_check(args):
     s = _load_surface(args.surface)
     dt = delaunay.delaunay_l1(s)
-    hs = geodesic.enumerate_connections(s, to_fraction(args.radius), budget=args.budget)
+    hs = geodesic.enumerate_connections(s, to_fraction(args.radius))
     checked = 0
     worst = 0.0
     failures = 0
@@ -145,16 +151,14 @@ def cmd_chew_check(args):
 def cmd_transform(args):
     s = _load_surface(args.surface)
     f = _fn_from_arg(args.fn)
-    rep = sv.transform_report(s, f, budget=args.budget)
+    rep = sv.transform_report(s, f)
     _emit(args, {"value": rep.value, "ambiguous": rep.ambiguous, "n_vectors": rep.n_vectors})
     return 0
 
 
 def cmd_classify(args):
     s = _load_surface(args.surface)
-    label = sv.classify(
-        s, to_fraction(args.eps0), to_fraction(str(args.p)), budget=args.budget
-    )
+    label = sv.classify(s, to_fraction(args.eps0), to_fraction(str(args.p)))
     _emit(args, label.to_json_dict())
     return 0
 
@@ -206,7 +210,7 @@ def cmd_mc_stratum(args):
     base = _load_surface(args.surface)
     sample = mc.sample_stratum_local(base, str(args.spread), args.samples, seed)
     f = _fn_from_arg(args.fn) if args.fn else sv.DiscIndicator(to_fraction(args.radius or "1/2"))
-    rep = mc.estimate_mean_transform(sample, f, threads=args.threads, budget=args.budget)
+    rep = mc.estimate_mean_transform(sample, f, threads=args.threads)
     payload = rep.to_json_dict()
     payload["attempts"] = sample.attempts
     _emit(args, payload)
@@ -274,11 +278,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, surface=False, radius=False, stochastic=False, budget=False, table=False):
+    def common(p, surface=False, radius=False, stochastic=False, table=False):
         if table:
             p.add_argument("--format", choices=("json", "csv"), default="json")
-        if budget:
-            p.add_argument("--budget", type=int, default=None)
         if surface:
             p.add_argument("--surface", required=True)
         if radius:
@@ -295,23 +297,23 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, surface=True)
 
     p = sub.add_parser("count", help="number of distinct holonomy vectors up to a radius")
-    common(p, surface=True, radius=True, budget=True)
+    common(p, surface=True, radius=True)
 
     p = sub.add_parser("enumerate", help="list saddle connections up to a radius")
-    common(p, surface=True, radius=True, budget=True, table=True)
+    common(p, surface=True, radius=True, table=True)
 
     p = sub.add_parser("delaunay", help="L1 Delaunay triangulation with certificates")
     common(p, surface=True)
 
     p = sub.add_parser("chew-check", help="verify the sqrt(10) path bound over connections")
-    common(p, surface=True, radius=True, budget=True)
+    common(p, surface=True, radius=True)
 
     p = sub.add_parser("transform", help="sum a test function over the holonomy set")
-    common(p, surface=True, budget=True)
+    common(p, surface=True)
     p.add_argument("--fn", required=True, help="test function JSON (inline or path)")
 
     p = sub.add_parser("classify", help="short-curve classification of a surface")
-    common(p, surface=True, budget=True)
+    common(p, surface=True)
     p.add_argument("--eps0", required=True)
     p.add_argument("--p", required=True)
 
@@ -328,7 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, radius=True, stochastic=True)
 
     p = sub.add_parser("mc-stratum", help="local period-coordinate sampling statistics")
-    common(p, surface=True, stochastic=True, budget=True)
+    common(p, surface=True, stochastic=True)
     p.add_argument("--spread", type=str, default="0.05")
     p.add_argument("--fn", default=None)
     p.add_argument("--radius", default=None)

@@ -8,7 +8,9 @@ only in reports.
 The one work budget of the package lives here too: ``default_budget()``,
 500,000 unless ``SADDLEKIT_BUDGET`` says otherwise, bounds the enumeration's
 states, the lattice kernels' rows and the rows and points of the exact
-disc walk.
+disc walk.  The environment variable is the only way to set it: no library
+function takes a budget but the lattice kernels, which ``mc`` hands one
+read of it per batch, and no command takes a flag for it.
 """
 
 from __future__ import annotations

@@ -45,7 +45,7 @@ import math
 from itertools import count as _serial, islice
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from .errors import BlockedAtVertex, InputError, ResourceLimitError
 from .exactplane import (
@@ -152,12 +152,13 @@ def _visible_dist_sq(x, y, a, b):
 _STATE, _FOUND = 0, 1  # on equal floats, states are expanded before connections leave
 
 
-def connections(s: TranslationSurface, radius_sq, budget: Optional[int] = None):
+def connections(s: TranslationSurface, radius_sq):
     """Saddle connections of squared length <= radius_sq, shortest first.
 
     Yields each connection once, in strictly increasing (sort_key(),
     start_corner) order, so a caller may stop at any length.  Raises
-    ResourceLimitError when more than budget states are expanded; its
+    ResourceLimitError when the search needs more states than the work
+    budget, ``exactplane.default_budget()``, read once per search; its
     details say how far the search got, and every connection strictly
     shorter than radius_sq_reached has been yielded by then.
 
@@ -179,10 +180,7 @@ def connections(s: TranslationSurface, radius_sq, budget: Optional[int] = None):
     """
     # Scaled by D, every developed position is an int pair.
     scale, corners = s.int_corners()
-    if budget is None:
-        budget = default_budget()
-    elif budget < 1:
-        raise InputError(f"budget must be at least 1, got {budget}")
+    budget = default_budget()
     homology = s.homology()
     vertex = s.corner_vertex
     scale_sq = scale * scale
@@ -286,7 +284,6 @@ def enumerate_connections(
     radius=None,
     *,
     radius_sq=None,
-    budget: Optional[int] = None,
 ) -> HolonomySet:
     """All saddle connections of Euclidean length <= radius.
 
@@ -305,21 +302,21 @@ def enumerate_connections(
         radius_sq = to_fraction(radius_sq)
         if radius_sq <= 0:
             raise InputError("radius_sq must be positive")
-    return HolonomySet(radius_sq=radius_sq, connections=tuple(connections(s, radius_sq, budget)))
+    return HolonomySet(radius_sq=radius_sq, connections=tuple(connections(s, radius_sq)))
 
 
-def count(s: TranslationSurface, radius=None, *, radius_sq=None, budget=None) -> int:
+def count(s: TranslationSurface, radius) -> int:
     """Number of distinct holonomy vectors of length <= radius."""
-    return enumerate_connections(s, radius, radius_sq=radius_sq, budget=budget).n_vectors()
+    return enumerate_connections(s, radius).n_vectors()
 
 
-def shortest(s: TranslationSurface, budget=None) -> SaddleConnection:
+def shortest(s: TranslationSurface) -> SaddleConnection:
     """A connection of minimal length; ties broken lexicographically.
 
     The shortest connection is never longer than the shortest triangulation
     edge, which bounds the search.
     """
-    return next(connections(s, s.min_edge_norm_sq(), budget))
+    return next(connections(s, s.min_edge_norm_sq()))
 
 
 def _outside_class(homology, gamma: SaddleConnection):
@@ -344,17 +341,17 @@ def nonhomologous_edge_bound(s: TranslationSurface, gamma: SaddleConnection) -> 
     )
 
 
-def second_shortest_nonhomologous(s: TranslationSurface, budget=None) -> SaddleConnection:
+def second_shortest_nonhomologous(s: TranslationSurface) -> SaddleConnection:
     """Shortest connection whose class is not +/- the class of the shortest.
 
     The search is bounded by U = nonhomologous_edge_bound(s, gamma): the
     edge that attains U lies outside the class, so the search finds an
     answer and stops at the first one.
     """
-    gamma = shortest(s, budget=budget)
+    gamma = shortest(s)
     bound = nonhomologous_edge_bound(s, gamma)
     outside = _outside_class(s.homology(), gamma)
-    return next(c for c in connections(s, bound, budget) if outside(c.homology_class))
+    return next(c for c in connections(s, bound) if outside(c.homology_class))
 
 
 def reverse_of(s: TranslationSurface, conn: SaddleConnection) -> SaddleConnection:

@@ -18,13 +18,14 @@ padded ends, and on the rare lattices past that bound each point of the
 run is tested instead.  A sector transform runs the batched numpy
 ``kernels.primitive_points`` once over the whole array and sums each
 chunk's non-ambiguous hits per sample with ``np.bincount``.  Both kernels
-take their row budget from ``exactplane.default_budget()``.  A stratum
-surface's transform is ``sv.transform_report`` at the surface's area, so
-the surface is never rescaled.  ``threads`` spreads only stratum surfaces
-over a thread pool; torus samples always run in the calling thread.  All
-estimators are bit-deterministic for a fixed seed, whatever the thread
-count: values are computed into an index-ordered array and reduced by
-numpy's fixed pairwise summation.
+get their row budget from one ``exactplane.default_budget()`` read per
+batch, not one per lattice.  A stratum surface's transform is
+``sv.transform_report`` at the surface's area, so the surface is never
+rescaled.  ``threads`` spreads only stratum surfaces over a thread pool;
+torus samples always run in the calling thread.  All estimators are
+bit-deterministic for a fixed seed, whatever the thread count: values are
+computed into an index-ordered array and reduced by numpy's fixed pairwise
+summation.
 """
 
 from __future__ import annotations
@@ -232,7 +233,7 @@ def _disc_counts(matrices: np.ndarray, radius: float) -> np.ndarray:
     )
 
 
-def _values(samples, f: TestFunction, threads: int = 1, budget=None) -> np.ndarray:
+def _values(samples, f: TestFunction, threads: int = 1) -> np.ndarray:
     """Transform values in sample order.  A HaarSample goes through its
     (n, 4) array and the vectorized kernel; each surface is scaled to unit
     area by ``sv.transform_report``.  ``threads`` spreads only surfaces over
@@ -246,7 +247,7 @@ def _values(samples, f: TestFunction, threads: int = 1, budget=None) -> np.ndarr
     def eval_one(item):
         if not isinstance(item, TranslationSurface):
             raise InputError(f"unsupported sample type {type(item).__name__}")
-        return transform_report(item, f, budget, area(item)).value
+        return transform_report(item, f, area(item)).value
 
     out = np.zeros(len(items))
     if threads == 1 or len(items) < 4:
@@ -303,12 +304,10 @@ def _report_from_values(values: np.ndarray, seed, params) -> SampleReport:
     return SampleReport(n, mean, second, variance, ci, seed, params)
 
 
-def estimate_mean_transform(
-    samples, f: TestFunction, threads: int = 1, budget=None
-) -> SampleReport:
+def estimate_mean_transform(samples, f: TestFunction, threads: int = 1) -> SampleReport:
     """Sample mean of the transform.  Haar torus samples cover the whole
     measure, cusp included, so the mean needs no correction."""
-    values = _values(samples, f, threads=threads, budget=budget)
+    values = _values(samples, f, threads=threads)
     return _report_from_values(values, getattr(samples, "seed", None), {"f": f.to_json_dict()})
 
 

@@ -36,6 +36,7 @@ from .geodesic import (
     enumerate_connections,
     nonhomologous_edge_bound,
     reverse_of,
+    second_shortest_nonhomologous,
     shortest,
 )
 from .surface import TranslationSurface
@@ -44,6 +45,7 @@ _RAY_SCALE = 1 << 32
 _SECTOR_MARGIN = Fraction(1, 1 << 20)  # angular slack around approximate rays
 _DELTA_NUM = 1e-9  # float safety margin of the rotational average
 _AMBIGUOUS_TOLERANCE = 0.01  # largest ambiguous share A_R accepts
+_AR_QUADRATURE_N = 256  # grid angles of A_R, and the fewest of the sector sandwich
 
 
 def _ray_approx(angle: float) -> ExactVector:
@@ -355,24 +357,22 @@ def _tally(vectors, f: TestFunction, area) -> Tuple[int, int]:
     return total, ambiguous
 
 
-def transform_report(
-    s: TranslationSurface, f: TestFunction, budget: Optional[int] = None, area=1
-) -> TransformReport:
+def transform_report(s: TranslationSurface, f: TestFunction, area=1) -> TransformReport:
     """Transform of f on the copy of s scaled to unit area, for s of the
     given area, with its ambiguous count: one enumeration up to the support
     radius times sqrt(area)."""
-    vectors = enumerate_connections(s, radius_sq=f.support_radius() ** 2 * area, budget=budget).vectors()
+    vectors = enumerate_connections(s, radius_sq=f.support_radius() ** 2 * area).vectors()
     total, ambiguous = _tally(vectors, f, area)
     return TransformReport(value=float(total), ambiguous=ambiguous, n_vectors=len(vectors))
 
 
-def transform(s: TranslationSurface, f: TestFunction, budget: Optional[int] = None) -> float:
+def transform(s: TranslationSurface, f: TestFunction) -> float:
     """Sum of f over the holonomy set, exact for indicator variants.
 
     Raises AmbiguousMembershipError if any vector falls within a boundary
     margin; use transform_report to inspect ambiguity counts instead.
     """
-    rep = transform_report(s, f, budget=budget)
+    rep = transform_report(s, f)
     if rep.ambiguous:
         raise AmbiguousMembershipError(
             f"{rep.ambiguous} holonomy vectors within the boundary margin",
@@ -381,15 +381,13 @@ def transform(s: TranslationSurface, f: TestFunction, budget: Optional[int] = No
     return rep.value
 
 
-def pair_transform(
-    s: TranslationSurface, f: TestFunction, g: TestFunction, budget: Optional[int] = None
-) -> float:
+def pair_transform(s: TranslationSurface, f: TestFunction, g: TestFunction) -> float:
     """Double sum of f(v1) g(v2) over pairs of holonomy vectors.
 
     For product integrands the double sum factors exactly into the product
     of the single transforms; one enumeration covers both supports.
     """
-    return transform(s, ProductPair(f, g), budget)
+    return transform(s, ProductPair(f, g))
 
 
 # --- rotational averaging ---------------------------------------------------
@@ -409,42 +407,34 @@ def _holonomy_array(vectors) -> np.ndarray:
     return np.array([[float(v.x), float(v.y)] for v in vecs])
 
 
-def rotational_average_AR(
-    s: TranslationSurface,
-    f: TestFunction,
-    R: float,
-    quadrature_n: int = 256,
-    budget: Optional[int] = None,
-) -> ARReport:
+def rotational_average_AR(s: TranslationSurface, f: TestFunction, R: float) -> ARReport:
     """Average of the transform over rotated, diag(R, 1/R)-stretched copies.
 
-    Trapezoidal quadrature over the full rotation; since the surface's
+    Trapezoidal quadrature over 256 equally spaced angles; since the surface's
     holonomy set transforms equivariantly, images of the exact vectors are
     tested in floats with the safety margin _DELTA_NUM and ambiguous points
     are counted, never assigned.
     """
-    if quadrature_n < 8:
-        raise InputError("quadrature_n must be at least 8")
     if R < 1:
         raise InputError("stretch factor must be >= 1")
     pre_radius = f.support_radius() * to_fraction(R)
-    hs = enumerate_connections(s, radius=pre_radius, budget=budget)
-    return _rotational_average(_holonomy_array(hs.vectors()), f, R, quadrature_n)
+    hs = enumerate_connections(s, radius=pre_radius)
+    return _rotational_average(_holonomy_array(hs.vectors()), f, R, _AR_QUADRATURE_N)
 
 
-def _rotational_average(pts: np.ndarray, f: TestFunction, R: float, quadrature_n: int) -> ARReport:
-    """The quadrature of rotational_average_AR on an (n, 2) array of
-    holonomy vectors up to the support radius times R."""
+def _rotational_average(pts: np.ndarray, f: TestFunction, R: float, n: int) -> ARReport:
+    """The quadrature of rotational_average_AR over n grid angles, on an
+    (m, 2) array of holonomy vectors up to the support radius times R."""
     if pts.shape[0] == 0:
-        return ARReport(0.0, 0.0, quadrature_n)
+        return ARReport(0.0, 0.0, n)
     xs = pts[:, 0]
     ys = pts[:, 1]
     total = 0.0
     ambiguous = 0
     block = max(1, 1 << 22 >> max(pts.shape[0].bit_length(), 1))
-    for start in range(0, quadrature_n, block):
-        jj = np.arange(start, min(start + block, quadrature_n))
-        th = 2.0 * math.pi * jj / quadrature_n
+    for start in range(0, n, block):
+        jj = np.arange(start, min(start + block, n))
+        th = 2.0 * math.pi * jj / n
         ct = np.cos(th)[:, None]
         st = np.sin(th)[:, None]
         # a_R r_theta applied to every vector at every grid angle
@@ -453,13 +443,13 @@ def _rotational_average(pts: np.ndarray, f: TestFunction, R: float, quadrature_n
         vals, amb = f.evaluate_batch(ix, iy, _DELTA_NUM)
         total += float(vals[~amb].sum())
         ambiguous += int(amb.sum())
-    frac = ambiguous / (quadrature_n * pts.shape[0])
+    frac = ambiguous / (n * pts.shape[0])
     if frac > _AMBIGUOUS_TOLERANCE:
         raise AmbiguousMembershipError(
             f"ambiguous membership fraction {frac:.4g} exceeds tolerance",
             fraction=frac,
         )
-    return ARReport(total / quadrature_n, frac, quadrature_n)
+    return ARReport(total / n, frac, n)
 
 
 @dataclass(frozen=True)
@@ -477,13 +467,7 @@ class SandwichReport:
         )
 
 
-def sector_sandwich(
-    s: TranslationSurface,
-    R: float,
-    theta: float,
-    quadrature_n: int = 1024,
-    budget: Optional[int] = None,
-) -> SandwichReport:
+def sector_sandwich(s: TranslationSurface, R: float, theta: float) -> SandwichReport:
     """Rotational averages of the two triangles enclosing a symmetric
     sector, against the scaled exact count.
 
@@ -491,7 +475,8 @@ def sector_sandwich(
     theta), the outer one has its top edge tangent at the midpoint (height
     1); both map to triangles under the stretch, so their averaged
     transforms bracket (theta_R / pi) N(R) with theta_R = atan(tan theta /
-    R^2).
+    R^2).  Each average runs on n = max(256, floor(12 pi / theta_R) + 1)
+    grid angles and on 2n, and the margin carries their difference.
     """
     if not (0 < theta <= math.pi / 8):
         raise InputError("theta must lie in (0, pi/8]")
@@ -504,12 +489,12 @@ def sector_sandwich(
     w2 = TriangleIndicator(ExactVector(tan_t, Fraction(1)), ExactVector(-tan_t, Fraction(1)))
     r_frac = to_fraction(R)
     pre_radius = w2.support_radius() * r_frac
-    vectors = enumerate_connections(s, radius=pre_radius, budget=budget).vectors()
+    vectors = enumerate_connections(s, radius=pre_radius).vectors()
     pts = _holonomy_array(vectors)
     theta_r = math.atan(math.tan(theta) / (R * R))
     # The stretched cone has angular width ~2 theta_r; resolve each window
     # with a dozen grid cells (the reported margin carries the residual).
-    n_eff = max(quadrature_n, int(12.0 * math.pi / theta_r) + 1)
+    n_eff = max(_AR_QUADRATURE_N, int(12.0 * math.pi / theta_r) + 1)
     lo_n = _rotational_average(pts, w1, R, n_eff)
     hi_n = _rotational_average(pts, w2, R, n_eff)
     lo_2n = _rotational_average(pts, w1, R, 2 * n_eff)
@@ -544,10 +529,10 @@ class ClassLabel:
     it is None and detail gives the interval that holds it.  H1 and H2 leave
     it None.  cylinder is the one the shortest connection bounds on its
     left, for Omega2 only; it is None when that cylinder's circumference
-    exceeds the trace bound that detail names.  Omega1 (the shortest
-    connection on no cylinder boundary) is never produced on rational input:
-    every connection of a rational surface bounds a cylinder on each side
-    (detect_cylinder).
+    exceeds the trace bound that detail names, or its trace reaches the
+    crossing cap first.  Omega1 (the shortest connection on no cylinder
+    boundary) is never produced on rational input: every connection of a
+    rational surface bounds a cylinder on each side (detect_cylinder).
     """
 
     label: str  # H1 | H2 | Omega0 | Omega2
@@ -634,12 +619,7 @@ def _power_bound_sq(g_sq: Fraction, p: Fraction) -> Fraction:
     return max(Fraction(1), g_sq)
 
 
-def classify(
-    s: TranslationSurface,
-    eps0,
-    p,
-    budget: Optional[int] = None,
-) -> ClassLabel:
+def classify(s: TranslationSurface, eps0, p) -> ClassLabel:
     """Place a surface in the short-curve decomposition: H1, H2, Omega0 or
     Omega2.
 
@@ -655,14 +635,16 @@ def classify(
     eps, and Omega0 or Omega2 reports it exactly.  When there is none,
     Omega2 reports eps exactly if U, the squared length of the shortest
     triangulation edge outside +/-[gamma], is at most T^2 with
-    T = 64 eps0 + 64, and the search up to U stays within the budget;
-    otherwise second_length_sq is None and detail says that eps lies in
-    (|gamma|^p, sqrt(U)].  Omega2 reports the cylinder on the left of gamma
-    when its circumference is at most T; otherwise cylinder is None and
-    detail names T.
+    T = 64 eps0 + 64, and second_shortest_nonhomologous stays within the
+    work budget; otherwise second_length_sq is None and detail says that
+    eps lies in (|gamma|^p, sqrt(U)].  Omega2 reports the cylinder on the
+    left of gamma when its circumference is at most T; otherwise cylinder is
+    None and detail names T, or, when the trace reaches the crossing cap of
+    detect_cylinder first, the crossings made and the circumference reached.
 
-    A cylinder trace that reaches the crossing cap of detect_cylinder first
-    raises its ResourceLimitError unchanged, with the progress it carries.
+    The cylinder traces of the short-loop test decide H2, so one of them
+    that reaches the crossing cap raises its ResourceLimitError unchanged,
+    with the progress it carries.
     """
     eps0 = to_fraction(eps0)
     if eps0 <= 0:
@@ -672,28 +654,34 @@ def classify(
         raise InputError("p must lie in (0, 1)")
     trace = 64 * eps0 + 64
     s.validate()
-    gamma = shortest(s, budget=budget)
+    gamma = shortest(s)
     g_sq = gamma.length_sq()
     if g_sq >= eps0 * eps0:
         return ClassLabel("H1", shortest_length_sq=g_sq, detail="no short connection")
-    hs = enumerate_connections(s, radius=eps0, budget=budget)
+    hs = enumerate_connections(s, radius=eps0)
     if not _has_short_loop(s, hs, eps0):
         return ClassLabel("H2", shortest_length_sq=g_sq, detail="short connections, no short loop")
     # Connections come shortest first, so the first one outside +/-[gamma]
     # is the only candidate for eps <= |gamma|^p.
     outside = _outside_class(s.homology(), gamma)
-    near = next((c for c in connections(s, _power_bound_sq(g_sq, p), budget)
+    near = next((c for c in connections(s, _power_bound_sq(g_sq, p))
                  if outside(c.homology_class)), None)
     if near is not None and _power_leq(near.length_sq(), g_sq, p):
         return ClassLabel(
             "Omega0", shortest_length_sq=g_sq, second_length_sq=near.length_sq(),
             detail="second shortest below power of shortest",
         )
-    cylinder = detect_cylinder(s, gamma, trace)
     detail = "shortest bounds a cylinder"
-    if not isinstance(cylinder, Cylinder):
+    try:
+        cylinder = detect_cylinder(s, gamma, trace)
+        if not isinstance(cylinder, Cylinder):
+            cylinder = None
+            detail += f" of circumference above {format_rational(trace)}"
+    except ResourceLimitError as exc:
+        # The label is decided; only the cylinder's report is cut short.
         cylinder = None
-        detail += f" of circumference above {format_rational(trace)}"
+        detail += (f" whose leaf is still open after {exc.details['crossings']} crossings,"
+                   f" at circumference sqrt({exc.details['circumference_sq_reached']})")
     if near is not None:
         e_sq = near.length_sq()
     else:
@@ -701,7 +689,7 @@ def classify(
         bound = nonhomologous_edge_bound(s, gamma)
         if bound <= trace * trace:
             try:
-                e_sq = next(c for c in connections(s, bound, budget) if outside(c.homology_class)).length_sq()
+                e_sq = second_shortest_nonhomologous(s).length_sq()
             except ResourceLimitError:
                 pass
         if e_sq is None:

@@ -91,8 +91,8 @@ def test_malformed_input_exits_1_with_input_code(
         "no tail samples": ["tails", "--samples", "0", "--seed", "1"],
         "no stratum samples": ["mc-stratum", "--surface", torus_file, "--samples", "0", "--seed", "1"],
         "negative stratum samples": ["mc-stratum", "--surface", torus_file, "--samples", "-2", "--seed", "1"],
-        "budget zero": ["count", "--surface", torus_file, "--radius", "2", "--budget", "0"],
-        "budget negative": ["count", "--surface", torus_file, "--radius", "2", "--budget", "-5"],
+        "budget zero": ["count", "--surface", torus_file, "--radius", "2"],
+        "budget negative": ["mc-torus", "--samples", "5", "--seed", "1", "--radius", "4"],
         "budget env negative": ["count", "--surface", torus_file, "--radius", "2"],
         "classify p": ["classify", "--surface", torus_file, "--eps0", "1/2", "--p", "3/2"],
         "classify eps0": ["classify", "--surface", torus_file, "--eps0", "0", "--p", "1/2"],
@@ -102,7 +102,7 @@ def test_malformed_input_exits_1_with_input_code(
         "bc errors overflow": ["bc-table", "--samples", "5", "--seed", "1", "--radii", "4", "--errors", "1e400"],
         "tails fn overflow": ["tails", "--samples", "5", "--seed", "1", "--fn", '{"variant":"disc","r":"1e400"}'],
     }[case]
-    env = {"budget env": "abc", "budget env negative": "-5"}
+    env = {"budget env": "abc", "budget zero": "0", "budget negative": "-5", "budget env negative": "-5"}
     if case in env:
         monkeypatch.setenv("SADDLEKIT_BUDGET", env[case])
     code, out, err = run(capsys, argv)
@@ -160,9 +160,9 @@ def test_threads_below_one_is_an_input_error(command, threads, capsys, monkeypat
     assert json.loads(err)["error"] == "INPUT"
 
 
-def test_mc_stratum_reads_budget(capsys, torus_file):
-    argv = ["mc-stratum", "--surface", torus_file, "--samples", "2", "--seed", "7",
-            "--radius", "2", "--budget", "1"]
+def test_mc_stratum_reads_budget(capsys, monkeypatch, torus_file):
+    monkeypatch.setenv("SADDLEKIT_BUDGET", "1")
+    argv = ["mc-stratum", "--surface", torus_file, "--samples", "2", "--seed", "7", "--radius", "2"]
     code, out, err = run(capsys, argv)
     assert code == 1 and out == ""
     assert json.loads(err)["error"] == "RESOURCE_LIMIT"
@@ -240,6 +240,13 @@ def test_flag_only_on_commands_that_read_it(capsys, torus_file):
     assert "--threads" in capsys.readouterr().err
 
 
+def test_the_budget_is_no_flag(capsys, torus_file):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["count", "--surface", torus_file, "--radius", "2", "--budget", "5"])
+    assert exc.value.code == 2
+    assert "--budget" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command", ["count", "validate", "delaunay"])
 def test_format_only_on_commands_with_a_table(command, capsys, torus_file):
     argv = [command, "--surface", torus_file] + (["--radius", "2"] if command == "count" else [])
@@ -256,13 +263,15 @@ def test_main_dispatches_to_the_current_command_function(capsys, monkeypatch, to
     assert run(capsys, argv)[0] == 7
 
 
-def test_budget_error_reports_progress(capsys, torus, torus_file):
-    code, _, err = run(capsys, ["count", "--surface", torus_file, "--radius", "40", "--budget", "50"])
+def test_budget_error_reports_progress(capsys, monkeypatch, torus, torus_file):
+    monkeypatch.setenv("SADDLEKIT_BUDGET", "50")
+    code, _, err = run(capsys, ["count", "--surface", torus_file, "--radius", "40"])
     assert code == 1
     payload = json.loads(err)
-    assert payload["error"] == "RESOURCE_LIMIT"
-    assert {"states", "connections", "radius_sq_reached"} <= payload.keys()
+    assert payload == {"error": "RESOURCE_LIMIT", "detail": "enumeration state budget exceeded",
+                       "budget": 50, "states": 50, "connections": 8, "radius_sq_reached": "5"}
     reached = Fraction(payload["radius_sq_reached"])
+    monkeypatch.delenv("SADDLEKIT_BUDGET")
     conns = enumerate_connections(torus, radius_sq=reached).connections
     assert payload["connections"] == sum(1 for c in conns if c.length_sq() < reached)
 

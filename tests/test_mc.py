@@ -37,15 +37,15 @@ def test_stratum_sample_is_pinned(octagon):
     )
 
 
-def _reference_surface_value(s: TranslationSurface, f: TestFunction, budget=None) -> float:
+def _reference_surface_value(s: TranslationSurface, f: TestFunction) -> float:
     """Transform on the area-normalized surface, computed analytically:
     vectors scale by 1/sqrt(area), so membership tests are rescaled
     exactly instead of rescaling the surface."""
     a = area(s)
     if isinstance(f, ProductPair):
-        return _reference_surface_value(s, f.f, budget) * _reference_surface_value(s, f.g, budget)
+        return _reference_surface_value(s, f.f) * _reference_surface_value(s, f.g)
     support_sq = f.support_radius() ** 2 * a
-    hs = enumerate_connections(s, radius_sq=support_sq, budget=budget)
+    hs = enumerate_connections(s, radius_sq=support_sq)
     vectors = hs.vectors()
     if isinstance(f, DiscIndicator):
         r_sq = f.r * f.r * a

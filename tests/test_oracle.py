@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from conftest import sl2q
 
 from saddlekit.builders import slit_torus, torus_from_matrix
 from saddlekit.errors import InputError, ResourceLimitError
@@ -80,12 +81,12 @@ def test_torus_holonomy_matches_brute_force(m):
 
 
 def test_torus_holonomy_agrees_with_enumeration():
-    m = ExactMatrix.shear(Fraction(1, 2))
-    surf = torus_from_matrix(m)
-    for r in (2, 5):
-        assert enumerate_connections(surf, r).vectors() == frozenset(
-            torus_holonomy(TorusPoint(m), r)
-        )
+    # A fixed shear, then 50 random SL(2, Q) tori.
+    rng = random.Random(24)
+    for m in [ExactMatrix.shear(Fraction(1, 2))] + [sl2q(rng) for _ in range(50)]:
+        surf = torus_from_matrix(m)
+        for r in (2, 3, 5):
+            assert enumerate_connections(surf, r).vectors() == torus_holonomy(TorusPoint(m), r), (m, r)
 
 
 def test_torus_point_validates_determinant():
@@ -126,6 +127,26 @@ def test_slit_holonomy_with_blocked_segments_matches_surface(v, g):
     res = slit_torus_holonomy(SlitTorusPoint(g, g.apply(v)), 3)
     assert res.corrections
     assert enumerate_connections(apply_surface(g, slit_torus(v)), 3).vectors() == res.vectors
+
+
+def _random_slit(rng):
+    """A slit vector inside the unit square, off its diagonal, with
+    denominators 2 to 12."""
+    while True:
+        dx, dy = rng.randint(2, 12), rng.randint(2, 12)
+        v = V(Fraction(rng.randint(1, dx - 1), dx), Fraction(rng.randint(1, dy - 1), dy))
+        if v.x != v.y:
+            return v
+
+
+def test_slit_oracle_agrees_with_enumeration_on_random_slits():
+    rng = random.Random(24)
+    for _ in range(50):
+        v, g = _random_slit(rng), sl2q(rng)
+        surf = apply_surface(g, slit_torus(v))
+        for r in (2, 3):
+            res = slit_torus_holonomy(SlitTorusPoint(g, g.apply(v)), r)
+            assert enumerate_connections(surf, r).vectors() == res.vectors, (v, g, r)
 
 
 def _passes_through_brute(w, target):

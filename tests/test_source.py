@@ -169,6 +169,50 @@ def test_an_environment_read_is_found():
     ]
 
 
+def _work_parameters(trees):
+    """(module, function, parameter) of each function outside ``kernels``
+    with a parameter named ``budget`` or ``quadrature_n``."""
+    return sorted(
+        (module, node.name, arg.arg)
+        for module, tree in trees.items()
+        if module != "kernels"
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for arg in node.args.posonlyargs + node.args.args + node.args.kwonlyargs
+        if arg.arg in ("budget", "quadrature_n")
+    )
+
+
+def _command_flags(parser):
+    """(command, option string) of every subcommand option."""
+    (subparsers,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return sorted(
+        (command, flag)
+        for command, sub in subparsers.choices.items()
+        for action in sub._actions
+        for flag in action.option_strings
+    )
+
+
+def test_the_budget_variable_is_the_only_way_to_set_the_work():
+    # default_budget() is the one source of the budget; only the lattice
+    # kernels take it as an argument, from mc's one read per batch.
+    assert _work_parameters(_trees()) == []
+    assert [(command, flag) for command, flag in _command_flags(cli.build_parser()) if flag == "--budget"] == []
+
+
+def test_a_work_parameter_or_flag_is_found():
+    trees = {
+        "a": ast.parse("def f(s, budget=None):\n    pass\nclass C:\n    def g(self, *, quadrature_n=8):\n        pass\n"),
+        "kernels": ast.parse("def count(a, budget=None):\n    pass\n"),
+    }
+    assert _work_parameters(trees) == [("a", "f", "budget"), ("a", "g", "quadrature_n")]
+    parser = argparse.ArgumentParser()
+    sub = parser.add_subparsers(dest="command")
+    sub.add_parser("a").add_argument("--budget", "-b")
+    assert _command_flags(parser) == [("a", "--budget"), ("a", "--help"), ("a", "-b"), ("a", "-h")]
+
+
 @pytest.mark.parametrize("module", ["exactplane", "kernels", "oracle"])
 def test_lower_layers_import_nothing_from_geodesic(module):
     assert "geodesic" not in {name for _, name in _package_imports(_trees()[module])}

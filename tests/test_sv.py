@@ -23,6 +23,8 @@ from saddlekit.sv import (
     ProductPair,
     SectorIndicator,
     TriangleIndicator,
+    _holonomy_array,
+    _rotational_average,
     classify,
     pair_transform,
     rotational_average_AR,
@@ -131,40 +133,42 @@ def test_triangle_membership_needs_unit_area():
 
 def test_rotational_average_identity(torus):
     f = DiscIndicator(Fraction(3, 2))
-    rep = rotational_average_AR(torus, f, 1.0, 64)
+    rep = rotational_average_AR(torus, f, 1.0)
     assert rep.value == transform(torus, f)
     assert rep.ambiguous_fraction == 0
 
 
 def test_rotational_average_richardson(torus):
+    # A_R's 256 angles against the same quadrature on twice as many.
     f = DiscIndicator(Fraction(3, 2))
-    a = rotational_average_AR(torus, f, 4.0, 256).value
-    b = rotational_average_AR(torus, f, 4.0, 512).value
-    assert abs(a - b) < 0.5
+    rep = rotational_average_AR(torus, f, 4.0)
+    pts = _holonomy_array(enumerate_connections(torus, f.support_radius() * 4).vectors())
+    assert rep.quadrature_n == 256
+    assert abs(rep.value - _rotational_average(pts, f, 4.0, 512).value) < 0.5
 
 
 def test_sector_sandwich_ordered(torus):
     for R in (5.0, 10.0):
         for theta in (math.pi / 16, math.pi / 32):
-            rep = sector_sandwich(torus, R, theta, quadrature_n=256)
+            rep = sector_sandwich(torus, R, theta)
             assert rep.ordered_within_margin(), (R, theta, rep)
             assert rep.ambiguous_fraction < 0.01
 
 
 def test_sector_sandwich_width_shrinks_with_theta(torus):
-    wide = sector_sandwich(torus, 5.0, math.pi / 8, quadrature_n=256)
-    narrow = sector_sandwich(torus, 5.0, math.pi / 32, quadrature_n=256)
+    wide = sector_sandwich(torus, 5.0, math.pi / 8)
+    narrow = sector_sandwich(torus, 5.0, math.pi / 32)
     assert narrow.upper - narrow.lower <= wide.upper - wide.lower + narrow.margin
 
 
 def test_sector_sandwich_boundary_case(torus):
-    rep = sector_sandwich(torus, 2.0, math.pi / 8, quadrature_n=256)
+    rep = sector_sandwich(torus, 2.0, math.pi / 8)
     assert rep.ordered_within_margin()
 
 
 def test_sector_sandwich_scales_the_exact_count(torus):
     for R in (2.5, 5.0):
-        rep = sector_sandwich(torus, R, math.pi / 8, quadrature_n=256)
+        rep = sector_sandwich(torus, R, math.pi / 8)
         assert rep.scaled_count == rep.theta_r / math.pi * count(torus, Fraction(R))
 
 
@@ -183,12 +187,29 @@ def test_classify_thin_torus_omega2():
 
 
 def test_classify_passes_the_leaf_trace_progress_through(thin_torus, monkeypatch):
+    # gamma's own trace reaches the crossing cap after the label is decided:
+    # Omega2 stands without the cylinder, and the detail carries the progress.
     monkeypatch.setattr(geodesic, "_MAX_CROSSINGS", 2)
     with pytest.raises(ResourceLimitError, match="leaf trace did not close") as exc:
-        classify(thin_torus, Fraction(1, 2), Fraction(1, 2))
+        detect_cylinder(thin_torus, shortest(thin_torus), 96)
     assert exc.value.details["holonomy"] == ["-1/8", "0"]
-    assert exc.value.details["crossings"] == 2
-    assert Fraction(exc.value.details["circumference_sq_reached"]) > 0
+    reached = exc.value.details["circumference_sq_reached"]
+    assert Fraction(reached) > 0
+    label = classify(thin_torus, Fraction(1, 2), Fraction(1, 2))
+    assert (label.label, label.cylinder) == ("Omega2", None)
+    assert f"still open after 2 crossings, at circumference sqrt({reached})" in label.detail
+
+
+def test_classify_keeps_omega2_when_the_cylinder_trace_reaches_the_cap():
+    # Pushed by diag(1/1024, 1024), gamma's leaf crosses more than
+    # _MAX_CROSSINGS triangles before it is 96 long.
+    g = ExactMatrix.diagonal(Fraction(1, 1024), 1024)
+    s = apply_surface(g, sample_stratum_local(octagon_h2(), "0.05", 40, seed=7).surfaces[6])
+    label = classify(s, Fraction(1, 2), Fraction(1, 2))
+    assert (label.label, label.cylinder) == ("Omega2", None)
+    assert "still open after 100000 crossings" in label.detail
+    assert label.second_length_sq == Fraction(6598980787407593, 7036874417766400)
+    assert "cylinder" not in label.to_json_dict()
 
 
 def test_classify_small_slit_is_omega_branch():
