@@ -21,11 +21,12 @@ import io
 import json
 import os
 import sys
+from dataclasses import asdict, astuple, fields
 from fractions import Fraction
 
 from . import chew, delaunay, geodesic, mc, oracle, sv
 from .errors import InputError, SaddlekitError
-from .exactplane import ExactMatrix, ExactVector, sorted_by_length, to_float, to_fraction
+from .exactplane import ExactMatrix, ExactVector, to_float, to_fraction
 from .surface import TranslationSurface, area
 
 
@@ -101,7 +102,7 @@ def cmd_enumerate(args):
             {
                 "radius": args.radius,
                 "n_connections": len(hs.connections),
-                "n_vectors": hs.n_vectors(),
+                "n_vectors": len(hs.vectors()),
                 "connections": [
                     {
                         "holonomy": c.holonomy.to_json(),
@@ -152,7 +153,7 @@ def cmd_transform(args):
     s = _load_surface(args.surface)
     f = _fn_from_arg(args.fn)
     rep = sv.transform_report(s, f)
-    _emit(args, {"value": rep.value, "ambiguous": rep.ambiguous, "n_vectors": rep.n_vectors})
+    _emit(args, asdict(rep))
     return 0
 
 
@@ -165,7 +166,7 @@ def cmd_classify(args):
 
 def cmd_torus_exact(args):
     t = oracle.TorusPoint(_matrix_from_arg(args.matrix))
-    vectors = sorted_by_length(oracle.torus_holonomy(t, to_fraction(args.radius)))
+    vectors = oracle.torus_holonomy(t, to_fraction(args.radius))
     _emit(args, {"n_vectors": len(vectors), "vectors": [v.to_json() for v in vectors]})
     return 0
 
@@ -178,8 +179,8 @@ def cmd_slit_exact(args):
         {
             "n_vectors": len(res.vectors),
             "n_corrections": len(res.corrections),
-            "vectors": [v.to_json() for v in sorted_by_length(res.vectors)],
-            "corrections": [v.to_json() for v in sorted_by_length(res.corrections)],
+            "vectors": [v.to_json() for v in res.vectors],
+            "corrections": [v.to_json() for v in res.corrections],
         },
     )
     return 0
@@ -254,18 +255,8 @@ def cmd_bc_table(args):
     errors = [to_float(e) for e in args.errors.split(",")]
     rows = mc.borel_cantelli_table(radii, errors, samples, threads=args.threads)
     if args.format == "csv":
-        header = [
-            "radius",
-            "variance_hat",
-            "ratio",
-            "partial_sum",
-            "error_bound",
-            "empirical_exceedance",
-            "binomial_ci",
-        ]
-        _emit(args, {"header": header, "rows": [
-            [r.radius, r.variance_hat, r.ratio, r.partial_sum, r.error_bound,
-             r.empirical_exceedance, r.binomial_ci] for r in rows]})
+        header = [f.name for f in fields(mc.BorelCantelliRow)]
+        _emit(args, {"header": header, "rows": [astuple(r) for r in rows]})
     else:
         _emit(args, {"seed": seed, "rows": [r.to_json_dict() for r in rows]})
     return 0

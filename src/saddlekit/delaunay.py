@@ -9,8 +9,9 @@ bounding box of the edge's endpoints, in closed form.  An interior edge is
 locally Delaunay when each adjacent triangle's diamond has the opposite
 vertex outside or on its boundary; flipping repeats until no edge violates
 this.  The flip budget is the one stopping rule: a set whose flips do not
-settle within it raises FlipCycleError.  The public `is_locally_delaunay` is
-the one verifier: `delaunay_l1` tests every edge of its output with it.
+settle within it raises FlipCycleError.  One verifier, `_locally_delaunay`,
+decides every edge for `is_locally_delaunay` and for `delaunay_l1`'s test of
+its output, which reuses the diamonds of its certificates.
 Everything is decided exactly, on ints after scaling by D: the
 flips start from the surface's int corner positions
 (`TranslationSurface.int_corners`, scaled by D, the lcm of its
@@ -162,12 +163,26 @@ def is_locally_delaunay(s: TranslationSurface, slot: Slot) -> bool:
     on the other triangle's circumscribing diamond.  On-boundary is
     accepted.
     """
-    a, b, c, d = _developed_quad(s.int_corners()[1], s.gluings, slot)
-    dia = _diamond(a, b, c)
-    if _dist(dia, d) < dia[2]:
+    tris = s.int_corners()[1]
+    return _locally_delaunay(tris, s.gluings, slot, lambda t: _diamond(*tris[t]))
+
+
+def _locally_delaunay(tris, glue, slot: Slot, diamond) -> bool:
+    """is_locally_delaunay on int corner positions, with diamond(t) the
+    diamond of tris[t].  Across slot (t, i), glued to (u, j), diamond(u) is
+    asked for only once t's side passes.  Each apex is moved into the frame
+    of the other triangle."""
+    t, i = slot
+    u, j = glue[slot]
+    P, Q = tris[t], tris[u]
+    # Corner j of u sits at corner i + 1 of t, and corner j + 1 at corner i.
+    (px, py), (qx, qy), (kx, ky) = P[(i + 1) % 3], Q[j], Q[(j + 2) % 3]
+    dia = diamond(t)
+    if _dist(dia, (px - qx + kx, py - qy + ky)) < dia[2]:
         return False
-    dia = _diamond(b, a, d)
-    return _dist(dia, c) >= dia[2]
+    (px, py), (ox, oy), (qx, qy) = P[(i + 2) % 3], P[i], Q[(j + 1) % 3]
+    dia = diamond(u)
+    return _dist(dia, (px - ox + qx, py - oy + qy)) >= dia[2]
 
 
 @dataclass
@@ -303,9 +318,9 @@ def delaunay_l1(s: TranslationSurface) -> DelaunayTriangulation:
     _FLIPS_PER_TRIANGLE per triangle for both passes together: a set whose
     flips have not settled within it raises FlipCycleError("flip budget
     exhausted", flips=...).  The final triangulation is certified per
-    triangle, then each edge is tested once, from its first slot in gluing
-    order, with `is_locally_delaunay`; the first failing slot raises
-    FlipCycleError("post-hoc Delaunay verification failed", slot=...).
+    triangle, then each edge is tested once on those diamonds, from its first
+    slot in gluing order, as `is_locally_delaunay` tests it; the first failing
+    slot raises FlipCycleError("post-hoc Delaunay verification failed", slot=...).
     """
     scale, corners = s.int_corners()
     tris = [list(tri) for tri in corners]
@@ -324,7 +339,7 @@ def delaunay_l1(s: TranslationSurface) -> DelaunayTriangulation:
     diamonds = [_diamond(*tri) for tri in tris]
     tested = set()
     for slot, mate in glue.items():
-        if mate not in tested and not is_locally_delaunay(surface, slot):
+        if mate not in tested and not _locally_delaunay(tris, glue, slot, diamonds.__getitem__):
             raise FlipCycleError("post-hoc Delaunay verification failed", slot=slot)
         tested.add(slot)
     # Consistency: the maintained vertex labels must refine to the same

@@ -156,22 +156,6 @@ def _vec(p, scale: int) -> ExactVector:
     return ExactVector(Fraction(p[0], scale), Fraction(p[1], scale))
 
 
-def sorted_by_length(vectors) -> list:
-    """The vectors in increasing (norm_sq(), x, y) order.
-
-    Sorted on ints: with k the lcm of their denominators, (x^2 + y^2, x, y)
-    of k v orders the vectors exactly as that of v, since k > 0.
-    """
-    vectors = list(vectors)
-    k = _scale_of(vectors)
-
-    def key(v):
-        x, y = _ints(v, k)
-        return (x * x + y * y, x, y)
-
-    return sorted(vectors, key=key)
-
-
 def _sub(p, q):
     return (p[0] - q[0], p[1] - q[1])
 

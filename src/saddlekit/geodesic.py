@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from itertools import count as _serial, islice
+from itertools import count as _serial, groupby, islice
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Tuple
@@ -79,14 +79,11 @@ class HolonomySet:
     radius_sq: Fraction
     connections: Tuple[SaddleConnection, ...]
 
-    def vectors(self) -> frozenset:
-        return frozenset(c.holonomy for c in self.connections)
-
-    def n_vectors(self) -> int:
-        """len(vectors()), counted without hashing: the connections come in
-        stream order, where equal holonomies are adjacent."""
-        cs = self.connections
-        return sum(1 for a, b in zip(cs, cs[1:]) if a.holonomy != b.holonomy) + (len(cs) > 0)
+    def vectors(self) -> Tuple[ExactVector, ...]:
+        """The distinct holonomies, strictly increasing in (|v|^2, x, y):
+        the connections come in stream order, where equal holonomies are
+        adjacent, so each run of them gives one vector."""
+        return tuple(h for h, _ in groupby(c.holonomy for c in self.connections))
 
     def __len__(self):
         return len(self.connections)
@@ -306,8 +303,9 @@ def enumerate_connections(
 
 
 def count(s: TranslationSurface, radius) -> int:
-    """Number of distinct holonomy vectors of length <= radius."""
-    return enumerate_connections(s, radius).n_vectors()
+    """Number of distinct holonomy vectors of length <= radius:
+    len(vectors()) of the enumeration."""
+    return len(enumerate_connections(s, radius).vectors())
 
 
 def shortest(s: TranslationSurface) -> SaddleConnection:

@@ -189,14 +189,17 @@ def primitive_points(matrices, radius: float, budget=None):
     if m.shape[0] == 0:
         return
     a, b, c, d = (np.ascontiguousarray(col) for col in m.T)
-    det = np.abs(a * d - b * c)
-    if not det.all():
-        raise SingularMatrixError(f"matrix {int(np.argmin(det))} is singular")
-    r2 = radius * radius
-    A, C = a * a + c * c, b * b + d * d
-    # A lattice in the cusp gets reach -1: no rows, and nothing to budget.
-    cusp = _in_the_cusp(det, A, C, r2)
-    reach = np.where(cusp, -1.0, radius * np.sqrt(a * a + b * b + c * c + d * d) / det)
+    # Huge entries overflow to inf or NaN here, which _qmax refuses, as the
+    # scalar kernel's float arithmetic does: without a warning.
+    with np.errstate(over="ignore", invalid="ignore"):
+        det = np.abs(a * d - b * c)
+        if not det.all():
+            raise SingularMatrixError(f"matrix {int(np.argmin(det))} is singular")
+        r2 = radius * radius
+        A, C = a * a + c * c, b * b + d * d
+        # A lattice in the cusp gets reach -1: no rows, and nothing to budget.
+        cusp = _in_the_cusp(det, A, C, r2)
+        reach = np.where(cusp, -1.0, radius * np.sqrt(a * a + b * b + c * c + d * d) / det)
     _within_budget(_qmax(float(reach.max()), radius), budget, radius)
     qmax = np.floor(reach).astype(np.int64) + 1
     ends = np.cumsum(qmax)

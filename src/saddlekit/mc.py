@@ -31,7 +31,7 @@ summation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -281,16 +281,7 @@ class SampleReport:
     algorithm: str = RNG_ALGORITHM
 
     def to_json_dict(self):
-        return {
-            "n_samples": self.n_samples,
-            "mean": self.mean,
-            "second_moment": self.second_moment,
-            "variance": self.variance,
-            "ci_radius": self.ci_radius,
-            "seed": self.seed,
-            "algorithm": self.algorithm,
-            "parameters": dict(sorted(self.parameters.items())),
-        }
+        return asdict(self)
 
 
 def _report_from_values(values: np.ndarray, seed, params) -> SampleReport:
@@ -320,13 +311,7 @@ class VarianceReport:
     count_report: SampleReport
 
     def to_json_dict(self):
-        return {
-            "radius": self.radius,
-            "l2_hat": self.l2_hat,
-            "variance_hat": self.variance_hat,
-            "c_sv": self.c_sv,
-            "count_report": self.count_report.to_json_dict(),
-        }
+        return asdict(self)
 
 
 def estimate_L2_and_variance(samples, radius: float, threads: int = 1) -> VarianceReport:
@@ -350,14 +335,7 @@ class TailHistogram:
     n_fit_points: int
 
     def to_json_dict(self):
-        return {
-            "thresholds": list(self.thresholds),
-            "fractions": list(self.fractions),
-            "q_hat": self.q_hat,
-            "fit_residual": self.fit_residual,
-            "degenerate": self.degenerate,
-            "n_fit_points": self.n_fit_points,
-        }
+        return asdict(self)
 
 
 def tail_histogram(samples, f: TestFunction, k_max: int, threads: int = 1) -> TailHistogram:
@@ -399,15 +377,7 @@ class BorelCantelliRow:
     binomial_ci: float
 
     def to_json_dict(self):
-        return {
-            "radius": self.radius,
-            "variance_hat": self.variance_hat,
-            "ratio": self.ratio,
-            "partial_sum": self.partial_sum,
-            "error_bound": self.error_bound,
-            "empirical_exceedance": self.empirical_exceedance,
-            "binomial_ci": self.binomial_ci,
-        }
+        return asdict(self)
 
 
 def borel_cantelli_table(

@@ -7,6 +7,10 @@ the idealized formula overcounts: segments that pass through the other
 marked point on the way are excluded by an exact rationality test, and the
 excluded vectors are reported as corrections.
 
+Both oracles return their vectors as tuples, strictly increasing in
+(|v|^2, x, y), the order in which ``geodesic.enumerate_connections`` lists
+its distinct holonomies, so an oracle and an enumeration compare as tuples.
+
 The exact oracles walk the disc row by row (``exactplane._cosets_in_disc``),
 which refuses a disc of more rows or points than
 ``exactplane.default_budget()``; the slit oracle's three cosets share that
@@ -18,7 +22,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Set, Tuple
+from itertools import groupby
+from typing import Dict, Tuple
 
 from .errors import InputError, ResourceLimitError
 from .exactplane import (
@@ -59,9 +64,10 @@ class SlitTorusPoint:
             raise InputError("slit vector must not lie in the lattice")
 
 
-def torus_holonomy(t: TorusPoint, radius) -> Set[ExactVector]:
-    """{g w : w primitive, |g w| <= radius}, exact."""
-    return set(primitive_points_in_disc(radius, t.g))
+def torus_holonomy(t: TorusPoint, radius) -> Tuple[ExactVector, ...]:
+    """{g w : w primitive, |g w| <= radius}, exact, increasing in
+    (|v|^2, x, y)."""
+    return tuple(primitive_points_in_disc(radius, t.g))
 
 
 def _passes_through(w, target, scale: int) -> bool:
@@ -97,8 +103,12 @@ def _passes_through(w, target, scale: int) -> bool:
 
 @dataclass(frozen=True)
 class SlitHolonomyResult:
-    vectors: frozenset
-    corrections: frozenset  # formula vectors removed by the blocking filter
+    """The holonomy set and the formula vectors that the blocking filter
+    removed, each a tuple strictly increasing in (|v|^2, x, y) with no
+    vector twice."""
+
+    vectors: Tuple[ExactVector, ...]
+    corrections: Tuple[ExactVector, ...]
 
 
 def slit_torus_holonomy(t: SlitTorusPoint, radius) -> SlitHolonomyResult:
@@ -108,7 +118,10 @@ def slit_torus_holonomy(t: SlitTorusPoint, radius) -> SlitHolonomyResult:
     orientations of marked-point-to-marked-point segments).  Rational slit
     vectors admit coincidences; a candidate is dropped when every segment
     realizing it passes through the other marked point, and such vectors are
-    reported in corrections.
+    reported in corrections.  One exact test decides each candidate, since
+    a segment and its reverse pass through the same points.  Both are
+    sorted tuples with each vector once, also when 2v is in g Z^2 and the
+    cosets +v and -v are one.
     """
     radius = to_fraction(radius)
     if radius <= 0:
@@ -126,27 +139,29 @@ def slit_torus_holonomy(t: SlitTorusPoint, radius) -> SlitHolonomyResult:
     lim = radius * radius * scale * scale
     lim = lim.numerator // lim.denominator
 
-    def image(x, y):
-        return ExactVector(Fraction(a * x + b * y, scale), Fraction(c * x + d * y, scale))
-
-    vectors = set()
-    corrections = set()
+    kept, blocked = [], []
     # The three cosets share one walk and one budget.  A primitive lattice
-    # vector, scaled by L, is a loop at a marked point: it exists on the
-    # copy based at 0 unless it hits v, and at v unless it hits -v's copy.
-    # On the cosets +v + L Z^2 and -v + L Z^2 a segment runs between the
-    # two marked points, blocked by an interior lattice point or an
-    # interior copy of v.
+    # vector w, scaled by L, is a loop at a marked point, blocked on the copy
+    # at 0 iff it hits v and on the copy at v iff it hits -v's copy; these
+    # agree, as t w is in v + L Z^2 iff (1 - t) w = w - t w is in -v + L Z^2.
+    # On the cosets +-v + L Z^2 a segment between the marked points is blocked
+    # by an interior lattice point or copy of +-v; these agree too, as t w is
+    # in +-v + L Z^2 = w + L Z^2 iff (1 - t) w is in L Z^2.
     for target, x, y in _cosets_in_disc(m, lim, ((0, 0), (vx, vy), (-vx, -vy)), L):
-        w = (x, y)
-        if target == (0, 0):
-            if math.gcd(x, y) != L:
-                continue
-            blocked = _passes_through(w, (vx, vy), L) and _passes_through(w, (-vx, -vy), L)
-        else:
-            blocked = _passes_through(w, (0, 0), L) or _passes_through(w, target, L)
-        (corrections if blocked else vectors).add(image(x, y))
-    return SlitHolonomyResult(frozenset(vectors), frozenset(corrections))
+        if target == (0, 0) and math.gcd(x, y) != L:
+            continue
+        X, Y = a * x + b * y, c * x + d * y
+        through = (vx, vy) if target == (0, 0) else (0, 0)
+        (blocked if _passes_through((x, y), through, L) else kept).append((X * X + Y * Y, X, Y))
+
+    def exact(keys):
+        # The int images order the vectors as (|v|^2, x, y) does.  Where 2v is
+        # in the lattice the cosets +v and -v coincide, and groupby drops the
+        # second visit of each of their vectors, decided the same way.
+        return tuple(ExactVector(Fraction(X, scale), Fraction(Y, scale))
+                     for (_, X, Y), _ in groupby(sorted(keys)))
+
+    return SlitHolonomyResult(exact(kept), exact(blocked))
 
 
 @dataclass(frozen=True)

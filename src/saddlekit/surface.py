@@ -18,7 +18,7 @@ corner i to corner (i+1) % 3; corner i sits at the tail of edge i.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Dict, List, Tuple
 
@@ -54,11 +54,7 @@ class StratumSignature:
     dim_relative_homology: int
 
     def to_json_dict(self):
-        return {
-            "zero_orders": list(self.zero_orders),
-            "genus": self.genus,
-            "dim_relative_homology": self.dim_relative_homology,
-        }
+        return asdict(self)
 
 
 class TranslationSurface:

@@ -27,7 +27,7 @@ from .errors import (
     PrecisionLimitError,
     ResourceLimitError,
 )
-from .exactplane import ExactVector, compare_sqrt_sum, format_rational, sorted_by_length, to_fraction
+from .exactplane import ExactVector, compare_sqrt_sum, format_rational, to_fraction
 from .geodesic import (
     Cylinder,
     _outside_class,
@@ -401,10 +401,8 @@ class ARReport:
 
 
 def _holonomy_array(vectors) -> np.ndarray:
-    vecs = sorted_by_length(vectors)
-    if not vecs:
-        return np.zeros((0, 2))
-    return np.array([[float(v.x), float(v.y)] for v in vecs])
+    """The vectors, in their given order, as an (m, 2) float array."""
+    return np.array([[float(v.x), float(v.y)] for v in vectors], dtype=np.float64).reshape(-1, 2)
 
 
 def rotational_average_AR(s: TranslationSurface, f: TestFunction, R: float) -> ARReport:
@@ -413,10 +411,13 @@ def rotational_average_AR(s: TranslationSurface, f: TestFunction, R: float) -> A
     Trapezoidal quadrature over 256 equally spaced angles; since the surface's
     holonomy set transforms equivariantly, images of the exact vectors are
     tested in floats with the safety margin _DELTA_NUM and ambiguous points
-    are counted, never assigned.
+    are counted, never assigned.  A ProductPair sums over pairs of vectors,
+    not over the vectors themselves, and is refused with InputError.
     """
     if R < 1:
         raise InputError("stretch factor must be >= 1")
+    if isinstance(f, ProductPair):
+        raise InputError("the rotational average takes a test function of one vector, not a product")
     pre_radius = f.support_radius() * to_fraction(R)
     hs = enumerate_connections(s, radius=pre_radius)
     return _rotational_average(_holonomy_array(hs.vectors()), f, R, _AR_QUADRATURE_N)

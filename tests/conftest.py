@@ -1,10 +1,13 @@
+import functools
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from saddlekit import mc
 from saddlekit.builders import (
+    marked_torus,
     octagon_h2,
     slit_torus,
     square_torus,
@@ -81,6 +84,25 @@ def reference_haar_matrices(n, seed, y_max=None):
             assert abs(a * d - b * c - 1.0) <= 1e-12
             rows.append((a, b, c, d))
     return np.array(rows, dtype=np.float64)
+
+
+def increasing_by_length(vectors) -> bool:
+    """Whether the vectors are strictly increasing under the Fraction key
+    (|v|^2, x, y), the order of every holonomy set."""
+    keys = [(v.norm_sq(), v.x, v.y) for v in vectors]
+    return all(a < b for a, b in zip(keys, keys[1:]))
+
+
+@functools.cache
+def stratum_draws():
+    """20 seed-7 draws of sample_stratum_local about each of octagon_h2(),
+    slit_torus((1/3, 1/5)) and marked_torus((1/2, 1/3)): 60 surfaces."""
+    bases = (
+        octagon_h2(),
+        slit_torus(ExactVector.of(Fraction(1, 3), Fraction(1, 5))),
+        marked_torus(ExactVector.of(Fraction(1, 2), Fraction(1, 3))),
+    )
+    return tuple(s for base in bases for s in mc.sample_stratum_local(base, "1/20", 20, seed=7).surfaces)
 
 
 def sl2q(rng):

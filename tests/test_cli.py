@@ -358,6 +358,23 @@ _PINNED_OUTPUTS = {
         ["mc-stratum", "--surface", "octagon", "--samples", "20", "--seed", "7", "--radius", "1/2"],
         "68d83544f6de0f1081d1fa0d8f8966b9777f4a93fddad3fef2f87bfe62d11bb2",
     ),
+    "validate-slit": (
+        ["validate", "--surface", "slit"],
+        "999720e9ccd6a053f0596b639162167b4066e83e62fc7477c675aaa10fd65381",
+    ),
+    "bc-table-csv": (
+        ["bc-table", "--samples", "200", "--seed", "3", "--radii", "2,4", "--errors", "4,8", "--format", "csv"],
+        "fb9715e2bf84ff7ade1e78bda9ae2376c9feaa43084b0a3deedb3fc9f6f7cae7",
+    ),
+    # 2v is in the lattice: the slit's two cosets coincide.
+    "slit-exact-half": (
+        ["slit-exact", "--matrix", "1,0,0,1", "--slit", "1/2,0", "--radius", "4"],
+        "bf94ec57018b3cf46bb09874a0ae6c1508ea5da5e1a373ef990120b7f6fa0752",
+    ),
+    "slit-exact-half-half": (
+        ["slit-exact", "--matrix", "1,0,0,1", "--slit", "1/2,1/2", "--radius", "4"],
+        "a7f523e539888501315d3294aa66a4304560052d3c8c33e4cd4eee304116dbcc",
+    ),
 }
 
 

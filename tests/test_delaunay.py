@@ -4,6 +4,7 @@ from fractions import Fraction
 from typing import Tuple
 
 import pytest
+from conftest import stratum_draws
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -128,6 +129,19 @@ def test_is_locally_delaunay_quad_cases(torus):
         assert is_locally_delaunay(torus, slot)
 
 
+def test_the_verifier_needs_the_second_diamond_only_when_the_first_side_passes():
+    # Across (4, 0) the apex lies strictly inside triangle 4's diamond, and
+    # the triangle on the other side has none: the answer is False, not an
+    # error, and only the test from the other side raises.
+    s = apply_surface(ExactMatrix.of(1, -3, 0, 2), octagon_h2())
+    u, _ = s.gluings[(4, 0)]
+    with pytest.raises(DegenerateDiamondError):
+        _diamond(*s.int_corners()[1][u])
+    assert is_locally_delaunay(s, (4, 0)) is False
+    with pytest.raises(DegenerateDiamondError):
+        is_locally_delaunay(s, s.gluings[(4, 0)])
+
+
 def test_fourth_vertex_inside_forces_flip():
     # A sheared triangulation where the long diagonal fails the local test.
     s = sheared_torus(3)
@@ -193,7 +207,8 @@ def test_delaunay_shear3_reduces_to_short_diagonal():
 
 
 def test_shortest_connection_is_delaunay_edge_on_corpus(torus, slit_13_15, octagon):
-    for s in (torus, sheared_torus(Fraction(7, 3)), slit_13_15, octagon):
+    # The corpus, then 60 stratum draws about three of its surfaces.
+    for s in (torus, sheared_torus(Fraction(7, 3)), slit_13_15, octagon) + stratum_draws():
         dt = delaunay_l1(s)
         vecs = {dt.surface.edge_vector(sl) for sl in dt.surface.slots()}
         gamma = shortest(s).holonomy

@@ -16,7 +16,6 @@ from saddlekit.exactplane import (
     format_rational,
     is_perfect_square,
     primitive_points_in_disc,
-    sorted_by_length,
     sqrt_bounds,
     to_fraction,
 )
@@ -134,13 +133,6 @@ def test_apply_matrix_distributes_over_addition(a, b, c, d, x1, y1, x2, y2):
     u = ExactVector(x1, y1)
     v = ExactVector(x2, y2)
     assert m.apply(u + v) == m.apply(u) + m.apply(v)
-
-
-@settings(max_examples=50, deadline=None)
-@given(st.lists(st.tuples(rationals, rationals), max_size=30))
-def test_sorted_by_length_matches_the_fraction_key_sort(pairs):
-    vectors = [ExactVector(x, y) for x, y in pairs]
-    assert sorted_by_length(vectors) == sorted(vectors, key=lambda v: (v.norm_sq(), v.x, v.y))
 
 
 def test_integer_sl2_preserves_lattice():

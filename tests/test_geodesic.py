@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from conftest import sl2q
+from conftest import increasing_by_length, sl2q, stratum_draws
 
 from saddlekit import geodesic, mc
 from saddlekit.builders import (
@@ -33,7 +33,7 @@ from saddlekit.geodesic import (
     trace_connection,
 )
 from saddlekit.homology import EdgeHomology
-from saddlekit.oracle import TorusPoint, torus_holonomy
+from saddlekit.oracle import SlitTorusPoint, TorusPoint, slit_torus_holonomy, torus_holonomy
 from saddlekit.surface import apply_surface
 
 
@@ -55,7 +55,8 @@ def test_torus_oracle_equivalence(torus):
     for r in (1, 2, 3, 5, 10):
         got = enumerate_connections(torus, r).vectors()
         expected = set(primitive_points_in_disc(r))
-        assert got == expected, f"radius {r}"
+        assert set(got) == expected, f"radius {r}"
+        assert increasing_by_length(got), f"radius {r}"
 
 
 def test_count_matches_oracle(torus):
@@ -83,13 +84,15 @@ def test_equivariance_under_integral_shears(torus):
         ops = 1 + abs(k)  # operator norm bound for a unipotent integer shear
         pre = primitive_points_in_disc(r * (ops + 1))
         expected = {m.apply(v) for v in pre if m.apply(v).norm_sq() <= r * r}
-        assert image == expected
+        assert set(image) == expected
+        assert increasing_by_length(image)
 
 
 def test_holonomy_set_negation_symmetric(torus, slit_13_15, octagon):
     for s in (torus, slit_13_15, octagon):
         vecs = enumerate_connections(s, 2).vectors()
-        assert {-v for v in vecs} == vecs
+        assert {-v for v in vecs} == set(vecs)
+        assert increasing_by_length(vecs)
 
 
 def test_count_monotone_in_radius(slit_13_15):
@@ -381,16 +384,38 @@ def _stream_corpus():
 
 def test_stream_is_strictly_increasing_and_counts_distinct_holonomies():
     # Strictly increasing: no connection is reached twice.  Equal holonomies
-    # are adjacent, so n_vectors agrees with hashing the holonomies.
+    # are adjacent, so vectors(), which keeps one of each run, agrees with
+    # hashing the holonomies, and is strictly increasing in (|v|^2, x, y).
     total = 0
     for s in _stream_corpus():
         radius_sq = 16 * s.min_edge_norm_sq()
         stream = [(c.sort_key(), c.start_corner) for c in connections(s, radius_sq)]
         assert all(a < b for a, b in zip(stream, stream[1:]))
         hs = enumerate_connections(s, radius_sq=radius_sq)
-        assert hs.n_vectors() == len(hs.vectors())
+        assert hs.vectors() == tuple(dict.fromkeys(c.holonomy for c in hs.connections))
+        assert increasing_by_length(hs.vectors())
         total += len(stream)
     assert total > 1000
+
+
+def test_holonomy_sets_are_strictly_increasing_by_length():
+    # On 60 stratum draws and an SL(2, Q) image of each, vectors() is the
+    # stream's distinct holonomies in stream order, strictly increasing in
+    # (|v|^2, x, y), and count reads its length.  The exact oracles give the
+    # same order, also where the slit's two cosets coincide (2v in Z^2).
+    rng = random.Random(7)
+    draws = stratum_draws()
+    for s in draws + tuple(apply_surface(sl2q(rng), s) for s in draws):
+        got = enumerate_connections(s, 2).vectors()
+        assert increasing_by_length(got)
+        assert got == tuple(dict.fromkeys(c.holonomy for c in connections(s, 4)))
+        assert len(got) == count(s, 2)
+    for _ in range(20):
+        assert increasing_by_length(torus_holonomy(TorusPoint(sl2q(rng)), 5))
+    for v in (V(Fraction(1, 2), 0), V(Fraction(1, 2), Fraction(1, 2)), V(Fraction(1, 3), Fraction(1, 5))):
+        for g in (ExactMatrix.identity(), sl2q(rng)):
+            res = slit_torus_holonomy(SlitTorusPoint(g, g.apply(v)), 4)
+            assert increasing_by_length(res.vectors) and increasing_by_length(res.corrections)
 
 
 @pytest.mark.parametrize(

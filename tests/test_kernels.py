@@ -1,6 +1,7 @@
 import math
 import time
 import tracemalloc
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -145,6 +146,22 @@ def test_radius_zero_holds_no_point_and_nan_is_refused():
 def test_rows_outside_the_float_range_are_refused(entries, radius):
     with pytest.raises(ResourceLimitError):
         kernels.count_primitive_in_disc(*entries, radius)
+
+
+@pytest.mark.parametrize(
+    "entries",
+    [(1e200, 0.0, 0.0, 1e-200), (1e-200, 0.0, 0.0, 1e200), (1e300, 1e300, 1e-300, 3e-300)],
+    ids=["wide", "tall", "skewed"],
+)
+def test_huge_entries_are_refused_without_a_warning_in_both_kernels(entries):
+    # |M|_F^2 overflows to inf: both kernels refuse the lattice, and neither
+    # warns about the overflow first.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ResourceLimitError):
+            kernels.count_primitive_in_disc(*entries, 1.0)
+        with pytest.raises(ResourceLimitError):
+            next(kernels.primitive_points([entries], 1.0))
 
 
 def test_a_lattice_of_1e8_rows_is_refused_within_a_second():

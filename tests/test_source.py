@@ -281,3 +281,58 @@ def test_an_unread_cli_option_is_found():
         "def cmd_b_c(args):\n    return _helper(args, None)\n"
     )
     assert _unread_options(parser, tree) == [("a", "v"), ("b-c", "z")]
+
+
+def _hand_copied_field_lists(trees):
+    """(module, class) of each dataclass whose to_json_dict is one
+    ``return {...}`` of exactly its field names, each value ``self.<field>``
+    or a copy of it that ``dataclasses.asdict`` makes as well: ``list(...)``,
+    ``dict(sorted(....items()))`` or ``....to_json_dict()``."""
+
+    def copies(value, name):
+        field = f"self.{name}"
+        return ast.unparse(value) in (
+            field, f"list({field})", f"dict(sorted({field}.items()))", f"{field}.to_json_dict()"
+        )
+
+    found = []
+    for module, tree in trees.items():
+        for cls in ast.walk(tree):
+            if not isinstance(cls, ast.ClassDef) or not any(
+                ast.unparse(d).startswith("dataclass") for d in cls.decorator_list
+            ):
+                continue
+            fields = sorted(n.target.id for n in cls.body if isinstance(n, ast.AnnAssign))
+            for method in cls.body:
+                if not (isinstance(method, ast.FunctionDef) and method.name == "to_json_dict"):
+                    continue
+                body = [n for n in method.body if not isinstance(n, ast.Expr)]  # the docstring
+                ret = body[0].value if len(body) == 1 and isinstance(body[0], ast.Return) else None
+                if not isinstance(ret, ast.Dict) or not all(isinstance(k, ast.Constant) for k in ret.keys):
+                    continue
+                names = [k.value for k in ret.keys]
+                if sorted(names) == fields and all(map(copies, ret.values, names)):
+                    found.append((module, cls.name))
+    return sorted(found)
+
+
+def test_no_report_copies_its_field_list_by_hand():
+    # A report whose JSON is its own fields is dataclasses.asdict(self).
+    assert _hand_copied_field_lists(_trees()) == []
+
+
+def test_a_hand_copied_field_list_is_found():
+    tree = ast.parse(
+        "@dataclass(frozen=True)\nclass Copied:\n    n: int\n    xs: tuple\n    rep: object\n"
+        "    def to_json_dict(self):\n        '''The fields.'''\n"
+        "        return {'xs': list(self.xs), 'n': self.n, 'rep': self.rep.to_json_dict()}\n"
+        "@dataclass\nclass Formatted:\n    q: object\n"
+        "    def to_json_dict(self):\n        return {'q': str(self.q)}\n"
+        "@dataclass\nclass Renamed:\n    q: object\n"
+        "    def to_json_dict(self):\n        return {'value': self.q}\n"
+        "class Plain:\n    q: int\n"
+        "    def to_json_dict(self):\n        return {'q': self.q}\n"
+        "@dataclass\nclass Partial:\n    q: int\n    r: int\n"
+        "    def to_json_dict(self):\n        return {'q': self.q}\n"
+    )
+    assert _hand_copied_field_lists({"a": tree}) == [("a", "Copied")]

@@ -138,6 +138,13 @@ def test_rotational_average_identity(torus):
     assert rep.ambiguous_fraction == 0
 
 
+def test_rotational_average_of_a_product_is_an_input_error(octagon):
+    # A product sums over pairs of vectors; A_R averages over single ones.
+    f = ProductPair(DiscIndicator(1), DiscIndicator(1))
+    with pytest.raises(InputError, match="product"):
+        rotational_average_AR(octagon, f, 2.0)
+
+
 def test_rotational_average_richardson(torus):
     # A_R's 256 angles against the same quadrature on twice as many.
     f = DiscIndicator(Fraction(3, 2))
