@@ -308,8 +308,3 @@ def prepare_planar(points: Sequence[ExactVector]) -> dict:
         "surface_vertex_to_id": surface_vertex_to_id,
     }
 
-
-def follows_parallel_count(path: ChewPath, conn: SaddleConnection) -> int:
-    """Number of path edges parallel to the connection's holonomy."""
-    h = conn.holonomy
-    return sum(1 for v in path.edge_vectors if v.cross(h) == 0)

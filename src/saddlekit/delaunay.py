@@ -430,27 +430,3 @@ def _needs_flip(tris, glue, slot) -> bool:
         return False
     return convex and not _edge_empty_diamond_exists(a, b, c, d)
 
-
-# --- planar brute force (testing oracle) -----------------------------------
-
-
-def planar_empty_diamond_triples(points: List[ExactVector]):
-    """All point triples whose circumscribing diamond strictly contains no
-    other point; the planar L1 Delaunay triangles for generic sets."""
-    n = len(points)
-    triples = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(j + 1, n):
-                try:
-                    dia = diamond_of(points[i], points[j], points[k])
-                except DegenerateDiamondError:
-                    continue
-                if any(
-                    dia.contains_strictly(points[m])
-                    for m in range(n)
-                    if m not in (i, j, k)
-                ):
-                    continue
-                triples.append(frozenset((i, j, k)))
-    return triples

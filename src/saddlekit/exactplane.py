@@ -46,11 +46,12 @@ def to_fraction(x) -> Fraction:
     """Coerce ints, Fractions, "num/den" strings and floats to Fraction.
 
     Floats go through their shortest decimal repr, so 0.05 means 1/20, not
-    the IEEE-754 neighbor with a 2**55 denominator.
+    the IEEE-754 neighbor with a 2**55 denominator.  A bool is no number,
+    though Python counts it an int: JSON true is refused, not read as 1.
     """
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int):
+    if isinstance(x, int) and not isinstance(x, bool):
         return Fraction(x)
     if isinstance(x, float):
         x = str(x)
@@ -133,9 +134,6 @@ class ExactVector:
 
     def __str__(self):
         return f"({format_rational(self.x)}, {format_rational(self.y)})"
-
-
-ZERO = ExactVector(Fraction(0), Fraction(0))
 
 
 # --- int pairs: points scaled by a common multiple of their denominators ----
@@ -224,24 +222,6 @@ class ExactMatrix:
 
     def entries(self) -> tuple:
         return (self.a, self.b, self.c, self.d)
-
-
-def euler_phi(n: int) -> int:
-    """Number of 1 <= k <= n coprime to n, by trial-division factorization."""
-    if n < 1:
-        raise InputError("euler_phi requires n >= 1")
-    result = n
-    m = n
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            while m % p == 0:
-                m //= p
-            result -= result // p
-        p += 1 if p == 2 else 2
-    if m > 1:
-        result -= result // m
-    return result
 
 
 def _cosets_in_disc(m, lim: int, shifts=((0, 0),), step: int = 1):

@@ -474,37 +474,6 @@ def _strip(s: TranslationSurface, corner: Slot, d: ExactVector):
     raise ResourceLimitError("segment trace did not terminate")
 
 
-def trace_connection(
-    s: TranslationSurface, start_vertex: int, displacement: ExactVector
-) -> SaddleConnection:
-    """The saddle connection from a vertex with the given exact holonomy.
-
-    Raises BlockedAtVertex if the straight segment passes through another
-    vertex first, InputError if no vertex sits at the displacement, and
-    InputError at a cone point, where the vertex and the holonomy leave one
-    segment per sheet (`_start_corner`).
-    """
-    s.validate()
-    if displacement.is_zero():
-        raise InputError("displacement must be nonzero")
-    corners = [
-        (t, c)
-        for t in range(s.n_triangles())
-        for c in range(3)
-        if s.corner_vertex((t, c)) == start_vertex
-    ]
-    corner = _start_corner(s, corners, displacement)
-    _, _, crossings, lower, end = _strip(s, corner, displacement)
-    return SaddleConnection(
-        holonomy=displacement,
-        start=start_vertex,
-        end=end,
-        crossings=tuple(crossings),
-        homology_class=s.homology().class_of_slots(lower),
-        start_corner=corner,
-    )
-
-
 # --- cylinder detection ----------------------------------------------------
 
 
@@ -513,12 +482,6 @@ class Cylinder:
     width_sq: Fraction  # circumference^2 of the core curves
     height_sq: Fraction
     period: ExactVector  # holonomy of the core
-
-    def width(self) -> float:
-        return float(self.width_sq) ** 0.5
-
-    def height(self) -> float:
-        return float(self.height_sq) ** 0.5
 
 
 @dataclass(frozen=True)

@@ -65,7 +65,10 @@ the work budget; a lattice in the cusp needs none.  The budget is their
 ``budget`` argument, which ``mc`` fills from one
 ``exactplane.default_budget()`` read per batch, since a read per lattice
 would add about 7% to a count at radius 20; a call without one reads it
-itself.
+itself.  Both also refuse, with the one error of ``_float_range_error``, a
+lattice with a row that meets the disc but whose float bounds mid -+ half
+are not finite, as when A underflows to zero or the disc overflows; the
+batched kernel decides this before it casts any bound to an int.
 """
 
 from __future__ import annotations
@@ -157,20 +160,33 @@ def _runs(lengths):
     return run, np.arange(run.size) - (lengths.cumsum() - lengths)[run]
 
 
-def _candidates(q, a, b, c, d, r2):
+def _float_range_error(radius) -> ResourceLimitError:
+    """The refusal of a lattice with a row that meets the disc but whose
+    float bounds mid -+ half are not finite, in both kernels."""
+    return ResourceLimitError(f"a disc of radius {radius} leaves the float64 range on this lattice")
+
+
+def _candidates(q, a, b, c, d, r2, radius):
     """Candidate points of rows q >= 1, as (row index into q, p), for arrays
-    q, a, b, c, d aligned by row and a scalar r2.  A row the disc misses has
-    none."""
-    A = a * a + c * c
-    B = 2.0 * (a * b + c * d)
-    C = b * b + d * d
-    qq = (q * q).astype(np.float64)
-    disc = B * B * qq - 4.0 * A * (C * qq - r2)
-    meets = disc >= 0
-    half = np.sqrt(np.where(meets, disc, 0.0)) / (2.0 * A)
-    mid = -B * q / (2.0 * A)
-    plo = np.floor(mid - half).astype(np.int64) - 1
-    phi = np.floor(mid + half).astype(np.int64) + 1
+    q, a, b, c, d aligned by row and scalars r2 = radius**2 and radius.  A
+    row the disc misses has none; a row that meets it with bounds outside
+    the float range refuses the lattice, before any bound is cast to int."""
+    # Inf and NaN arise here as in the scalar kernel's floats: silently.
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        A = a * a + c * c
+        B = 2.0 * (a * b + c * d)
+        C = b * b + d * d
+        qq = (q * q).astype(np.float64)
+        disc = B * B * qq - 4.0 * A * (C * qq - r2)
+        meets = disc >= 0
+        half = np.sqrt(np.where(meets, disc, 0.0)) / (2.0 * A)
+        mid = -B * q / (2.0 * A)
+        x_lo, x_hi = mid - half, mid + half
+    finite = np.isfinite(x_lo) & np.isfinite(x_hi)
+    if not finite[meets].all():
+        raise _float_range_error(radius)
+    plo = np.floor(np.where(finite, x_lo, 0.0)).astype(np.int64) - 1
+    phi = np.floor(np.where(finite, x_hi, 0.0)).astype(np.int64) + 1
     row, offset = _runs(np.where(meets, phi - plo + 1, 0))
     return row, plo[row] + offset
 
@@ -210,7 +226,7 @@ def primitive_points(matrices, radius: float, budget=None):
         sample += lo
         q = k + 1
         ra, rb, rc, rd = a[sample], b[sample], c[sample], d[sample]
-        row, ps = _candidates(q, ra, rb, rc, rd, r2)
+        row, ps = _candidates(q, ra, rb, rc, rd, r2, radius)
         qs = q[row]
         t1 = ra[row] * ps + rb[row] * qs
         t2 = rc[row] * ps + rd[row] * qs
@@ -351,7 +367,8 @@ def count_primitive_in_disc(a: float, b: float, c: float, d: float, radius: floa
             x_lo, x_hi = mid - half, mid + half
             lo, hi = math.floor(x_lo), math.floor(x_hi)
         except (ArithmeticError, ValueError):
-            raise ResourceLimitError(f"a disc of radius {radius} leaves the float64 range on this lattice") from None
+            # A2 = 0, or a bound mid -+ half at inf or NaN.
+            raise _float_range_error(radius) from None
         if half > floor and _TAU < x_lo - lo < _UNTAU and _TAU < x_hi - hi < _UNTAU:
             lo += 1
         else:

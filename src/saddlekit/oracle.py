@@ -14,7 +14,11 @@ its distinct holonomies, so an oracle and an enumeration compare as tuples.
 The exact oracles walk the disc row by row (``exactplane._cosets_in_disc``),
 which refuses a disc of more rows or points than
 ``exactplane.default_budget()``; the slit oracle's three cosets share that
-budget.  The determinant histogram refuses more ordered pairs than it.
+budget.
+
+``siegel_constant_torus`` is the torus's Siegel-Veech constant 1/zeta(2),
+the mean holonomy count per unit area against which ``mc`` measures its
+Haar estimates.
 """
 
 from __future__ import annotations
@@ -23,20 +27,10 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import groupby
-from typing import Dict, Tuple
+from typing import Tuple
 
-from .errors import InputError, ResourceLimitError
-from .exactplane import (
-    ExactMatrix,
-    ExactVector,
-    _cosets_in_disc,
-    default_budget,
-    euler_phi,
-    primitive_points_in_disc,
-    to_fraction,
-)
-
-_ZETA2_TERMS = 200_000  # terms of zeta2_partial
+from .errors import InputError
+from .exactplane import ExactMatrix, ExactVector, _cosets_in_disc, primitive_points_in_disc, to_fraction
 
 
 @dataclass(frozen=True)
@@ -164,87 +158,7 @@ def slit_torus_holonomy(t: SlitTorusPoint, radius) -> SlitHolonomyResult:
     return SlitHolonomyResult(exact(kept), exact(blocked))
 
 
-@dataclass(frozen=True)
-class SiegelVeechMeasureTorus:
-    """Atomic spectral measures of the flat torus.
-
-    nu has an atom of mass phi(|n|) / zeta(2) at each nonzero integer n;
-    eta is the counting measure on slopes +1 and -1.  zeta(2) stays
-    symbolic: atoms store the integer weight, the normalizer names the
-    constant.
-    """
-
-    max_index: int
-    nu_weights: Dict[int, int]
-    eta_atoms: Dict[int, int]
-    normalizer: str = "zeta(2)"
-
-    def to_json_dict(self):
-        return {
-            "normalizer": self.normalizer,
-            "nu_atoms": [
-                {"n": n, "weight_phi": w} for n, w in sorted(self.nu_weights.items())
-            ],
-            "eta_atoms": [{"slope": s, "weight": w} for s, w in sorted(self.eta_atoms.items())],
-        }
-
-
-def sv_measure_torus(max_index: int = 24) -> SiegelVeechMeasureTorus:
-    weights = {}
-    for n in range(1, max_index + 1):
-        weights[n] = euler_phi(n)
-        weights[-n] = weights[n]
-    return SiegelVeechMeasureTorus(
-        max_index=max_index, nu_weights=weights, eta_atoms={1: 1, -1: 1}
-    )
-
-
-def zeta2_partial() -> Tuple[float, float]:
-    """Partial sum of sum 1/n^2 over _ZETA2_TERMS terms with an integral
-    tail bound; independent of the closed form."""
-    s = 0.0
-    for n in range(_ZETA2_TERMS, 0, -1):
-        s += 1.0 / (n * n)
-    # Tail is between 1/(terms+1) and 1/terms.
-    return (s + 1.0 / (_ZETA2_TERMS + 1), s + 1.0 / _ZETA2_TERMS)
-
-
 def siegel_constant_torus() -> float:
     """1 / zeta(2) at double precision: mean holonomy count per unit area."""
     return 6.0 / (math.pi * math.pi)
 
-
-def _pair_determinants(bound: int):
-    """The primitive vectors of length at most bound as int64 arrays xs and
-    ys, and the n x n matrix of det(v_i, v_j); refused before the matrix is
-    allocated when its n^2 entries exceed the budget."""
-    import numpy as np
-
-    pts = primitive_points_in_disc(bound)
-    pairs, budget = len(pts) ** 2, default_budget()
-    if pairs > budget:
-        raise ResourceLimitError("determinant pairs exceed the budget", pairs=pairs, budget=budget)
-    xs = np.array([int(v.x) for v in pts], dtype=np.int64)
-    ys = np.array([int(v.y) for v in pts], dtype=np.int64)
-    return xs, ys, xs[:, None] * ys[None, :] - ys[:, None] * xs[None, :]
-
-
-def determinant_histogram(bound: int) -> Dict[int, int]:
-    """Frequencies of det(v1, v2) over ordered pairs of primitive vectors of
-    length at most bound; the finite-volume shadow of the nu spectrum."""
-    import numpy as np
-
-    _, _, dets = _pair_determinants(bound)
-    values, counts = np.unique(dets, return_counts=True)
-    return {int(v): int(c) for v, c in zip(values, counts)}
-
-
-def collinear_pairs_are_opposite(bound: int) -> bool:
-    """det = 0 on primitive pairs only at v2 = +-v1 (eta support check)."""
-    import numpy as np
-
-    xs, ys, dets = _pair_determinants(bound)
-    zi, zj = np.nonzero(dets == 0)
-    same = (xs[zi] == xs[zj]) & (ys[zi] == ys[zj])
-    opp = (xs[zi] == -xs[zj]) & (ys[zi] == -ys[zj])
-    return bool(np.all(same | opp))

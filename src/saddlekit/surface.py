@@ -267,7 +267,10 @@ class TranslationSurface:
         try:
             for pair in data.get("gluings", []):
                 (t1, e1), (t2, e2) = pair
-                a, b = (int(t1), int(e1)), (int(t2), int(e2))
+                a, b = (t1, e1), (t2, e2)
+                # A JSON integer: neither a fraction of one nor a boolean.
+                if not all(type(i) is int for i in a + b):
+                    raise InputError(f"malformed gluing entry: slot indices must be integers, got {pair!r}")
                 gluings[a] = b
                 gluings[b] = a
         except (TypeError, ValueError) as exc:
@@ -305,11 +308,3 @@ def apply_surface(m: ExactMatrix, s: TranslationSurface) -> TranslationSurface:
     triangles = [Triangle(tuple(m.apply(e) for e in tri.edges)) for tri in s.triangles]
     return TranslationSurface(triangles, s.gluings)
 
-
-def surfaces_equal(a: TranslationSurface, b: TranslationSurface) -> bool:
-    """Structural equality: same triangles, same gluing pairing."""
-    if len(a.triangles) != len(b.triangles):
-        return False
-    if any(ta.edges != tb.edges for ta, tb in zip(a.triangles, b.triangles)):
-        return False
-    return a.gluings == b.gluings

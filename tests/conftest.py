@@ -13,7 +13,9 @@ from saddlekit.builders import (
     square_torus,
     torus_from_matrix,
 )
+from saddlekit.errors import InputError
 from saddlekit.exactplane import ExactMatrix, ExactVector
+from saddlekit.geodesic import SaddleConnection, _start_corner, _strip
 from saddlekit.surface import TranslationSurface
 
 
@@ -113,3 +115,34 @@ def sl2q(rng):
     p = Fraction(rng.randint(1, 5), rng.randint(1, 5))
     m = ExactMatrix.shear(q()).compose(ExactMatrix.diagonal(p, 1 / p))
     return m.compose(ExactMatrix.of(1, 0, q(), 1))
+
+
+def trace_connection(
+    s: TranslationSurface, start_vertex: int, displacement: ExactVector
+) -> SaddleConnection:
+    """The saddle connection from a vertex with the given exact holonomy.
+
+    Raises BlockedAtVertex if the straight segment passes through another
+    vertex first, InputError if no vertex sits at the displacement, and
+    InputError at a cone point, where the vertex and the holonomy leave one
+    segment per sheet (`_start_corner`).
+    """
+    s.validate()
+    if displacement.is_zero():
+        raise InputError("displacement must be nonzero")
+    corners = [
+        (t, c)
+        for t in range(s.n_triangles())
+        for c in range(3)
+        if s.corner_vertex((t, c)) == start_vertex
+    ]
+    corner = _start_corner(s, corners, displacement)
+    _, _, crossings, lower, end = _strip(s, corner, displacement)
+    return SaddleConnection(
+        holonomy=displacement,
+        start=start_vertex,
+        end=end,
+        crossings=tuple(crossings),
+        homology_class=s.homology().class_of_slots(lower),
+        start_corner=corner,
+    )

@@ -1,17 +1,16 @@
 import dataclasses
-import math
 import random
 from fractions import Fraction
 from itertools import islice
 
 import pytest
-from conftest import sl2q
+from conftest import sl2q, trace_connection
 
 from saddlekit import chew
 from saddlekit.builders import (
     marked_torus, octagon_h2, sheared_torus, slit_torus, square_torus, torus_from_basis, torus_from_matrix,
 )
-from saddlekit.chew import chew_path, follows_parallel_count, planar_chew, prepare_planar
+from saddlekit.chew import ChewPath, chew_path, planar_chew, prepare_planar
 from saddlekit.delaunay import DegenerateDiamondError, delaunay_l1
 from saddlekit.errors import InputError
 from saddlekit.exactplane import ExactMatrix, ExactVector, compare_sqrt_sum, sqrt_bounds
@@ -20,12 +19,16 @@ from saddlekit.geodesic import (
     detect_cylinder,
     enumerate_connections,
     shortest,
-    trace_connection,
     Cylinder,
+    SaddleConnection,
 )
 from saddlekit.surface import _in_wedge, apply_surface
 
-SQRT10 = math.sqrt(10)
+
+def follows_parallel_count(path: ChewPath, conn: SaddleConnection) -> int:
+    """Number of path edges parallel to the connection's holonomy."""
+    h = conn.holonomy
+    return sum(1 for v in path.edge_vectors if v.cross(h) == 0)
 
 
 def V(x, y):

@@ -30,6 +30,25 @@ def bad_gluing_file(tmp_path, torus):
 
 
 @pytest.fixture()
+def loose_json_files(tmp_path, torus):
+    """The square torus with a JSON boolean or a fractional number where the
+    schema wants a rational or a slot index; each was once read as the torus."""
+    paths = {}
+    for case in ("boolean coordinate", "fractional slot", "boolean slot"):
+        data = torus.to_json_dict()
+        if case == "boolean coordinate":
+            data["triangles"][0]["edges"][0] = [True, "0"]
+        elif case == "fractional slot":
+            data["gluings"][0] = [[0, 0.9], [1, 1.5]]
+        else:
+            data["gluings"][0] = [[False, False], [True, True]]
+        path = tmp_path / (case.replace(" ", "_") + ".json")
+        path.write_text(json.dumps(data))
+        paths[case] = str(path)
+    return paths
+
+
+@pytest.fixture()
 def empty_file(tmp_path):
     path = tmp_path / "empty.json"
     path.write_text("")
@@ -67,10 +86,14 @@ def empty_file(tmp_path):
         "bc radii overflow",
         "bc errors overflow",
         "tails fn overflow",
+        "boolean radius",
+        "boolean coordinate",
+        "fractional slot",
+        "boolean slot",
     ],
 )
 def test_malformed_input_exits_1_with_input_code(
-    case, capsys, monkeypatch, tmp_path, torus_file, empty_file, bad_gluing_file
+    case, capsys, monkeypatch, tmp_path, torus_file, empty_file, bad_gluing_file, loose_json_files
 ):
     argv = {
         "empty surface": ["count", "--surface", empty_file, "--radius", "2"],
@@ -101,6 +124,10 @@ def test_malformed_input_exits_1_with_input_code(
         "bc radii overflow": ["bc-table", "--samples", "5", "--seed", "1", "--radii", "1e400", "--errors", "8"],
         "bc errors overflow": ["bc-table", "--samples", "5", "--seed", "1", "--radii", "4", "--errors", "1e400"],
         "tails fn overflow": ["tails", "--samples", "5", "--seed", "1", "--fn", '{"variant":"disc","r":"1e400"}'],
+        "boolean radius": ["transform", "--surface", torus_file, "--fn", '{"variant":"disc","r":true}'],
+        "boolean coordinate": ["count", "--surface", loose_json_files["boolean coordinate"], "--radius", "2"],
+        "fractional slot": ["count", "--surface", loose_json_files["fractional slot"], "--radius", "2"],
+        "boolean slot": ["count", "--surface", loose_json_files["boolean slot"], "--radius", "2"],
     }[case]
     env = {"budget env": "abc", "budget zero": "0", "budget negative": "-5", "budget env negative": "-5"}
     if case in env:

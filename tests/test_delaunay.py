@@ -1,19 +1,21 @@
 import hashlib
 import random
 from fractions import Fraction
-from typing import Tuple
+from typing import List, Tuple
 
 import pytest
-from conftest import stratum_draws
+from conftest import sl2q, stratum_draws
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from saddlekit.builders import (
     centered_octagon_h2,
+    marked_torus,
     octagon_h2,
     regular_octagon_approx,
     sheared_torus,
     slit_torus,
+    square_torus,
     wrap_points_in_torus,
 )
 from saddlekit.chew import prepare_planar
@@ -29,15 +31,40 @@ from saddlekit.delaunay import (
     delaunay_l1,
     diamond_of,
     is_locally_delaunay,
-    planar_empty_diamond_triples,
 )
 from saddlekit.exactplane import ExactMatrix, ExactVector
-from saddlekit.geodesic import shortest
+from saddlekit.geodesic import enumerate_connections, shortest
 from saddlekit.surface import apply_surface, area
+from saddlekit.sv import AnnulusIndicator, DiscIndicator, classify, transform_report
 
 
 def V(x, y):
     return ExactVector.of(x, y)
+
+
+# --- planar brute force (testing oracle) -----------------------------------
+
+
+def planar_empty_diamond_triples(points: List[ExactVector]):
+    """All point triples whose circumscribing diamond strictly contains no
+    other point; the planar L1 Delaunay triangles for generic sets."""
+    n = len(points)
+    triples = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            for k in range(j + 1, n):
+                try:
+                    dia = diamond_of(points[i], points[j], points[k])
+                except DegenerateDiamondError:
+                    continue
+                if any(
+                    dia.contains_strictly(points[m])
+                    for m in range(n)
+                    if m not in (i, j, k)
+                ):
+                    continue
+                triples.append(frozenset((i, j, k)))
+    return triples
 
 
 def test_diamond_examples():
@@ -213,6 +240,48 @@ def test_shortest_connection_is_delaunay_edge_on_corpus(torus, slit_13_15, octag
         vecs = {dt.surface.edge_vector(sl) for sl in dt.surface.slots()}
         gamma = shortest(s).holonomy
         assert gamma in vecs or -gamma in vecs
+
+
+def _independence_group(name):
+    """The 5 corpus surfaces, the 60 stratum draws, or 15 SL(2, Q) images
+    of the corpus, 3 of each surface."""
+    corpus = (
+        square_torus(), slit_torus(V(Fraction(1, 3), Fraction(1, 5))), octagon_h2(),
+        regular_octagon_approx(), marked_torus(V(Fraction(1, 2), Fraction(1, 3))),
+    )
+    if name == "corpus":
+        return corpus
+    if name == "draws":
+        return stratum_draws()
+    rng = random.Random(11)
+    return tuple(apply_surface(sl2q(rng), s) for s in corpus for _ in range(3))
+
+
+def _outputs(s):
+    """The holonomy set, the classification and two transforms of s."""
+    return (
+        enumerate_connections(s, 2).vectors(),
+        [classify(s, eps0, Fraction(1, 2)).to_json_dict() for eps0 in (Fraction(1, 2), 2)],
+        [transform_report(s, f) for f in (DiscIndicator(2), AnnulusIndicator(1, 2))],
+    )
+
+
+@pytest.mark.parametrize(
+    "group, degenerate", [("corpus", []), ("draws", []), ("images", [3])], ids=["corpus", "draws", "images"]
+)
+def test_outputs_do_not_depend_on_the_triangulation(group, degenerate):
+    # The same answers on s and on its L1-Delaunay retriangulation.  Image 3
+    # (of the slit torus) is the known DegenerateDiamondError defect of
+    # delaunay_l1 on points with a slope +-1 pair.
+    raised = []
+    for i, s in enumerate(_independence_group(group)):
+        try:
+            flipped = delaunay_l1(s).surface
+        except DegenerateDiamondError:
+            raised.append(i)
+            continue
+        assert _outputs(flipped) == _outputs(s), i
+    assert raised == degenerate
 
 
 def test_delaunay_preserves_vertices_and_signature(slit_13_15):

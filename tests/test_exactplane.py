@@ -1,7 +1,6 @@
 import math
 from fractions import Fraction
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,7 +11,6 @@ from saddlekit.exactplane import (
     ExactVector,
     _cosets_in_disc,
     compare_sqrt_sum,
-    euler_phi,
     format_rational,
     is_perfect_square,
     primitive_points_in_disc,
@@ -21,24 +19,6 @@ from saddlekit.exactplane import (
 )
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=64)
-
-
-def test_euler_phi_small_examples():
-    assert euler_phi(1) == 1
-    assert euler_phi(2) == 1
-    # brute-force gcd scan oracle
-    assert euler_phi(12) == sum(1 for k in range(1, 13) if math.gcd(k, 12) == 1) == 4
-
-
-def test_euler_phi_matches_brute_force_to_1e4():
-    for n in range(1, 10_001):
-        expected = int(np.count_nonzero(np.gcd(np.arange(1, n + 1), n) == 1))
-        assert euler_phi(n) == expected
-
-
-def test_euler_phi_domain():
-    with pytest.raises(InputError):
-        euler_phi(0)
 
 
 def test_primitive_points_radius_1():

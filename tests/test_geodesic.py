@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from conftest import increasing_by_length, sl2q, stratum_draws
+from conftest import increasing_by_length, sl2q, stratum_draws, trace_connection
 
 from saddlekit import geodesic, mc
 from saddlekit.builders import (
@@ -30,7 +30,6 @@ from saddlekit.geodesic import (
     reverse_of,
     second_shortest_nonhomologous,
     shortest,
-    trace_connection,
 )
 from saddlekit.homology import EdgeHomology
 from saddlekit.oracle import SlitTorusPoint, TorusPoint, slit_torus_holonomy, torus_holonomy
@@ -396,6 +395,25 @@ def test_stream_is_strictly_increasing_and_counts_distinct_holonomies():
         assert increasing_by_length(hs.vectors())
         total += len(stream)
     assert total > 1000
+
+
+def test_holonomy_sets_are_equivariant_under_sl2q():
+    # |v| <= |g^-1|_F |g v|, so the set of s up to R |g^-1|_F holds every
+    # preimage of the set of g s up to R.  Its images, filtered exactly to
+    # the disc, are that set, in the same (|v|^2, x, y) order.
+    rng = random.Random(5)
+    radius = Fraction(3, 2)
+    draws = stratum_draws()
+    vectors = 0
+    for s in draws[0:8] + draws[20:28] + draws[40:48]:
+        g = sl2q(rng)
+        wide = enumerate_connections(s, radius_sq=radius**2 * sum(x * x for x in g.inverse().entries()))
+        images = (g.apply(v) for v in wide.vectors())
+        want = sorted((w for w in images if w.norm_sq() <= radius**2), key=lambda w: (w.norm_sq(), w.x, w.y))
+        got = enumerate_connections(apply_surface(g, s), radius).vectors()
+        assert got == tuple(want), (s, g)
+        vectors += len(got)
+    assert vectors == 424
 
 
 def test_holonomy_sets_are_strictly_increasing_by_length():

@@ -20,7 +20,7 @@ from itertools import islice
 from typing import List, Tuple
 
 import pytest
-from conftest import sl2q
+from conftest import sl2q, trace_connection
 
 from saddlekit import chew, mc
 from saddlekit.builders import marked_torus, octagon_h2, slit_torus, square_torus
@@ -30,7 +30,7 @@ from saddlekit.errors import (
     BlockedAtVertex, ChewCaseError, DegenerateDiamondError, FlipCycleError, InputError,
     ResourceLimitError, SaddlekitError,
 )
-from saddlekit.exactplane import ZERO, ExactVector, _vec, compare_sqrt_sum, sqrt_bounds
+from saddlekit.exactplane import ExactVector, _vec, compare_sqrt_sum, sqrt_bounds
 from saddlekit.geodesic import (
     Cylinder,
     Unknown,
@@ -38,9 +38,10 @@ from saddlekit.geodesic import (
     _strip,
     connections,
     detect_cylinder,
-    trace_connection,
 )
 from saddlekit.surface import StratumSignature, apply_surface
+
+ZERO = ExactVector(Fraction(0), Fraction(0))
 
 
 def V(x, y):

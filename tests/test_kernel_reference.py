@@ -309,5 +309,5 @@ def test_lattices_at_the_cusp_rules_margin_match_the_reference(y):
             if in_cusp:
                 qmax = math.floor(radius * math.sqrt(A + C) / det) + 1
                 q = np.arange(1, qmax + 1)
-                row, _ = kernels._candidates(q, *(np.full(qmax, v) for v in (a, b, c, d)), radius * radius)
+                row, _ = kernels._candidates(q, *(np.full(qmax, v) for v in (a, b, c, d)), radius * radius, radius)
                 assert row.size == 0

@@ -144,8 +144,24 @@ def test_radius_zero_holds_no_point_and_nan_is_refused():
     ids=["disc-overflows", "A-underflows"],
 )
 def test_rows_outside_the_float_range_are_refused(entries, radius):
-    with pytest.raises(ResourceLimitError):
-        kernels.count_primitive_in_disc(*entries, radius)
+    # A row meets the disc with bounds mid -+ half at inf or NaN: both
+    # kernels refuse the lattice alike, and neither warns first.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ResourceLimitError, match="leaves the float64 range on this lattice"):
+            kernels.count_primitive_in_disc(*entries, radius)
+        with pytest.raises(ResourceLimitError, match="leaves the float64 range on this lattice"):
+            list(kernels.primitive_points([entries], radius))
+
+
+def test_rows_that_miss_the_disc_may_have_infinite_bounds():
+    # A = 1e-320 is subnormal, so mid = -B q / 2A is -inf in every row; no
+    # row meets the disc, and both kernels count the axis pair alone.
+    entries, radius = (1e-160, 1e150, 0.0, 1e150), 1e-159
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert kernels.count_primitive_in_disc(*entries, radius) == 2
+        assert sum(owner.size for owner, _, _ in kernels.primitive_points([entries], radius)) == 2
 
 
 @pytest.mark.parametrize(

@@ -11,6 +11,18 @@ from saddlekit import cli
 
 _MODULES = sorted(p for p in Path(saddlekit.__file__).parent.glob("*.py") if p.name != "__init__.py")
 _TEST_MODULES = sorted(Path(__file__).parent.glob("*.py"))
+_PERFBENCH_MODULES = sorted((Path(__file__).parents[1] / "perfbench").glob("*.py"))
+
+# Library entry points that no program in the repo calls, kept for callers of
+# the package: (module, name).
+_ENTRY_POINTS = {
+    ("builders", "marked_torus"),
+    ("builders", "centered_octagon_h2"),
+    ("builders", "sheared_torus"),
+    ("surface", "apply_surface"),
+    ("sv", "pair_transform"),
+    ("sv", "sector_sandwich"),
+}
 
 
 def _trees():
@@ -30,8 +42,9 @@ def _unused_imports(tree):
     return sorted((line, name) for name, line in imported.items() if name not in used)
 
 
-def _private_definitions(tree):
-    """Module-level private functions, classes and constants: name -> line."""
+def _definitions(tree):
+    """Module-level functions, classes and constants, dunders aside: name ->
+    line."""
     defined = {}
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
@@ -45,7 +58,7 @@ def _private_definitions(tree):
         else:
             continue
         for name in names:
-            if name.startswith("_") and not name.startswith("__"):
+            if not name.startswith("__"):
                 defined[name] = node.lineno
     return defined
 
@@ -63,16 +76,44 @@ def _loaded_names(tree):
     return loaded
 
 
+def _unloaded(trees, loaded, wanted):
+    """(module, line, name) of each module-level definition in trees that
+    wanted(module, name) selects and that is not in loaded."""
+    return sorted(
+        (module, line, name)
+        for module, tree in trees.items()
+        for name, line in _definitions(tree).items()
+        if wanted(module, name) and name not in loaded
+    )
+
+
 def _unloaded_private_names(trees):
     """(module, line, name) of each private module-level definition that no
     tree loads."""
     loaded = set().union(*map(_loaded_names, trees.values()))
-    return sorted(
-        (module, line, name)
-        for module, tree in trees.items()
-        for name, line in _private_definitions(tree).items()
-        if name not in loaded
-    )
+    return _unloaded(trees, loaded, lambda module, name: name.startswith("_"))
+
+
+def _unloaded_public_names(trees, loaders, exempt):
+    """(module, line, name) of each public module-level definition in trees
+    that no tree of loaders loads and that is not exempt as (module, name)."""
+    loaded = set().union(*map(_loaded_names, loaders))
+    return _unloaded(trees, loaded, lambda module, name: not name.startswith("_") and (module, name) not in exempt)
+
+
+def _unloaded_test_helpers(trees):
+    """(module, line, name) of each module-level definition in the test
+    trees that is neither a test nor a pytest hook and that no test tree
+    loads; a function parameter loads the fixture of its name."""
+    loaded = set().union(*map(_loaded_names, trees.values()))
+    loaded |= {
+        arg.arg
+        for tree in trees.values()
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for arg in node.args.posonlyargs + node.args.args + node.args.kwonlyargs
+    }
+    return _unloaded(trees, loaded, lambda module, name: not name.startswith(("test_", "Test", "pytest")))
 
 
 def test_modules_are_found():
@@ -106,6 +147,60 @@ def test_an_unloaded_private_name_is_found():
     assert _unloaded_private_names(trees) == [
         ("a", 1, "_spare"), ("a", 6, "_Unused"), ("a", 8, "_state_key")
     ]
+
+
+def _command_functions(parser):
+    """("cli", name) of the ``cmd_*`` function each subcommand dispatches to."""
+    (subparsers,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return {("cli", "cmd_" + command.replace("-", "_")) for command in subparsers.choices}
+
+
+def test_package_loads_every_public_name_it_defines():
+    # main() dispatches to cmd_<command> by name; the entry points are kept
+    # for library callers.  Tests do not count as callers.
+    loaders = list(_trees().values()) + [ast.parse(p.read_text()) for p in _PERFBENCH_MODULES]
+    exempt = _command_functions(cli.build_parser()) | _ENTRY_POINTS
+    assert _unloaded_public_names(_trees(), loaders, exempt) == []
+
+
+def test_an_unloaded_public_name_is_found():
+    a = (
+        "LIMIT, spare = 3, 4\n__version__ = '1'\n"
+        "def helper():\n    return LIMIT\n"
+        "class Unused:\n    pass\n"
+        "def cmd_run(args):\n    pass\n"
+        "def entry():\n    pass\n"
+    )
+    b = "from a import helper\n"
+    trees = {"a": ast.parse(a), "b": ast.parse(b)}
+    exempt = {("a", "cmd_run"), ("a", "entry")}
+    assert _unloaded_public_names(trees, trees.values(), exempt) == [("a", 1, "spare"), ("a", 5, "Unused")]
+    assert _unloaded_public_names(trees, [trees["a"]], exempt) == [("a", 1, "spare"), ("a", 3, "helper"), ("a", 5, "Unused")]
+    parser = argparse.ArgumentParser()
+    parser.add_subparsers(dest="command").add_parser("torus-exact")
+    assert _command_functions(parser) == {("cli", "cmd_torus_exact")}
+
+
+def test_every_test_helper_is_loaded():
+    trees = {p.stem: ast.parse(p.read_text()) for p in _TEST_MODULES}
+    assert _unloaded_test_helpers(trees) == []
+
+
+def test_an_unloaded_test_helper_is_found():
+    conftest = (
+        "import pytest\n@pytest.fixture\ndef torus():\n    pass\n"
+        "@pytest.fixture\ndef spare():\n    pass\n"
+        "def pytest_configure(config):\n    pass\n"
+        "def reference(x):\n    return x\n"
+    )
+    module = (
+        "from conftest import reference\npytestmark = []\n_CASES = [1]\n_SPARE = 2\n"
+        "def _check(x):\n    return reference(x)\n"
+        "def test_torus(torus):\n    assert _check(_CASES)\n"
+        "class TestGroup:\n    pass\n"
+    )
+    trees = {"conftest": ast.parse(conftest), "test_a": ast.parse(module)}
+    assert _unloaded_test_helpers(trees) == [("conftest", 6, "spare"), ("test_a", 4, "_SPARE")]
 
 
 def _environment_reads(trees):

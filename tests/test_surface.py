@@ -19,11 +19,20 @@ from saddlekit.errors import (
     SingularMatrixError,
 )
 from saddlekit.exactplane import ExactMatrix, ExactVector
-from saddlekit.surface import TranslationSurface, Triangle, apply_surface, area, surfaces_equal
+from saddlekit.surface import TranslationSurface, Triangle, apply_surface, area
 
 
 def V(x, y):
     return ExactVector.of(x, y)
+
+
+def surfaces_equal(a: TranslationSurface, b: TranslationSurface) -> bool:
+    """Structural equality: same triangles, same gluing pairing."""
+    if len(a.triangles) != len(b.triangles):
+        return False
+    if any(ta.edges != tb.edges for ta, tb in zip(a.triangles, b.triangles)):
+        return False
+    return a.gluings == b.gluings
 
 
 def test_square_torus_signature(torus):
