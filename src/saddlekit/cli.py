@@ -6,10 +6,10 @@ csv.  Exit codes: 0 success, 1 domain error with machine-readable JSON on
 stderr, 2 usage error.
 
 Work is bounded by the environment variable ``SADDLEKIT_BUDGET`` (default
-500,000: enumeration states, lattice rows and points); no command takes a
-flag for it.  A command that needs more exits 1 with ``RESOURCE_LIMIT`` and
-the progress it made, e.g. ``states``, ``connections`` and
-``radius_sq_reached`` for an enumeration.
+500,000: enumeration states, lattice rows and points, and samples); no
+command takes a flag for it.  A command that needs more exits 1 with
+``RESOURCE_LIMIT`` and the progress it made, e.g. ``states``,
+``connections`` and ``radius_sq_reached`` for an enumeration.
 """
 
 from __future__ import annotations

@@ -16,8 +16,12 @@ form one run, most rows take the run's ends from the floor of their float
 roots, certified far enough from every integer; the rest walk in from
 padded ends, and on the rare lattices past that bound each point of the
 run is tested instead.  A sector transform runs the batched numpy
-``kernels.primitive_points`` once over the whole array and sums each
-chunk's non-ambiguous hits per sample with ``np.bincount``.  Both kernels
+``kernels.primitive_points`` once over the whole array, with the sector's
+rays as its cone: it walks the same rows as the scalar kernel, each cut to
+the p whose point could lie in the cone, and yields only the points that
+pass the sector's float cone test, at most one of each pair +-v;
+``evaluate_batch`` decides those, and each chunk's non-ambiguous hits are
+summed per sample with ``np.bincount``.  Both kernels
 get their row budget from one ``exactplane.default_budget()`` read per
 batch, not one per lattice.  A stratum surface's transform is
 ``sv.transform_report`` at the surface's area, so the surface is never
@@ -38,7 +42,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import kernels
-from .errors import AcceptanceRateError, InputError, SurfaceError
+from .errors import AcceptanceRateError, InputError, ResourceLimitError, SurfaceError
 from .exactplane import ExactVector, default_budget, to_float, to_fraction
 from .oracle import siegel_constant_torus
 from .surface import TranslationSurface, Triangle, area
@@ -70,6 +74,16 @@ class HaarSample:
         return len(self.matrices)
 
 
+def _check_sample_count(n: int) -> None:
+    """Refuse a sample count below 1 or over the work budget, before any
+    sample is drawn or any array allocated."""
+    if n < 1:
+        raise InputError("sample count must be positive")
+    budget = default_budget()
+    if n > budget:
+        raise ResourceLimitError(f"{n} samples are over the budget of {budget}", samples=n, budget=budget)
+
+
 def sample_torus_haar(n: int, seed: int) -> HaarSample:
     """Unit-covolume lattices distributed per the invariant measure.
 
@@ -83,8 +97,7 @@ def sample_torus_haar(n: int, seed: int) -> HaarSample:
     entry of the product a row of r(theta) = [[cos, -sin], [sin, cos]] (from
     math.cos and math.sin) times a column of the base, summed left to right.
     """
-    if n < 1:
-        raise InputError("sample count must be positive")
+    _check_sample_count(n)
     if seed < 0:
         raise InputError("seed must be nonnegative")
     rng = np.random.default_rng(seed)
@@ -140,8 +153,7 @@ def sample_stratum_local(
     spread = to_fraction(spread)
     if spread < 0:
         raise InputError("spread must be nonnegative")
-    if n < 1:
-        raise InputError("sample count must be positive")
+    _check_sample_count(n)
     if seed < 0:
         raise InputError("seed must be nonnegative")
     signature = base.validate()
@@ -212,7 +224,8 @@ def _torus_values(matrices: np.ndarray, f: TestFunction) -> np.ndarray:
         return _disc_counts(matrices, to_float(f.r2)) - _disc_counts(matrices, to_float(f.r1))
     if isinstance(f, SectorIndicator):
         out = np.zeros(len(matrices))
-        for owner, xs, ys in kernels.primitive_points(matrices, to_float(f.support_radius()), default_budget()):
+        # Only the points in the rays' cone can count.
+        for owner, xs, ys in kernels.primitive_points(matrices, to_float(f.support_radius()), default_budget(), f.cone):
             vals, amb = f.evaluate_batch(xs, ys, 1e-12)
             out += np.bincount(owner, weights=np.where(amb, 0, vals), minlength=len(out))
         return out

@@ -15,12 +15,14 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Tuple
 
 import numpy as np
 
+from . import kernels
 from .errors import (
     AmbiguousMembershipError,
     InputError,
@@ -158,6 +160,7 @@ class SectorIndicator(TestFunction):
     half_angle: float
     ray_lo: ExactVector = field(init=False, compare=False)
     ray_hi: ExactVector = field(init=False, compare=False)
+    cone: tuple = field(init=False, repr=False, compare=False)
     r_sq: Fraction = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -165,10 +168,23 @@ class SectorIndicator(TestFunction):
         if self.r <= 0:
             raise InputError("sector radius must be positive")
         object.__setattr__(self, "r_sq", self.r * self.r)
+        for name in ("theta", "half_angle"):
+            value = getattr(self, name)
+            # A bool is no angle, though Python counts it an int; an int
+            # past the float range has no finite float angle.
+            try:
+                angle = float(value) if isinstance(value, numbers.Real) and not isinstance(value, bool) else math.nan
+            except OverflowError:
+                angle = math.inf
+            if not math.isfinite(angle):
+                raise InputError(f"sector {name} must be a finite number, got {value!r}")
+            object.__setattr__(self, name, angle)
         if not (0 < self.half_angle < math.pi / 2):
             raise InputError("half_angle must lie in (0, pi/2)")
         object.__setattr__(self, "ray_lo", _ray_approx(self.theta - self.half_angle))
         object.__setattr__(self, "ray_hi", _ray_approx(self.theta + self.half_angle))
+        # The rays as floats, ((lx, ly), (hx, hy)), for the float rule.
+        object.__setattr__(self, "cone", tuple((float(v.x), float(v.y)) for v in (self.ray_lo, self.ray_hi)))
 
     def support_radius(self) -> Fraction:
         return self.r
@@ -200,10 +216,7 @@ class SectorIndicator(TestFunction):
     def evaluate_batch(self, xs, ys, delta: float):
         r2 = float(self.r) ** 2
         d = xs * xs + ys * ys
-        lx, ly = float(self.ray_lo.x), float(self.ray_lo.y)
-        hx, hy = float(self.ray_hi.x), float(self.ray_hi.y)
-        c1 = lx * ys - ly * xs
-        c2 = xs * hy - ys * hx
+        c1, c2 = kernels._cone_crosses(self.cone, xs, ys)
         norm = np.sqrt(np.maximum(d, 1e-300))
         margin = max(delta, float(_SECTOR_MARGIN))
         pos1 = c1 > 0
@@ -309,9 +322,7 @@ def test_function_from_json(data) -> TestFunction:
         if variant == "annulus":
             return AnnulusIndicator(to_fraction(data["r1"]), to_fraction(data["r2"]))
         if variant == "sector":
-            return SectorIndicator(
-                to_fraction(data["r"]), float(data["theta"]), float(data["half_angle"])
-            )
+            return SectorIndicator(to_fraction(data["r"]), data["theta"], data["half_angle"])
         if variant == "triangle":
             return TriangleIndicator(
                 ExactVector.from_json(data["p"]), ExactVector.from_json(data["q"])

@@ -90,6 +90,10 @@ def empty_file(tmp_path):
         "boolean coordinate",
         "fractional slot",
         "boolean slot",
+        "boolean theta",
+        "infinite theta",
+        "nan theta",
+        "string half_angle",
     ],
 )
 def test_malformed_input_exits_1_with_input_code(
@@ -128,6 +132,10 @@ def test_malformed_input_exits_1_with_input_code(
         "boolean coordinate": ["count", "--surface", loose_json_files["boolean coordinate"], "--radius", "2"],
         "fractional slot": ["count", "--surface", loose_json_files["fractional slot"], "--radius", "2"],
         "boolean slot": ["count", "--surface", loose_json_files["boolean slot"], "--radius", "2"],
+        "boolean theta": ["transform", "--surface", torus_file, "--fn", '{"variant":"sector","r":"3","theta":true,"half_angle":0.5}'],
+        "infinite theta": ["transform", "--surface", torus_file, "--fn", '{"variant":"sector","r":"3","theta":1e400,"half_angle":0.5}'],
+        "nan theta": ["transform", "--surface", torus_file, "--fn", '{"variant":"sector","r":"3","theta":NaN,"half_angle":0.5}'],
+        "string half_angle": ["transform", "--surface", torus_file, "--fn", '{"variant":"sector","r":"3","theta":0.3,"half_angle":"0.5"}'],
     }[case]
     env = {"budget env": "abc", "budget zero": "0", "budget negative": "-5", "budget env negative": "-5"}
     if case in env:
@@ -188,11 +196,29 @@ def test_threads_below_one_is_an_input_error(command, threads, capsys, monkeypat
 
 
 def test_mc_stratum_reads_budget(capsys, monkeypatch, torus_file):
+    # One sample is within a budget of 1; its enumeration is not.
     monkeypatch.setenv("SADDLEKIT_BUDGET", "1")
-    argv = ["mc-stratum", "--surface", torus_file, "--samples", "2", "--seed", "7", "--radius", "2"]
+    argv = ["mc-stratum", "--surface", torus_file, "--samples", "1", "--seed", "7", "--radius", "2"]
     code, out, err = run(capsys, argv)
     assert code == 1 and out == ""
-    assert json.loads(err)["error"] == "RESOURCE_LIMIT"
+    payload = json.loads(err)
+    assert (payload["error"], payload["states"]) == ("RESOURCE_LIMIT", 1)
+
+
+@pytest.mark.parametrize("command", ["mc-torus", "mc-stratum", "variance", "tails", "bc-table"])
+def test_sample_counts_over_the_budget_are_refused(command, capsys, torus_file):
+    n = "10000000000000"
+    argv = {
+        "mc-torus": ["mc-torus", "--samples", n, "--seed", "1", "--radius", "2"],
+        "mc-stratum": ["mc-stratum", "--surface", torus_file, "--samples", n, "--seed", "1"],
+        "variance": ["variance", "--samples", n, "--seed", "1", "--radius", "2"],
+        "tails": ["tails", "--samples", n, "--seed", "1"],
+        "bc-table": ["bc-table", "--samples", n, "--seed", "1", "--radii", "4", "--errors", "8"],
+    }[command]
+    code, out, err = run(capsys, argv)
+    assert code == 1 and out == ""
+    payload = json.loads(err)
+    assert (payload["error"], payload["samples"], payload["budget"]) == ("RESOURCE_LIMIT", 10**13, 500_000)
 
 
 def test_classify_a_pushed_draw_without_its_cylinder(capsys, tmp_path):

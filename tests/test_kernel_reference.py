@@ -11,6 +11,7 @@ import math
 import sys
 import threading
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ import pytest
 from conftest import reference_haar_matrices
 from saddlekit import kernels
 from saddlekit.mc import sample_torus_haar
+from saddlekit.sv import SectorIndicator
 
 N_RADII = 50
 PER_RADIUS = 2000  # 100k (lattice, radius) pairs in all
@@ -220,17 +222,14 @@ def rotation(th):
     return (math.cos(th), -math.sin(th), math.sin(th), math.cos(th))
 
 
-def test_tangent_rows_match_the_reference():
-    # Integer radii on the identity: row q = R touches the circle at p = 0.
-    assert_counts_match([(1.0, 0.0, 0.0, 1.0)], [float(r) for r in range(1, 41)])
-    # r(th) [[x, -x p / q], [0, 1 / x]] maps the primitive (p, q) to a point
-    # where the circle through it touches row q.  The shear by j moves that
-    # point to p - j q, and its long second column gives the row's disc a
-    # rounding error far above the test's, so near the tangent point the
-    # float roots are mostly rounding error.
-    rng = np.random.default_rng(41)
-    lattices = 0
-    while lattices < 60:
+def tangent_lattices(n, rng):
+    """n pairs (m, radius): r(th) [[x, -x p / q], [0, 1 / x]] maps the
+    primitive (p, q) to a point where the circle through it touches row q.
+    The shear by j moves that point to p - j q, and its long second column
+    gives the row's disc a rounding error far above the test's, so near the
+    tangent point the float roots are mostly rounding error."""
+    out = []
+    while len(out) < n:
         x = math.exp(rng.uniform(math.log(0.25), math.log(4.0)))
         q = int(rng.integers(2, 12))
         p = int(rng.integers(1, q))
@@ -240,24 +239,39 @@ def test_tangent_rows_match_the_reference():
         m = times(times(rotation(rng.uniform(0.0, 2.0 * math.pi)), (x, -x * p / q, 0.0, 1 / x)), (1, j, 0, 1))
         a, b, c, d = m
         t1, t2 = a * (p - j * q) + b * q, c * (p - j * q) + d * q
-        assert_counts_match([m], nearby_radii(math.sqrt(t1 * t1 + t2 * t2), 1))
-        lattices += 1
+        out.append((m, math.sqrt(t1 * t1 + t2 * t2)))
+    return out
+
+
+def test_tangent_rows_match_the_reference():
+    # Integer radii on the identity: row q = R touches the circle at p = 0.
+    assert_counts_match([(1.0, 0.0, 0.0, 1.0)], [float(r) for r in range(1, 41)])
+    for m, radius in tangent_lattices(60, np.random.default_rng(41)):
+        assert_counts_match([m], nearby_radii(radius, 1))
+
+
+def bound_lattices(margin, n, rng):
+    """n pairs (m, radius) with A = margin * 32u k^2 r^2, about t rows
+    meeting the disc (k is near 1 / x^2) and 1 < r sqrt(A) < 40."""
+    out = []
+    for _ in range(n):
+        t, b, th = rng.uniform(1.5, 20.0), rng.uniform(-0.5, 0.5), rng.uniform(0.0, 2.0 * math.pi)
+        x = (t * math.sqrt(margin * 32.0 * 2.0**-53)) ** 0.25
+        m = times(rotation(th), (x, b, 0.0, 1 / x))
+        a, b, c, d = m
+        k = (a * a + b * b + c * c + d * d) / abs(a * d - b * c)
+        out.append((m, math.sqrt((a * a + c * c) / (margin * 32.0 * 2.0**-53)) / k))
+    return out
 
 
 @pytest.mark.parametrize("margin", [1.001, 1e4, 1e6])
 def test_lattices_just_past_the_no_hole_bound_match_the_reference(margin):
     # A = margin * 32u k^2 r^2: rows of thousands of points, with the
     # certificate's floor on half from far above every row to a few units.
-    rng = np.random.default_rng(23)
-    for _ in range(6):
-        # About t rows meet the disc, as k is near 1 / x^2.
-        t, b, th = rng.uniform(1.5, 20.0), rng.uniform(-0.5, 0.5), rng.uniform(0.0, 2.0 * math.pi)
-        x = (t * math.sqrt(margin * 32.0 * 2.0**-53)) ** 0.25
-        m = times(rotation(th), (x, b, 0.0, 1 / x))
+    for m, radius in bound_lattices(margin, 6, np.random.default_rng(23)):
         a, b, c, d = m
         A = a * a + c * c
         k = (a * a + b * b + c * c + d * d) / abs(a * d - b * c)
-        radius = math.sqrt(A / (margin * 32.0 * 2.0**-53)) / k
         assert 32.0 * 2.0**-53 * k * k * radius * radius < A
         assert 1.0 < radius * math.sqrt(A) < 40.0
         assert_counts_match([m], [radius, radius * (1.0 + 1e-9)])
@@ -308,6 +322,92 @@ def test_lattices_at_the_cusp_rules_margin_match_the_reference(y):
             assert_points_match(m[None, :], radius, np.zeros(xs.size, np.int64), xs, ys)
             if in_cusp:
                 qmax = math.floor(radius * math.sqrt(A + C) / det) + 1
-                q = np.arange(1, qmax + 1)
-                row, _ = kernels._candidates(q, *(np.full(qmax, v) for v in (a, b, c, d)), radius * radius, radius)
-                assert row.size == 0
+                q = np.arange(1.0, qmax + 1)
+                start, end = kernels._windows(q, *(np.full(qmax, v) for v in (a, b, c, d)), radius * radius, radius)
+                assert (start > end).all()
+
+
+# (theta, half_angle) of the sectors the cone mode is checked on: a ray
+# along the identity's rows (theta - half_angle = 0, so alpha = 0), rays
+# through its points (1, +-1), a half-angle close to pi/2, one whose rays
+# round to opposite ones, a thin sector.
+SECTORS = (
+    (0.3, 0.4), (2.0, 0.7), (-1.0, 1.2), (0.5, 0.5), (0.0, math.pi / 4), (1.0, math.pi / 2 - 1e-6),
+    (0.7, math.nextafter(math.pi / 2, 0.0)), (3.0, 1e-3),
+)
+
+
+def signed_keys(matrices, owner, xs, ys):
+    """For each point, int keys of (owner, p, q) and of (owner, -p, -q),
+    with the (p, q) that M^-1 recovers."""
+    a, b, c, d = (matrices[owner, i] for i in range(4))
+    det = a * d - b * c
+    p = np.rint((d * xs - b * ys) / det).astype(np.int64)
+    q = np.rint((a * ys - c * xs) / det).astype(np.int64)
+    span = 2 * max(int(np.abs(p).max(initial=0)), int(np.abs(q).max(initial=0))) + 1
+    return (owner * span + q) * span + p, (owner * span - q) * span - p
+
+
+def assert_the_cone_mode_counts_as_the_disc(matrices, radius):
+    """For each sector: the cone mode yields exactly the disc's points that
+    pass the cone's float test, never both of +-v, and so the sector counts
+    the same points in both modes."""
+    matrices = np.asarray(matrices, dtype=np.float64).reshape(-1, 4)
+    disc = [np.concatenate(part) for part in zip(*kernels.primitive_points(matrices, radius))]
+    for theta, half in SECTORS:
+        f = SectorIndicator(Fraction(radius), theta, half)
+        (lx, ly), (hx, hy) = cone = tuple((float(v.x), float(v.y)) for v in (f.ray_lo, f.ray_hi))
+        owner, xs, ys = disc
+        passes = (lx * ys - ly * xs > 0) & (xs * hy - ys * hx > 0)
+        want = sorted_points(matrices, owner[passes], xs[passes], ys[passes])
+        got = [np.concatenate(part) for part in zip(*kernels.primitive_points(matrices, radius, cone=cone))]
+        for w, g in zip(want, sorted_points(matrices, *got)):
+            assert np.array_equal(w, g), (theta, half, radius)
+        plus, minus = signed_keys(matrices, *got)
+        assert not np.isin(plus, minus).any(), (theta, half, radius)
+        counted = []
+        for owner, xs, ys in (disc, got):
+            vals, amb = f.evaluate_batch(xs, ys, 1e-12)
+            keep = (vals == 1) & ~amb
+            counted.append(sorted_points(matrices, owner[keep], xs[keep], ys[keep]))
+        for w, g in zip(*counted):
+            assert np.array_equal(w, g), (theta, half, radius)
+
+
+def lattices_through_the_rays(n, rng):
+    """n lattices for each ray of each of SECTORS, with a point M (p0, 1)
+    on that ray up to the rounding of the second column t ray - p0 col1: the
+    float cross product there is a few ulps either side of 0."""
+    out = []
+    for theta, half in SECTORS:
+        f = SectorIndicator(Fraction(1), theta, half)
+        for ray in (f.ray_lo, f.ray_hi):
+            rx, ry = float(ray.x), float(ray.y)
+            for _ in range(n):
+                th, x = rng.uniform(0.0, 2.0 * math.pi), math.exp(rng.uniform(-1.0, 1.0))
+                a, c = x * math.cos(th), x * math.sin(th)
+                p0, t = int(rng.integers(-3, 4)), rng.uniform(0.5, 3.0)
+                if abs(a * ry - c * rx) > 1e-3:
+                    out.append((a, t * rx - p0 * a, c, t * ry - p0 * c))
+    return out
+
+
+def test_the_cone_mode_counts_as_the_disc():
+    rng = np.random.default_rng(5)
+    families = {
+        "haar": [(sample_torus_haar(300, seed=11).matrices, r) for r in (0.7, 3.0, 8.0)],
+        "truncated haar": [(reference_haar_matrices(300, 4, 8.0), r) for r in (2.5, 12.0)],
+        "near cusp": [(near_cusp_lattices(40, rng), r) for r in (5.0, 25.0)],
+        "identity": [([1.0, 0.0, 0.0, 1.0], r) for r in (1.0, math.sqrt(2.0), 3.0, 5.0, 25.0)],
+        "circles": [
+            ([times(turn, s) for s in SHEARS], r)
+            for turn in ((3 / 5, -4 / 5, 4 / 5, 3 / 5), (5 / 13, -12 / 13, 12 / 13, 5 / 13))
+            for r in nearby_radii(25.0, 1)
+        ],
+        "tangent rows": tangent_lattices(20, rng),
+        "at the no-hole bound": bound_lattices(1.001, 2, rng) + bound_lattices(0.999, 2, rng),
+        "through the rays": [(lattices_through_the_rays(30, rng), 4.0)],
+    }
+    for name, cases in families.items():
+        for matrices, radius in cases:
+            assert_the_cone_mode_counts_as_the_disc(matrices, radius)

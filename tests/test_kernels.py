@@ -124,6 +124,21 @@ def test_sector_mean_over_20k_samples_keeps_memory_flat():
     assert peak < 5 * (1 << 20)
 
 
+def test_a_half_plane_sector_over_20k_samples_keeps_memory_flat():
+    # The widest sector: its rays round to opposite ones, so the cone cuts
+    # each row only to a half plane, 1.2 million points at R = 8; the
+    # kernel still tests a bounded number of candidates at a time.
+    samples = sample_torus_haar(20000, seed=11)
+    f = SectorIndicator(Fraction(8), 0.3, math.nextafter(math.pi / 2, 0.0))
+    tracemalloc.start()
+    try:
+        estimate_mean_transform(samples, f)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * (1 << 20)
+
+
 def test_negative_radius_is_an_input_error_in_both_kernels():
     with pytest.raises(InputError):
         kernels.count_primitive_in_disc(1.0, 0.0, 0.0, 1.0, -5.0)
@@ -199,6 +214,61 @@ def test_the_row_budget_is_exact_and_read_from_the_environment(monkeypatch):
     monkeypatch.setenv("SADDLEKIT_BUDGET", "20")
     with pytest.raises(ResourceLimitError):
         kernels.count_primitive_in_disc(1.0, 0.0, 0.0, 1.0, 20.0)
+
+
+def rows_walked(kernel_call):
+    """The rows a kernel call needs, read from its refusal at budget 0."""
+    try:
+        kernel_call(0)
+    except ResourceLimitError as exc:
+        return exc.details["rows"]
+    return 0
+
+
+def test_both_kernels_walk_and_budget_the_same_rows():
+    # The identity at radius 20 walks rows 1..21 after the row cutoff in
+    # both kernels; the Frobenius bound alone would walk 29.
+    identity = [[1.0, 0.0, 0.0, 1.0]]
+    assert sum(owner.size for owner, _, _ in kernels.primitive_points(identity, 20.0, budget=21)) == 768
+    with pytest.raises(ResourceLimitError) as exc:
+        next(kernels.primitive_points(identity, 20.0, budget=20))
+    assert (exc.value.details["rows"], exc.value.details["budget"]) == (21, 20)
+    # Lattice by lattice, in the cusp, at the no-hole bound and past it.
+    lattices = np.concatenate((
+        sample_torus_haar(300, seed=11).matrices,
+        reference_haar_matrices(100, 3, 8.0),
+        [[0.003, 0.3, 0.001, (1.0 + 0.3 * 0.001) / 0.003], [1e8, 0.0, 0.0, 1e-8]],
+    ))
+    for radius in (0.5, 2.0, 8.0, 20.0, 350.0):
+        for m in lattices.tolist():
+            scalar = rows_walked(lambda budget: kernels.count_primitive_in_disc(*m, radius, budget))
+            batched = rows_walked(lambda budget: next(kernels.primitive_points([m], radius, budget), None))
+            assert scalar == batched, (m, radius)
+
+
+@pytest.mark.parametrize(
+    "cone",
+    [((0.0, 0.0), (0.0, 1.0)), ((1.0, 0.0), (0.0, 1e-200)), ((1.0, 0.0), (0.0, math.inf)),
+     ((math.nan, 0.0), (0.0, 1.0))],
+    ids=["zero-ray", "tiny-ray", "infinite-ray", "nan-ray"],
+)
+def test_the_batched_kernel_refuses_a_cone_ray_out_of_range(cone):
+    with pytest.raises(InputError):
+        next(kernels.primitive_points([[1.0, 0.0, 0.0, 1.0]], 2.0, cone=cone))
+
+
+def test_a_sector_whose_rays_round_to_opposite_ones_counts_as_the_whole_disc():
+    # Half-angle just below pi/2: the rays round to (0, -1) and (0, 1), and
+    # the cone they bound, a half plane, counts what the full disc walk gives.
+    half = math.nextafter(math.pi / 2, 0.0)
+    f = SectorIndicator(Fraction(4), 0.0, half)
+    assert f.ray_lo.cross(f.ray_hi) == 0
+    samples = sample_torus_haar(200, seed=3)
+    want = np.zeros(len(samples))
+    for owner, xs, ys in kernels.primitive_points(samples.matrices, 4.0):
+        vals, amb = f.evaluate_batch(xs, ys, 1e-12)
+        want += np.bincount(owner, weights=np.where(amb, 0, vals), minlength=len(want))
+    assert estimate_mean_transform(samples, f).mean == want.mean() > 0
 
 
 def test_batched_kernel_refuses_one_lattice_over_the_budget():

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 from conftest import reference_haar_matrices
 from saddlekit import mc
 from saddlekit.builders import centered_octagon_h2
-from saddlekit.errors import InputError
+from saddlekit.errors import InputError, ResourceLimitError
 from saddlekit.geodesic import enumerate_connections
 from saddlekit.surface import TranslationSurface, area
 from saddlekit.sv import AnnulusIndicator, DiscIndicator, ProductPair, SectorIndicator, TestFunction
@@ -260,3 +261,27 @@ def test_disc_counts_make_one_kernel_call_per_sample_and_radius(job, monkeypatch
 def test_haar_transform_refuses_a_radius_beyond_the_float_range(f):
     with pytest.raises(InputError, match="beyond the float range"):
         mc.estimate_mean_transform(mc.sample_torus_haar(5, 1), f)
+
+
+@pytest.mark.parametrize("n", [500_001, 10**9, 10**13])
+@pytest.mark.parametrize("sampler", ["haar", "stratum"])
+def test_sample_counts_over_the_budget_are_refused_before_allocating(sampler, n, octagon):
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimitError) as exc:
+            if sampler == "haar":
+                mc.sample_torus_haar(n, 1)
+            else:
+                mc.sample_stratum_local(octagon, "0.05", n, 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert exc.value.details == {"samples": n, "budget": 500_000}
+
+
+def test_the_sample_count_budget_reads_the_environment(monkeypatch):
+    monkeypatch.setenv("SADDLEKIT_BUDGET", "40")
+    assert len(mc.sample_torus_haar(40, 1)) == 40
+    with pytest.raises(ResourceLimitError):
+        mc.sample_torus_haar(41, 1)

@@ -422,6 +422,20 @@ def test_malformed_test_function_raises_input_error(bad):
         parse_test_function(bad)
 
 
+@pytest.mark.parametrize("field", ["theta", "half_angle"])
+@pytest.mark.parametrize("value", [True, "0.3", math.inf, -math.inf, math.nan, None, 10**400])
+def test_sector_angles_must_be_finite_numbers(field, value):
+    angles = {"theta": 0.3, "half_angle": 0.5, field: value}
+    with pytest.raises(InputError, match=f"sector {field} must be a finite number"):
+        SectorIndicator(Fraction(3), angles["theta"], angles["half_angle"])
+
+
+def test_sector_angles_may_be_any_real_number():
+    f = SectorIndicator(Fraction(3), 0, Fraction(1, 2))
+    assert (f.theta, f.half_angle) == (0.0, 0.5)
+    assert f.to_json_dict() == {"variant": "sector", "r": "3", "theta": 0.0, "half_angle": 0.5}
+
+
 def test_sector_batch_ambiguity_needs_ray_side():
     # (-1, 1) and (-1, -1) lie on the lines of the rays at +-pi/4 but point
     # away from them: neither path may call them ambiguous
