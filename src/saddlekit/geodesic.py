@@ -2,19 +2,28 @@
 
 Enumeration is one best-first search that develops triangles into the plane
 from (triangle, direction-wedge) states rooted at every vertex corner.  A
-state carries the developed edge just crossed and the open wedge of
-directions still visible from the apex; the neighbor's new vertex either
-splits the wedge (and is found as a connection) or passes it through.  A
-state's key is the exact squared distance from the apex to the visible part
-of its crossed edge, a found connection's key its squared length, and
-nothing beyond the search radius is pushed.  A child's key is never below
-its parent's, so when the first connection of some length leaves the heap,
+state carries the developed edge just crossed and the wedge of directions
+still visible from the apex; the neighbor's new vertex either splits the
+wedge (and is found as a connection) or passes it through.  A state's key
+is the exact squared distance from the apex to the visible part of its
+crossed edge, a found connection's key its squared length, and nothing
+beyond the search radius is pushed.  A child's key is never below its
+parent's, so when the first connection of some length leaves the heap,
 every connection of that length is already in it: connections come out
 shortest first, and a caller may stop at any length.  The search scales the
 surface by D, the lcm of its edge-coordinate denominators, so developed
 positions are int pairs and every decision is an exact integer sign or
 cross-multiplied comparison; a squared distance is an int (num, den) pair.
-Connections of one length are sorted on int keys at that scale too, and no
+
+The holonomy set is symmetric: read backwards, a connection from p to q is
+one from q to p with the negated holonomy, the mates of its crossings in
+reverse order and the negated homology class (`_reverse`, `reverse_of`).  So
+the search develops only the directions of the half-open half-plane
+H = {y > 0} or {y = 0, x > 0}, whose one boundary ray, (1, 0), is closed,
+and emits each connection it finds with its reverse.  The work budget
+counts the states of that half-plane search.
+
+Connections of one length are sorted on int keys at scale D, and no
 connection is reached twice, so none is deduplicated; Fractions are built
 only for the connections yielded.  The int corner positions are the
 surface's own, built once by validation (`int_corners`).
@@ -149,6 +158,20 @@ def _visible_dist_sq(x, y, a, b):
 _STATE, _FOUND = 0, 1  # on equal floats, states are expanded before connections leave
 
 
+def _reverse(gluings, crossings, start_corner):
+    """The crossings and start corner of a connection read backwards.
+
+    The reverse crosses the mates of the crossings in reverse order.  It
+    starts from the corner at the far end: the corner opposite the last
+    crossing's mate, whose wedge it leaves strictly inside, or, along an
+    edge, the start corner's mate, whose out-edge it is.
+    """
+    if not crossings:
+        return (), gluings[start_corner]
+    u, j = gluings[crossings[-1]]
+    return tuple(gluings[slot] for slot in reversed(crossings)), (u, (j + 2) % 3)
+
+
 def connections(s: TranslationSurface, radius_sq):
     """Saddle connections of squared length <= radius_sq, shortest first.
 
@@ -157,29 +180,45 @@ def connections(s: TranslationSurface, radius_sq):
     ResourceLimitError when the search needs more states than the work
     budget, ``exactplane.default_budget()``, read once per search; its
     details say how far the search got, and every connection strictly
-    shorter than radius_sq_reached has been yielded by then.
+    shorter than radius_sq_reached has been yielded by then.  Its states
+    are the expanded states of the half-plane search below, about half of
+    what a search of every direction expands, so some runs that the budget
+    refused to a search of every direction finish.
+
+    The search finds the connections whose holonomy lies in the half-open
+    half-plane H = {y > 0} or {y = 0, x > 0}, and emits each with its
+    reverse (`_reverse`), whose holonomy is the negation, outside H: every
+    connection comes out once.  The reverse's homology class is the
+    original's negated, not reduced again: the reversed strip's right-hand
+    boundary is the original's left-hand one walked backwards, homologous to
+    the original's right-hand one negated, and the reduction is linear.
 
     No connection is reached twice.  The corners around a vertex split the
     directions there into half-open wedges [out-edge, in-edge): a root finds
-    the out-edge and searches the open wedge.  A state's new vertex either
-    lies inside its open wedge, is found, and splits the wedge into two open
-    ones, or lies outside and the wedge passes on whole.  So the open wedges
-    alive at any time are disjoint, and the segment from a vertex in a given
-    direction, on a given sheet, is found at most once.
+    its out-edge p1 if p1 lies in H, and searches its open wedge (p1, p2)
+    clipped to H.  That is the whole wedge if p1 lies in H and p2 has y >= 0,
+    (p1, (-1, 0)) if p2 has y < 0, and [(1, 0), p2), closed at (1, 0), if
+    p1 lies outside H and p2 has y > 0; otherwise nothing.  A state carries
+    the threshold ta of its lower ray a, 0 when open and -1 when closed, so
+    a vertex c with int cross product a x c > ta lies past the ray.  A
+    state's new vertex either lies inside its wedge, is found, and splits
+    the wedge into (a, c), empty when c lies on a, and the open (c, b), or
+    lies outside and the wedge passes on whole.  So the wedges alive at any
+    time are disjoint, and the segment from a vertex in a given direction,
+    on a given sheet, is found at most once.
 
     Found connections of one length leave the heap together.  Each is keyed
     by ints at the surface's scale D: (hx^2 + hy^2, hx, hy, start, end,
     crossings, start_corner) with (hx, hy) its holonomy times D.  As D > 0,
     that key orders connections exactly as (sort_key(), start_corner) does;
-    the holonomy's Fractions and the homology class are built only for the
-    connections yielded, and equal holonomies of a group share one
-    ExactVector.
+    the holonomy's Fractions are built only for the connections yielded,
+    and equal holonomies of a group share one ExactVector.
     """
     # Scaled by D, every developed position is an int pair.
     scale, corners = s.int_corners()
     budget = default_budget()
     homology = s.homology()
-    vertex = s.corner_vertex
+    vertex, gluings = s.corner_vertex, s.gluings
     scale_sq = scale * scale
     limit = Fraction(radius_sq) * scale_sq
     rn, rd = limit.numerator, limit.denominator
@@ -202,14 +241,21 @@ def connections(s: TranslationSurface, radius_sq):
             # Corner c at the origin; the other two corners span the wedge.
             (ox, oy), (x1, y1), (x2, y2) = std[c], std[(c + 1) % 3], std[(c + 2) % 3]
             p1, p2 = (x1 - ox, y1 - oy), (x2 - ox, y2 - oy)
-            push(p1[0] * p1[0] + p1[1] * p1[1], 1, _FOUND, (None, slot, p1, head))
-            push(*_visible_dist_sq(p1, p2, p1, p2), _STATE, (head, p1, p2, p1, p2, (None, head, slot)))
+            if p1[1] > 0 or (p1[1] == 0 and p1[0] > 0):  # p1 in H
+                push(p1[0] * p1[0] + p1[1] * p1[1], 1, _FOUND, (None, slot, p1, head))
+                a, ta, b = p1, 0, (p2 if p2[1] >= 0 else (-1, 0))
+            elif p2[1] > 0:
+                a, ta, b = (1, 0), -1, p2
+            else:
+                continue
+            push(*_visible_dist_sq(p1, p2, a, b), _STATE, (head, p1, p2, a, b, ta, (None, head, slot)))
     states = yielded = 0
     while heap:
         fkey, kind, _, key, payload = heapq.heappop(heap)
         if kind == _FOUND:
-            # Keys never decrease along the search, so every connection
-            # whose length has this float is in the heap now.
+            # Keys never decrease along the search, so every connection in
+            # H whose length has this float is in the heap now; each leaves
+            # with its reverse.
             group = [payload]
             while heap and heap[0][0] == fkey:
                 group.append(heapq.heappop(heap)[4])
@@ -225,20 +271,24 @@ def connections(s: TranslationSurface, radius_sq):
                     if low is not None:
                         lower.append(low)
                 crossings.reverse()
+                crossings = tuple(crossings)
                 start_corner = lower[-1]
-                keys.append((hx * hx + hy * hy, hx, hy, vertex(start_corner), vertex(end_corner),
-                             tuple(crossings), start_corner, lower))
+                start, end = vertex(start_corner), vertex(end_corner)
+                cls = homology.class_of_slots(lower)
+                norm = hx * hx + hy * hy
+                keys.append((norm, hx, hy, start, end, crossings, start_corner, cls))
+                keys.append((norm, -hx, -hy, end, start, *_reverse(gluings, crossings, start_corner),
+                             tuple(-x for x in cls)))
             # start_corner is part of the key: distinct parallel segments
             # (e.g. the two banks of a slit) agree in holonomy, endpoints
-            # and crossings.  No two keys are equal, so lower never decides.
+            # and crossings.  No two keys are equal, so cls never decides.
             keys.sort()
             h = holonomy = None
-            for _, hx, hy, start, end, crossings, start_corner, lower in keys:
+            for _, hx, hy, start, end, crossings, start_corner, cls in keys:
                 if (hx, hy) != h:
                     h, holonomy = (hx, hy), _vec((hx, hy), scale)
                 yielded += 1
-                yield SaddleConnection(holonomy, start, end, crossings,
-                                       homology.class_of_slots(lower), start_corner)
+                yield SaddleConnection(holonomy, start, end, crossings, cls, start_corner)
             continue
         if states >= budget:
             # An entry with the same float may hold a smaller exact key.
@@ -249,8 +299,8 @@ def connections(s: TranslationSurface, radius_sq):
                 connections=yielded, radius_sq_reached=format_rational(reached),
             )
         states += 1
-        slot, x, y, a, b, node = payload
-        u, j = s.gluings[slot]
+        slot, x, y, a, b, ta, node = payload
+        u, j = gluings[slot]
         ustd = corners[u]
         # The glued edge runs head-to-tail: corner j sits at y, j+1 at x.
         (jx, jy), (kx, ky) = ustd[j], ustd[(j + 2) % 3]
@@ -260,20 +310,22 @@ def connections(s: TranslationSurface, radius_sq):
         cb = cx * b[1] - cy * b[0]
         slot_a = (u, (j + 1) % 3)  # x -> c
         slot_b = (u, (j + 2) % 3)  # c -> y
-        if ca > 0 and cb > 0:
+        if ca > ta and cb > 0:
             push(cx * cx + cy * cy, 1, _FOUND, (node, slot_a, cpos, slot_b))
-            push(*_visible_dist_sq(x, cpos, a, cpos), _STATE,
-                 (slot_a, x, cpos, a, cpos, (node, slot_a, None)))
+            if ca:  # else c lies on the closed ray a, and (a, c) is empty
+                push(*_visible_dist_sq(x, cpos, a, cpos), _STATE,
+                     (slot_a, x, cpos, a, cpos, ta, (node, slot_a, None)))
             push(*_visible_dist_sq(cpos, y, cpos, b), _STATE,
-                 (slot_b, cpos, y, cpos, b, (node, slot_b, slot_a)))
-        elif ca <= 0:
-            # New vertex at or below ray a: the wedge passes through c -> y.
+                 (slot_b, cpos, y, cpos, b, 0, (node, slot_b, slot_a)))
+        elif ca <= ta:
+            # New vertex below ray a, or on it when open: the wedge passes
+            # through c -> y.
             push(*_visible_dist_sq(cpos, y, a, b), _STATE,
-                 (slot_b, cpos, y, a, b, (node, slot_b, slot_a)))
+                 (slot_b, cpos, y, a, b, ta, (node, slot_b, slot_a)))
         else:
             # cb <= 0: at or above ray b, pass through x -> c.
             push(*_visible_dist_sq(x, cpos, a, b), _STATE,
-                 (slot_a, x, cpos, a, b, (node, slot_a, None)))
+                 (slot_a, x, cpos, a, b, ta, (node, slot_a, None)))
 
 
 def enumerate_connections(
@@ -353,21 +405,11 @@ def second_shortest_nonhomologous(s: TranslationSurface) -> SaddleConnection:
 
 
 def reverse_of(s: TranslationSurface, conn: SaddleConnection) -> SaddleConnection:
-    """The same geodesic segment traversed backwards."""
-    rev_crossings = tuple(s.gluings[slot] for slot in reversed(conn.crossings))
-    if conn.crossings:
-        u, j = s.gluings[conn.crossings[-1]]
-        end_corner = (u, (j + 2) % 3)
-    else:
-        end_corner = s.gluings[conn.start_corner]
-    return SaddleConnection(
-        holonomy=-conn.holonomy,
-        start=conn.end,
-        end=conn.start,
-        crossings=rev_crossings,
-        homology_class=tuple(-x for x in conn.homology_class),
-        start_corner=end_corner,
-    )
+    """The same geodesic segment traversed backwards (`_reverse`), with the
+    negated homology class."""
+    crossings, start_corner = _reverse(s.gluings, conn.crossings, conn.start_corner)
+    return SaddleConnection(-conn.holonomy, conn.end, conn.start, crossings,
+                            tuple(-x for x in conn.homology_class), start_corner)
 
 
 # --- straight segments through the triangle strip ------------------------

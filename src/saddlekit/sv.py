@@ -597,12 +597,7 @@ def _has_short_loop(s, hs, eps0: Fraction) -> bool:
             continue
         rev = reverse_of(s, c)
         for m in mates:
-            if (
-                m.holonomy == rev.holonomy
-                and m.crossings == rev.crossings
-                and m.start == rev.start
-                and m.start_corner == rev.start_corner
-            ):
+            if m == rev:
                 continue  # exact backtracking is null-homotopic
             if compare_sqrt_sum(
                 [c.holonomy.norm_sq(), m.holonomy.norm_sq()], eps0_sq

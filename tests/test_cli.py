@@ -322,7 +322,7 @@ def test_budget_error_reports_progress(capsys, monkeypatch, torus, torus_file):
     assert code == 1
     payload = json.loads(err)
     assert payload == {"error": "RESOURCE_LIMIT", "detail": "enumeration state budget exceeded",
-                       "budget": 50, "states": 50, "connections": 8, "radius_sq_reached": "5"}
+                       "budget": 50, "states": 50, "connections": 16, "radius_sq_reached": "10"}
     reached = Fraction(payload["radius_sq_reached"])
     monkeypatch.delenv("SADDLEKIT_BUDGET")
     conns = enumerate_connections(torus, radius_sq=reached).connections

@@ -1,4 +1,6 @@
 import dataclasses
+import heapq
+import itertools
 import random
 from fractions import Fraction
 
@@ -17,9 +19,12 @@ from saddlekit.builders import (
     torus_from_matrix,
 )
 from saddlekit.errors import BlockedAtVertex, InputError, ResourceLimitError
-from saddlekit.exactplane import ExactMatrix, ExactVector, primitive_points_in_disc
+from saddlekit.exactplane import (
+    ExactMatrix, ExactVector, _vec, default_budget, format_rational, primitive_points_in_disc,
+)
 from saddlekit.geodesic import (
     Cylinder,
+    SaddleConnection,
     Unknown,
     _strip,
     connections,
@@ -436,21 +441,160 @@ def test_holonomy_sets_are_strictly_increasing_by_length():
             assert increasing_by_length(res.vectors) and increasing_by_length(res.corrections)
 
 
+# --- the half-plane search against the full-plane reference -----------------
+
+
+def _reference_connections(s, radius_sq):
+    """The search over every direction that the half-plane search replaced,
+    kept as its reference: every root pushes its out-edge and searches its
+    whole open wedge, and no reverse is emitted."""
+    scale, corners = s.int_corners()
+    budget = default_budget()
+    homology = s.homology()
+    vertex = s.corner_vertex
+    scale_sq = scale * scale
+    limit = Fraction(radius_sq) * scale_sq
+    rn, rd = limit.numerator, limit.denominator
+    heap: list = []
+    serial = itertools.count()
+
+    def push(num, den, kind, payload):
+        if num * rd <= rn * den:
+            heapq.heappush(heap, (num / (den * scale_sq), kind, next(serial), (num, den), payload))
+
+    for t, std in enumerate(corners):
+        for c in range(3):
+            slot, head = (t, c), (t, (c + 1) % 3)
+            (ox, oy), (x1, y1), (x2, y2) = std[c], std[(c + 1) % 3], std[(c + 2) % 3]
+            p1, p2 = (x1 - ox, y1 - oy), (x2 - ox, y2 - oy)
+            push(p1[0] * p1[0] + p1[1] * p1[1], 1, geodesic._FOUND, (None, slot, p1, head))
+            push(*geodesic._visible_dist_sq(p1, p2, p1, p2), geodesic._STATE,
+                 (head, p1, p2, p1, p2, (None, head, slot)))
+    states = yielded = 0
+    while heap:
+        fkey, kind, _, key, payload = heapq.heappop(heap)
+        if kind == geodesic._FOUND:
+            group = [payload]
+            while heap and heap[0][0] == fkey:
+                group.append(heapq.heappop(heap)[4])
+            keys = []
+            for node, last_lower, (hx, hy), end_corner in group:
+                crossings, lower = [], [last_lower]
+                while node is not None:
+                    node, crossed, low = node
+                    crossings.append(crossed)
+                    if low is not None:
+                        lower.append(low)
+                crossings.reverse()
+                start_corner = lower[-1]
+                keys.append((hx * hx + hy * hy, hx, hy, vertex(start_corner), vertex(end_corner),
+                             tuple(crossings), start_corner, lower))
+            keys.sort()
+            for _, hx, hy, start, end, crossings, start_corner, lower in keys:
+                yielded += 1
+                yield SaddleConnection(_vec((hx, hy), scale), start, end, crossings,
+                                       homology.class_of_slots(lower), start_corner)
+            continue
+        if states >= budget:
+            reached = min(Fraction(n, d * scale_sq)
+                          for n, d in [key] + [e[3] for e in heap if e[0] == fkey])
+            raise ResourceLimitError(
+                "enumeration state budget exceeded", budget=budget, states=states,
+                connections=yielded, radius_sq_reached=format_rational(reached),
+            )
+        states += 1
+        slot, x, y, a, b, node = payload
+        u, j = s.gluings[slot]
+        (jx, jy), (kx, ky) = corners[u][j], corners[u][(j + 2) % 3]
+        cx, cy = y[0] - jx + kx, y[1] - jy + ky
+        cpos = (cx, cy)
+        ca = a[0] * cy - a[1] * cx
+        cb = cx * b[1] - cy * b[0]
+        slot_a, slot_b = (u, (j + 1) % 3), (u, (j + 2) % 3)
+        dist = geodesic._visible_dist_sq
+        if ca > 0 and cb > 0:
+            push(cx * cx + cy * cy, 1, geodesic._FOUND, (node, slot_a, cpos, slot_b))
+            push(*dist(x, cpos, a, cpos), geodesic._STATE, (slot_a, x, cpos, a, cpos, (node, slot_a, None)))
+            push(*dist(cpos, y, cpos, b), geodesic._STATE, (slot_b, cpos, y, cpos, b, (node, slot_b, slot_a)))
+        elif ca <= 0:
+            push(*dist(cpos, y, a, b), geodesic._STATE, (slot_b, cpos, y, a, b, (node, slot_b, slot_a)))
+        else:
+            push(*dist(x, cpos, a, b), geodesic._STATE, (slot_a, x, cpos, a, b, (node, slot_a, None)))
+
+
+_SHEARS = ((1, 0, 1, 1), (1, 0, 2, 1), (2, 1, 1, 1))
+
+
+def _differential_corpus():
+    """(group, surfaces): the corpus surfaces with the thin torus, an SL(2, Q)
+    image of each, 30 stratum draws, and the images of the six under each
+    matrix of _SHEARS, where horizontal connections cross edges."""
+    base = (
+        square_torus(), slit_torus(V(Fraction(1, 3), Fraction(1, 5))), octagon_h2(),
+        regular_octagon_approx(), marked_torus(V(Fraction(1, 2), Fraction(1, 3))),
+        torus_from_matrix(ExactMatrix.diagonal(Fraction(1, 8), 8)),
+    )
+    rng = random.Random(3)
+    return [("corpus", base), ("images", tuple(apply_surface(sl2q(rng), s) for s in base)),
+            ("draws", stratum_draws()[::2])] + [
+        (m, tuple(apply_surface(ExactMatrix.of(*m), s) for s in base)) for m in _SHEARS
+    ]
+
+
+def test_the_half_plane_search_matches_the_full_plane_reference():
+    # The whole stream: order, holonomy, ends, crossings, homology class and
+    # start corner.  Horizontal connections that cross an edge are found on
+    # the closed ray (1, 0) of a root wedge only, and their reverses only as
+    # reverses; every sheared group holds some.
+    horizontal = {}
+    for group, surfaces in _differential_corpus():
+        for s in surfaces:
+            got = list(connections(s, 16))
+            assert got == list(_reference_connections(s, 16)), (group, s)
+            horizontal[group] = horizontal.get(group, 0) + sum(
+                1 for c in got if c.holonomy.y == 0 and c.crossings
+            )
+    assert all(horizontal[m] > 0 for m in _SHEARS), horizontal
+
+
+@pytest.mark.parametrize("name, budget", [("slit", 150), ("octagon", 60), ("thin", 100)])
+def test_a_refused_search_has_yielded_every_shorter_reference_connection(
+    name, budget, monkeypatch, slit_13_15, octagon, thin_torus
+):
+    s = {"slit": slit_13_15, "octagon": octagon, "thin": thin_torus}[name]
+    want = list(_reference_connections(s, 64))
+    monkeypatch.setenv("SADDLEKIT_BUDGET", str(budget))
+    got = []
+    with pytest.raises(ResourceLimitError) as exc:
+        got.extend(connections(s, 64))
+    details = exc.value.details
+    shorter = [c for c in want if c.length_sq() < Fraction(details["radius_sq_reached"])]
+    assert details["connections"] == len(got) >= len(shorter) > 0
+    assert got == want[:len(got)]
+
+
 @pytest.mark.parametrize(
-    "name, radius, states",
-    [("square", 4, 174), ("slit", 2, 426), ("octagon", 3, 176), ("thin", 8, 518)],
+    "name, radius, reference_states, states",
+    [
+        pytest.param("square", 4, 174, 87, id="square-4-174"),
+        pytest.param("slit", 2, 426, 216, id="slit-2-426"),
+        pytest.param("octagon", 3, 176, 98, id="octagon-3-176"),
+        pytest.param("thin", 8, 518, 259, id="thin-8-518"),
+    ],
 )
 def test_budget_counts_expanded_states(
-    name, radius, states, monkeypatch, torus, slit_13_15, octagon, thin_torus
+    name, radius, reference_states, states, monkeypatch, torus, slit_13_15, octagon, thin_torus
 ):
-    # State counts recorded with the breadth-first enumerator this search
-    # replaced: for a given radius the expanded states are the same.
+    # For a given radius the expanded states are fixed: those of the
+    # full-plane reference, which name the cases, and about half as many for
+    # the half-plane search.
     s = {"square": torus, "slit": slit_13_15, "octagon": octagon, "thin": thin_torus}[name]
-    monkeypatch.setenv("SADDLEKIT_BUDGET", str(states))
-    enumerate_connections(s, radius)
-    monkeypatch.setenv("SADDLEKIT_BUDGET", str(states - 1))
-    with pytest.raises(ResourceLimitError):
-        enumerate_connections(s, radius)
+    for search, n in ((_reference_connections, reference_states), (connections, states)):
+        monkeypatch.setenv("SADDLEKIT_BUDGET", str(n))
+        list(search(s, radius * radius))
+        monkeypatch.setenv("SADDLEKIT_BUDGET", str(n - 1))
+        with pytest.raises(ResourceLimitError):
+            list(search(s, radius * radius))
 
 
 def test_budget_error_reports_progress(torus, monkeypatch):
@@ -485,18 +629,26 @@ def test_torus_oracle_on_lattices_with_denominators(g, sizes):
 
 
 @pytest.mark.parametrize(
-    "name, reached",
-    [("slit", "109/169"), ("regular octagon", "1457107309449/500000000000")],
+    "name, reference_reached, yielded, reached",
+    [
+        pytest.param("slit", "109/169", 12, "1", id="slit-109/169"),
+        pytest.param("regular octagon", "1457107309449/500000000000", 8, "1707107309449/500000000000",
+                     id="regular octagon-1457107309449/500000000000"),
+    ],
 )
-def test_budget_payload_on_surfaces_with_denominators(name, reached, monkeypatch, slit_13_15):
-    # Payloads recorded with the Fraction search this one replaced.
+def test_budget_payload_on_surfaces_with_denominators(
+    name, reference_reached, yielded, reached, monkeypatch, slit_13_15
+):
+    # The full-plane reference's payloads name the cases; on the same
+    # budget the half-plane search gets further.
     s = {"slit": slit_13_15, "regular octagon": regular_octagon_approx()}[name]
     monkeypatch.setenv("SADDLEKIT_BUDGET", "50")
-    with pytest.raises(ResourceLimitError) as exc:
-        enumerate_connections(s, 10)
-    assert exc.value.details == {
-        "budget": 50, "states": 50, "connections": 8, "radius_sq_reached": reached,
-    }
+    for search, n, r in ((_reference_connections, 8, reference_reached), (connections, yielded, reached)):
+        with pytest.raises(ResourceLimitError) as exc:
+            list(search(s, 100))
+        assert exc.value.details == {
+            "budget": 50, "states": 50, "connections": n, "radius_sq_reached": r,
+        }
 
 
 def test_second_shortest_is_first_outside_class(torus, slit_13_15, thin_torus, octagon):
