@@ -7,10 +7,18 @@ still visible from the apex; the neighbor's new vertex either splits the
 wedge (and is found as a connection) or passes it through.  A state's key
 is the exact squared distance from the apex to the visible part of its
 crossed edge, a found connection's key its squared length, and nothing
-beyond the search radius is pushed.  A child's key is never below its
-parent's, so when the first connection of some length leaves the heap,
-every connection of that length is already in it: connections come out
-shortest first, and a caller may stop at any length.  The search scales the
+beyond the search radius is kept.  A child's key is never below its
+parent's.
+
+The heap holds found connections and the wedges that roots and splits
+start.  A popped wedge is developed in one loop, through every pass-through
+triangle, until it splits or leaves the disc; only a split pushes anything.
+Each connection is found in a chain whose popped wedge had a key no larger
+than its length, and that wedge left the heap before it, so when the first
+connection of some length leaves the heap, every connection of that length
+is already in it: connections come out shortest first, and a caller may
+stop at any length.  A run to the end develops exactly the states that
+pushing every pass-through on the heap would.  The search scales the
 surface by D, the lcm of its edge-coordinate denominators, so developed
 positions are int pairs and every decision is an exact integer sign or
 cross-multiplied comparison; a squared distance is an int (num, den) pair.
@@ -176,14 +184,22 @@ def connections(s: TranslationSurface, radius_sq):
     """Saddle connections of squared length <= radius_sq, shortest first.
 
     Yields each connection once, in strictly increasing (sort_key(),
-    start_corner) order, so a caller may stop at any length.  Raises
-    ResourceLimitError when the search needs more states than the work
-    budget, ``exactplane.default_budget()``, read once per search; its
-    details say how far the search got, and every connection strictly
-    shorter than radius_sq_reached has been yielded by then.  Its states
-    are the expanded states of the half-plane search below, about half of
-    what a search of every direction expands, so some runs that the budget
-    refused to a search of every direction finish.
+    start_corner) order, so a caller may stop at any length.  radius_sq is
+    read by ``exactplane.to_fraction``.  Raises ResourceLimitError when the
+    search needs more states than the work budget,
+    ``exactplane.default_budget()``, read once per search; its details say
+    how far the search got.  Its states are the triangles developed by the
+    half-plane search below, about half of what a search of every direction
+    develops, and the budget is checked before each one.  radius_sq_reached
+    is the key of the wedge popped last (or a smaller key of the same float
+    still in the heap), not that of the triangle the refusal stopped at:
+    every connection strictly shorter has been yielded by then.
+
+    A popped wedge runs through its pass-through triangles in one loop (see
+    the module docstring).  A run to the end develops the states a search
+    that pushed each pass-through on the heap would, but a caller that stops
+    early may meet a chain developed past its stopping length, up to
+    radius_sq, and so spend more states than that search.
 
     The search finds the connections whose holonomy lies in the half-open
     half-plane H = {y > 0} or {y = 0, x > 0}, and emits each with its
@@ -220,8 +236,18 @@ def connections(s: TranslationSurface, radius_sq):
     homology = s.homology()
     vertex, gluings = s.corner_vertex, s.gluings
     scale_sq = scale * scale
-    limit = Fraction(radius_sq) * scale_sq
+    limit = to_fraction(radius_sq) * scale_sq
     rn, rd = limit.numerator, limit.denominator
+    # Slot (t, i) is the int 3t + i in the search; steps[3t + i] develops the
+    # triangle across it: the new vertex's offset from y and the slots
+    # x -> c and c -> y.  The glued edge runs head-to-tail: corner j of u
+    # sits at y, j+1 at x.
+    slots = [(t, i) for t in range(len(corners)) for i in range(3)]
+    steps = []
+    for slot in slots:
+        u, j = gluings[slot]
+        (jx, jy), (kx, ky) = corners[u][j], corners[u][(j + 2) % 3]
+        steps.append((kx - jx, ky - jy, 3 * u + (j + 1) % 3, 3 * u + (j + 2) % 3))
     heap: list = []
     serial = _serial()
 
@@ -237,7 +263,7 @@ def connections(s: TranslationSurface, radius_sq):
 
     for t, std in enumerate(corners):
         for c in range(3):
-            slot, head = (t, c), (t, (c + 1) % 3)
+            slot, head = 3 * t + c, 3 * t + (c + 1) % 3
             # Corner c at the origin; the other two corners span the wedge.
             (ox, oy), (x1, y1), (x2, y2) = std[c], std[(c + 1) % 3], std[(c + 2) % 3]
             p1, p2 = (x1 - ox, y1 - oy), (x2 - ox, y2 - oy)
@@ -264,16 +290,16 @@ def connections(s: TranslationSurface, radius_sq):
                 # A link is (parent, crossed slot, lower-boundary slot or
                 # None); the root link's lower slot is the start corner, and
                 # last_lower closes the strip's lower boundary at the end.
-                crossings, lower = [], [last_lower]
+                crossings, lower = [], [slots[last_lower]]
                 while node is not None:
                     node, crossed, low = node
-                    crossings.append(crossed)
+                    crossings.append(slots[crossed])
                     if low is not None:
-                        lower.append(low)
+                        lower.append(slots[low])
                 crossings.reverse()
                 crossings = tuple(crossings)
                 start_corner = lower[-1]
-                start, end = vertex(start_corner), vertex(end_corner)
+                start, end = vertex(start_corner), vertex(slots[end_corner])
                 cls = homology.class_of_slots(lower)
                 norm = hx * hx + hy * hy
                 keys.append((norm, hx, hy, start, end, crossings, start_corner, cls))
@@ -290,42 +316,41 @@ def connections(s: TranslationSurface, radius_sq):
                 yielded += 1
                 yield SaddleConnection(holonomy, start, end, crossings, cls, start_corner)
             continue
-        if states >= budget:
-            # An entry with the same float may hold a smaller exact key.
-            reached = min(Fraction(n, d * scale_sq)
-                          for n, d in [key] + [e[3] for e in heap if e[0] == fkey])
-            raise ResourceLimitError(
-                "enumeration state budget exceeded", budget=budget, states=states,
-                connections=yielded, radius_sq_reached=format_rational(reached),
-            )
-        states += 1
+        # Develop the popped wedge until it splits or leaves the disc.
         slot, x, y, a, b, ta, node = payload
-        u, j = gluings[slot]
-        ustd = corners[u]
-        # The glued edge runs head-to-tail: corner j sits at y, j+1 at x.
-        (jx, jy), (kx, ky) = ustd[j], ustd[(j + 2) % 3]
-        cx, cy = y[0] - jx + kx, y[1] - jy + ky
-        cpos = (cx, cy)
-        ca = a[0] * cy - a[1] * cx
-        cb = cx * b[1] - cy * b[0]
-        slot_a = (u, (j + 1) % 3)  # x -> c
-        slot_b = (u, (j + 2) % 3)  # c -> y
-        if ca > ta and cb > 0:
-            push(cx * cx + cy * cy, 1, _FOUND, (node, slot_a, cpos, slot_b))
-            if ca:  # else c lies on the closed ray a, and (a, c) is empty
-                push(*_visible_dist_sq(x, cpos, a, cpos), _STATE,
-                     (slot_a, x, cpos, a, cpos, ta, (node, slot_a, None)))
-            push(*_visible_dist_sq(cpos, y, cpos, b), _STATE,
-                 (slot_b, cpos, y, cpos, b, 0, (node, slot_b, slot_a)))
-        elif ca <= ta:
-            # New vertex below ray a, or on it when open: the wedge passes
-            # through c -> y.
-            push(*_visible_dist_sq(cpos, y, a, b), _STATE,
-                 (slot_b, cpos, y, a, b, ta, (node, slot_b, slot_a)))
-        else:
-            # cb <= 0: at or above ray b, pass through x -> c.
-            push(*_visible_dist_sq(x, cpos, a, b), _STATE,
-                 (slot_a, x, cpos, a, b, ta, (node, slot_a, None)))
+        (a0, a1), (b0, b1) = a, b
+        while True:
+            if states >= budget:
+                # The popped key bounds every connection not yet yielded;
+                # an entry with the same float may hold a smaller one.
+                reached = min(Fraction(n, d * scale_sq)
+                              for n, d in [key] + [e[3] for e in heap if e[0] == fkey])
+                raise ResourceLimitError(
+                    "enumeration state budget exceeded", budget=budget, states=states,
+                    connections=yielded, radius_sq_reached=format_rational(reached),
+                )
+            states += 1
+            dx, dy, slot_a, slot_b = steps[slot]
+            cx, cy = cpos = (y[0] + dx, y[1] + dy)
+            ca = a0 * cy - a1 * cx
+            if ca > ta and cx * b1 - cy * b0 > 0:
+                push(cx * cx + cy * cy, 1, _FOUND, (node, slot_a, cpos, slot_b))
+                if ca:  # else c lies on the closed ray a, and (a, c) is empty
+                    push(*_visible_dist_sq(x, cpos, a, cpos), _STATE,
+                         (slot_a, x, cpos, a, cpos, ta, (node, slot_a, None)))
+                push(*_visible_dist_sq(cpos, y, cpos, b), _STATE,
+                     (slot_b, cpos, y, cpos, b, 0, (node, slot_b, slot_a)))
+                break
+            if ca <= ta:
+                # New vertex below ray a, or on it when open: the wedge
+                # passes through c -> y.
+                slot, x, node = slot_b, cpos, (node, slot_b, slot_a)
+            else:
+                # At or above ray b: pass through x -> c.
+                slot, y, node = slot_a, cpos, (node, slot_a, None)
+            num, den = _visible_dist_sq(x, y, a, b)
+            if num * rd > rn * den:
+                break
 
 
 def enumerate_connections(

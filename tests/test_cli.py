@@ -321,8 +321,10 @@ def test_budget_error_reports_progress(capsys, monkeypatch, torus, torus_file):
     code, _, err = run(capsys, ["count", "--surface", torus_file, "--radius", "40"])
     assert code == 1
     payload = json.loads(err)
+    # 16 connections and "10" when every pass-through state went through the
+    # heap: a refusal now reports the key of the wedge it popped last.
     assert payload == {"error": "RESOURCE_LIMIT", "detail": "enumeration state budget exceeded",
-                       "budget": 50, "states": 50, "connections": 16, "radius_sq_reached": "10"}
+                       "budget": 50, "states": 50, "connections": 8, "radius_sq_reached": "5"}
     reached = Fraction(payload["radius_sq_reached"])
     monkeypatch.delenv("SADDLEKIT_BUDGET")
     conns = enumerate_connections(torus, radius_sq=reached).connections

@@ -28,13 +28,14 @@ from saddlekit.delaunay import (
     _FLIPS_BASE,
     _FLIPS_PER_TRIANGLE,
     _edge_empty_diamond_exists,
+    _flip,
     delaunay_l1,
     diamond_of,
     is_locally_delaunay,
 )
-from saddlekit.exactplane import ExactMatrix, ExactVector
+from saddlekit.exactplane import ExactMatrix, ExactVector, _vec
 from saddlekit.geodesic import enumerate_connections, shortest
-from saddlekit.surface import apply_surface, area
+from saddlekit.surface import Triangle, TranslationSurface, apply_surface, area
 from saddlekit.sv import AnnulusIndicator, DiscIndicator, classify, transform_report
 
 
@@ -282,6 +283,40 @@ def test_outputs_do_not_depend_on_the_triangulation(group, degenerate):
             continue
         assert _outputs(flipped) == _outputs(s), i
     assert raised == degenerate
+
+
+def _randomly_flipped(s, rng, attempts):
+    """(s retriangulated by flips of random edges, the flips made).  A slot
+    whose quad is not strictly convex raises DegenerateDiamondError before
+    anything changes and is skipped.  The surface is rebuilt from the int
+    corners as delaunay_l1 builds its own."""
+    scale, corners = s.int_corners()
+    tris = [list(tri) for tri in corners]
+    glue = dict(s.gluings)
+    vertex = {(t, c): s.corner_vertex((t, c)) for t in range(len(tris)) for c in range(3)}
+    slots = sorted(glue)
+    flips = 0
+    for _ in range(attempts):
+        try:
+            _flip(tris, glue, vertex, rng.choice(slots))
+            flips += 1
+        except DegenerateDiamondError:
+            pass
+    edges = ((tri[(i + 1) % 3][0] - tri[i][0], tri[(i + 1) % 3][1] - tri[i][1]) for tri in tris for i in range(3))
+    vectors = [_vec(e, scale) for e in edges]
+    return TranslationSurface([Triangle(tuple(vectors[3 * t:3 * t + 3])) for t in range(len(tris))], glue), flips
+
+
+def test_holonomy_sets_do_not_depend_on_random_flips():
+    # 40 random flip attempts on each of the 5 corpus surfaces and 10
+    # stratum draws; 396 of the 600 meet a strictly convex quad.
+    rng = random.Random(13)
+    flips = 0
+    for s in _independence_group("corpus") + stratum_draws()[::6]:
+        flipped, n = _randomly_flipped(s, rng, 40)
+        assert enumerate_connections(flipped, 2).vectors() == enumerate_connections(s, 2).vectors()
+        flips += n
+    assert flips == 396
 
 
 def test_delaunay_preserves_vertices_and_signature(slit_13_15):

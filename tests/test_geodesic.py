@@ -557,6 +557,29 @@ def test_the_half_plane_search_matches_the_full_plane_reference():
     assert all(horizontal[m] > 0 for m in _SHEARS), horizontal
 
 
+def _thin_corpus():
+    """(surface, radius_sq): octagon_h2() under diag(2^-k, 2^k) for k = 4
+    and 8 at 4, and 10 stratum draws under diag(1/4, 4) at 1, where the
+    chains of pass-through triangles are longest."""
+    octagons = [(apply_surface(ExactMatrix.diagonal(Fraction(1, 2**k), 2**k), octagon_h2()), 4) for k in (4, 8)]
+    push = ExactMatrix.diagonal(Fraction(1, 4), 4)
+    return octagons + [(apply_surface(push, s), 1) for s in stratum_draws()[::6]]
+
+
+def test_thin_surfaces_match_the_full_plane_reference():
+    # The whole stream, and the answers of the searches that stop at their
+    # first connection, against the reference stopped at the same one
+    # (within the stream's radius but on two of the draws).
+    for s, radius_sq in _thin_corpus():
+        want = list(_reference_connections(s, radius_sq))
+        assert list(connections(s, radius_sq)) == want, s
+        gamma = shortest(s)
+        assert gamma == want[0]
+        outside = (c for c in _reference_connections(s, nonhomologous_edge_bound(s, gamma))
+                   if not s.homology().is_pm(c.homology_class, gamma.homology_class))
+        assert second_shortest_nonhomologous(s) == next(outside)
+
+
 @pytest.mark.parametrize("name, budget", [("slit", 150), ("octagon", 60), ("thin", 100)])
 def test_a_refused_search_has_yielded_every_shorter_reference_connection(
     name, budget, monkeypatch, slit_13_15, octagon, thin_torus
@@ -580,6 +603,9 @@ def test_a_refused_search_has_yielded_every_shorter_reference_connection(
         pytest.param("slit", 2, 426, 216, id="slit-2-426"),
         pytest.param("octagon", 3, 176, 98, id="octagon-3-176"),
         pytest.param("thin", 8, 518, 259, id="thin-8-518"),
+        pytest.param("square", 20, 12478, 6239, id="square-20-12478"),
+        pytest.param("slit", 8, 14530, 7230, id="slit-8-14530"),
+        pytest.param("octagon", 12, 4098, 2098, id="octagon-12-4098"),
     ],
 )
 def test_budget_counts_expanded_states(
@@ -587,7 +613,9 @@ def test_budget_counts_expanded_states(
 ):
     # For a given radius the expanded states are fixed: those of the
     # full-plane reference, which name the cases, and about half as many for
-    # the half-plane search.
+    # the half-plane search.  Developing a wedge in one loop until it splits
+    # expands exactly the states that pushing every pass-through on the heap
+    # did: the last three cases were counted on that heap search.
     s = {"square": torus, "slit": slit_13_15, "octagon": octagon, "thin": thin_torus}[name]
     for search, n in ((_reference_connections, reference_states), (connections, states)):
         monkeypatch.setenv("SADDLEKIT_BUDGET", str(n))
@@ -631,7 +659,8 @@ def test_torus_oracle_on_lattices_with_denominators(g, sizes):
 @pytest.mark.parametrize(
     "name, reference_reached, yielded, reached",
     [
-        pytest.param("slit", "109/169", 12, "1", id="slit-109/169"),
+        # 12 and "1" when every pass-through state went through the heap.
+        pytest.param("slit", "109/169", 8, "169/225", id="slit-109/169"),
         pytest.param("regular octagon", "1457107309449/500000000000", 8, "1707107309449/500000000000",
                      id="regular octagon-1457107309449/500000000000"),
     ],
@@ -649,6 +678,12 @@ def test_budget_payload_on_surfaces_with_denominators(
         assert exc.value.details == {
             "budget": 50, "states": 50, "connections": n, "radius_sq_reached": r,
         }
+
+
+@pytest.mark.parametrize("radius_sq", ["x", float("inf"), float("nan")])
+def test_a_radius_that_is_no_rational_is_an_input_error(torus, radius_sq):
+    with pytest.raises(InputError):
+        list(connections(torus, radius_sq))
 
 
 def test_second_shortest_is_first_outside_class(torus, slit_13_15, thin_torus, octagon):
