@@ -1,31 +1,50 @@
 """Constructors for the surfaces used throughout the package and its tests.
 
 All builders return validated TranslationSurface instances with exact
-rational edge vectors.
+rational edge vectors.  Each lays its triangles out as counterclockwise
+triples of int vertex positions at one scale, and one rule glues them
+(`_glue`): the directed edge p -> q is glued to the edge q -> p or, across a
+side of the builder's polygon, to q + t -> p + t, where t is one of the
+builder's side shifts or its negation.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Sequence
 
 from .errors import InputError
-from .exactplane import ExactMatrix, ExactVector, to_fraction
-from .surface import Slot, TranslationSurface, Triangle
+from .exactplane import ExactMatrix, ExactVector, _ints, _scale_of, _sub, _vec, to_fraction
+from .surface import TranslationSurface, Triangle
 
-_F0 = Fraction(0)
 _OCTAGON_DENOM = 10 ** 6  # grid of the regular octagon's rational vertices
+_OCTAGON_STEPS = tuple(ExactVector.of(x, y) for x, y in ((1, 0), (1, 1), (0, 1), (-1, 1)))
 _MARGIN_FACTOR = 4  # wrap_points_in_torus: square side over point spread
 
 
-def _vec(x, y) -> ExactVector:
-    return ExactVector(to_fraction(x), to_fraction(y))
+def _glue(cells, scale: int, shifts):
+    """Triangles and gluings of cells, each a counterclockwise triple of int
+    vertex positions at scale.  Slot (k, i) of cell k, the edge p -> q, is
+    glued to the slot of q + t -> p + t for the first t of 0, the shifts and
+    their negations that gives an edge of the cells."""
+    slot_of = {(cell[i], cell[(i + 1) % 3]): (k, i) for k, cell in enumerate(cells) for i in range(3)}
+    moves = [(0, 0), *shifts, *((-x, -y) for x, y in shifts)]
+    gluings = {}
+    for (p, q), slot in slot_of.items():
+        for x, y in moves:
+            mate = slot_of.get(((q[0] + x, q[1] + y), (p[0] + x, p[1] + y)))
+            if mate is not None:
+                gluings[slot] = mate
+                break
+    tris = [Triangle(tuple(_vec(_sub(cell[(i + 1) % 3], cell[i]), scale) for i in range(3))) for cell in cells]
+    return tris, gluings
 
 
-def _pair(gluings: Dict[Slot, Slot], a: Slot, b: Slot):
-    gluings[a] = b
-    gluings[b] = a
+def _surface(tris, gluings) -> TranslationSurface:
+    s = TranslationSurface(tris, gluings)
+    s.validate()
+    return s
 
 
 def torus_from_basis(u: ExactVector, v: ExactVector) -> TranslationSurface:
@@ -36,24 +55,19 @@ def torus_from_basis(u: ExactVector, v: ExactVector) -> TranslationSurface:
     """
     if u.cross(v) <= 0:
         raise InputError("torus basis must be positively oriented")
-    t0 = Triangle((u, v, -(u + v)))
-    t1 = Triangle((u + v, -u, -v))
-    gluings: Dict[Slot, Slot] = {}
-    _pair(gluings, (0, 0), (1, 1))  # u side
-    _pair(gluings, (0, 1), (1, 2))  # v side
-    _pair(gluings, (0, 2), (1, 0))  # diagonal
-    s = TranslationSurface([t0, t1], gluings)
-    s.validate()
-    return s
+    scale = _scale_of((u, v))
+    a, b = _ints(u, scale), _ints(v, scale)
+    ab = (a[0] + b[0], a[1] + b[1])
+    return _surface(*_glue([((0, 0), a, ab), ((0, 0), ab, b)], scale, (a, b)))
 
 
 def square_torus() -> TranslationSurface:
-    return torus_from_basis(_vec(1, 0), _vec(0, 1))
+    return torus_from_basis(ExactVector.of(1, 0), ExactVector.of(0, 1))
 
 
 def torus_from_matrix(g: ExactMatrix) -> TranslationSurface:
     """Torus for the lattice g Z^2."""
-    return torus_from_basis(g.apply(_vec(1, 0)), g.apply(_vec(0, 1)))
+    return torus_from_basis(ExactVector(g.a, g.c), ExactVector(g.b, g.d))
 
 
 def marked_torus(v: ExactVector) -> TranslationSurface:
@@ -62,51 +76,26 @@ def marked_torus(v: ExactVector) -> TranslationSurface:
     v must lie strictly inside one of the two standard triangles, i.e.
     0 < y < x < 1 or 0 < x < y < 1.
     """
-    tris, gluings = _torus_marked_cells(v)
-    s = TranslationSurface(tris, gluings)
-    s.validate()
-    return s
+    return _surface(*_torus_marked_cells(v))
 
 
 def _torus_marked_cells(v: ExactVector):
     """Triangles and gluings for the unit torus with marked points 0 and v.
 
-    The triangle of the standard pair containing v is starred at v.  Cell
-    layout (v in the lower triangle (0,0),(1,0),(1,1)):
-      0: (0,0),(1,0),v     1: (1,0),(1,1),v     2: (1,1),(0,0),v
-      3: (0,0),(1,1),(0,1)
-    and symmetrically for the upper triangle.  The segment 0 -> v is the
-    edge shared by cells 2 and 0 of its star.
+    The triangle (a, b, c) of the standard pair containing v is starred at
+    v into cells 0: (a, b, v), 1: (b, c, v), 2: (c, a, v); cell 3 is the
+    other triangle.  Here a = (0, 0), and (b, c) is ((1, 0), (1, 1)) for v
+    in the lower triangle, ((1, 1), (0, 1)) for v in the upper one.  The
+    segment 0 -> v is slot (2, 1), glued to slot (0, 2).
     """
-    x, y = v.x, v.y
-    c00, c10, c11, c01 = _vec(0, 0), _vec(1, 0), _vec(1, 1), _vec(0, 1)
-    lower = 0 < y < x < 1
-    upper = 0 < x < y < 1
-    if not (lower or upper):
+    lower = 0 < v.y < v.x < 1
+    if not (lower or 0 < v.x < v.y < 1):
         raise InputError("marked point must be strictly inside a standard half-square")
-
-    def tri(p, q, r):
-        return Triangle((q - p, r - q, p - r))
-
-    gluings: Dict[Slot, Slot] = {}
-    if lower:
-        tris = [tri(c00, c10, v), tri(c10, c11, v), tri(c11, c00, v), tri(c00, c11, c01)]
-        star_edges = [(0, 2), (1, 2), (2, 2)]  # edges v->corner of each star cell
-        _pair(gluings, (0, 1), (1, 2))  # spoke c10-v
-        _pair(gluings, (1, 1), (2, 2))  # spoke c11-v
-        _pair(gluings, (2, 1), (0, 2))  # spoke v-c00 / c00-v  (slit edge pair)
-        _pair(gluings, (0, 0), (3, 1))  # bottom <-> top
-        _pair(gluings, (1, 0), (3, 2))  # right <-> left
-        _pair(gluings, (2, 0), (3, 0))  # diagonal
-    else:
-        tris = [tri(c00, c11, v), tri(c11, c01, v), tri(c01, c00, v), tri(c00, c10, c11)]
-        _pair(gluings, (0, 1), (1, 2))  # spoke c11-v
-        _pair(gluings, (1, 1), (2, 2))  # spoke c01-v
-        _pair(gluings, (2, 1), (0, 2))  # slit edge pair c00-v
-        _pair(gluings, (0, 0), (3, 2))  # diagonal
-        _pair(gluings, (1, 0), (3, 0))  # top <-> bottom
-        _pair(gluings, (2, 0), (3, 1))  # left <-> right
-    return tris, gluings
+    scale = _scale_of((v,))
+    c00, c10, c11, c01 = (0, 0), (scale, 0), (scale, scale), (0, scale)
+    (a, b, c), rest = ((c00, c10, c11), (c00, c11, c01)) if lower else ((c00, c11, c01), (c00, c10, c11))
+    m = _ints(v, scale)
+    return _glue([(a, b, m), (b, c, m), (c, a, m), rest], scale, (c10, c01))
 
 
 def slit_torus(v: ExactVector) -> TranslationSurface:
@@ -118,20 +107,29 @@ def slit_torus(v: ExactVector) -> TranslationSurface:
     """
     tris, gluings = _torus_marked_cells(v)
     n = len(tris)
-    all_tris = tris + tris
-    new_gluings: Dict[Slot, Slot] = {}
-    for (t1, e1), (t2, e2) in gluings.items():
-        new_gluings[(t1, e1)] = (t2, e2)
-        new_gluings[(t1 + n, e1)] = (t2 + n, e2)
-    # Cross-glue the slit banks: copy A side (2,1) <-> copy B side (0,2).
-    slit_a, slit_b = (2, 1), (0, 2)
-    del new_gluings[slit_a], new_gluings[slit_b]
-    del new_gluings[(slit_a[0] + n, slit_a[1])], new_gluings[(slit_b[0] + n, slit_b[1])]
-    _pair(new_gluings, slit_a, (slit_b[0] + n, slit_b[1]))
-    _pair(new_gluings, (slit_a[0] + n, slit_a[1]), slit_b)
-    s = TranslationSurface(all_tris, new_gluings)
-    s.validate()
-    return s
+    both = {**gluings, **{(t + n, i): (u + n, j) for (t, i), (u, j) in gluings.items()}}
+    # Each copy's slit edge 0 -> v, slot (2, 1), meets the other copy's v -> 0, slot (0, 2).
+    for a, b in (((2, 1), (n, 2)), ((n + 2, 1), (0, 2))):
+        both[a], both[b] = b, a
+    return _surface(tris + tris, both)
+
+
+def _octagon(steps: Sequence[ExactVector], scale: int):
+    """The vertices v_0 = 0, ..., v_7 of the octagon with sides e_i = v_{i+1}
+    - v_i given by steps and then -steps, as int pairs at scale, and the
+    shift t_i = v_{i+4} - v_{i+1} that glues side i, p -> q, to side i + 4,
+    q + t_i -> p + t_i."""
+    if len(steps) != 4:
+        raise InputError("octagon needs 4 step vectors")
+    sides = [_ints(e, scale) for e in steps]
+    sides += [(-x, -y) for x, y in sides]
+    for (x0, y0), (x1, y1) in zip(sides, sides[1:] + sides[:1]):
+        if x0 * y1 - y0 * x1 <= 0:
+            raise InputError("octagon sides must turn strictly counterclockwise")
+    verts = [(0, 0)]
+    for x, y in sides[:-1]:
+        verts.append((verts[-1][0] + x, verts[-1][1] + y))
+    return verts, [_sub(verts[i + 4], verts[i + 1]) for i in range(4)]
 
 
 def octagon_h2(
@@ -144,43 +142,17 @@ def octagon_h2(
     triangulation from vertex 0 keeps the single cone point as the only
     vertex.  Default steps give a rational-vertex octagon of area 7.
     """
-    if steps is None:
-        steps = [_vec(1, 0), _vec(1, 1), _vec(0, 1), _vec(-1, 1)]
-    if len(steps) != 4:
-        raise InputError("octagon needs 4 step vectors")
-    sides = list(steps) + [-e for e in steps]
-    verts = [ExactVector(_F0, _F0)]
-    for e in sides[:-1]:
-        verts.append(verts[-1] + e)
-    for i in range(8):
-        if sides[i].cross(sides[(i + 1) % 8]) <= 0:
-            raise InputError("octagon sides must turn strictly counterclockwise")
-
-    def tri(p, q, r):
-        return Triangle((q - p, r - q, p - r))
-
-    tris = [tri(verts[0], verts[j], verts[j + 1]) for j in range(1, 7)]
-    gluings: Dict[Slot, Slot] = {}
-    # diagonals v0-v_j shared by fan triangles j-1 and j
-    for j in range(2, 7):
-        _pair(gluings, (j - 2, 2), (j - 1, 0))
-    # sides i and i+4 (opposite, reversed); side slots per the fan layout
-    side_slot = {0: (0, 0), 7: (5, 2)}
-    for i in range(1, 7):
-        side_slot[i] = (i - 1, 1)
-    for i in range(4):
-        _pair(gluings, side_slot[i], side_slot[i + 4])
-    s = TranslationSurface(tris, gluings)
-    s.validate()
-    return s
+    steps = _OCTAGON_STEPS if steps is None else steps
+    scale = _scale_of(steps)
+    verts, shifts = _octagon(steps, scale)
+    return _surface(*_glue([(verts[0], verts[j], verts[j + 1]) for j in range(1, 7)], scale, shifts))
 
 
 def regular_octagon_approx() -> TranslationSurface:
     """Rational-vertex approximation of the regular octagon surface, with
     vertices on the grid of step 1/_OCTAGON_DENOM."""
     r = Fraction(round((2 ** 0.5 / 2) * _OCTAGON_DENOM), _OCTAGON_DENOM)
-    steps = [_vec(1, 0), ExactVector(r, r), _vec(0, 1), ExactVector(-r, r)]
-    return octagon_h2(steps)
+    return octagon_h2([ExactVector.of(1, 0), ExactVector(r, r), ExactVector.of(0, 1), ExactVector(-r, r)])
 
 
 def centered_octagon_h2() -> TranslationSurface:
@@ -190,28 +162,11 @@ def centered_octagon_h2() -> TranslationSurface:
     The center is a regular marked point, a zero of order 0: the stratum
     signature is (2, 0), with relative homology of rank 5.
     """
-    steps = [_vec(1, 0), _vec(1, 1), _vec(0, 1), _vec(-1, 1)]
-    sides = steps + [-e for e in steps]
-    verts = [ExactVector(_F0, _F0)]
-    for e in sides[:-1]:
-        verts.append(verts[-1] + e)
-    total = verts[0]
-    for v in verts[1:]:
-        total = total + v
-    center = total.scale(Fraction(1, 8))
-
-    def tri(p, q, r):
-        return Triangle((q - p, r - q, p - r))
-
-    tris = [tri(center, verts[j], verts[(j + 1) % 8]) for j in range(8)]
-    gluings: Dict[Slot, Slot] = {}
-    for j in range(8):
-        _pair(gluings, (j, 2), ((j + 1) % 8, 0))  # spokes
-    for i in range(4):
-        _pair(gluings, (i, 1), (i + 4, 1))  # opposite sides
-    s = TranslationSurface(tris, gluings)
-    s.validate()
-    return s
+    # At twice the steps' scale the center of symmetry, halfway from v_0 = 0
+    # to v_4, is an int pair.
+    verts, shifts = _octagon(_OCTAGON_STEPS, 2)
+    center = (verts[4][0] // 2, verts[4][1] // 2)
+    return _surface(*_glue([(center, verts[j], verts[(j + 1) % 8]) for j in range(8)], 2, shifts))
 
 
 # --- planar point sets wrapped into a large torus -------------------------
@@ -236,12 +191,8 @@ def wrap_points_in_torus(points: Sequence[ExactVector]):
     shifted = [p - origin for p in points]
 
     tris, gluings, corner_of_point = _triangulate_square_with_points(side, shifted)
-    s = TranslationSurface(tris, gluings)
-    s.validate()
-    ids = [s.corner_vertex(c) for c in corner_of_point]
-    if len(set(ids)) != len(ids):
-        raise InputError("duplicate points")
-    return s, ids, origin
+    s = _surface(tris, gluings)
+    return s, [s.corner_vertex(c) for c in corner_of_point], origin
 
 
 def _triangulate_square_with_points(side: Fraction, pts: List[ExactVector]):
@@ -250,32 +201,22 @@ def _triangulate_square_with_points(side: Fraction, pts: List[ExactVector]):
     Points strictly inside a triangle split it into three; points landing on
     an interior edge split the two adjacent triangles into four.  Positions
     are scaled by L, the lcm of all denominators, to int pairs, so every
-    predicate is an exact int sign; edges become ExactVectors at the end.
+    predicate is an exact int sign.  The square's sides are glued by the
+    shifts (n, 0) and (0, n), n = side times L.
     """
-    scale = math.lcm(side.denominator, *(q.denominator for p in pts for q in (p.x, p.y)))
-
-    def scaled(q: Fraction) -> int:
-        return q.numerator * (scale // q.denominator)
-
-    def vec(p, q) -> ExactVector:
-        return ExactVector(Fraction(q[0] - p[0], scale), Fraction(q[1] - p[1], scale))
-
-    def cross(a, b, p) -> int:
-        return (b[0] - a[0]) * (p[1] - a[1]) - (b[1] - a[1]) * (p[0] - a[0])
-
-    n = scaled(side)
-    c00, c10, c11, c01 = (0, 0), (n, 0), (n, n), (0, n)
-    ipts = [(scaled(p.x), scaled(p.y)) for p in pts]
-
-    # Triangles as int vertex-position triples; edges derived at the end.
-    cells: List[List[Tuple[int, int]]] = [[c00, c10, c11], [c00, c11, c01]]
+    scale = math.lcm(side.denominator, _scale_of(pts))
+    n = int(side * scale)
+    ipts = [_ints(p, scale) for p in pts]
+    if len(set(ipts)) != len(ipts):
+        raise InputError("duplicate points")
+    cells = [[(0, 0), (n, 0), (n, n)], [(0, 0), (n, n), (0, n)]]
 
     def locate(k):
-        p = ipts[k]
+        px, py = ipts[k]
         for idx, (a, b, c) in enumerate(cells):
-            s1 = cross(a, b, p)
-            s2 = cross(b, c, p)
-            s3 = cross(c, a, p)
+            s1 = (b[0] - a[0]) * (py - a[1]) - (b[1] - a[1]) * (px - a[0])
+            s2 = (c[0] - b[0]) * (py - b[1]) - (c[1] - b[1]) * (px - b[0])
+            s3 = (a[0] - c[0]) * (py - c[1]) - (a[1] - c[1]) * (px - c[0])
             if s1 > 0 and s2 > 0 and s3 > 0:
                 return idx, None
             if s1 == 0 and s2 > 0 and s3 > 0:
@@ -288,62 +229,27 @@ def _triangulate_square_with_points(side: Fraction, pts: List[ExactVector]):
 
     for k, p in enumerate(ipts):
         idx, on_edge = locate(k)
-        a, b, c = cells[idx]
         if on_edge is None:
+            a, b, c = cells[idx]
             cells[idx] = [a, b, p]
             cells.append([b, c, p])
             cells.append([c, a, p])
         else:
-            # Split the edge in this cell and in its mate (found by matching
-            # endpoint positions; interior edges appear in exactly two cells).
-            u = cells[idx][on_edge]
-            w = cells[idx][(on_edge + 1) % 3]
-            o = cells[idx][(on_edge + 2) % 3]
-            mate = None
-            for jdx, cell in enumerate(cells):
-                if jdx == idx:
-                    continue
-                for e in range(3):
-                    if cell[e] == w and cell[(e + 1) % 3] == u:
-                        mate = (jdx, e)
-                        break
-                if mate:
-                    break
-            if mate is None:
-                raise InputError("point on the square boundary is not supported")
-            jdx, e = mate
-            w2 = cells[jdx][e]
-            u2 = cells[jdx][(e + 1) % 3]
+            # Split the edge u -> w of this cell and w -> u of its mate; the
+            # points lie inside the square, so the edge is interior.
+            u, w, o = (cells[idx][(on_edge + j) % 3] for j in range(3))
+            jdx, e = next(
+                (j, e) for j, cell in enumerate(cells) for e in range(3)
+                if cell[e] == w and cell[(e + 1) % 3] == u
+            )
             o2 = cells[jdx][(e + 2) % 3]
             cells[idx] = [u, p, o]
             cells.append([p, w, o])
-            cells[jdx] = [w2, p, o2]
-            cells.append([p, u2, o2])
+            cells[jdx] = [w, p, o2]
+            cells.append([p, u, o2])
 
-    # Build edge slots; pair interior edges by position, boundary edges by
-    # the torus identifications (whole sides are single edges by margin).
-    tris = [Triangle((vec(a, b), vec(b, c), vec(c, a))) for a, b, c in cells]
-    pos: Dict[Tuple, Slot] = {}
-    gluings: Dict[Slot, Slot] = {}
-    for t, corners in enumerate(cells):
-        for i in range(3):
-            p, q = corners[i], corners[(i + 1) % 3]
-            if (q, p) in pos:
-                _pair(gluings, pos.pop((q, p)), (t, i))
-            else:
-                pos[(p, q)] = (t, i)
-    # Remaining unmatched slots are the 4 square sides.
-    _pair(gluings, pos[(c00, c10)], pos[(c11, c01)])
-    _pair(gluings, pos[(c10, c11)], pos[(c01, c00)])
-
-    corner_of_point = []
-    for p in ipts:
-        found = None
-        for t, cell in enumerate(cells):
-            if p in cell:
-                found = (t, cell.index(p))
-                break
-        corner_of_point.append(found)
+    tris, gluings = _glue(cells, scale, ((n, 0), (0, n)))
+    corner_of_point = [next((t, cell.index(p)) for t, cell in enumerate(cells) if p in cell) for p in ipts]
     return tris, gluings, corner_of_point
 
 

@@ -3,13 +3,15 @@
 Reports are JSON with sorted keys (stable for golden-file comparisons);
 enumerate, tails and bc-table also print their table as CSV via --format
 csv.  Exit codes: 0 success, 1 domain error with machine-readable JSON on
-stderr, 2 usage error.
+stderr, 2 usage error.  The one exit 1 without an error is chew-check's
+when a path is not certified within sqrt(10): its report goes to stdout
+and nothing to stderr.
 
 Work is bounded by the environment variable ``SADDLEKIT_BUDGET`` (default
-500,000: enumeration states, lattice rows and points, and samples); no
-command takes a flag for it.  A command that needs more exits 1 with
-``RESOURCE_LIMIT`` and the progress it made, e.g. ``states``,
-``connections`` and ``radius_sq_reached`` for an enumeration.
+500,000: enumeration states, lattice rows and points, samples, and the
+tails thresholds k_max); no command takes a flag for it.  A command that
+needs more exits 1 with ``RESOURCE_LIMIT`` and the progress it made, e.g.
+``states``, ``connections`` and ``radius_sq_reached`` for an enumeration.
 """
 
 from __future__ import annotations

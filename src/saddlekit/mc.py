@@ -355,9 +355,13 @@ def tail_histogram(samples, f: TestFunction, k_max: int, threads: int = 1) -> Ta
     """Exceedance fractions of the transform over sqrt(k) thresholds with a
     power-law fit: slope of log-exceedance against log sqrt(k) over the
     resolvable range (fractions strictly inside (0, 1) with at least 5
-    hits)."""
+    hits).  A k_max over the work budget is refused before any threshold is
+    built."""
     if k_max < 1:
         raise InputError("k_max must be positive")
+    budget = default_budget()
+    if k_max > budget:
+        raise ResourceLimitError(f"k_max {k_max} is over the budget of {budget}", k_max=k_max, budget=budget)
     values = _values(samples, f, threads=threads)
     n = len(values)
     thresholds = [math.sqrt(k) for k in range(1, k_max + 1)]

@@ -221,6 +221,17 @@ def test_sample_counts_over_the_budget_are_refused(command, capsys, torus_file):
     assert (payload["error"], payload["samples"], payload["budget"]) == ("RESOURCE_LIMIT", 10**13, 500_000)
 
 
+def test_tails_kmax_over_the_budget_is_refused(capsys, monkeypatch):
+    monkeypatch.setenv("SADDLEKIT_BUDGET", "1000")
+    argv = ["tails", "--samples", "10", "--seed", "1", "--kmax"]
+    code, out, err = run(capsys, argv + ["1001"])
+    assert code == 1 and out == ""
+    payload = json.loads(err)
+    assert (payload["error"], payload["k_max"], payload["budget"]) == ("RESOURCE_LIMIT", 1001, 1000)
+    code, out, err = run(capsys, argv + ["1000"])
+    assert code == 0 and len(json.loads(out)["thresholds"]) == 1000
+
+
 def test_classify_a_pushed_draw_without_its_cylinder(capsys, tmp_path):
     # The shortest connection's cylinder is longer than the trace bound
     # 64 eps0 + 64 = 96, which the detail names instead.

@@ -378,6 +378,30 @@ def test_an_unread_cli_option_is_found():
     assert _unread_options(parser, tree) == [("a", "v"), ("b-c", "z")]
 
 
+def _exactplane_namesakes(trees):
+    """(module, line, name) of each function, at any depth of a module other
+    than exactplane, named like a module-level function of exactplane."""
+    names = {node.name for node in trees["exactplane"].body if isinstance(node, ast.FunctionDef)}
+    return sorted(
+        (stem, node.lineno, node.name)
+        for stem, tree in trees.items() if stem != "exactplane"
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name in names
+    )
+
+
+def test_no_module_redefines_an_exactplane_function():
+    assert _exactplane_namesakes(_trees()) == []
+
+
+def test_a_redefined_exactplane_function_is_found():
+    trees = {
+        "exactplane": ast.parse("def _vec(p, scale):\n    pass\n"),
+        "builders": ast.parse("def _glue():\n    def _vec(x, y):\n        pass\n"),
+    }
+    assert _exactplane_namesakes(trees) == [("builders", 2, "_vec")]
+
+
 def _hand_copied_field_lists(trees):
     """(module, class) of each dataclass whose to_json_dict is one
     ``return {...}`` of exactly its field names, each value ``self.<field>``

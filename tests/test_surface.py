@@ -1,4 +1,6 @@
+import hashlib
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -6,8 +8,11 @@ import pytest
 from saddlekit.builders import (
     centered_octagon_h2,
     marked_torus,
+    octagon_h2,
     regular_octagon_approx,
+    sheared_torus,
     slit_torus,
+    torus_from_matrix,
     wrap_points_in_torus,
 )
 from saddlekit.errors import (
@@ -16,6 +21,7 @@ from saddlekit.errors import (
     EdgeSumError,
     GluingInvolutionError,
     GluingOppositeError,
+    InputError,
     SingularMatrixError,
 )
 from saddlekit.exactplane import ExactMatrix, ExactVector
@@ -200,3 +206,59 @@ def test_wrapped_points_are_marked(torus):
     sig = s.validate()
     assert sig.genus == 1
     assert all(k == 0 for k in s.vertex_orders().values())
+
+
+def test_duplicate_points_are_refused():
+    with pytest.raises(InputError, match="^duplicate points$"):
+        wrap_points_in_torus([V(1, 2), V(0, 0), V(Fraction(2, 2), 2)])
+
+
+def _grid_points(seed, n, steps):
+    """n distinct points of the grid [0, 4]^2 of step 1/steps, in drawn
+    order; on a coarse grid many fall on an edge of the cells before them."""
+    rng = random.Random(seed)
+    pts = []
+    while len(pts) < n:
+        p = V(Fraction(rng.randint(0, 4 * steps), steps), Fraction(rng.randint(0, 4 * steps), steps))
+        if p not in pts:
+            pts.append(p)
+    return pts
+
+
+def _builder_outputs():
+    """(surface, vertex ids, origin) of each builder on fixed inputs; ids and
+    origin are None but for wrapped point sets."""
+    third, fifth = Fraction(1, 3), Fraction(1, 5)
+    surfaces = [
+        octagon_h2(),
+        regular_octagon_approx(),
+        centered_octagon_h2(),
+        octagon_h2([V(2, 0), V(1, 1), V(0, Fraction(1, 2)), V(-1, 3)]),
+        octagon_h2([V(Fraction(3, 2), -third), V(1, Fraction(1, 2)), V(fifth, 1), V(Fraction(-2, 7), third)]),
+        marked_torus(V(third, fifth)),
+        marked_torus(V(fifth, Fraction(2, 7))),
+        slit_torus(V(third, fifth)),
+        slit_torus(V(fifth, Fraction(2, 7))),
+        torus_from_matrix(ExactMatrix.of(2, 1, 1, 1)),
+        torus_from_matrix(ExactMatrix.of(third, Fraction(-2, 5), Fraction(3, 7), 2)),
+        sheared_torus(Fraction(3, 4)),
+        sheared_torus(-2),
+    ]
+    outputs = [(s, None, None) for s in surfaces]
+    sets = [[V(third, fifth)]] + [_grid_points(seed, 12, steps) for seed, steps in ((0, 1), (1, 1), (2, 2), (3, 3))]
+    return outputs + [wrap_points_in_torus(pts) for pts in sets]
+
+
+# sha256 of every builder output on fixed inputs: the surface JSON, the
+# gluings, the corner -> vertex map and, for wrapped points, their vertex ids
+# and the origin.
+_BUILDER_DIGEST = "ed630ea7528180b536e6770c14f8962aeec932c707c543561bbb6a334afb22c1"
+
+
+def test_builder_outputs_are_pinned():
+    digest = hashlib.sha256()
+    for s, ids, origin in _builder_outputs():
+        corners = [s.corner_vertex((t, c)) for t in range(s.n_triangles()) for c in range(3)]
+        for part in (s.to_json(), sorted(s.gluings.items()), corners, ids, origin):
+            digest.update(repr(part).encode())
+    assert digest.hexdigest() == _BUILDER_DIGEST
