@@ -28,18 +28,25 @@ one from q to p with the negated holonomy, the mates of its crossings in
 reverse order and the negated homology class (`_reverse`, `reverse_of`).  So
 the search develops only the directions of the half-open half-plane
 H = {y > 0} or {y = 0, x > 0}, whose one boundary ray, (1, 0), is closed,
-and emits each connection it finds with its reverse.  The work budget
-counts the states of that half-plane search.
+and every connection it finds stands for itself and its reverse.  The work
+budget counts the states of that half-plane search.
 
-Connections of one length are sorted on int keys at scale D, and no
-connection is reached twice, so none is deduplicated; Fractions are built
-only for the connections yielded.  The int corner positions are the
-surface's own, built once by validation (`int_corners`).
+One search core, `_search`, hands out the connections it finds in groups of
+one float length, each as raw ints at scale D: its last link, holonomy and
+end corner.  No connection is reached twice, so none is deduplicated.  Two
+consumers read the groups.  `connections` materializes each found
+connection and its reverse in full (crossings, ends, homology class, start
+corner), sorts the group on int keys and builds Fractions only for the
+connections it yields.  `holonomies` keeps only the distinct vectors, for
+the callers that need nothing else (`count`, the transforms of `sv`): it
+sorts each group's int holonomies and their negations, walks no link and
+reduces no class.  The int corner positions are the surface's own, built
+once by validation (`int_corners`).
 
-The homology class of an emitted connection is the chain of triangulation
-edges along the right-hand boundary of the developed triangle strip (the
-strip's two boundary paths differ by triangle boundaries, hence are
-homologous), reduced to canonical form.
+The homology class of a materialized connection is the chain of
+triangulation edges along the right-hand boundary of the developed triangle
+strip (the strip's two boundary paths differ by triangle boundaries, hence
+are homologous), reduced to canonical form.
 
 Every straight line that is followed rather than searched for (a traced
 connection, the strip a Chew path walks along, the closed leaf that finds
@@ -180,34 +187,31 @@ def _reverse(gluings, crossings, start_corner):
     return tuple(gluings[slot] for slot in reversed(crossings)), (u, (j + 2) % 3)
 
 
-def connections(s: TranslationSurface, radius_sq):
-    """Saddle connections of squared length <= radius_sq, shortest first.
+def _search(s: TranslationSurface, radius_sq):
+    """The half-plane search for connections of squared length <= radius_sq.
 
-    Yields each connection once, in strictly increasing (sort_key(),
-    start_corner) order, so a caller may stop at any length.  radius_sq is
-    read by ``exactplane.to_fraction``.  Raises ResourceLimitError when the
-    search needs more states than the work budget,
-    ``exactplane.default_budget()``, read once per search; its details say
-    how far the search got.  Its states are the triangles developed by the
-    half-plane search below, about half of what a search of every direction
-    develops, and the budget is checked before each one.  radius_sq_reached
-    is the key of the wedge popped last (or a smaller key of the same float
-    still in the heap), not that of the triangle the refusal stopped at:
-    every connection strictly shorter has been yielded by then.
+    Yields the found connections of H one group at a time, each group those
+    whose squared lengths have one float, groups in increasing order.  A
+    found connection is the raw tuple (link, last_lower, (hx, hy),
+    end_corner): its last link, the slot closing its strip's lower
+    boundary, its holonomy times D and the corner it ends at, slots as ints
+    3t + i.  A link is (parent, crossed slot, lower-boundary slot or None);
+    the root link's lower slot is the start corner.  radius_sq is read by
+    ``exactplane.to_fraction``.  Raises ResourceLimitError when the search
+    needs more states than the work budget, ``exactplane.default_budget()``,
+    read once per search; its details say how far the search got, and its
+    connections are those handed out so far, two per found connection (it
+    and its reverse).  Its states are the triangles developed, and the
+    budget is checked before each one.  radius_sq_reached is the key of the
+    wedge popped last (or a smaller key of the same float still in the
+    heap), not that of the triangle the refusal stopped at: every connection
+    strictly shorter has been handed out by then.
 
     A popped wedge runs through its pass-through triangles in one loop (see
     the module docstring).  A run to the end develops the states a search
     that pushed each pass-through on the heap would, but a caller that stops
     early may meet a chain developed past its stopping length, up to
     radius_sq, and so spend more states than that search.
-
-    The search finds the connections whose holonomy lies in the half-open
-    half-plane H = {y > 0} or {y = 0, x > 0}, and emits each with its
-    reverse (`_reverse`), whose holonomy is the negation, outside H: every
-    connection comes out once.  The reverse's homology class is the
-    original's negated, not reduced again: the reversed strip's right-hand
-    boundary is the original's left-hand one walked backwards, homologous to
-    the original's right-hand one negated, and the reduction is linear.
 
     No connection is reached twice.  The corners around a vertex split the
     directions there into half-open wedges [out-edge, in-edge): a root finds
@@ -222,19 +226,11 @@ def connections(s: TranslationSurface, radius_sq):
     lies outside and the wedge passes on whole.  So the wedges alive at any
     time are disjoint, and the segment from a vertex in a given direction,
     on a given sheet, is found at most once.
-
-    Found connections of one length leave the heap together.  Each is keyed
-    by ints at the surface's scale D: (hx^2 + hy^2, hx, hy, start, end,
-    crossings, start_corner) with (hx, hy) its holonomy times D.  As D > 0,
-    that key orders connections exactly as (sort_key(), start_corner) does;
-    the holonomy's Fractions are built only for the connections yielded,
-    and equal holonomies of a group share one ExactVector.
     """
     # Scaled by D, every developed position is an int pair.
     scale, corners = s.int_corners()
     budget = default_budget()
-    homology = s.homology()
-    vertex, gluings = s.corner_vertex, s.gluings
+    gluings = s.gluings
     scale_sq = scale * scale
     limit = to_fraction(radius_sq) * scale_sq
     rn, rd = limit.numerator, limit.denominator
@@ -242,12 +238,12 @@ def connections(s: TranslationSurface, radius_sq):
     # triangle across it: the new vertex's offset from y and the slots
     # x -> c and c -> y.  The glued edge runs head-to-tail: corner j of u
     # sits at y, j+1 at x.
-    slots = [(t, i) for t in range(len(corners)) for i in range(3)]
     steps = []
-    for slot in slots:
-        u, j = gluings[slot]
-        (jx, jy), (kx, ky) = corners[u][j], corners[u][(j + 2) % 3]
-        steps.append((kx - jx, ky - jy, 3 * u + (j + 1) % 3, 3 * u + (j + 2) % 3))
+    for t in range(len(corners)):
+        for i in range(3):
+            u, j = gluings[(t, i)]
+            (jx, jy), (kx, ky) = corners[u][j], corners[u][(j + 2) % 3]
+            steps.append((kx - jx, ky - jy, 3 * u + (j + 1) % 3, 3 * u + (j + 2) % 3))
     heap: list = []
     serial = _serial()
 
@@ -275,59 +271,30 @@ def connections(s: TranslationSurface, radius_sq):
             else:
                 continue
             push(*_visible_dist_sq(p1, p2, a, b), _STATE, (head, p1, p2, a, b, ta, (None, head, slot)))
-    states = yielded = 0
+    states = handed = 0
     while heap:
         fkey, kind, _, key, payload = heapq.heappop(heap)
         if kind == _FOUND:
             # Keys never decrease along the search, so every connection in
-            # H whose length has this float is in the heap now; each leaves
-            # with its reverse.
+            # H whose length has this float is in the heap now.
             group = [payload]
             while heap and heap[0][0] == fkey:
                 group.append(heapq.heappop(heap)[4])
-            keys = []
-            for node, last_lower, (hx, hy), end_corner in group:
-                # A link is (parent, crossed slot, lower-boundary slot or
-                # None); the root link's lower slot is the start corner, and
-                # last_lower closes the strip's lower boundary at the end.
-                crossings, lower = [], [slots[last_lower]]
-                while node is not None:
-                    node, crossed, low = node
-                    crossings.append(slots[crossed])
-                    if low is not None:
-                        lower.append(slots[low])
-                crossings.reverse()
-                crossings = tuple(crossings)
-                start_corner = lower[-1]
-                start, end = vertex(start_corner), vertex(slots[end_corner])
-                cls = homology.class_of_slots(lower)
-                norm = hx * hx + hy * hy
-                keys.append((norm, hx, hy, start, end, crossings, start_corner, cls))
-                keys.append((norm, -hx, -hy, end, start, *_reverse(gluings, crossings, start_corner),
-                             tuple(-x for x in cls)))
-            # start_corner is part of the key: distinct parallel segments
-            # (e.g. the two banks of a slit) agree in holonomy, endpoints
-            # and crossings.  No two keys are equal, so cls never decides.
-            keys.sort()
-            h = holonomy = None
-            for _, hx, hy, start, end, crossings, start_corner, cls in keys:
-                if (hx, hy) != h:
-                    h, holonomy = (hx, hy), _vec((hx, hy), scale)
-                yielded += 1
-                yield SaddleConnection(holonomy, start, end, crossings, cls, start_corner)
+            handed += 2 * len(group)
+            yield group
             continue
         # Develop the popped wedge until it splits or leaves the disc.
         slot, x, y, a, b, ta, node = payload
         (a0, a1), (b0, b1) = a, b
         while True:
             if states >= budget:
-                # The popped key bounds every connection not yet yielded;
+                # The popped key bounds every connection not yet handed out;
                 # an entry with the same float may hold a smaller one.
                 reached = min(Fraction(n, d * scale_sq)
                               for n, d in [key] + [e[3] for e in heap if e[0] == fkey])
                 raise ResourceLimitError(
                     "enumeration state budget exceeded", budget=budget, states=states,
-                    connections=yielded, radius_sq_reached=format_rational(reached),
+                    connections=handed, radius_sq_reached=format_rational(reached),
                 )
             states += 1
             dx, dy, slot_a, slot_b = steps[slot]
@@ -353,6 +320,82 @@ def connections(s: TranslationSurface, radius_sq):
                 break
 
 
+def connections(s: TranslationSurface, radius_sq):
+    """Saddle connections of squared length <= radius_sq, shortest first.
+
+    Yields each connection once, in strictly increasing (sort_key(),
+    start_corner) order, so a caller may stop at any length.  radius_sq is
+    read by ``exactplane.to_fraction``.  The search is `_search`, which says
+    what it spends and when it raises ResourceLimitError; the refusal's
+    connections are those yielded.
+
+    Each connection `_search` finds in the half-plane H comes out with its
+    reverse (`_reverse`), whose holonomy is the negation, outside H: every
+    connection comes out once.  A found connection's crossings and the
+    lower boundary of its strip are read off its links, and its homology
+    class is that boundary reduced; the reverse's class is the original's
+    negated, not reduced again: the reversed strip's right-hand boundary is
+    the original's left-hand one walked backwards, homologous to the
+    original's right-hand one negated, and the reduction is linear.
+
+    The connections of a group are keyed by ints at the surface's scale D:
+    (hx^2 + hy^2, hx, hy, start, end, crossings, start_corner) with (hx, hy)
+    the holonomy times D.  As D > 0, that key orders connections exactly as
+    (sort_key(), start_corner) does; the holonomy's Fractions are built only
+    for the connections yielded, and equal holonomies of a group share one
+    ExactVector.
+    """
+    scale, _ = s.int_corners()
+    homology = s.homology()
+    vertex, gluings = s.corner_vertex, s.gluings
+    slots = [(t, i) for t in range(s.n_triangles()) for i in range(3)]
+    for group in _search(s, radius_sq):
+        keys = []
+        for node, last_lower, (hx, hy), end_corner in group:
+            # last_lower closes the strip's lower boundary at the end.
+            crossings, lower = [], [slots[last_lower]]
+            while node is not None:
+                node, crossed, low = node
+                crossings.append(slots[crossed])
+                if low is not None:
+                    lower.append(slots[low])
+            crossings.reverse()
+            crossings = tuple(crossings)
+            start_corner = lower[-1]
+            start, end = vertex(start_corner), vertex(slots[end_corner])
+            cls = homology.class_of_slots(lower)
+            norm = hx * hx + hy * hy
+            keys.append((norm, hx, hy, start, end, crossings, start_corner, cls))
+            keys.append((norm, -hx, -hy, end, start, *_reverse(gluings, crossings, start_corner),
+                         tuple(-x for x in cls)))
+        # start_corner is part of the key: distinct parallel segments
+        # (e.g. the two banks of a slit) agree in holonomy, endpoints
+        # and crossings.  No two keys are equal, so cls never decides.
+        keys.sort()
+        h = holonomy = None
+        for _, hx, hy, start, end, crossings, start_corner, cls in keys:
+            if (hx, hy) != h:
+                h, holonomy = (hx, hy), _vec((hx, hy), scale)
+            yield SaddleConnection(holonomy, start, end, crossings, cls, start_corner)
+
+
+def _radius_sq(radius, radius_sq) -> Fraction:
+    """The squared search radius from exactly one of radius and radius_sq,
+    each read by ``exactplane.to_fraction`` and positive; InputError
+    otherwise."""
+    if (radius is None) == (radius_sq is None):
+        raise InputError("pass exactly one of radius, radius_sq")
+    if radius is not None:
+        r = to_fraction(radius)
+        if r <= 0:
+            raise InputError("radius must be positive")
+        return r * r
+    radius_sq = to_fraction(radius_sq)
+    if radius_sq <= 0:
+        raise InputError("radius_sq must be positive")
+    return radius_sq
+
+
 def enumerate_connections(
     s: TranslationSurface,
     radius=None,
@@ -365,24 +408,40 @@ def enumerate_connections(
     circles whose radius is an irrational square root of a rational (used by
     analytic area normalization).
     """
-    if (radius is None) == (radius_sq is None):
-        raise InputError("pass exactly one of radius, radius_sq")
-    if radius is not None:
-        r = to_fraction(radius)
-        if r <= 0:
-            raise InputError("radius must be positive")
-        radius_sq = r * r
-    else:
-        radius_sq = to_fraction(radius_sq)
-        if radius_sq <= 0:
-            raise InputError("radius_sq must be positive")
+    radius_sq = _radius_sq(radius, radius_sq)
     return HolonomySet(radius_sq=radius_sq, connections=tuple(connections(s, radius_sq)))
+
+
+def holonomies(s: TranslationSurface, radius=None, *, radius_sq=None) -> Tuple[ExactVector, ...]:
+    """The distinct holonomies of the saddle connections of length <= radius,
+    strictly increasing in (|v|^2, x, y): enumerate_connections(s, radius,
+    radius_sq=radius_sq).vectors(), with the same arguments, states and
+    refusals.
+
+    Equal holonomies have equal lengths and so lie in one group of
+    `_search`, which holds every vector of its float length.  Each group's
+    int keys (|v|^2, +-hx, +-hy) at scale D, the found connections' and
+    their reverses', are sorted, and one ExactVector is built per run of
+    equal keys; no link is walked, no class reduced and no connection
+    built.
+    """
+    radius_sq = _radius_sq(radius, radius_sq)
+    scale, _ = s.int_corners()
+    vectors = []
+    for group in _search(s, radius_sq):
+        keys = []
+        for _, _, (hx, hy), _ in group:
+            norm = hx * hx + hy * hy
+            keys += (norm, hx, hy), (norm, -hx, -hy)
+        keys.sort()
+        vectors.extend(_vec(key[1:], scale) for key, _ in groupby(keys))
+    return tuple(vectors)
 
 
 def count(s: TranslationSurface, radius) -> int:
     """Number of distinct holonomy vectors of length <= radius:
-    len(vectors()) of the enumeration."""
-    return len(enumerate_connections(s, radius).vectors())
+    len(holonomies(s, radius))."""
+    return len(holonomies(s, radius))
 
 
 def shortest(s: TranslationSurface) -> SaddleConnection:
@@ -509,7 +568,9 @@ def _strip(s: TranslationSurface, corner: Slot, d: ExactVector):
     with the start vertex at the origin, the slots crossed, the slots along
     the strip's lower boundary up to the vertex at d, and that vertex.
     Raises BlockedAtVertex if the segment meets a vertex short of d,
-    InputError if no vertex sits at d.
+    InputError if no vertex sits at d, and ResourceLimitError with d's
+    holonomy and the crossings made when d is not reached within
+    _MAX_CROSSINGS crossings.
     """
     k, corners, [(dx, dy)] = _frame(s, d)
     t, c = corner
@@ -538,7 +599,9 @@ def _strip(s: TranslationSurface, corner: Slot, d: ExactVector):
             if ax * ax + ay * ay < d_sq and ax * dx + ay * dy > 0:
                 raise BlockedAtVertex(_vec((ax, ay), k), end)
             raise InputError("trace left the segment corridor; displacement invalid")
-    raise ResourceLimitError("segment trace did not terminate")
+    raise ResourceLimitError(
+        "segment trace did not terminate", holonomy=d.to_json(), crossings=_MAX_CROSSINGS,
+    )
 
 
 # --- cylinder detection ----------------------------------------------------

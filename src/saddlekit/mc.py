@@ -25,11 +25,14 @@ summed per sample with ``np.bincount``.  Both kernels
 get their row budget from one ``exactplane.default_budget()`` read per
 batch, not one per lattice.  A stratum surface's transform is
 ``sv.transform_report`` at the surface's area, so the surface is never
-rescaled.  ``threads`` spreads only stratum surfaces over a thread pool;
-torus samples always run in the calling thread.  All estimators are
-bit-deterministic for a fixed seed, whatever the thread count: values are
-computed into an index-ordered array and reduced by numpy's fixed pairwise
-summation.
+rescaled; it reads only the surface's holonomy vectors
+(``geodesic.holonomies``) and builds no connection and no homology class.
+A surface with an ambiguous membership is refused with
+AmbiguousMembershipError, never counted 0.  ``threads`` spreads only
+stratum surfaces over a thread pool; torus samples always run in the
+calling thread.  All estimators are bit-deterministic for a fixed seed,
+whatever the thread count: values are computed into an index-ordered array
+and reduced by numpy's fixed pairwise summation.
 """
 
 from __future__ import annotations
@@ -42,7 +45,13 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import kernels
-from .errors import AcceptanceRateError, InputError, ResourceLimitError, SurfaceError
+from .errors import (
+    AcceptanceRateError,
+    AmbiguousMembershipError,
+    InputError,
+    ResourceLimitError,
+    SurfaceError,
+)
 from .exactplane import ExactVector, default_budget, to_float, to_fraction
 from .oracle import siegel_constant_torus
 from .surface import TranslationSurface, Triangle, area
@@ -249,28 +258,36 @@ def _disc_counts(matrices: np.ndarray, radius: float) -> np.ndarray:
 def _values(samples, f: TestFunction, threads: int = 1) -> np.ndarray:
     """Transform values in sample order.  A HaarSample goes through its
     (n, 4) array and the vectorized kernel; each surface is scaled to unit
-    area by ``sv.transform_report``.  ``threads`` spreads only surfaces over
-    a thread pool."""
+    area by ``sv.transform_report``, and a surface with an ambiguous
+    membership raises AmbiguousMembershipError with the ambiguous count and
+    the sample's index, as ``sv.transform`` does.  ``threads`` spreads only
+    surfaces over a thread pool."""
     if threads < 1:
         raise InputError(f"threads must be at least 1, got {threads}")
     if isinstance(samples, HaarSample):
         return _torus_values(samples.matrices, f)
     items = samples.surfaces if isinstance(samples, StratumSample) else tuple(samples)
 
-    def eval_one(item):
+    def eval_one(i, item):
         if not isinstance(item, TranslationSurface):
             raise InputError(f"unsupported sample type {type(item).__name__}")
-        return transform_report(item, f, area(item)).value
+        rep = transform_report(item, f, area(item))
+        if rep.ambiguous:
+            raise AmbiguousMembershipError(
+                f"{rep.ambiguous} holonomy vectors within the boundary margin on sample {i}",
+                ambiguous=rep.ambiguous, sample=i,
+            )
+        return rep.value
 
     out = np.zeros(len(items))
     if threads == 1 or len(items) < 4:
         for i, item in enumerate(items):
-            out[i] = eval_one(item)
+            out[i] = eval_one(i, item)
         return out
     from concurrent.futures import ThreadPoolExecutor
 
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        for i, val in enumerate(pool.map(eval_one, items, chunksize=64)):
+        for i, val in enumerate(pool.map(eval_one, range(len(items)), items, chunksize=64)):
             out[i] = val
     return out
 

@@ -36,6 +36,7 @@ from .geodesic import (
     connections,
     detect_cylinder,
     enumerate_connections,
+    holonomies,
     nonhomologous_edge_bound,
     reverse_of,
     second_shortest_nonhomologous,
@@ -370,9 +371,10 @@ def _tally(vectors, f: TestFunction, area) -> Tuple[int, int]:
 
 def transform_report(s: TranslationSurface, f: TestFunction, area=1) -> TransformReport:
     """Transform of f on the copy of s scaled to unit area, for s of the
-    given area, with its ambiguous count: one enumeration up to the support
-    radius times sqrt(area)."""
-    vectors = enumerate_connections(s, radius_sq=f.support_radius() ** 2 * area).vectors()
+    given area, with its ambiguous count: one search up to the support
+    radius times sqrt(area), which keeps only the holonomy vectors
+    (`geodesic.holonomies`), so no connection or homology class is built."""
+    vectors = holonomies(s, radius_sq=f.support_radius() ** 2 * area)
     total, ambiguous = _tally(vectors, f, area)
     return TransformReport(value=float(total), ambiguous=ambiguous, n_vectors=len(vectors))
 
@@ -430,8 +432,7 @@ def rotational_average_AR(s: TranslationSurface, f: TestFunction, R: float) -> A
     if isinstance(f, ProductPair):
         raise InputError("the rotational average takes a test function of one vector, not a product")
     pre_radius = f.support_radius() * to_fraction(R)
-    hs = enumerate_connections(s, radius=pre_radius)
-    return _rotational_average(_holonomy_array(hs.vectors()), f, R, _AR_QUADRATURE_N)
+    return _rotational_average(_holonomy_array(holonomies(s, radius=pre_radius)), f, R, _AR_QUADRATURE_N)
 
 
 def _rotational_average(pts: np.ndarray, f: TestFunction, R: float, n: int) -> ARReport:
@@ -501,7 +502,7 @@ def sector_sandwich(s: TranslationSurface, R: float, theta: float) -> SandwichRe
     w2 = TriangleIndicator(ExactVector(tan_t, Fraction(1)), ExactVector(-tan_t, Fraction(1)))
     r_frac = to_fraction(R)
     pre_radius = w2.support_radius() * r_frac
-    vectors = enumerate_connections(s, radius=pre_radius).vectors()
+    vectors = holonomies(s, radius=pre_radius)
     pts = _holonomy_array(vectors)
     theta_r = math.atan(math.tan(theta) / (R * R))
     # The stretched cone has angular width ~2 theta_r; resolve each window

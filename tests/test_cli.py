@@ -6,11 +6,12 @@ from fractions import Fraction
 
 import pytest
 
-from saddlekit import cli, mc, sv
+from saddlekit import chew, cli, geodesic, mc, sv
 from saddlekit.builders import octagon_h2, regular_octagon_approx, slit_torus, square_torus
 from saddlekit.delaunay import delaunay_l1
+from saddlekit.errors import ResourceLimitError
 from saddlekit.exactplane import ExactMatrix, ExactVector
-from saddlekit.geodesic import enumerate_connections
+from saddlekit.geodesic import _strip, enumerate_connections
 from saddlekit.surface import apply_surface
 
 
@@ -340,6 +341,40 @@ def test_budget_error_reports_progress(capsys, monkeypatch, torus, torus_file):
     monkeypatch.delenv("SADDLEKIT_BUDGET")
     conns = enumerate_connections(torus, radius_sq=reached).connections
     assert payload["connections"] == sum(1 for c in conns if c.length_sq() < reached)
+
+
+def test_a_segment_trace_at_the_crossing_cap_reports_progress(capsys, monkeypatch, torus, torus_file):
+    # With the cap at one crossing, a segment that crosses two edges is
+    # refused with its holonomy and the crossings made, as the leaf trace is.
+    monkeypatch.setattr(geodesic, "_MAX_CROSSINGS", 1)
+    conns = enumerate_connections(torus, 3).connections
+    conn = next(c for c in conns if len(c.crossings) > 1)
+    with pytest.raises(ResourceLimitError, match="segment trace did not terminate") as exc:
+        _strip(torus, conn.start_corner, conn.holonomy)
+    assert exc.value.details == {"holonomy": conn.holonomy.to_json(), "crossings": 1}
+    # chew-check walks each connection's strip on the Delaunay surface and
+    # stops at the first refusal.
+    dt = delaunay_l1(torus)
+    with pytest.raises(ResourceLimitError) as exc:
+        for c in conns:
+            chew.chew_path(dt, c)
+    code, out, err = run(capsys, ["chew-check", "--surface", torus_file, "--radius", "3"])
+    assert code == 1 and out == ""
+    assert json.loads(err) == {"error": "RESOURCE_LIMIT", "detail": "segment trace did not terminate",
+                               **exc.value.details}
+    assert exc.value.details["crossings"] == 1 and exc.value.details["holonomy"]
+
+
+def test_mc_stratum_refuses_an_ambiguous_sample(capsys, torus_file):
+    # At spread 0 every sample is the square torus, where (1, 1) and (1, -1)
+    # lie on the sector's rays.
+    sector = sv.SectorIndicator(3, 0.0, math.pi / 4).to_json()
+    argv = ["mc-stratum", "--surface", torus_file, "--spread", "0", "--samples", "2", "--seed", "7",
+            "--fn", sector]
+    code, out, err = run(capsys, argv)
+    assert code == 1 and out == ""
+    payload = json.loads(err)
+    assert (payload["error"], payload["ambiguous"], payload["sample"]) == ("AMBIGUOUS_MEMBERSHIP", 2, 0)
 
 
 def test_delaunay_on_slit_torus(capsys, tmp_path, slit_13_15):

@@ -31,6 +31,7 @@ from saddlekit.geodesic import (
     count,
     detect_cylinder,
     enumerate_connections,
+    holonomies,
     nonhomologous_edge_bound,
     reverse_of,
     second_shortest_nonhomologous,
@@ -684,6 +685,61 @@ def test_budget_payload_on_surfaces_with_denominators(
 def test_a_radius_that_is_no_rational_is_an_input_error(torus, radius_sq):
     with pytest.raises(InputError):
         list(connections(torus, radius_sq))
+
+
+_BAD_RADII = [
+    pytest.param({"radius": 0}, id="radius-0"),
+    pytest.param({"radius": -1}, id="radius-negative"),
+    pytest.param({"radius_sq": 0}, id="radius_sq-0"),
+    pytest.param({"radius_sq": Fraction(-1, 4)}, id="radius_sq-negative"),
+    pytest.param({"radius": 1, "radius_sq": 1}, id="both"),
+    pytest.param({}, id="neither"),
+] + [
+    pytest.param({key: value}, id=f"{key}-{value}")
+    for key in ("radius", "radius_sq") for value in ("x", float("inf"), float("nan"), True)
+]
+
+
+@pytest.mark.parametrize("entry", [enumerate_connections, holonomies], ids=lambda f: f.__name__)
+@pytest.mark.parametrize("kwargs", _BAD_RADII)
+def test_both_entry_points_refuse_a_bad_radius(torus, entry, kwargs):
+    with pytest.raises(InputError):
+        entry(torus, **kwargs)
+
+
+def test_holonomies_are_the_vectors_of_the_enumeration():
+    # The 60 surfaces of the differential corpus, and the pushed octagons of
+    # the thin corpus, where many connections share a holonomy.
+    pushed = [apply_surface(ExactMatrix.diagonal(Fraction(1, 2**k), 2**k), octagon_h2()) for k in (4, 8)]
+    surfaces = [s for _, group in _differential_corpus() for s in group]
+    assert len(surfaces) == 60
+    for s, radius_sq in [(s, 16) for s in surfaces] + [(s, 4) for s in pushed]:
+        want = enumerate_connections(s, radius_sq=radius_sq).vectors()
+        assert holonomies(s, radius_sq=radius_sq) == want, s
+    # Pushed by diag(2^-k, 2^k), the octagon keeps 4 vectors up to R = 2.
+    assert [len(holonomies(s, 2)) for s in pushed] == [count(s, 2) for s in pushed] == [4, 4]
+
+
+@pytest.mark.parametrize(
+    "name, radius, states",
+    [("square", 20, 6239), ("slit", 8, 7230), ("octagon", 12, 2098)],
+)
+def test_holonomies_spend_the_states_of_the_enumeration(
+    name, radius, states, monkeypatch, torus, slit_13_15, octagon
+):
+    # The pinned least budgets of test_budget_counts_expanded_states hold for
+    # both paths, and one state less refuses both with the same payload.
+    s = {"square": torus, "slit": slit_13_15, "octagon": octagon}[name]
+    monkeypatch.setenv("SADDLEKIT_BUDGET", str(states))
+    assert holonomies(s, radius) == enumerate_connections(s, radius).vectors()
+    monkeypatch.setenv("SADDLEKIT_BUDGET", str(states - 1))
+    payloads = []
+    for entry in (enumerate_connections, holonomies):
+        with pytest.raises(ResourceLimitError) as exc:
+            entry(s, radius)
+        payloads.append(exc.value.to_json_dict())
+    assert payloads[0] == payloads[1]
+    assert payloads[0]["states"] == states - 1 and payloads[0]["connections"] > 0
 
 
 def test_second_shortest_is_first_outside_class(torus, slit_13_15, thin_torus, octagon):

@@ -9,9 +9,11 @@ import pytest
 
 from conftest import reference_haar_matrices
 from saddlekit import mc
-from saddlekit.builders import centered_octagon_h2
-from saddlekit.errors import InputError, ResourceLimitError
+from saddlekit.builders import centered_octagon_h2, square_torus, torus_from_matrix
+from saddlekit.errors import AmbiguousMembershipError, InputError, ResourceLimitError
+from saddlekit.exactplane import ExactMatrix
 from saddlekit.geodesic import enumerate_connections
+from saddlekit.homology import EdgeHomology
 from saddlekit.surface import TranslationSurface, area
 from saddlekit.sv import AnnulusIndicator, DiscIndicator, ProductPair, SectorIndicator, TestFunction
 
@@ -84,6 +86,37 @@ def test_stratum_values_equal_the_per_shape_reference(octagon, f):
     want = np.array([_reference_surface_value(s, f) for s in sample.surfaces])
     assert len(set(want.tolist())) > 1
     assert mc._values(sample, f).tobytes() == want.tobytes()
+
+
+def test_stratum_means_reduce_no_homology_class(octagon, monkeypatch):
+    # A stratum surface's transform reads only its holonomy vectors.
+    sample = mc.sample_stratum_local(octagon, "0.05", 20, seed=7)
+    built = []
+    init = EdgeHomology.__init__
+
+    def counted(self, s):
+        built.append(s)
+        init(self, s)
+
+    monkeypatch.setattr(EdgeHomology, "__init__", counted)
+    assert mc.estimate_mean_transform(sample, DiscIndicator(Fraction(1, 2))).n_samples == 20
+    assert built == []
+
+
+def test_an_ambiguous_stratum_sample_is_refused_with_its_index():
+    # (1, 1) and (1, -1) lie on the sector's rays: sv.transform refuses the
+    # square torus, and so does every estimator over surface samples.  The
+    # sheared torus has no vector near a ray within the radius.
+    f = SectorIndicator(3, 0.0, math.pi / 4)
+    with pytest.raises(AmbiguousMembershipError) as exc:
+        mc.estimate_mean_transform([square_torus()], f)
+    assert exc.value.details == {"ambiguous": 2, "sample": 0}
+    sheared = torus_from_matrix(ExactMatrix.of(1, Fraction(1, 3), 0, 1))
+    assert mc.estimate_mean_transform([sheared], f).mean == 5
+    for threads in (1, 2):
+        with pytest.raises(AmbiguousMembershipError) as exc:
+            mc.estimate_mean_transform([sheared] * 3 + [square_torus(), sheared], f, threads=threads)
+        assert exc.value.details == {"ambiguous": 2, "sample": 3}
 
 
 def test_stratum_sampler_moves_a_marked_point_with_the_zero():

@@ -15,6 +15,7 @@ from saddlekit.builders import (
 from saddlekit.errors import AmbiguousMembershipError, InputError, ResourceLimitError
 from saddlekit.exactplane import ExactMatrix, ExactVector, primitive_points_in_disc
 from saddlekit.geodesic import count, detect_cylinder, enumerate_connections, shortest
+from saddlekit.homology import EdgeHomology
 from saddlekit.mc import sample_stratum_local
 from saddlekit.surface import TranslationSurface, Triangle, apply_surface
 from saddlekit.sv import (
@@ -456,3 +457,19 @@ def test_classify_rejects_bad_parameters(torus):
         classify(torus, 0, Fraction(1, 6))
     with pytest.raises(InputError):
         classify(torus, Fraction(1, 2), Fraction(3, 2))
+
+
+def test_vector_only_callers_build_no_connection_and_no_class(monkeypatch):
+    # count and the transforms read only holonomy vectors: on a fresh
+    # surface they materialize no connection and reduce no homology class.
+    def refuse(*args, **kwargs):
+        raise AssertionError("a vector-only caller built a connection or a homology")
+
+    monkeypatch.setattr(geodesic.SaddleConnection, "__init__", refuse)
+    monkeypatch.setattr(EdgeHomology, "__init__", refuse)
+    disc = DiscIndicator(Fraction(2))
+    for build in (octagon_h2, lambda: slit_torus(V(Fraction(1, 3), Fraction(1, 5)))):
+        assert count(build(), 3) > 0
+        assert transform_report(build(), disc).n_vectors > 0
+        assert rotational_average_AR(build(), disc, 2.0).value > 0
+        assert sector_sandwich(build(), 2.0, math.pi / 8).scaled_count > 0
