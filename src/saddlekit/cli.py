@@ -355,11 +355,11 @@ def main(argv=None) -> int:
         # Looked up at call time, so a replaced cmd_* function is the one run.
         return globals()["cmd_" + args.command.replace("-", "_")](args)
     except SaddlekitError as exc:
-        sys.stderr.write(json.dumps(exc.to_json_dict(), sort_keys=True, default=str) + "\n")
-        return 1
+        error = exc
     except OSError as exc:  # a missing or unreadable path, a directory
-        sys.stderr.write(json.dumps({"error": "INPUT", "detail": str(exc)}) + "\n")
-        return 1
+        error = InputError(str(exc))
+    sys.stderr.write(json.dumps(error.to_json_dict(), sort_keys=True, default=str) + "\n")
+    return 1
 
 
 if __name__ == "__main__":

@@ -13,6 +13,13 @@ parent's.
 The heap holds found connections and the wedges that roots and splits
 start.  A popped wedge is developed in one loop, through every pass-through
 triangle, until it splits or leaves the disc; only a split pushes anything.
+A pass-through needs no exact distance when both ends of its edge lie in the
+closed disc: its visible part is a sub-segment of that edge, which lies in
+the disc since the disc is convex, so it cannot leave.  Each state knows
+which ends of its edge lie in the disc, one int test per new vertex, and the
+search takes the distance only where an end lies outside.  Pushed keys stay
+exact, so the heap order, the states, the budget and the refusals are those
+of a search that takes every distance.
 Each connection is found in a chain whose popped wedge had a key no larger
 than its length, and that wedge left the heap before it, so when the first
 connection of some length leaves the heap, every connection of that length
@@ -37,11 +44,12 @@ end corner.  No connection is reached twice, so none is deduplicated.  Two
 consumers read the groups.  `connections` materializes each found
 connection and its reverse in full (crossings, ends, homology class, start
 corner), sorts the group on int keys and builds Fractions only for the
-connections it yields.  `holonomies` keeps only the distinct vectors, for
-the callers that need nothing else (`count`, the transforms of `sv`): it
-sorts each group's int holonomies and their negations, walks no link and
-reduces no class.  The int corner positions are the surface's own, built
-once by validation (`int_corners`).
+connections it yields.  `_holonomy_keys` keeps only the distinct vectors, as
+int keys, for the callers that need nothing else: it sorts each group's int
+holonomies and their negations, walks no link and reduces no class.
+`holonomies` (read by the transforms of `sv`) builds one ExactVector per
+key, and `count` counts the keys.  The int corner positions are the
+surface's own, built once by validation (`int_corners`).
 
 The homology class of a materialized connection is the chain of
 triangulation edges along the right-hand boundary of the developed triangle
@@ -211,7 +219,15 @@ def _search(s: TranslationSurface, radius_sq):
     the module docstring).  A run to the end develops the states a search
     that pushed each pass-through on the heap would, but a caller that stops
     early may meet a chain developed past its stopping length, up to
-    radius_sq, and so spend more states than that search.
+    radius_sq, and so spend more states than that search.  The loop leaves
+    the disc when the visible part of the edge crossed lies beyond the
+    radius.  A state carries x_in and y_in, whether each end of its edge
+    [x, y] lies in the closed disc, |p|^2 rd <= rn with radius_sq times D^2
+    = rn / rd; where both do, the visible part, a sub-segment of [x, y],
+    lies in the convex disc, and the exact distance (`_visible_dist_sq`) is
+    not taken.  The states developed, the budget checks and the refusal
+    payloads do not change: the test only skips a comparison whose answer
+    it knows, and every pushed key is exact.
 
     No connection is reached twice.  The corners around a vertex split the
     directions there into half-open wedges [out-edge, in-edge): a root finds
@@ -263,14 +279,17 @@ def _search(s: TranslationSurface, radius_sq):
             # Corner c at the origin; the other two corners span the wedge.
             (ox, oy), (x1, y1), (x2, y2) = std[c], std[(c + 1) % 3], std[(c + 2) % 3]
             p1, p2 = (x1 - ox, y1 - oy), (x2 - ox, y2 - oy)
+            n1 = p1[0] * p1[0] + p1[1] * p1[1]
             if p1[1] > 0 or (p1[1] == 0 and p1[0] > 0):  # p1 in H
-                push(p1[0] * p1[0] + p1[1] * p1[1], 1, _FOUND, (None, slot, p1, head))
+                push(n1, 1, _FOUND, (None, slot, p1, head))
                 a, ta, b = p1, 0, (p2 if p2[1] >= 0 else (-1, 0))
             elif p2[1] > 0:
                 a, ta, b = (1, 0), -1, p2
             else:
                 continue
-            push(*_visible_dist_sq(p1, p2, a, b), _STATE, (head, p1, p2, a, b, ta, (None, head, slot)))
+            inside = (n1 * rd <= rn, (p2[0] * p2[0] + p2[1] * p2[1]) * rd <= rn)
+            push(*_visible_dist_sq(p1, p2, a, b), _STATE,
+                 (head, p1, p2, a, b, ta, (None, head, slot), *inside))
     states = handed = 0
     while heap:
         fkey, kind, _, key, payload = heapq.heappop(heap)
@@ -284,7 +303,7 @@ def _search(s: TranslationSurface, radius_sq):
             yield group
             continue
         # Develop the popped wedge until it splits or leaves the disc.
-        slot, x, y, a, b, ta, node = payload
+        slot, x, y, a, b, ta, node, x_in, y_in = payload
         (a0, a1), (b0, b1) = a, b
         while True:
             if states >= budget:
@@ -299,22 +318,27 @@ def _search(s: TranslationSurface, radius_sq):
             states += 1
             dx, dy, slot_a, slot_b = steps[slot]
             cx, cy = cpos = (y[0] + dx, y[1] + dy)
+            c_sq = cx * cx + cy * cy
+            c_in = c_sq * rd <= rn
             ca = a0 * cy - a1 * cx
             if ca > ta and cx * b1 - cy * b0 > 0:
-                push(cx * cx + cy * cy, 1, _FOUND, (node, slot_a, cpos, slot_b))
+                push(c_sq, 1, _FOUND, (node, slot_a, cpos, slot_b))
                 if ca:  # else c lies on the closed ray a, and (a, c) is empty
                     push(*_visible_dist_sq(x, cpos, a, cpos), _STATE,
-                         (slot_a, x, cpos, a, cpos, ta, (node, slot_a, None)))
+                         (slot_a, x, cpos, a, cpos, ta, (node, slot_a, None), x_in, c_in))
                 push(*_visible_dist_sq(cpos, y, cpos, b), _STATE,
-                     (slot_b, cpos, y, cpos, b, 0, (node, slot_b, slot_a)))
+                     (slot_b, cpos, y, cpos, b, 0, (node, slot_b, slot_a), c_in, y_in))
                 break
             if ca <= ta:
                 # New vertex below ray a, or on it when open: the wedge
                 # passes through c -> y.
-                slot, x, node = slot_b, cpos, (node, slot_b, slot_a)
+                slot, x, x_in, node = slot_b, cpos, c_in, (node, slot_b, slot_a)
             else:
                 # At or above ray b: pass through x -> c.
-                slot, y, node = slot_a, cpos, (node, slot_a, None)
+                slot, y, y_in, node = slot_a, cpos, c_in, (node, slot_a, None)
+            if x_in and y_in:
+                # The visible part lies on [x, y], inside the convex disc.
+                continue
             num, den = _visible_dist_sq(x, y, a, b)
             if num * rd > rn * den:
                 break
@@ -412,36 +436,42 @@ def enumerate_connections(
     return HolonomySet(radius_sq=radius_sq, connections=tuple(connections(s, radius_sq)))
 
 
-def holonomies(s: TranslationSurface, radius=None, *, radius_sq=None) -> Tuple[ExactVector, ...]:
-    """The distinct holonomies of the saddle connections of length <= radius,
-    strictly increasing in (|v|^2, x, y): enumerate_connections(s, radius,
-    radius_sq=radius_sq).vectors(), with the same arguments, states and
-    refusals.
+def _holonomy_keys(s: TranslationSurface, radius_sq):
+    """The distinct holonomies of the connections of squared length <=
+    radius_sq as int keys (|v|^2, hx, hy) at scale D, one sorted list per
+    group of `_search`, with its states and refusals.
 
-    Equal holonomies have equal lengths and so lie in one group of
-    `_search`, which holds every vector of its float length.  Each group's
-    int keys (|v|^2, +-hx, +-hy) at scale D, the found connections' and
-    their reverses', are sorted, and one ExactVector is built per run of
-    equal keys; no link is walked, no class reduced and no connection
-    built.
+    Equal holonomies have equal lengths and so lie in one group, which holds
+    every vector of its float length.  A group's keys, the found
+    connections' and their reverses' (|v|^2, +-hx, +-hy), are sorted and
+    each run of equal keys kept once; no link is walked, no class reduced
+    and no connection built.
     """
-    radius_sq = _radius_sq(radius, radius_sq)
-    scale, _ = s.int_corners()
-    vectors = []
     for group in _search(s, radius_sq):
         keys = []
         for _, _, (hx, hy), _ in group:
             norm = hx * hx + hy * hy
             keys += (norm, hx, hy), (norm, -hx, -hy)
         keys.sort()
-        vectors.extend(_vec(key[1:], scale) for key, _ in groupby(keys))
-    return tuple(vectors)
+        yield [key for key, _ in groupby(keys)]
+
+
+def holonomies(s: TranslationSurface, radius=None, *, radius_sq=None) -> Tuple[ExactVector, ...]:
+    """The distinct holonomies of the saddle connections of length <= radius,
+    strictly increasing in (|v|^2, x, y): enumerate_connections(s, radius,
+    radius_sq=radius_sq).vectors(), with the same arguments, states and
+    refusals.  One ExactVector is built per key of `_holonomy_keys`.
+    """
+    radius_sq = _radius_sq(radius, radius_sq)
+    scale, _ = s.int_corners()
+    return tuple(_vec(key[1:], scale) for keys in _holonomy_keys(s, radius_sq) for key in keys)
 
 
 def count(s: TranslationSurface, radius) -> int:
     """Number of distinct holonomy vectors of length <= radius:
-    len(holonomies(s, radius))."""
-    return len(holonomies(s, radius))
+    len(holonomies(s, radius)), with the same states and refusals.  It
+    counts the int keys of `_holonomy_keys` and builds no Fraction."""
+    return sum(map(len, _holonomy_keys(s, _radius_sq(radius, None))))
 
 
 def shortest(s: TranslationSurface) -> SaddleConnection:

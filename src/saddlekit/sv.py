@@ -29,7 +29,7 @@ from .errors import (
     PrecisionLimitError,
     ResourceLimitError,
 )
-from .exactplane import ExactVector, compare_sqrt_sum, format_rational, to_fraction
+from .exactplane import ExactVector, _ints, _scale_of, compare_sqrt_sum, format_rational, to_fraction
 from .geodesic import (
     Cylinder,
     _outside_class,
@@ -46,6 +46,7 @@ from .surface import TranslationSurface
 
 _RAY_SCALE = 1 << 32
 _SECTOR_MARGIN = Fraction(1, 1 << 20)  # angular slack around approximate rays
+_MARGIN_INV_SQ = _SECTOR_MARGIN.denominator ** 2  # 1 / _SECTOR_MARGIN^2: its numerator is 1
 _DELTA_NUM = 1e-9  # float safety margin of the rotational average
 _AMBIGUOUS_TOLERANCE = 0.01  # largest ambiguous share A_R accepts
 _AR_QUADRATURE_N = 256  # grid angles of A_R, and the fewest of the sector sandwich
@@ -162,6 +163,7 @@ class SectorIndicator(TestFunction):
     ray_lo: ExactVector = field(init=False, compare=False)
     ray_hi: ExactVector = field(init=False, compare=False)
     cone: tuple = field(init=False, repr=False, compare=False)
+    int_rays: tuple = field(init=False, repr=False, compare=False)
     r_sq: Fraction = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -184,8 +186,10 @@ class SectorIndicator(TestFunction):
             raise InputError("half_angle must lie in (0, pi/2)")
         object.__setattr__(self, "ray_lo", _ray_approx(self.theta - self.half_angle))
         object.__setattr__(self, "ray_hi", _ray_approx(self.theta + self.half_angle))
-        # The rays as floats, ((lx, ly), (hx, hy)), for the float rule.
+        # The rays as floats, ((lx, ly), (hx, hy)), for the float rule, and
+        # as int pairs at _RAY_SCALE for the exact one.
         object.__setattr__(self, "cone", tuple((float(v.x), float(v.y)) for v in (self.ray_lo, self.ray_hi)))
+        object.__setattr__(self, "int_rays", tuple(_ints(v, _RAY_SCALE) for v in (self.ray_lo, self.ray_hi)))
 
     def support_radius(self) -> Fraction:
         return self.r
@@ -193,16 +197,22 @@ class SectorIndicator(TestFunction):
     def angular_inside(self, v: ExactVector) -> Tuple[bool, bool]:
         """(inside, ambiguous) for the angular condition alone (scale-free).
 
-        v is ambiguous when it lies within the margin of a boundary ray,
-        that is near the ray's line and on the ray's side of the origin.
+        v is ambiguous when it lies within the margin m of a boundary ray,
+        that is near the ray's line and on the ray's side of the origin:
+        c^2 <= m^2 |v|^2 |ray|^2 and ray . v > 0, with c = ray x v.  Every
+        test is homogeneous in v and in each ray (the crosses and dots of
+        degree 1 in each, the margin test of degree 2 in each), so it runs
+        on int pairs: v times the lcm of its denominators and the rays at
+        _RAY_SCALE, with m^2 = 1 / _MARGIN_INV_SQ cleared.
         """
-        c1 = self.ray_lo.cross(v)
-        c2 = v.cross(self.ray_hi)
-        m2 = _SECTOR_MARGIN * _SECTOR_MARGIN
-        n2 = v.norm_sq()
-        if self.ray_lo.dot(v) > 0 and c1 * c1 <= m2 * n2 * self.ray_lo.norm_sq():
+        (lx, ly), (hx, hy) = self.int_rays
+        vx, vy = _ints(v, _scale_of((v,)))
+        c1 = lx * vy - ly * vx
+        c2 = vx * hy - vy * hx
+        n2 = vx * vx + vy * vy
+        if lx * vx + ly * vy > 0 and c1 * c1 * _MARGIN_INV_SQ <= n2 * (lx * lx + ly * ly):
             return (False, True)
-        if self.ray_hi.dot(v) > 0 and c2 * c2 <= m2 * n2 * self.ray_hi.norm_sq():
+        if hx * vx + hy * vy > 0 and c2 * c2 * _MARGIN_INV_SQ <= n2 * (hx * hx + hy * hy):
             return (False, True)
         return (c1 > 0 and c2 > 0, False)
 

@@ -148,6 +148,21 @@ def test_malformed_input_exits_1_with_input_code(
     assert json.loads(err)["error"] == "INPUT"
 
 
+@pytest.mark.parametrize("path", ["missing", "directory"])
+@pytest.mark.parametrize("flag", ["--surface", "--fn"])
+def test_a_path_that_cannot_be_read_writes_the_sorted_input_payload(flag, path, capsys, tmp_path, torus_file):
+    # A missing --fn path is read as inline JSON and refused as such; the
+    # other three cases fail to open the file.
+    bad = str(tmp_path / "missing.json") if path == "missing" else str(tmp_path)
+    argv = ["transform", "--surface", torus_file, "--fn", '{"variant": "disc", "r": "2"}']
+    argv[argv.index(flag) + 1] = bad
+    code, out, err = run(capsys, argv)
+    assert code == 1 and out == ""
+    payload = json.loads(err)
+    assert payload["error"] == "INPUT"
+    assert err == json.dumps(payload, sort_keys=True) + "\n"
+
+
 @pytest.mark.parametrize("command", ["validate", "mc-stratum"])
 def test_disconnected_surface_exits_1(command, capsys, tmp_path, two_tori):
     path = tmp_path / "two_tori.json"

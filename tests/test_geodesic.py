@@ -742,6 +742,60 @@ def test_holonomies_spend_the_states_of_the_enumeration(
     assert payloads[0]["states"] == states - 1 and payloads[0]["connections"] > 0
 
 
+def test_count_is_the_number_of_holonomies():
+    # The 60 surfaces of the differential corpus at R = 4, and the pushed
+    # octagons of the thin corpus at R = 2 and 4.
+    pushed = [apply_surface(ExactMatrix.diagonal(Fraction(1, 2**k), 2**k), octagon_h2()) for k in (4, 8)]
+    surfaces = [s for _, group in _differential_corpus() for s in group]
+    assert len(surfaces) == 60
+    for s, radius in [(s, 4) for s in surfaces] + [(s, r) for s in pushed for r in (2, 4)]:
+        assert count(s, radius) == len(holonomies(s, radius)), s
+
+
+@pytest.mark.parametrize(
+    "name, radius, states",
+    [("square", 20, 6239), ("slit", 8, 7230), ("octagon", 12, 2098)],
+)
+def test_count_spends_the_states_of_the_enumeration(
+    name, radius, states, monkeypatch, torus, slit_13_15, octagon
+):
+    # The pinned least budgets of test_budget_counts_expanded_states: count
+    # passes on them, and one state less refuses it with the payload of
+    # holonomies.
+    s = {"square": torus, "slit": slit_13_15, "octagon": octagon}[name]
+    monkeypatch.setenv("SADDLEKIT_BUDGET", str(states))
+    assert count(s, radius) == len(holonomies(s, radius))
+    monkeypatch.setenv("SADDLEKIT_BUDGET", str(states - 1))
+    payloads = []
+    for entry in (count, holonomies):
+        with pytest.raises(ResourceLimitError) as exc:
+            entry(s, radius)
+        payloads.append(exc.value.to_json_dict())
+    assert payloads[0] == payloads[1]
+    assert payloads[0]["states"] == states - 1
+
+
+def test_a_pass_through_inside_the_disc_computes_no_visible_distance(monkeypatch, torus):
+    # A wedge that passes through an edge with both ends in the closed disc
+    # stays in the disc: the search skips the exact distance there.  The
+    # square torus at R = 20 develops 6,239 states; the search that took the
+    # distance of every pass-through made 6,661 calls.
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return visible_dist_sq(*args)
+
+    visible_dist_sq = geodesic._visible_dist_sq
+    monkeypatch.setattr(geodesic, "_visible_dist_sq", counted)
+    monkeypatch.setenv("SADDLEKIT_BUDGET", "6239")
+    assert count(torus, 20) == 768
+    assert len(calls) <= 1600
+    monkeypatch.setenv("SADDLEKIT_BUDGET", "6238")
+    with pytest.raises(ResourceLimitError):
+        count(torus, 20)
+
+
 def test_second_shortest_is_first_outside_class(torus, slit_13_15, thin_torus, octagon):
     for s in (torus, slit_13_15, thin_torus, octagon):
         homology = EdgeHomology(s)

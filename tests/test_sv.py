@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -19,6 +20,7 @@ from saddlekit.homology import EdgeHomology
 from saddlekit.mc import sample_stratum_local
 from saddlekit.surface import TranslationSurface, Triangle, apply_surface
 from saddlekit.sv import (
+    _SECTOR_MARGIN,
     AnnulusIndicator,
     DiscIndicator,
     ProductPair,
@@ -450,6 +452,75 @@ def test_sector_batch_ambiguity_needs_ray_side():
     assert [a for _, a in exact] == list(amb)
     assert [int(v) for v, a in zip(vals, amb) if not a] == [v for v, a in exact if not a]
     assert [v for v, _ in exact] == [0, 0, 0, 0, 1, 0]
+
+
+def _fraction_angular_inside(f, v):
+    """SectorIndicator.angular_inside on the Fractions themselves: the
+    reference the int rule must match."""
+    c1 = f.ray_lo.cross(v)
+    c2 = v.cross(f.ray_hi)
+    m2 = _SECTOR_MARGIN * _SECTOR_MARGIN
+    n2 = v.norm_sq()
+    if f.ray_lo.dot(v) > 0 and c1 * c1 <= m2 * n2 * f.ray_lo.norm_sq():
+        return (False, True)
+    if f.ray_hi.dot(v) > 0 and c2 * c2 <= m2 * n2 * f.ray_hi.norm_sq():
+        return (False, True)
+    return (c1 > 0 and c2 > 0, False)
+
+
+def _seeded_sectors(n, seed):
+    rng = random.Random(seed)
+    return [SectorIndicator(2, rng.uniform(-4, 4), rng.uniform(1e-3, math.pi / 2 - 1e-3)) for _ in range(n)]
+
+
+def test_sector_membership_on_ints_matches_the_fraction_rule(octagon):
+    # The octagon's holonomies up to R = 12 under the benchmark's sector
+    # (theta 0, half-angle pi/4) and 50 seeded ones.
+    vectors = geodesic.holonomies(octagon, 12)
+    sectors = [SectorIndicator(8, 0.0, math.pi / 4)] + _seeded_sectors(50, 17)
+    seen = set()
+    for f in sectors:
+        for v in vectors:
+            got = f.angular_inside(v)
+            assert got == _fraction_angular_inside(f, v), (f, v)
+            seen.add(got)
+    assert seen == {(True, False), (False, False), (False, True)}
+
+
+def test_sector_membership_on_the_rays_of_a_quarter_turn():
+    f = SectorIndicator(3, 0.0, math.pi / 4)
+    for v in (V(1, 1), V(1, -1), V(Fraction(1, 3), Fraction(1, 3)), V(5, -5)):
+        assert f.angular_inside(v) == _fraction_angular_inside(f, v) == (False, True)
+    assert f.angular_inside(V(1, 0)) == (True, False)
+    assert f.angular_inside(V(-1, 1)) == f.angular_inside(V(0, 1)) == (False, False)
+
+
+def test_sector_membership_with_large_coprime_denominators():
+    # Denominators with no common factor, far past the rays' 2^32: the int
+    # rule scales v by their product.
+    rng = random.Random(5)
+    primes = (2**61 - 1, 10**12 + 39, 2**31 - 1, 999_999_937)
+    for f in [SectorIndicator(2, 0.3, 0.4)] + _seeded_sectors(10, 23):
+        for _ in range(40):
+            p, q = rng.sample(primes, 2)
+            v = V(Fraction(rng.randrange(-p, p), p), Fraction(rng.randrange(-q, q), q))
+            assert f.angular_inside(v) == _fraction_angular_inside(f, v), (f, v)
+
+
+def test_sector_membership_at_the_margin_of_each_ray():
+    # v = ray + t perp(ray) lies within the margin m of the ray when
+    # t^2 (1 - m^2) <= m^2, that is |t| <= m (1 + m^2/2 + 3 m^4/8 + ...):
+    # t = m (1 + m^2/2) lies just inside and t = m (1 + m^2/2 + m^4) just
+    # outside.  Beyond the margin, v is inside the sector on the inner side
+    # of a ray and outside it on the outer side.
+    m = _SECTOR_MARGIN
+    near, past = m * (1 + m**2 / 2), m * (1 + m**2 / 2 + m**4)
+    for f in [SectorIndicator(2, 0.0, math.pi / 4)] + _seeded_sectors(20, 29):
+        for ray, inner in ((f.ray_lo, 1), (f.ray_hi, -1)):
+            for t, want in ((near, None), (past, True), (-near, None), (-past, False)):
+                v = ray + ray.perp().scale(t)
+                expected = (False, True) if want is None else ((want if inner == 1 else not want), False)
+                assert f.angular_inside(v) == _fraction_angular_inside(f, v) == expected, (f, ray, t)
 
 
 def test_classify_rejects_bad_parameters(torus):
