@@ -3,15 +3,17 @@
 The geometry runs in the rotated frame (u, v) = (x + y, x - y), where the L1
 norm is max(|u|, |v|) and every L1 disc ("diamond") is an axis-parallel
 square (Chew 1989; Bonichon, Gavoille, Hanusse and Perkovic 2015).  The
-circumscribing diamond of a triangle comes from the bounding box of its
-vertices, and whether an empty diamond passes through an edge from the
-bounding box of the edge's endpoints, in closed form.  An interior edge is
-locally Delaunay when each adjacent triangle's diamond has the opposite
-vertex outside or on its boundary; flipping repeats until no edge violates
-this.  The flip budget is the one stopping rule: a set whose flips do not
-settle within it raises FlipCycleError.  One verifier, `_locally_delaunay`,
-decides every edge for `is_locally_delaunay` and for `delaunay_l1`'s test of
-its output, which reuses the diamonds of its certificates.
+circumscribing diamond of a triangle is one of two squares on the bounding
+box of its vertices, accepted by Hall's test on each vertex's 4-bit mask of
+the square's sides it lies on; whether an empty diamond passes through an
+edge comes from the bounding box of the edge's endpoints.  Both are closed
+forms.  An interior edge is locally Delaunay when each adjacent triangle's
+diamond has the opposite vertex outside or on its boundary; flipping repeats
+until no edge violates this.  The flip budget is the one stopping rule: a
+set whose flips do not settle within it raises FlipCycleError.  One
+verifier, `_locally_delaunay`, decides every edge for `is_locally_delaunay`
+and for `delaunay_l1`'s test of its output, which reuses the diamonds of its
+certificates.
 Everything is decided exactly, on ints after scaling by D: the
 flips start from the surface's int corner positions
 (`TranslationSurface.int_corners`, scaled by D, the lcm of its
@@ -27,7 +29,6 @@ import json
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 from typing import Dict, List, Tuple
 
 from .errors import DegenerateDiamondError, FlipCycleError, InputError
@@ -47,12 +48,6 @@ _FLIPS_PER_TRIANGLE = 60
 class DiamondCertificate:
     center: ExactVector
     radius_l1: Fraction
-
-    def contains_strictly(self, p: ExactVector) -> bool:
-        return (p - self.center).norm_l1() < self.radius_l1
-
-    def on_boundary(self, p: ExactVector) -> bool:
-        return (p - self.center).norm_l1() == self.radius_l1
 
     def to_json_dict(self):
         from .exactplane import format_rational
@@ -82,22 +77,32 @@ def _diamond(p1, p2, p3) -> Tuple[int, int, int]:
     bounding box: the square spans the box along that axis and sits flush
     with either end of the other one.  When two points share a slope +-1
     line these two squares are the corner-touching ends of a sliding family.
+    Each point gets a 4-bit mask of the sides of a candidate square that it
+    lies on (bit i for _SIDES[i]), and the matching exists iff the masks
+    pass Hall's test (`_hall`): every mask is nonzero and every two masks
+    together have at least two bits.
     Raises DegenerateDiamondError for collinear points, when neither square
     admits the matching, or when both do (``count``).
     """
     if _turn(p1, p2, p3) == 0:
         raise DegenerateDiamondError("collinear points have no circumscribing diamond")
-    pts = [_doubled(p) for p in (p1, p2, p3)]
-    lo = [min(p[k] for p in pts) for k in (0, 1)]
-    hi = [max(p[k] for p in pts) for k in (0, 1)]
-    k = 0 if hi[0] - lo[0] >= hi[1] - lo[1] else 1  # the wide axis
-    r = (hi[k] - lo[k]) // 2  # doubled coordinates are even
+    (u1, v1), (u2, v2), (u3, v3) = _doubled(p1), _doubled(p2), _doubled(p3)
+    ulo, uhi, vlo, vhi = min(u1, u2, u3), max(u1, u2, u3), min(v1, v2, v3), max(v1, v2, v3)
+    if uhi - ulo >= vhi - vlo:  # the wide axis is U
+        r = (uhi - ulo) // 2  # doubled coordinates are even
+        candidates = ((ulo + r, vhi - r), (ulo + r, vlo + r))
+    else:
+        r = (vhi - vlo) // 2
+        candidates = ((uhi - r, vlo + r), (ulo + r, vlo + r))
     solutions = []
-    for flush in (hi[1 - k] - r, lo[1 - k] + r):
-        center = [flush, flush]
-        center[k] = lo[k] + r
-        if center not in solutions and _on_distinct_sides(pts, center, r):
-            solutions.append(center)
+    for cu, cv in candidates:
+        ne, nw, sw, se = cu + r, cv - r, cu - r, cv + r
+        if (cu, cv) not in solutions and _hall(
+            (u1 == ne) | (v1 == nw) << 1 | (u1 == sw) << 2 | (v1 == se) << 3,
+            (u2 == ne) | (v2 == nw) << 1 | (u2 == sw) << 2 | (v2 == se) << 3,
+            (u3 == ne) | (v3 == nw) << 1 | (u3 == sw) << 2 | (v3 == se) << 3,
+        ):
+            solutions.append((cu, cv))
     if not solutions:
         raise DegenerateDiamondError("no admissible circumscribing diamond")
     if len(solutions) > 1:
@@ -109,10 +114,15 @@ def _diamond(p1, p2, p3) -> Tuple[int, int, int]:
     return cu, cv, r
 
 
-def _on_distinct_sides(pts, center, r) -> bool:
-    """The points, all in the square, match injectively to sides they lie on."""
-    on = [[(k, e) for k, e in _SIDES if p[k] - center[k] == e * r] for p in pts]
-    return any(len(set(pick)) == 3 for pick in product(*on))
+def _hall(a: int, b: int, c: int) -> bool:
+    """Hall's condition on the side masks of three points in a candidate
+    square of `_diamond`: the points match injectively to sides they lie on
+    iff every mask is nonzero and every two masks together have at least two
+    bits.  Hall's third condition, three bits in all, follows here.  The
+    square spans the box along the wide axis, so the union holds that axis's
+    two opposite sides; were that all, each mask would be one of those two
+    single bits, and two of the three would be equal."""
+    return bool(a and b and c) and min((a | b).bit_count(), (a | c).bit_count(), (b | c).bit_count()) >= 2
 
 
 def _dist(dia, p) -> int:

@@ -4,7 +4,7 @@ from fractions import Fraction
 from itertools import islice
 
 import pytest
-from conftest import sl2q, trace_connection
+from conftest import sl2q, stratum_draws, trace_connection
 
 from saddlekit import chew
 from saddlekit.builders import (
@@ -22,7 +22,7 @@ from saddlekit.geodesic import (
     Cylinder,
     SaddleConnection,
 )
-from saddlekit.surface import _in_wedge, apply_surface
+from saddlekit.surface import _in_wedge, apply_surface, area
 
 
 def follows_parallel_count(path: ChewPath, conn: SaddleConnection) -> int:
@@ -280,6 +280,19 @@ def test_every_connection_of_seeded_images_walks_and_certifies():
                 assert path.holonomy == conn.holonomy and path.sqrt10_certified, (img, conn)
                 walks += 1
     assert (images, walks) == (41, 1230)
+
+
+def test_every_connection_of_the_stratum_draws_walks_and_certifies():
+    # Generated surfaces in H(2) and H(1,1): every connection up to twice
+    # the square root of the area has a path within sqrt(10) of its length.
+    walks = 0
+    for s in stratum_draws():
+        dt = delaunay_l1(s)
+        for conn in connections(s, 4 * area(s)):
+            path = chew_path(dt, conn)
+            assert path.holonomy == conn.holonomy and path.sqrt10_certified, (s, conn)
+            walks += 1
+    assert walks == 6356
 
 
 def test_chew_path_refuses_a_corner_off_the_connection(octagon, slit_13_15):

@@ -1,6 +1,7 @@
 import hashlib
 import random
 from fractions import Fraction
+from itertools import product
 from typing import List, Tuple
 
 import pytest
@@ -25,6 +26,7 @@ from saddlekit.delaunay import (
     FlipCycleError,
     _SIDES,
     _diamond,
+    _doubled,
     _FLIPS_BASE,
     _FLIPS_PER_TRIANGLE,
     _edge_empty_diamond_exists,
@@ -33,7 +35,7 @@ from saddlekit.delaunay import (
     diamond_of,
     is_locally_delaunay,
 )
-from saddlekit.exactplane import ExactMatrix, ExactVector, _vec
+from saddlekit.exactplane import ExactMatrix, ExactVector, _turn, _vec
 from saddlekit.geodesic import enumerate_connections, shortest
 from saddlekit.surface import Triangle, TranslationSurface, apply_surface, area
 from saddlekit.sv import AnnulusIndicator, DiscIndicator, classify, transform_report
@@ -41,6 +43,14 @@ from saddlekit.sv import AnnulusIndicator, DiscIndicator, classify, transform_re
 
 def V(x, y):
     return ExactVector.of(x, y)
+
+
+def contains_strictly(dia: DiamondCertificate, p: ExactVector) -> bool:
+    return (p - dia.center).norm_l1() < dia.radius_l1
+
+
+def on_boundary(dia: DiamondCertificate, p: ExactVector) -> bool:
+    return (p - dia.center).norm_l1() == dia.radius_l1
 
 
 # --- planar brute force (testing oracle) -----------------------------------
@@ -59,7 +69,7 @@ def planar_empty_diamond_triples(points: List[ExactVector]):
                 except DegenerateDiamondError:
                     continue
                 if any(
-                    dia.contains_strictly(points[m])
+                    contains_strictly(dia, points[m])
                     for m in range(n)
                     if m not in (i, j, k)
                 ):
@@ -148,7 +158,7 @@ def test_certificate_has_all_points_on_its_boundary(pts):
     except DegenerateDiamondError:
         return
     assert dia.radius_l1 > 0
-    assert all(dia.on_boundary(p) for p in pts)
+    assert all(on_boundary(dia, p) for p in pts)
 
 
 def test_is_locally_delaunay_quad_cases(torus):
@@ -502,6 +512,59 @@ def test_diamond_of_matches_the_fraction_reference():
         kinds[got[1] if len(got) == 3 else "certificate"] = True
     # Every outcome occurs: a certificate and each of the three errors.
     assert len(kinds) == 4, kinds
+
+
+def _reference_diamond(p1, p2, p3) -> Tuple[int, int, int]:
+    """The int `_diamond` that preceded the Hall test on side masks, kept as
+    the reference: it enumerates the side picks of the three points."""
+    if _turn(p1, p2, p3) == 0:
+        raise DegenerateDiamondError("collinear points have no circumscribing diamond")
+    pts = [_doubled(p) for p in (p1, p2, p3)]
+    lo = [min(p[k] for p in pts) for k in (0, 1)]
+    hi = [max(p[k] for p in pts) for k in (0, 1)]
+    k = 0 if hi[0] - lo[0] >= hi[1] - lo[1] else 1  # the wide axis
+    r = (hi[k] - lo[k]) // 2  # doubled coordinates are even
+    solutions = []
+    for flush in (hi[1 - k] - r, lo[1 - k] + r):
+        center = [flush, flush]
+        center[k] = lo[k] + r
+        if center not in solutions and _reference_on_distinct_sides(pts, center, r):
+            solutions.append(center)
+    if not solutions:
+        raise DegenerateDiamondError("no admissible circumscribing diamond")
+    if len(solutions) > 1:
+        raise DegenerateDiamondError(
+            "ambiguous circumscribing diamond (multiple solutions)",
+            count=len(solutions),
+        )
+    cu, cv = solutions[0]
+    return cu, cv, r
+
+
+def _reference_on_distinct_sides(pts, center, r) -> bool:
+    """The points, all in the square, match injectively to sides they lie on."""
+    on = [[(k, e) for k, e in _SIDES if p[k] - center[k] == e * r] for p in pts]
+    return any(len(set(pick)) == 3 for pick in product(*on))
+
+
+def _int_diamond_outcome(f, pts):
+    try:
+        return f(*pts)
+    except DegenerateDiamondError as exc:
+        return type(exc), str(exc), exc.details
+
+
+@pytest.mark.parametrize("scale, ox, oy", [(1, 0, 0), (2**70, 10**30 + 7, -(3**60))], ids=["grid", "far"])
+def test_diamond_matches_the_side_pick_reference_on_every_grid_triple(scale, ox, oy):
+    # Every ordered triple of {-2..2}^2, and the same triples scaled and
+    # shifted far from the origin, where no coordinate fits a machine word.
+    grid = [(scale * x + ox, scale * y + oy) for x in range(-2, 3) for y in range(-2, 3)]
+    outcomes = set()
+    for pts in product(grid, repeat=3):
+        got = _int_diamond_outcome(_diamond, pts)
+        assert got == _int_diamond_outcome(_reference_diamond, pts), pts
+        outcomes.add(got[1] if got[0] is DegenerateDiamondError else "diamond")
+    assert len(outcomes) == 4, outcomes
 
 
 # The Fraction LP that preceded the closed form, kept as the reference: for
