@@ -47,9 +47,9 @@ corner), sorts the group on int keys and builds Fractions only for the
 connections it yields.  `_holonomy_keys` keeps only the distinct vectors, as
 int keys, for the callers that need nothing else: it sorts each group's int
 holonomies and their negations, walks no link and reduces no class.
-`holonomies` (read by the transforms of `sv`) builds one ExactVector per
-key, and `count` counts the keys.  The int corner positions are the
-surface's own, built once by validation (`int_corners`).
+`count` counts the keys, and the transforms of `sv` read them.  The int
+corner positions are the surface's own, built once by validation
+(`int_corners`).
 
 The homology class of a materialized connection is the chain of
 triangulation edges along the right-hand boundary of the developed triangle
@@ -108,7 +108,6 @@ class SaddleConnection:
 
 @dataclass(frozen=True)
 class HolonomySet:
-    radius_sq: Fraction
     connections: Tuple[SaddleConnection, ...]
 
     def vectors(self) -> Tuple[ExactVector, ...]:
@@ -433,13 +432,13 @@ def enumerate_connections(
     analytic area normalization).
     """
     radius_sq = _radius_sq(radius, radius_sq)
-    return HolonomySet(radius_sq=radius_sq, connections=tuple(connections(s, radius_sq)))
+    return HolonomySet(connections=tuple(connections(s, radius_sq)))
 
 
-def _holonomy_keys(s: TranslationSurface, radius_sq):
+def _holonomy_keys(s: TranslationSurface, radius_sq) -> list:
     """The distinct holonomies of the connections of squared length <=
-    radius_sq as int keys (|v|^2, hx, hy) at scale D, one sorted list per
-    group of `_search`, with its states and refusals.
+    radius_sq as int keys (|v|^2 D^2, hx, hy) at scale D, strictly
+    increasing, from one `_search`, with its states and refusals.
 
     Equal holonomies have equal lengths and so lie in one group, which holds
     every vector of its float length.  A group's keys, the found
@@ -447,31 +446,22 @@ def _holonomy_keys(s: TranslationSurface, radius_sq):
     each run of equal keys kept once; no link is walked, no class reduced
     and no connection built.
     """
+    out = []
     for group in _search(s, radius_sq):
         keys = []
         for _, _, (hx, hy), _ in group:
             norm = hx * hx + hy * hy
             keys += (norm, hx, hy), (norm, -hx, -hy)
         keys.sort()
-        yield [key for key, _ in groupby(keys)]
-
-
-def holonomies(s: TranslationSurface, radius=None, *, radius_sq=None) -> Tuple[ExactVector, ...]:
-    """The distinct holonomies of the saddle connections of length <= radius,
-    strictly increasing in (|v|^2, x, y): enumerate_connections(s, radius,
-    radius_sq=radius_sq).vectors(), with the same arguments, states and
-    refusals.  One ExactVector is built per key of `_holonomy_keys`.
-    """
-    radius_sq = _radius_sq(radius, radius_sq)
-    scale, _ = s.int_corners()
-    return tuple(_vec(key[1:], scale) for keys in _holonomy_keys(s, radius_sq) for key in keys)
+        out += (key for key, _ in groupby(keys))
+    return out
 
 
 def count(s: TranslationSurface, radius) -> int:
-    """Number of distinct holonomy vectors of length <= radius:
-    len(holonomies(s, radius)), with the same states and refusals.  It
-    counts the int keys of `_holonomy_keys` and builds no Fraction."""
-    return sum(map(len, _holonomy_keys(s, _radius_sq(radius, None))))
+    """Number of distinct holonomy vectors of length <= radius, with the
+    states and refusals of enumerate_connections(s, radius): it counts the
+    int keys of `_holonomy_keys` and builds no Fraction."""
+    return len(_holonomy_keys(s, _radius_sq(radius, None)))
 
 
 def shortest(s: TranslationSurface) -> SaddleConnection:

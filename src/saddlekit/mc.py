@@ -25,8 +25,8 @@ summed per sample with ``np.bincount``.  Both kernels
 get their row budget from one ``exactplane.default_budget()`` read per
 batch, not one per lattice.  A stratum surface's transform is
 ``sv.transform_report`` at the surface's area, so the surface is never
-rescaled; it reads only the surface's holonomy vectors
-(``geodesic.holonomies``) and builds no connection and no homology class.
+rescaled; it reads only the int keys of the surface's holonomy vectors
+(``geodesic._holonomy_keys``), with no connection, class or Fraction each.
 A surface with an ambiguous membership is refused with
 AmbiguousMembershipError, never counted 0.  ``threads`` spreads only
 stratum surfaces over a thread pool; torus samples always run in the

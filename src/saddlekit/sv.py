@@ -1,8 +1,9 @@
 """Transforms of compactly supported test functions over holonomy sets.
 
-The transform of an indicator is an exact count over the enumerated
-holonomy vectors: ``TestFunction.evaluate_exact(v, area)`` alone decides
-membership of v / sqrt(area), and ``_tally`` is the one loop that sums it,
+The transform of an indicator is an exact count over the search's int keys
+(|v|^2 D^2, x, y) of the holonomy vectors v at the surface's scale D:
+``TestFunction.exact_rule(D, area)`` alone decides membership of
+v / sqrt(area) on a key's ints, and ``_tally`` is the one loop that sums it,
 for every transform here and for the stratum samples of ``mc``.  Sector
 boundaries are rational approximants of the true rays; points closer to a
 boundary than the declared margin are counted as ambiguous and surfaced,
@@ -32,11 +33,12 @@ from .errors import (
 from .exactplane import ExactVector, _ints, _scale_of, compare_sqrt_sum, format_rational, to_fraction
 from .geodesic import (
     Cylinder,
+    _holonomy_keys,
     _outside_class,
+    _radius_sq,
     connections,
     detect_cylinder,
     enumerate_connections,
-    holonomies,
     nonhomologous_edge_bound,
     reverse_of,
     second_shortest_nonhomologous,
@@ -59,15 +61,20 @@ def _ray_approx(angle: float) -> ExactVector:
     )
 
 
+def _norm_limit(r: Fraction, scale: int, area) -> int:
+    """floor(r^2 area D^2): an int n is at most r^2 area D^2 iff n <= it."""
+    return math.floor(r * r * area * scale * scale)
+
+
 class TestFunction:
     """Bounded, compactly supported test function on the plane."""
 
     def support_radius(self) -> Fraction:
         raise NotImplementedError
 
-    def evaluate_exact(self, v: ExactVector, area=1) -> Tuple[int, bool]:
-        """(value, ambiguous) at v / sqrt(area): at v itself for area 1, and
-        on the area-normalized copy of a surface of that area otherwise."""
+    def exact_rule(self, scale: int, area=1):
+        """rule(n, x, y) = (value, ambiguous) at v / sqrt(area) for the key
+        of v = (x, y) / scale, n = x^2 + y^2; an ambiguous value is 0."""
         raise NotImplementedError
 
     def evaluate_batch(self, xs, ys, delta: float):
@@ -84,19 +91,18 @@ class TestFunction:
 @dataclass(frozen=True)
 class DiscIndicator(TestFunction):
     r: Fraction
-    r_sq: Fraction = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "r", to_fraction(self.r))
         if self.r <= 0:
             raise InputError("disc radius must be positive")
-        object.__setattr__(self, "r_sq", self.r * self.r)
 
     def support_radius(self) -> Fraction:
         return self.r
 
-    def evaluate_exact(self, v: ExactVector, area=1):
-        return (1 if v.norm_sq() <= self.r_sq * area else 0, False)
+    def exact_rule(self, scale, area=1):
+        limit = _norm_limit(self.r, scale, area)
+        return lambda n, x, y: (1 if n <= limit else 0, False)
 
     def evaluate_batch(self, xs, ys, delta: float):
         r2 = float(self.r) ** 2
@@ -113,23 +119,19 @@ class DiscIndicator(TestFunction):
 class AnnulusIndicator(TestFunction):
     r1: Fraction
     r2: Fraction
-    r1_sq: Fraction = field(init=False, repr=False, compare=False)
-    r2_sq: Fraction = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "r1", to_fraction(self.r1))
         object.__setattr__(self, "r2", to_fraction(self.r2))
         if not (0 <= self.r1 < self.r2):
             raise InputError("annulus radii must satisfy 0 <= r1 < r2")
-        object.__setattr__(self, "r1_sq", self.r1 * self.r1)
-        object.__setattr__(self, "r2_sq", self.r2 * self.r2)
 
     def support_radius(self) -> Fraction:
         return self.r2
 
-    def evaluate_exact(self, v: ExactVector, area=1):
-        n = v.norm_sq()
-        return (1 if self.r1_sq * area < n <= self.r2_sq * area else 0, False)
+    def exact_rule(self, scale, area=1):
+        lo, hi = _norm_limit(self.r1, scale, area), _norm_limit(self.r2, scale, area)
+        return lambda n, x, y: (1 if lo < n <= hi else 0, False)
 
     def evaluate_batch(self, xs, ys, delta: float):
         lo = float(self.r1) ** 2
@@ -164,13 +166,11 @@ class SectorIndicator(TestFunction):
     ray_hi: ExactVector = field(init=False, compare=False)
     cone: tuple = field(init=False, repr=False, compare=False)
     int_rays: tuple = field(init=False, repr=False, compare=False)
-    r_sq: Fraction = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "r", to_fraction(self.r))
         if self.r <= 0:
             raise InputError("sector radius must be positive")
-        object.__setattr__(self, "r_sq", self.r * self.r)
         for name in ("theta", "half_angle"):
             value = getattr(self, name)
             # A bool is no angle, though Python counts it an int; an int
@@ -194,35 +194,31 @@ class SectorIndicator(TestFunction):
     def support_radius(self) -> Fraction:
         return self.r
 
-    def angular_inside(self, v: ExactVector) -> Tuple[bool, bool]:
-        """(inside, ambiguous) for the angular condition alone (scale-free).
+    def angular_inside(self, vx: int, vy: int) -> Tuple[int, bool]:
+        """(inside, ambiguous), inside 1 or 0, for the angular condition
+        alone, of the v that the int pair (vx, vy) is a positive multiple of.
 
         v is ambiguous when it lies within the margin m of a boundary ray,
         that is near the ray's line and on the ray's side of the origin:
         c^2 <= m^2 |v|^2 |ray|^2 and ray . v > 0, with c = ray x v.  Every
         test is homogeneous in v and in each ray (the crosses and dots of
         degree 1 in each, the margin test of degree 2 in each), so it runs
-        on int pairs: v times the lcm of its denominators and the rays at
-        _RAY_SCALE, with m^2 = 1 / _MARGIN_INV_SQ cleared.
+        on int pairs: v at any scale, such as a holonomy key's (x, y), and
+        the rays at _RAY_SCALE, with m^2 = 1 / _MARGIN_INV_SQ cleared.
         """
         (lx, ly), (hx, hy) = self.int_rays
-        vx, vy = _ints(v, _scale_of((v,)))
         c1 = lx * vy - ly * vx
         c2 = vx * hy - vy * hx
         n2 = vx * vx + vy * vy
         if lx * vx + ly * vy > 0 and c1 * c1 * _MARGIN_INV_SQ <= n2 * (lx * lx + ly * ly):
-            return (False, True)
-        if hx * vx + hy * vy > 0 and c2 * c2 * _MARGIN_INV_SQ <= n2 * (hx * hx + hy * hy):
-            return (False, True)
-        return (c1 > 0 and c2 > 0, False)
-
-    def evaluate_exact(self, v: ExactVector, area=1):
-        if v.norm_sq() > self.r_sq * area:
-            return (0, False)
-        inside, ambiguous = self.angular_inside(v)
-        if ambiguous:
             return (0, True)
-        return (1 if inside else 0, False)
+        if hx * vx + hy * vy > 0 and c2 * c2 * _MARGIN_INV_SQ <= n2 * (hx * hx + hy * hy):
+            return (0, True)
+        return (1 if c1 > 0 and c2 > 0 else 0, False)
+
+    def exact_rule(self, scale, area=1):
+        limit = _norm_limit(self.r, scale, area)
+        return lambda n, x, y: self.angular_inside(x, y) if n <= limit else (0, False)
 
     def evaluate_batch(self, xs, ys, delta: float):
         r2 = float(self.r) ** 2
@@ -287,13 +283,21 @@ class TriangleIndicator(TestFunction):
         num = math.isqrt(m.numerator * m.denominator) + 1
         return Fraction(num, m.denominator)
 
-    def evaluate_exact(self, v: ExactVector, area=1):
+    def exact_rule(self, scale, area=1):
         if area != 1:
             raise InputError("a triangle indicator is not scale-free: it needs a surface of area 1")
-        c1 = self.p.cross(v)
-        c2 = (self.q - self.p).cross(v - self.p)
-        c3 = (-self.q).cross(v - self.q)
-        return (1 if (c1 >= 0 and c2 >= 0 and c3 >= 0) else 0, False)
+        # At K = lcm(D, the corners' denominators), p, q and v = (x, y) K / D
+        # are int pairs, and the crosses of the three sides keep their signs.
+        k = math.lcm(scale, _scale_of((self.p, self.q)))
+        (px, py), (qx, qy), m = _ints(self.p, k), _ints(self.q, k), k // scale
+
+        def rule(n, x, y):
+            x, y = x * m, y * m
+            inside = (px * y >= py * x and (qx - px) * (y - py) >= (qy - py) * (x - px)
+                      and qy * (x - qx) >= qx * (y - qy))
+            return (1 if inside else 0, False)
+
+        return rule
 
     def evaluate_batch(self, xs, ys, delta: float):
         px, py = float(self.p.x), float(self.p.y)
@@ -362,31 +366,33 @@ class TransformReport:
     n_vectors: int
 
 
-def _tally(vectors, f: TestFunction, area) -> Tuple[int, int]:
-    """(sum of the non-ambiguous values, ambiguous count) of f over the
-    vectors.  A product tallies each factor on the same vectors, multiplies
-    the sums and adds the ambiguous counts."""
+def _rules(f: TestFunction, scale: int, area) -> list:
+    """The exact rules of f, or of each factor of a (nested) product."""
     if isinstance(f, ProductPair):
-        (fs, fa), (gs, ga) = _tally(vectors, f.f, area), _tally(vectors, f.g, area)
-        return fs * gs, fa + ga
-    total = ambiguous = 0
-    for v in vectors:
-        val, amb = f.evaluate_exact(v, area)
-        if amb:
-            ambiguous += 1
-        else:
-            total += val
-    return total, ambiguous
+        return _rules(f.f, scale, area) + _rules(f.g, scale, area)
+    return [f.exact_rule(scale, area)]
+
+
+def _tally(keys, rules) -> Tuple[int, int]:
+    """(product over the rules of their sums over the keys, ambiguous count):
+    a product's transform is that of its factors multiplied."""
+    value, ambiguous = 1, 0
+    for rule in rules:
+        results = [rule(*key) for key in keys]
+        value *= sum(val for val, _ in results)
+        ambiguous += sum(amb for _, amb in results)
+    return value, ambiguous
 
 
 def transform_report(s: TranslationSurface, f: TestFunction, area=1) -> TransformReport:
     """Transform of f on the copy of s scaled to unit area, for s of the
     given area, with its ambiguous count: one search up to the support
-    radius times sqrt(area), which keeps only the holonomy vectors
-    (`geodesic.holonomies`), so no connection or homology class is built."""
-    vectors = holonomies(s, radius_sq=f.support_radius() ** 2 * area)
-    total, ambiguous = _tally(vectors, f, area)
-    return TransformReport(value=float(total), ambiguous=ambiguous, n_vectors=len(vectors))
+    radius times sqrt(area), which keeps only the int keys of the holonomy
+    vectors; a triangle, bare or in a product, refuses area != 1 before it."""
+    rules = _rules(f, s.int_corners()[0], area)
+    keys = _holonomy_keys(s, _radius_sq(None, f.support_radius() ** 2 * area))
+    total, ambiguous = _tally(keys, rules)
+    return TransformReport(value=float(total), ambiguous=ambiguous, n_vectors=len(keys))
 
 
 def transform(s: TranslationSurface, f: TestFunction) -> float:
@@ -423,9 +429,10 @@ class ARReport:
     quadrature_n: int
 
 
-def _holonomy_array(vectors) -> np.ndarray:
-    """The vectors, in their given order, as an (m, 2) float array."""
-    return np.array([[float(v.x), float(v.y)] for v in vectors], dtype=np.float64).reshape(-1, 2)
+def _holonomy_array(keys, scale: int) -> np.ndarray:
+    """The keys' vectors (x, y) / scale as an (m, 2) float array; int true
+    division rounds correctly, as float(Fraction(x, scale)) does."""
+    return np.array([(x / scale, y / scale) for _, x, y in keys], dtype=np.float64).reshape(-1, 2)
 
 
 def rotational_average_AR(s: TranslationSurface, f: TestFunction, R: float) -> ARReport:
@@ -442,7 +449,8 @@ def rotational_average_AR(s: TranslationSurface, f: TestFunction, R: float) -> A
     if isinstance(f, ProductPair):
         raise InputError("the rotational average takes a test function of one vector, not a product")
     pre_radius = f.support_radius() * to_fraction(R)
-    return _rotational_average(_holonomy_array(holonomies(s, radius=pre_radius)), f, R, _AR_QUADRATURE_N)
+    pts = _holonomy_array(_holonomy_keys(s, pre_radius ** 2), s.int_corners()[0])
+    return _rotational_average(pts, f, R, _AR_QUADRATURE_N)
 
 
 def _rotational_average(pts: np.ndarray, f: TestFunction, R: float, n: int) -> ARReport:
@@ -512,8 +520,8 @@ def sector_sandwich(s: TranslationSurface, R: float, theta: float) -> SandwichRe
     w2 = TriangleIndicator(ExactVector(tan_t, Fraction(1)), ExactVector(-tan_t, Fraction(1)))
     r_frac = to_fraction(R)
     pre_radius = w2.support_radius() * r_frac
-    vectors = holonomies(s, radius=pre_radius)
-    pts = _holonomy_array(vectors)
+    scale, keys = s.int_corners()[0], _holonomy_keys(s, pre_radius ** 2)
+    pts = _holonomy_array(keys, scale)
     theta_r = math.atan(math.tan(theta) / (R * R))
     # The stretched cone has angular width ~2 theta_r; resolve each window
     # with a dozen grid cells (the reported margin carries the residual).
@@ -523,7 +531,7 @@ def sector_sandwich(s: TranslationSurface, R: float, theta: float) -> SandwichRe
     lo_2n = _rotational_average(pts, w1, R, 2 * n_eff)
     hi_2n = _rotational_average(pts, w2, R, 2 * n_eff)
     # R <= pre_radius: the exact count N(R) comes from the same enumeration.
-    n_count, _ = _tally(vectors, DiscIndicator(r_frac), 1)
+    n_count, _ = _tally(keys, [DiscIndicator(r_frac).exact_rule(scale, 1)])
     scaled = theta_r / math.pi * n_count
     margin = 2.0 * max(abs(lo_2n.value - lo_n.value), abs(hi_2n.value - hi_n.value))
     margin += (lo_2n.ambiguous_fraction + hi_2n.ambiguous_fraction) * max(n_count, 1)

@@ -534,8 +534,22 @@ def test_stratum_mean_of_a_triangle_is_an_input_error(capsys, tmp_path, octagon)
     assert json.loads(err)["error"] == "INPUT"
 
 
+@pytest.mark.parametrize("command", ["mc-stratum", "tails"])
+def test_a_triangle_on_stratum_samples_is_refused_whatever_its_size(capsys, tmp_path, octagon, command):
+    # The samples about octagon_h2 have area 7 and a triangle needs area 1:
+    # one too small to hold any holonomy vector is refused all the same.
+    path = tmp_path / "octagon.json"
+    path.write_text(octagon.to_json())
+    tiny = '{"variant": "triangle", "p": ["1/100", "0"], "q": ["0", "1/100"]}'
+    argv = [command, "--surface", str(path), "--samples", "3", "--seed", "1", "--fn", tiny]
+    code, out, err = run(capsys, argv)
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"] == "INPUT"
+
+
 def test_holonomy_array_is_pinned():
-    pts = sv._holonomy_array(enumerate_connections(octagon_h2(), 8).vectors())
+    s = octagon_h2()
+    pts = sv._holonomy_array(geodesic._holonomy_keys(s, 64), s.int_corners()[0])
     assert pts.shape == (112, 2)
     assert hashlib.sha256(pts.tobytes()).hexdigest() == (
         "39e979f3dd8d6c4495ac59b3e450f4ee13bcf7f809f8d5ca9cb7367d09a8c15a"

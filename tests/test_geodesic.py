@@ -31,7 +31,6 @@ from saddlekit.geodesic import (
     count,
     detect_cylinder,
     enumerate_connections,
-    holonomies,
     nonhomologous_edge_bound,
     reverse_of,
     second_shortest_nonhomologous,
@@ -700,6 +699,16 @@ _BAD_RADII = [
 ]
 
 
+def holonomies(s, radius=None, *, radius_sq=None):
+    """The vectors every transform reads: the int keys (|v|^2 D^2, x, y) of
+    `_holonomy_keys` at the surface's scale D, as ExactVectors, with the
+    radius read as `enumerate_connections` and `count` read it."""
+    keys = geodesic._holonomy_keys(s, geodesic._radius_sq(radius, radius_sq))
+    scale, _ = s.int_corners()
+    assert all(n == x * x + y * y for n, x, y in keys)
+    return tuple(_vec((x, y), scale) for _, x, y in keys)
+
+
 @pytest.mark.parametrize("entry", [enumerate_connections, holonomies], ids=lambda f: f.__name__)
 @pytest.mark.parametrize("kwargs", _BAD_RADII)
 def test_both_entry_points_refuse_a_bad_radius(torus, entry, kwargs):
@@ -749,7 +758,7 @@ def test_count_is_the_number_of_holonomies():
     surfaces = [s for _, group in _differential_corpus() for s in group]
     assert len(surfaces) == 60
     for s, radius in [(s, 4) for s in surfaces] + [(s, r) for s in pushed for r in (2, 4)]:
-        assert count(s, radius) == len(holonomies(s, radius)), s
+        assert count(s, radius) == len(enumerate_connections(s, radius).vectors()), s
 
 
 @pytest.mark.parametrize(
@@ -761,13 +770,13 @@ def test_count_spends_the_states_of_the_enumeration(
 ):
     # The pinned least budgets of test_budget_counts_expanded_states: count
     # passes on them, and one state less refuses it with the payload of
-    # holonomies.
+    # the enumeration.
     s = {"square": torus, "slit": slit_13_15, "octagon": octagon}[name]
     monkeypatch.setenv("SADDLEKIT_BUDGET", str(states))
-    assert count(s, radius) == len(holonomies(s, radius))
+    assert count(s, radius) == len(enumerate_connections(s, radius).vectors())
     monkeypatch.setenv("SADDLEKIT_BUDGET", str(states - 1))
     payloads = []
-    for entry in (count, holonomies):
+    for entry in (count, enumerate_connections):
         with pytest.raises(ResourceLimitError) as exc:
             entry(s, radius)
         payloads.append(exc.value.to_json_dict())

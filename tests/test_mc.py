@@ -11,7 +11,7 @@ from conftest import reference_haar_matrices
 from saddlekit import mc
 from saddlekit.builders import centered_octagon_h2, square_torus, torus_from_matrix
 from saddlekit.errors import AmbiguousMembershipError, InputError, ResourceLimitError
-from saddlekit.exactplane import ExactMatrix
+from saddlekit.exactplane import ExactMatrix, _ints, _scale_of
 from saddlekit.geodesic import enumerate_connections
 from saddlekit.homology import EdgeHomology
 from saddlekit.surface import TranslationSurface, area
@@ -63,7 +63,7 @@ def _reference_surface_value(s: TranslationSurface, f: TestFunction) -> float:
         for v in vectors:
             if v.norm_sq() > r_sq:
                 continue
-            inside, amb = f.angular_inside(v)  # scale-free
+            inside, amb = f.angular_inside(*_ints(v, _scale_of((v,))))  # scale-free
             if inside and not amb:
                 total += 1
         return float(total)

@@ -4,21 +4,25 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from conftest import stratum_draws
 
-from saddlekit import geodesic
+from saddlekit import geodesic, mc
 from saddlekit.builders import (
+    centered_octagon_h2,
+    marked_torus,
     octagon_h2,
+    regular_octagon_approx,
     sheared_torus,
     slit_torus,
     torus_from_basis,
     torus_from_matrix,
 )
 from saddlekit.errors import AmbiguousMembershipError, InputError, ResourceLimitError
-from saddlekit.exactplane import ExactMatrix, ExactVector, primitive_points_in_disc
+from saddlekit.exactplane import ExactMatrix, ExactVector, _ints, _scale_of, primitive_points_in_disc
 from saddlekit.geodesic import count, detect_cylinder, enumerate_connections, shortest
 from saddlekit.homology import EdgeHomology
 from saddlekit.mc import sample_stratum_local
-from saddlekit.surface import TranslationSurface, Triangle, apply_surface
+from saddlekit.surface import TranslationSurface, Triangle, apply_surface, area
 from saddlekit.sv import (
     _SECTOR_MARGIN,
     AnnulusIndicator,
@@ -28,6 +32,8 @@ from saddlekit.sv import (
     TriangleIndicator,
     _holonomy_array,
     _rotational_average,
+    _rules,
+    _tally,
     classify,
     pair_transform,
     rotational_average_AR,
@@ -40,6 +46,71 @@ from saddlekit.sv import (
 
 def V(x, y):
     return ExactVector.of(x, y)
+
+
+def _key(v, scale):
+    """The int key (|v|^2 D^2, x, y) of v at scale D, as the search makes it."""
+    x, y = _ints(v, scale)
+    return (x * x + y * y, x, y)
+
+
+def _int_pair(v):
+    """v times the lcm of its denominators: an int pair on v's ray."""
+    return _ints(v, _scale_of((v,)))
+
+
+def _reference_angular_inside(f, v):
+    """SectorIndicator.angular_inside on the Fractions themselves: the
+    reference the int rule must match."""
+    c1 = f.ray_lo.cross(v)
+    c2 = v.cross(f.ray_hi)
+    m2 = _SECTOR_MARGIN * _SECTOR_MARGIN
+    n2 = v.norm_sq()
+    if f.ray_lo.dot(v) > 0 and c1 * c1 <= m2 * n2 * f.ray_lo.norm_sq():
+        return (False, True)
+    if f.ray_hi.dot(v) > 0 and c2 * c2 <= m2 * n2 * f.ray_hi.norm_sq():
+        return (False, True)
+    return (c1 > 0 and c2 > 0, False)
+
+
+def _reference_evaluate_exact(f, v, area=1):
+    """The Fraction membership rule that the int rules replaced: (value,
+    ambiguous) of f at v / sqrt(area), for an ExactVector v."""
+    if isinstance(f, DiscIndicator):
+        return (1 if v.norm_sq() <= f.r * f.r * area else 0, False)
+    if isinstance(f, AnnulusIndicator):
+        n = v.norm_sq()
+        return (1 if f.r1 * f.r1 * area < n <= f.r2 * f.r2 * area else 0, False)
+    if isinstance(f, SectorIndicator):
+        if v.norm_sq() > f.r * f.r * area:
+            return (0, False)
+        inside, ambiguous = _reference_angular_inside(f, v)
+        if ambiguous:
+            return (0, True)
+        return (1 if inside else 0, False)
+    if area != 1:
+        raise InputError("a triangle indicator is not scale-free: it needs a surface of area 1")
+    c1 = f.p.cross(v)
+    c2 = (f.q - f.p).cross(v - f.p)
+    c3 = (-f.q).cross(v - f.q)
+    return (1 if (c1 >= 0 and c2 >= 0 and c3 >= 0) else 0, False)
+
+
+def _reference_tally(vectors, f, area):
+    """The Fraction tally that the int one replaced: (sum of the
+    non-ambiguous values, ambiguous count) of f over ExactVectors; a product
+    multiplies its factors' sums and adds their ambiguous counts."""
+    if isinstance(f, ProductPair):
+        (fs, fa), (gs, ga) = _reference_tally(vectors, f.f, area), _reference_tally(vectors, f.g, area)
+        return fs * gs, fa + ga
+    total = ambiguous = 0
+    for v in vectors:
+        val, amb = _reference_evaluate_exact(f, v, area)
+        if amb:
+            ambiguous += 1
+        else:
+            total += val
+    return total, ambiguous
 
 
 def test_transform_disc_counts(torus):
@@ -85,7 +156,7 @@ def test_pair_transform_matches_literal_double_sum(torus):
     g = DiscIndicator(2)
     vecs = enumerate_connections(torus, 2).vectors()
     literal = sum(
-        f.evaluate_exact(v1)[0] * g.evaluate_exact(v2)[0]
+        _reference_evaluate_exact(f, v1)[0] * _reference_evaluate_exact(g, v2)[0]
         for v1 in vecs
         for v2 in vecs
     )
@@ -120,18 +191,22 @@ def test_product_with_an_ambiguous_factor_counts_it(torus):
     ids=["disc", "annulus", "sector"],
 )
 def test_membership_at_an_area_is_membership_of_the_scaled_vector(f):
-    # v / sqrt(4) = v / 2, so both sides are exact.
+    # v / sqrt(4) = v / 2, so both sides are exact: the key (n, x, y) is v
+    # at scale 1 and v / 2 at scale 2.
+    at_area, halved = f.exact_rule(1, 4), f.exact_rule(2, 1)
     for x in range(-7, 8):
         for y in range(-7, 8):
             v = V(x, y)
-            assert f.evaluate_exact(v, 4) == f.evaluate_exact(v.scale(Fraction(1, 2)))
+            key = (x * x + y * y, x, y)
+            assert at_area(*key) == halved(*key) == _reference_evaluate_exact(f, v.scale(Fraction(1, 2)))
 
 
 def test_triangle_membership_needs_unit_area():
     f = TriangleIndicator(V(1, 0), V(0, 1))
-    assert f.evaluate_exact(V(Fraction(1, 4), Fraction(1, 4)), 1) == (1, False)
+    # (1/4, 1/4) at scale 4 is the key (2, 1, 1).
+    assert f.exact_rule(4, 1)(2, 1, 1) == (1, False)
     with pytest.raises(InputError):
-        f.evaluate_exact(V(Fraction(1, 4), Fraction(1, 4)), 2)
+        f.exact_rule(4, 2)
 
 
 def test_rotational_average_identity(torus):
@@ -152,7 +227,7 @@ def test_rotational_average_richardson(torus):
     # A_R's 256 angles against the same quadrature on twice as many.
     f = DiscIndicator(Fraction(3, 2))
     rep = rotational_average_AR(torus, f, 4.0)
-    pts = _holonomy_array(enumerate_connections(torus, f.support_radius() * 4).vectors())
+    pts = _holonomy_array(geodesic._holonomy_keys(torus, (f.support_radius() * 4) ** 2), 1)
     assert rep.quadrature_n == 256
     assert abs(rep.value - _rotational_average(pts, f, 4.0, 512).value) < 0.5
 
@@ -447,25 +522,12 @@ def test_sector_batch_ambiguity_needs_ray_side():
     vals, amb = f.evaluate_batch(
         np.array([float(x) for x, _ in pts]), np.array([float(y) for _, y in pts]), 1e-9
     )
-    exact = [f.evaluate_exact(V(x, y)) for x, y in pts]
+    rule = f.exact_rule(1)
+    exact = [rule(x * x + y * y, x, y) for x, y in pts]
     assert list(amb) == [False, False, True, True, False, False]
     assert [a for _, a in exact] == list(amb)
     assert [int(v) for v, a in zip(vals, amb) if not a] == [v for v, a in exact if not a]
     assert [v for v, _ in exact] == [0, 0, 0, 0, 1, 0]
-
-
-def _fraction_angular_inside(f, v):
-    """SectorIndicator.angular_inside on the Fractions themselves: the
-    reference the int rule must match."""
-    c1 = f.ray_lo.cross(v)
-    c2 = v.cross(f.ray_hi)
-    m2 = _SECTOR_MARGIN * _SECTOR_MARGIN
-    n2 = v.norm_sq()
-    if f.ray_lo.dot(v) > 0 and c1 * c1 <= m2 * n2 * f.ray_lo.norm_sq():
-        return (False, True)
-    if f.ray_hi.dot(v) > 0 and c2 * c2 <= m2 * n2 * f.ray_hi.norm_sq():
-        return (False, True)
-    return (c1 > 0 and c2 > 0, False)
 
 
 def _seeded_sectors(n, seed):
@@ -475,14 +537,16 @@ def _seeded_sectors(n, seed):
 
 def test_sector_membership_on_ints_matches_the_fraction_rule(octagon):
     # The octagon's holonomies up to R = 12 under the benchmark's sector
-    # (theta 0, half-angle pi/4) and 50 seeded ones.
-    vectors = geodesic.holonomies(octagon, 12)
+    # (theta 0, half-angle pi/4) and 50 seeded ones, each read as the int
+    # pair of its search key.
+    scale, _ = octagon.int_corners()
+    keys = geodesic._holonomy_keys(octagon, 144)
     sectors = [SectorIndicator(8, 0.0, math.pi / 4)] + _seeded_sectors(50, 17)
     seen = set()
     for f in sectors:
-        for v in vectors:
-            got = f.angular_inside(v)
-            assert got == _fraction_angular_inside(f, v), (f, v)
+        for _, x, y in keys:
+            got = f.angular_inside(x, y)
+            assert got == _reference_angular_inside(f, V(Fraction(x, scale), Fraction(y, scale))), (f, x, y)
             seen.add(got)
     assert seen == {(True, False), (False, False), (False, True)}
 
@@ -490,9 +554,9 @@ def test_sector_membership_on_ints_matches_the_fraction_rule(octagon):
 def test_sector_membership_on_the_rays_of_a_quarter_turn():
     f = SectorIndicator(3, 0.0, math.pi / 4)
     for v in (V(1, 1), V(1, -1), V(Fraction(1, 3), Fraction(1, 3)), V(5, -5)):
-        assert f.angular_inside(v) == _fraction_angular_inside(f, v) == (False, True)
-    assert f.angular_inside(V(1, 0)) == (True, False)
-    assert f.angular_inside(V(-1, 1)) == f.angular_inside(V(0, 1)) == (False, False)
+        assert f.angular_inside(*_int_pair(v)) == _reference_angular_inside(f, v) == (False, True)
+    assert f.angular_inside(1, 0) == (True, False)
+    assert f.angular_inside(-1, 1) == f.angular_inside(0, 1) == (False, False)
 
 
 def test_sector_membership_with_large_coprime_denominators():
@@ -504,7 +568,7 @@ def test_sector_membership_with_large_coprime_denominators():
         for _ in range(40):
             p, q = rng.sample(primes, 2)
             v = V(Fraction(rng.randrange(-p, p), p), Fraction(rng.randrange(-q, q), q))
-            assert f.angular_inside(v) == _fraction_angular_inside(f, v), (f, v)
+            assert f.angular_inside(*_int_pair(v)) == _reference_angular_inside(f, v), (f, v)
 
 
 def test_sector_membership_at_the_margin_of_each_ray():
@@ -520,7 +584,7 @@ def test_sector_membership_at_the_margin_of_each_ray():
             for t, want in ((near, None), (past, True), (-near, None), (-past, False)):
                 v = ray + ray.perp().scale(t)
                 expected = (False, True) if want is None else ((want if inner == 1 else not want), False)
-                assert f.angular_inside(v) == _fraction_angular_inside(f, v) == expected, (f, ray, t)
+                assert f.angular_inside(*_int_pair(v)) == _reference_angular_inside(f, v) == expected, (f, ray, t)
 
 
 def test_classify_rejects_bad_parameters(torus):
@@ -544,3 +608,146 @@ def test_vector_only_callers_build_no_connection_and_no_class(monkeypatch):
         assert transform_report(build(), disc).n_vectors > 0
         assert rotational_average_AR(build(), disc, 2.0).value > 0
         assert sector_sandwich(build(), 2.0, math.pi / 8).scaled_count > 0
+
+
+def _leaves(f):
+    """The factors of f in order: f itself, or those of a (nested) product."""
+    return _leaves(f.f) + _leaves(f.g) if isinstance(f, ProductPair) else [f]
+
+
+def _reference_array(vectors):
+    """The float array of A_R and the sandwich as it was built from
+    ExactVectors."""
+    return np.array([[float(v.x), float(v.y)] for v in vectors], dtype=np.float64).reshape(-1, 2)
+
+
+_TRIANGLE = TriangleIndicator(V(Fraction(4, 3), Fraction(-1, 5)), V(Fraction(-2, 7), Fraction(5, 4)))
+_SCALED = [
+    DiscIndicator(Fraction(6, 5)),
+    AnnulusIndicator(0, Fraction(6, 5)),
+    AnnulusIndicator(Fraction(1, 2), Fraction(3, 2)),
+    SectorIndicator(Fraction(3, 2), 0.0, math.pi / 4),
+    SectorIndicator(Fraction(6, 5), 0.3, 0.6),
+    ProductPair(DiscIndicator(1), ProductPair(AnnulusIndicator(Fraction(1, 3), Fraction(6, 5)),
+                                             SectorIndicator(Fraction(3, 2), 0.0, math.pi / 4))),
+]
+# On the square torus, (1, 0), (0, 1), (1, 1), (2, 0) and (0, 2) lie on the
+# sides of the second triangle.
+_UNIT_AREA = _SCALED + [_TRIANGLE, TriangleIndicator(V(2, 0), V(0, 2)),
+                        ProductPair(ProductPair(_TRIANGLE, DiscIndicator(1)), _SCALED[3])]
+
+
+def _check_the_int_tally(s, fns, a):
+    """Per key, per factor and per report, the int rules and tally on s at
+    area a against the Fraction reference on the enumeration's vectors; the
+    float array against the one built from those vectors."""
+    scale, _ = s.int_corners()
+    radius_sq = max(f.support_radius() for f in fns) ** 2 * a
+    keys = geodesic._holonomy_keys(s, radius_sq)
+    vectors = enumerate_connections(s, radius_sq=radius_sq).vectors()
+    assert [V(Fraction(x, scale), Fraction(y, scale)) for _, x, y in keys] == list(vectors)
+    assert _holonomy_array(keys, scale).tobytes() == _reference_array(vectors).tobytes()
+    ambiguous = 0
+    for f in fns:
+        for g in _leaves(f):
+            rule = g.exact_rule(scale, a)
+            assert [rule(*key) for key in keys] == [_reference_evaluate_exact(g, v, a) for v in vectors], g
+        inside = [v for v in vectors if v.norm_sq() <= f.support_radius() ** 2 * a]
+        want = _reference_tally(inside, f, a)
+        assert _tally(keys, _rules(f, scale, a)) == _reference_tally(vectors, f, a)
+        rep = transform_report(s, f, a)
+        assert (rep.value, rep.ambiguous, rep.n_vectors) == (float(want[0]), want[1], len(inside)), f
+        ambiguous += want[1]
+    return ambiguous
+
+
+def test_the_int_tally_matches_the_fraction_reference_on_the_stratum_draws():
+    # The 60 draws at their own areas, where no triangle may go.
+    draws = stratum_draws()
+    assert len(draws) == 60
+    for s in draws:
+        _check_the_int_tally(s, _SCALED, area(s))
+
+
+def test_the_int_tally_matches_the_fraction_reference_on_the_corpus_at_area_1(torus, thin_torus, slit_13_15):
+    corpus = [torus, thin_torus, slit_13_15, octagon_h2(), centered_octagon_h2(), regular_octagon_approx(),
+              marked_torus(V(Fraction(1, 2), Fraction(1, 3))), sheared_torus(Fraction(2, 7))]
+    # The square torus puts (1, 1) and (1, -1) on the rays at +-pi/4.
+    assert sum(_check_the_int_tally(s, _UNIT_AREA, 1) for s in corpus) > 0
+
+
+def test_the_int_rules_match_the_fraction_rules_at_the_margin_of_each_ray():
+    # The vectors of test_sector_membership_at_the_margin_of_each_ray, at
+    # one scale: ray + t perp(ray), within the margin for t = +-m(1 + m^2/2)
+    # and past it for t = +-m(1 + m^2/2 + m^4).  The rays have length about
+    # 1, so at area 1/4 the sector's radius 2 passes through them.
+    m = _SECTOR_MARGIN
+    ts = [sign * m * (1 + m**2 / 2 + extra) for extra in (0, m**4) for sign in (1, -1)]
+    for f in [SectorIndicator(2, 0.0, math.pi / 4)] + _seeded_sectors(20, 29):
+        vectors = [ray + ray.perp().scale(t) for ray in (f.ray_lo, f.ray_hi) for t in ts]
+        scale = _scale_of(vectors)
+        keys = [_key(v, scale) for v in vectors]
+        for a in (1, Fraction(1, 4)):
+            rule = f.exact_rule(scale, a)
+            assert [rule(*key) for key in keys] == [_reference_evaluate_exact(f, v, a) for v in vectors]
+            for g in (f, ProductPair(AnnulusIndicator(Fraction(1, 2), 2), f)):
+                assert _tally(keys, _rules(g, scale, a)) == _reference_tally(vectors, g, a)
+        assert _reference_tally(vectors, f, 1)[1] == 4
+
+
+def test_the_float_arrays_of_AR_and_the_sandwich_are_those_of_the_vectors(torus, octagon):
+    # A_R and the sector sandwich read the keys' floats, x / D: the
+    # quadrature on the array built from the enumeration's vectors gives
+    # the same report.
+    f = DiscIndicator(Fraction(6, 5))
+    for s in (torus, octagon, stratum_draws()[0], stratum_draws()[25]):
+        for R in (1.0, 2.5):
+            want = _reference_array(enumerate_connections(s, f.support_radius() * Fraction(R)).vectors())
+            assert rotational_average_AR(s, f, R) == _rotational_average(want, f, R, 256)
+
+
+def test_the_transforms_build_no_exact_vector_per_holonomy_vector(monkeypatch):
+    # Each path runs at two sizes with different numbers of holonomy
+    # vectors and must build the same number of ExactVectors.
+    s = octagon_h2()
+    sample = mc.sample_stratum_local(s, "1/20", 10, seed=7)
+    runs = {
+        # The benchmark's sector (transform-octagon-sector), and a smaller one.
+        "transform": lambda r: transform_report(s, SectorIndicator(r, 0.0, math.pi / 4)).n_vectors,
+        "AR": lambda r: rotational_average_AR(s, DiscIndicator(1), float(r)).value,
+        "sandwich": lambda r: sector_sandwich(s, float(r), math.pi / 8).scaled_count,
+        "stratum": lambda r: mc._values(sample, DiscIndicator(Fraction(r, 4))).sum(),
+    }
+    built = []
+    init = ExactVector.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    assert runs["transform"](8) == 112
+    monkeypatch.setattr(ExactVector, "__init__", counted)
+    for name, run in runs.items():
+        sizes = []
+        for r in (2, 8):
+            del built[:]
+            run(r)
+            sizes.append(len(built))
+        assert sizes[0] == sizes[1], (name, sizes)
+
+
+def test_a_triangle_refuses_an_area_other_than_1_before_any_search(monkeypatch, octagon):
+    # A triangle too small to hold any holonomy vector of the octagon
+    # (area 7) is refused all the same: the area decides, not the data.
+    def refuse(*args):
+        raise AssertionError("searched")
+
+    tiny = TriangleIndicator(V(Fraction(1, 100), 0), V(0, Fraction(1, 100)))
+    assert transform_report(octagon, tiny).n_vectors == 0
+    sample = mc.sample_stratum_local(octagon, "1/20", 3, seed=1)
+    monkeypatch.setattr(geodesic, "_search", refuse)
+    for f in (tiny, ProductPair(DiscIndicator(1), ProductPair(tiny, DiscIndicator(2)))):
+        with pytest.raises(InputError, match="area 1"):
+            transform_report(octagon, f, area(octagon))
+    with pytest.raises(InputError, match="area 1"):
+        mc._values(sample, tiny)
