@@ -23,13 +23,15 @@ one corner whose wedge holds the direction.
 The walk runs on the int corners of geodesic's strip, developed at its
 scale K, where rotations, reflections and the side tests are int
 operations.  Each step asks `delaunay.diamond_of` for the current
-triangle's diamond, the one place Fractions enter: the diamond's centre
-has denominators dividing 4K and its radius dividing 2K, so the step reads
-both back as ints at 4K and decides the clockwise order there, every
-position scaled by the radius.  The path's length bounds are int sums over
-one denominator, and the certificate is read off them; Fractions are built
-again only for the returned ChewPath, and for `compare_sqrt_sum` when the
-bounds straddle sqrt(10) times the holonomy's length.
+triangle's diamond on the frame's int points at 4K, handed over as
+integer-valued Fractions: there the diamond's centre and radius are ints
+too, so the step reads them straight off the certificate and decides the
+clockwise order on ints, every position scaled by the radius.  The path
+keeps its hops as int pairs; the length bounds are int sums over one
+denominator, and the certificate is read off them.  Fractions are built
+only for the bounds the path returns, for its edge vectors and vertices
+when they are read, and for `compare_sqrt_sum` when the bounds straddle
+sqrt(10) times the holonomy's length.
 """
 
 from __future__ import annotations
@@ -54,17 +56,29 @@ class ChewPath:
 
     edges are (slot, direction) pairs into the Delaunay surface; the turn at
     each interior vertex stays below 2 pi on the relevant side by
-    construction of the diamond walk.
+    construction of the diamond walk.  hops are the edges' vectors as int
+    pairs at scale; edge_vectors and vertices build them as ExactVectors
+    when read.
     """
 
     edges: Tuple[Tuple[Slot, int], ...]
-    edge_vectors: Tuple[ExactVector, ...]
-    vertices: Tuple[ExactVector, ...]
+    hops: Tuple[Tuple[int, int], ...]
+    scale: int
     holonomy: ExactVector
     total_length_sq_lower: Fraction
     total_length_sq_upper: Fraction
     ratio_upper_bound: float
     sqrt10_certified: bool
+
+    @property
+    def edge_vectors(self) -> Tuple[ExactVector, ...]:
+        return tuple(_vec(v, self.scale) for v in self.hops)
+
+    @property
+    def vertices(self) -> Tuple[ExactVector, ...]:
+        """z_0 = 0 .. z_k = holonomy, the running sums of the hops."""
+        sums = accumulate(self.hops, lambda p, q: (p[0] + q[0], p[1] + q[1]), initial=(0, 0))
+        return tuple(_vec(v, self.scale) for v in sums)
 
     def edge_count(self) -> int:
         return len(self.edges)
@@ -190,14 +204,15 @@ def _chew_on_surface(s: TranslationSurface, start: Slot, d: ExactVector) -> Chew
         j = last[z]
         pts = placed[j][1]
         z_idx = pts.index(z)
-        # At 4 * scale the diamond's centre and radius are ints too.
         frame = [_rot((4 * x, 4 * y), k) for x, y in pts]
         if d_rot[0] * frame[z_idx][1] - d_rot[1] * frame[z_idx][0] < 0:  # below: reflect
             frame = [(x, -y) for x, y in frame]
-        dia = diamond_of(*(_vec(p, 4 * scale) for p in frame))
-        r = dia.radius_l1
-        center = _ints(dia.center, 4 * scale)
-        next_idx = _walk_step(center, r.numerator * (4 * scale // r.denominator), frame, z_idx)
+        # The frame's coordinates are multiples of 4, so its doubled rotated
+        # ones are multiples of 8 and the diamond's centre and L1 radius come
+        # back as ints in frame units.
+        dia = diamond_of(*(ExactVector(Fraction(x), Fraction(y)) for x, y in frame))
+        center = (dia.center.x.numerator, dia.center.y.numerator)
+        next_idx = _walk_step(center, dia.radius_l1.numerator, frame, z_idx)
         edges.append(_edge_between(placed[j][0], z_idx, next_idx))
         z = pts[next_idx]
     return _assemble_path(s, edges, d)
@@ -208,11 +223,12 @@ def _assemble_path(s: TranslationSurface, edges, holonomy: ExactVector) -> ChewP
 
     Each edge's vector is its own, read from the surface's int corners at K
     = lcm(D, the holonomy's denominators) and signed by its direction; their
-    sum must be the holonomy, which certifies the homotopy.  The vertices
-    are the running sums.  The length bounds sum the hops'
+    sum must be the holonomy, which certifies the homotopy.  The path keeps
+    these int hops and K.  The length bounds sum the hops'
     `sqrt_bounds(|v|^2, 64)` as ints over one denominator; the certificate
     is read off them, and `compare_sqrt_sum` decides only when they
-    straddle sqrt(10) |holonomy|.  Fractions are built for the result only.
+    straddle sqrt(10) |holonomy|.  Fractions are built for the two bounds
+    only.
     """
     scale, tris = s.int_corners()
     k = math.lcm(scale, _scale_of([holonomy]))
@@ -221,9 +237,8 @@ def _assemble_path(s: TranslationSurface, edges, holonomy: ExactVector) -> ChewP
     for (t, c), sign in edges:
         (x0, y0), (x1, y1) = tris[t][c], tris[t][(c + 1) % 3]
         hops.append((sign * m * (x1 - x0), sign * m * (y1 - y0)))
-    vertices = list(accumulate(hops, lambda p, q: (p[0] + q[0], p[1] + q[1]), initial=(0, 0)))
     hx, hy = _ints(holonomy, k)
-    if vertices[-1] != (hx, hy):
+    if (sum(x for x, _ in hops), sum(y for _, y in hops)) != (hx, hy):
         raise InputError("path holonomy does not certify homotopy")
     # Each hop's sqrt_bounds(n / k^2, 64) over the one denominator k^2 2^64:
     # with g = gcd(n, k^2), n / k^2 is (n / g) / (k^2 / g) in lowest terms,
@@ -243,14 +258,14 @@ def _assemble_path(s: TranslationSurface, edges, holonomy: ExactVector) -> ChewP
         [Fraction(x * x + y * y, k_sq) for x, y in hops], Fraction(10 * h_sq, k_sq)) <= 0)
     # Int true division rounds correctly, as float() of the Fraction does.
     ratio_ub = hi / den / (h_sq / k_sq) ** 0.5 if h_sq else 1.0
-    lo, hi = Fraction(lo, den), Fraction(hi, den)
+    den_sq = den * den
     return ChewPath(
         edges=tuple(edges),
-        edge_vectors=tuple(_vec(v, k) for v in hops),
-        vertices=tuple(_vec(v, k) for v in vertices),
+        hops=tuple(hops),
+        scale=k,
         holonomy=holonomy,
-        total_length_sq_lower=lo * lo,
-        total_length_sq_upper=hi * hi,
+        total_length_sq_lower=Fraction(lo * lo, den_sq),
+        total_length_sq_upper=Fraction(hi * hi, den_sq),
         ratio_upper_bound=ratio_ub,
         sqrt10_certified=cert,
     )

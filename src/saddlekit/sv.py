@@ -205,6 +205,12 @@ class SectorIndicator(TestFunction):
         degree 1 in each, the margin test of degree 2 in each), so it runs
         on int pairs: v at any scale, such as a holonomy key's (x, y), and
         the rays at _RAY_SCALE, with m^2 = 1 / _MARGIN_INV_SQ cleared.
+
+        The margin test never holds with equality, so `<=` and `<` agree on
+        every int pair.  With N = _MARGIN_INV_SQ, Lagrange's identity
+        (ray . v)^2 + c^2 = |ray|^2 |v|^2 turns c^2 N = |v|^2 |ray|^2 into
+        c^2 (N - 1) = (ray . v)^2.  N - 1 = 2^40 - 1 is not a square, so on
+        ints this needs c = ray . v = 0, that is v = 0.
         """
         (lx, ly), (hx, hy) = self.int_rays
         c1 = lx * vy - ly * vx

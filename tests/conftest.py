@@ -1,5 +1,6 @@
 import functools
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -16,7 +17,7 @@ from saddlekit.builders import (
 from saddlekit.errors import InputError
 from saddlekit.exactplane import ExactMatrix, ExactVector
 from saddlekit.geodesic import SaddleConnection, _start_corner, _strip
-from saddlekit.surface import TranslationSurface
+from saddlekit.surface import TranslationSurface, apply_surface
 
 
 @pytest.fixture(scope="session")
@@ -105,6 +106,14 @@ def stratum_draws():
         marked_torus(ExactVector.of(Fraction(1, 2), Fraction(1, 3))),
     )
     return tuple(s for base in bases for s in mc.sample_stratum_local(base, "1/20", 20, seed=7).surfaces)
+
+
+@functools.cache
+def stratum_draw_images():
+    """An SL(2, Q) image of each of the 60 stratum draws, in their order:
+    sl2q(random.Random(13)) applied to each draw in turn."""
+    rng = random.Random(13)
+    return tuple(apply_surface(sl2q(rng), s) for s in stratum_draws())
 
 
 def sl2q(rng):

@@ -4,7 +4,7 @@ from fractions import Fraction
 from itertools import islice
 
 import pytest
-from conftest import sl2q, stratum_draws, trace_connection
+from conftest import sl2q, stratum_draw_images, stratum_draws, trace_connection
 
 from saddlekit import chew
 from saddlekit.builders import (
@@ -283,16 +283,51 @@ def test_every_connection_of_seeded_images_walks_and_certifies():
 
 
 def test_every_connection_of_the_stratum_draws_walks_and_certifies():
-    # Generated surfaces in H(2) and H(1,1): every connection up to twice
-    # the square root of the area has a path within sqrt(10) of its length.
-    walks = 0
-    for s in stratum_draws():
-        dt = delaunay_l1(s)
-        for conn in connections(s, 4 * area(s)):
-            path = chew_path(dt, conn)
-            assert path.holonomy == conn.holonomy and path.sqrt10_certified, (s, conn)
-            walks += 1
-    assert walks == 6356
+    # Generated surfaces in H(2) and H(1,1), then an SL(2, Q) image of each:
+    # every connection up to twice the square root of the area has a path
+    # within sqrt(10) of its length.  All 60 images triangulate.
+    walks = []
+    for draws in (stratum_draws(), stratum_draw_images()):
+        walks.append(0)
+        for s in draws:
+            dt = delaunay_l1(s)
+            for conn in connections(s, 4 * area(s)):
+                path = chew_path(dt, conn)
+                assert path.holonomy == conn.holonomy and path.sqrt10_certified, (s, conn)
+                walks[-1] += 1
+    assert walks == [6356, 6488]
+
+
+def test_a_walk_builds_no_vector_per_step_or_edge(monkeypatch, slit_13_15):
+    # chew_path and to_json_dict on the slit torus's walks: no _vec call,
+    # and at most two _ints calls (the walk's target, the assembly's
+    # holonomy) however many steps the walk takes.  Reading edge_vectors
+    # then builds one vector per edge, and vertices one more.
+    calls = {"_vec": 0, "_ints": 0}
+
+    def counting(name):
+        f = getattr(chew, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return f(*args)
+        return counted
+
+    for name in calls:
+        monkeypatch.setattr(chew, name, counting(name))
+    dt = delaunay_l1(slit_13_15)
+    longest = 0
+    for conn in enumerate_connections(slit_13_15, Fraction(5, 2)).connections:
+        calls.update(_vec=0, _ints=0)
+        path = chew_path(dt, conn)
+        path.to_json_dict()
+        assert calls["_vec"] == 0 and calls["_ints"] <= 2, (conn, calls)
+        edges = path.edge_count()
+        longest = max(longest, edges)
+        assert len(path.edge_vectors) == calls["_vec"] == edges
+        calls["_vec"] = 0
+        assert len(path.vertices) == calls["_vec"] == edges + 1
+    assert longest >= 5
 
 
 def test_chew_path_refuses_a_corner_off_the_connection(octagon, slit_13_15):

@@ -5,7 +5,7 @@ from itertools import product
 from typing import List, Tuple
 
 import pytest
-from conftest import sl2q, stratum_draws
+from conftest import sl2q, stratum_draw_images, stratum_draws
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -245,8 +245,11 @@ def test_delaunay_shear3_reduces_to_short_diagonal():
 
 
 def test_shortest_connection_is_delaunay_edge_on_corpus(torus, slit_13_15, octagon):
-    # The corpus, then 60 stratum draws about three of its surfaces.
-    for s in (torus, sheared_torus(Fraction(7, 3)), slit_13_15, octagon) + stratum_draws():
+    # The corpus, then 60 stratum draws about three of its surfaces and an
+    # SL(2, Q) image of each draw.  All 124 triangulate.
+    surfaces = (torus, sheared_torus(Fraction(7, 3)), slit_13_15, octagon) + stratum_draws() + stratum_draw_images()
+    assert len(surfaces) == 124
+    for s in surfaces:
         dt = delaunay_l1(s)
         vecs = {dt.surface.edge_vector(sl) for sl in dt.surface.slots()}
         gamma = shortest(s).holonomy

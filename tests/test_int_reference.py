@@ -9,7 +9,9 @@ reference, as `test_delaunay._reference_diamond_of` is.
 that preceded the int one.  `_reference_chew_on_surface`, with its
 `_rotation_power`, `_rot`, `_clockwise_param`, `_walk_step` and
 `_assemble_path`, is the Fraction diamond walk that preceded the int one in
-`chew`, and `_reference_planar_chew_rec` its planar recursion.
+`chew`, and `_reference_planar_chew_rec` its planar recursion; they return
+the `_PathView` of a path, its public fields as Fractions, which
+`_walk_outcome` reads off each ChewPath.
 """
 
 import math
@@ -17,7 +19,7 @@ import random
 from fractions import Fraction
 from itertools import islice
 
-from typing import List, Tuple
+from typing import List, NamedTuple, Tuple
 
 import pytest
 from conftest import sl2q, trace_connection
@@ -235,7 +237,21 @@ def _walk_step(diamond, corners, z_idx: int):
     return best[1]
 
 
-def _reference_chew_on_surface(s, start, d: ExactVector) -> ChewPath:
+class _PathView(NamedTuple):
+    """A Chew path as its public fields: what the reference walk builds and
+    what a ChewPath shows."""
+
+    edges: tuple
+    edge_vectors: tuple
+    vertices: tuple
+    holonomy: ExactVector
+    total_length_sq_lower: Fraction
+    total_length_sq_upper: Fraction
+    ratio_upper_bound: float
+    sqrt10_certified: bool
+
+
+def _reference_chew_on_surface(s, start, d: ExactVector) -> _PathView:
     chain = _segment(s, start, d)[0]
     if len(chain) == 1:  # d runs along the corner's out-edge
         return _assemble_path([(start, 1)], [d], [ZERO, d], d)
@@ -278,7 +294,7 @@ def _reference_chew_on_surface(s, start, d: ExactVector) -> ChewPath:
     return _assemble_path(path_edges, path_vectors, path_vertices, d)
 
 
-def _assemble_path(edges, vectors, vertices, holonomy) -> ChewPath:
+def _assemble_path(edges, vectors, vertices, holonomy) -> _PathView:
     total = ZERO
     for v in vectors:
         total = total + v
@@ -293,7 +309,7 @@ def _assemble_path(edges, vectors, vertices, holonomy) -> ChewPath:
     target_sq = holonomy.norm_sq()
     cert = compare_sqrt_sum([v.norm_sq() for v in vectors], 10 * target_sq) <= 0
     ratio_ub = float(hi) / float(target_sq) ** 0.5 if target_sq else 1.0
-    return ChewPath(
+    return _PathView(
         edges=tuple(edges),
         edge_vectors=tuple(vectors),
         vertices=tuple(vertices),
@@ -305,7 +321,7 @@ def _assemble_path(edges, vectors, vertices, holonomy) -> ChewPath:
     )
 
 
-def _reference_concat_paths(a: ChewPath, b: ChewPath) -> ChewPath:
+def _reference_concat_paths(a: _PathView, b: _PathView) -> _PathView:
     vectors = a.edge_vectors + b.edge_vectors
     vertices = a.vertices + tuple(a.vertices[-1] + (v - b.vertices[0]) for v in b.vertices[1:])
     return _assemble_path(
@@ -495,12 +511,16 @@ def test_validation_matches_the_fraction_winding_on_stratum_draws():
 
 
 def _walk_outcome(f, *args):
+    """The _PathView of f(*args), or the error it raises."""
     try:
-        return f(*args)
+        path = f(*args)
     except BlockedAtVertex as exc:
         return BlockedAtVertex, str(exc), exc.position, exc.vertex
     except SaddlekitError as exc:
         return type(exc), str(exc)
+    if isinstance(path, ChewPath):
+        return _PathView(*(getattr(path, name) for name in _PathView._fields))
+    return path
 
 
 def test_chew_walk_matches_the_fraction_walk():
@@ -526,7 +546,7 @@ def test_chew_walk_matches_the_fraction_walk():
                 ref = _walk_outcome(_reference_chew_on_surface, dt.surface, corner, conn.holonomy)
                 assert got == ref, (s, conn.holonomy)
                 # Every walk is a path and certifies.
-                assert isinstance(got, ChewPath) and got.sqrt10_certified, (s, conn.holonomy, got)
+                assert isinstance(got, _PathView) and got.sqrt10_certified, (s, conn.holonomy, got)
                 walks += 1
     assert walks >= 1000, walks
 

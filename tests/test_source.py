@@ -2,6 +2,8 @@
 
 import argparse
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -324,6 +326,24 @@ def test_a_package_import_is_found():
         (1, "geodesic"), (2, "kernels"), (2, "sv"), (3, "oracle"),
         (4, "surface"), (5, "mc"), (9, "builders"),
     ]
+
+
+# The exact core: everything but the numpy layers kernels, sv, mc and cli.
+_EXACT_CORE = ("exactplane", "surface", "homology", "geodesic", "delaunay", "chew", "builders", "oracle")
+
+
+def test_the_exact_core_imports_without_numpy():
+    # In a fresh interpreter, so that no other test's import counts: the
+    # exact modules load and leave numpy unimported, so they also run on an
+    # interpreter that has no numpy.
+    code = (
+        f"import sys; sys.path.insert(0, {str(Path(saddlekit.__file__).parents[1])!r}); "
+        + "".join(f"import saddlekit.{m}; " for m in _EXACT_CORE)
+        + "print('numpy' in sys.modules)"
+    )
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"
 
 
 def _unread_options(parser, tree):

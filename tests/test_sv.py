@@ -24,6 +24,7 @@ from saddlekit.homology import EdgeHomology
 from saddlekit.mc import sample_stratum_local
 from saddlekit.surface import TranslationSurface, Triangle, apply_surface, area
 from saddlekit.sv import (
+    _MARGIN_INV_SQ,
     _SECTOR_MARGIN,
     AnnulusIndicator,
     DiscIndicator,
@@ -585,6 +586,13 @@ def test_sector_membership_at_the_margin_of_each_ray():
                 v = ray + ray.perp().scale(t)
                 expected = (False, True) if want is None else ((want if inner == 1 else not want), False)
                 assert f.angular_inside(*_int_pair(v)) == _reference_angular_inside(f, v) == expected, (f, ray, t)
+
+
+def test_the_margin_test_has_no_equality_case():
+    # angular_inside's proof that its margin test is never an equality on
+    # int pairs rests on _MARGIN_INV_SQ - 1 not being a perfect square.
+    n = _MARGIN_INV_SQ - 1
+    assert math.isqrt(n) ** 2 != n
 
 
 def test_classify_rejects_bad_parameters(torus):
