@@ -48,15 +48,18 @@ below 2^-100 of the bound it adds to.
 ``count_primitive_in_disc`` counts for one matrix in plain Python floats
 and ints, one row at a time, and counts the p of a row's run [lo, hi] prime
 to q by Moebius inversion over the squarefree divisors of q, read from a
-table that grows with the rows asked for.  The points inside a row form one
-run when A = a^2 + c^2, half the second difference of |M (p, q)|^2 along a
-row, exceeds 32u k^2 r^2 (u = 2^-53, k = |M|_F^2 / det), a bound on twice
-the float error of the test.  Under that bound a row whose float roots
-both lie further than ``_TAU`` from every integer, and whose half is above
-a floor computed once per call, takes lo = floor(mid - half) + 1 and
-hi = floor(mid + half) with no membership test; any other row walks in
-from its padded ends to its first and last points inside.  Below the bound
-each point of the run is tested instead.  Its docstring has the proofs.
+table that grows with the rows asked for.  Row q of the table holds two
+tuples, the squarefree divisors d > 1 with mu(d) = +1 and those with
+mu(d) = -1; the term of d = 1, the run's length, is added inline.  The
+points inside a row form one run when A = a^2 + c^2, half the second
+difference of |M (p, q)|^2 along a row, exceeds 32u k^2 r^2 (u = 2^-53,
+k = |M|_F^2 / det), a bound on twice the float error of the test.  Under
+that bound a row whose float roots both lie further than ``_TAU`` from
+every integer, and whose half is above a floor computed once per call,
+takes lo = floor(mid - half) + 1 and hi = floor(mid + half) with no
+membership test; any other row walks in from its padded ends to its first
+and last points inside.  Below the bound each point of the run is tested
+instead.  Its docstring has the proofs.
 
 ``primitive_points`` takes an (n, 4) array of matrices (a, b, c, d) and
 yields the points with their owning row, in numpy chunks: ``_signed_rows``
@@ -100,9 +103,10 @@ _U = 2.0**-53  # unit roundoff of float64
 _TAU = 2.0**-20  # how far a certified root keeps from every integer
 _UNTAU = 1.0 - _TAU
 
-# _DIVISORS[q] is ((d, mu(d)), ...) over the squarefree divisors d of q.
+# _DIVISORS[q] is (plus, minus): the squarefree divisors d > 1 of q with
+# mu(d) = +1 and those with mu(d) = -1; the term of d = 1 is taken inline.
 # It is only ever replaced whole, never changed in place.
-_DIVISORS: list = [()]
+_DIVISORS: list = [((), ())]
 
 
 def _divisor_table(q: int, qmax: int) -> list:
@@ -119,13 +123,13 @@ def _divisor_table(q: int, qmax: int) -> list:
     for d in range(1, n + 1):
         for m in range(2 * d, n + 1, d):
             mu[m] -= mu[d]
-    table = [[] for _ in range(n + 1)]
-    for d in range(1, n + 1):
+    table = [([], []) for _ in range(n + 1)]
+    for d in range(2, n + 1):
         if mu[d]:
-            entry = (d, mu[d])
+            side = 0 if mu[d] > 0 else 1
             for m in range(d, n + 1, d):
-                table[m].append(entry)
-    _DIVISORS = table = [tuple(row) for row in table]
+                table[m][side].append(d)
+    _DIVISORS = table = [(tuple(plus), tuple(minus)) for plus, minus in table]
     return table
 
 
@@ -540,6 +544,7 @@ def count_primitive_in_disc(a: float, b: float, c: float, d: float, radius: floa
         floor = _TAU + (err / A + 48.0 * _U * k2 * r2) / (A * _TAU)
     _within_budget(qmax, budget, radius)
     table = _DIVISORS
+    sqrt, ifloor, tau, untau = math.sqrt, math.floor, _TAU, _UNTAU
     upper = 0
     for q in range(1, qmax + 1):
         qq = q * q
@@ -547,14 +552,14 @@ def count_primitive_in_disc(a: float, b: float, c: float, d: float, radius: floa
         if not disc >= 0:
             continue
         try:
-            half = math.sqrt(disc) / A2
+            half = sqrt(disc) / A2
             mid = nB * q / A2
             x_lo, x_hi = mid - half, mid + half
-            lo, hi = math.floor(x_lo), math.floor(x_hi)
+            lo, hi = ifloor(x_lo), ifloor(x_hi)
         except (ArithmeticError, ValueError):
             # A2 = 0, or a bound mid -+ half at inf or NaN.
             raise _float_range_error(radius) from None
-        if half > floor and _TAU < x_lo - lo < _UNTAU and _TAU < x_hi - hi < _UNTAU:
+        if half > floor and tau < x_lo - lo < untau and tau < x_hi - hi < untau:
             lo += 1
         else:
             # Not certified: walk in from the padded ends.
@@ -579,11 +584,14 @@ def count_primitive_in_disc(a: float, b: float, c: float, d: float, radius: floa
                         upper += 1
                 continue
         try:
-            divisors = table[q]
+            plus, minus = table[q]
         except IndexError:
             table = _divisor_table(q, qmax)
-            divisors = table[q]
+            plus, minus = table[q]
         below = lo - 1
-        for dv, mu in divisors:
-            upper += mu * (hi // dv - below // dv)
+        upper += hi - below
+        for dv in plus:
+            upper += hi // dv - below // dv
+        for dv in minus:
+            upper -= hi // dv - below // dv
     return 2 * upper + (2 if A <= r2 else 0)

@@ -2,9 +2,11 @@
 
 Torus sampling draws from the whole modular fundamental domain (density
 1/y^2, cusp included) plus a uniform rotation.  Stratum sampling perturbs a
-free set of period coordinates on a dyadic grid and rejects invalid
-surfaces; it is a local Lebesgue patch, never a claim about the global
-measure.
+free set of period coordinates on a grid of step spread / 2^12 and rejects
+invalid surfaces; it is a local Lebesgue patch, never a claim about the
+global measure.  It works on int pairs at one scale D, the lcm of the
+base's scale and the step's denominator (D = 81,920 = 2^14 * 5 for spread
+0.05 about the octagon), and builds each candidate edge's Fractions once.
 
 Torus samples are one (n, 4) float64 array of matrices.  Disc and annulus
 transforms are counts of primitive lattice points, one
@@ -52,7 +54,7 @@ from .errors import (
     ResourceLimitError,
     SurfaceError,
 )
-from .exactplane import ExactVector, default_budget, to_float, to_fraction
+from .exactplane import _ints, _vec, default_budget, to_float, to_fraction
 from .oracle import siegel_constant_torus
 from .surface import TranslationSurface, Triangle, area
 from .sv import (
@@ -66,7 +68,7 @@ from .sv import (
 
 RNG_ALGORITHM = "pcg64"
 
-_GRID = 1 << 12  # dyadic steps per unit of spread in the stratum sampler
+_GRID = 1 << 12  # grid steps per unit of spread in the stratum sampler
 _MIN_ACCEPTANCE = 0.10  # the stratum sampler gives up below this rate
 
 
@@ -156,9 +158,12 @@ def sample_stratum_local(
     n: int,
     seed: int,
 ) -> StratumSample:
-    """Perturb free period coordinates by dyadic-grid noise in
-    [-spread, spread]^2, rebuild dependent edges, and keep surfaces that
-    validate to the base signature."""
+    """Perturb free period coordinates by grid noise in [-spread, spread]^2,
+    rebuild dependent edges, and keep surfaces that validate to the base
+    signature.  The grid step is spread / 2^12, so the grid is dyadic only
+    for a dyadic spread.  Every period is an int pair at one scale D, the
+    lcm of the base's scale and the step's denominator; a candidate's
+    Fractions are built once per edge, from those ints."""
     spread = to_fraction(spread)
     if spread < 0:
         raise InputError("spread must be nonnegative")
@@ -179,7 +184,16 @@ def sample_stratum_local(
         if idx not in free_idx:
             cls = homology.class_of_slots([slot])
             dep_rows[idx] = [(j, cls[j]) for j in free_idx if cls[j]]
-    base_vals = [base.edge_vector(slot) for slot in pairs]
+    step = spread / _GRID
+    D = math.lcm(base.int_corners()[0], step.denominator)
+    unit = step.numerator * (D // step.denominator)
+    base_vals = [_ints(base.edge_vector(slot), D) for slot in pairs]
+    # Slot (t, i) carries signed[2 idx] when it is pair idx's own slot and
+    # signed[2 idx + 1], the negation, when it is the glued one.
+    layout = [
+        [2 * idx + (sign < 0) for idx, sign in (slot_sign[(t, i)] for i in range(3))]
+        for t in range(base.n_triangles())
+    ]
     rng = np.random.default_rng(seed)
     out = []
     attempts = 0
@@ -191,27 +205,23 @@ def sample_stratum_local(
                 accepted=len(out),
                 attempts=attempts,
             )
-        ks = rng.integers(-_GRID, _GRID + 1, size=(len(free_idx), 2))
-        vals: List[Optional[ExactVector]] = [None] * len(pairs)
-        for j, idx in enumerate(free_idx):
-            delta = ExactVector(
-                spread * Fraction(int(ks[j, 0]), _GRID),
-                spread * Fraction(int(ks[j, 1]), _GRID),
-            )
-            vals[idx] = base_vals[idx] + delta
+        ks = rng.integers(-_GRID, _GRID + 1, size=(len(free_idx), 2)).tolist()
+        vals = [None] * len(pairs)
+        for idx, (kx, ky) in zip(free_idx, ks):
+            x, y = base_vals[idx]
+            vals[idx] = (x + unit * kx, y + unit * ky)
         for idx, combo in dep_rows.items():
-            acc = ExactVector(Fraction(0), Fraction(0))
+            x = y = 0
             for j, coeff in combo:
-                acc = acc + vals[j].scale(coeff)
-            vals[idx] = acc
-        tris = []
-        for t in range(base.n_triangles()):
-            edges = []
-            for i in range(3):
-                idx, sign = slot_sign[(t, i)]
-                edges.append(vals[idx] if sign > 0 else -vals[idx])
-            tris.append(Triangle(tuple(edges)))
-        cand = TranslationSurface(tris, dict(base.gluings))
+                vx, vy = vals[j]
+                x += coeff * vx
+                y += coeff * vy
+            vals[idx] = (x, y)
+        signed = []
+        for x, y in vals:
+            signed += (_vec((x, y), D), _vec((-x, -y), D))
+        tris = [Triangle((signed[e0], signed[e1], signed[e2])) for e0, e1, e2 in layout]
+        cand = TranslationSurface(tris, base.gluings)
         try:
             sig = cand.validate()
         except SurfaceError:

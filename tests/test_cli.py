@@ -184,15 +184,29 @@ def test_count_on_torus_file(capsys, torus_file):
     assert json.loads(out) == {"count": 8, "radius": "2"}
 
 
-def test_mc_torus_is_deterministic_across_runs_and_threads(capsys):
-    argv = ["mc-torus", "--samples", "40", "--radius", "3", "--seed", "5"]
+def _same_output_across_runs_and_threads(capsys, argv):
+    """The output of argv under --threads 1, 1 and 2, checked identical."""
     outputs = []
     for threads in ("1", "1", "2"):
         code, out, err = run(capsys, argv + ["--threads", threads])
         assert code == 0 and err == ""
         outputs.append(out)
     assert outputs[0] == outputs[1] == outputs[2]
-    assert json.loads(outputs[0])["n_samples"] == 40
+    return json.loads(outputs[0])
+
+
+def test_mc_torus_is_deterministic_across_runs_and_threads(capsys):
+    argv = ["mc-torus", "--samples", "40", "--radius", "3", "--seed", "5"]
+    assert _same_output_across_runs_and_threads(capsys, argv)["n_samples"] == 40
+
+
+def test_mc_stratum_is_deterministic_across_runs_and_threads(capsys, tmp_path, octagon):
+    # The thread pool over stratum surfaces is the one code path a thread
+    # count changes.
+    path = tmp_path / "octagon.json"
+    path.write_text(octagon.to_json())
+    argv = ["mc-stratum", "--surface", str(path), "--samples", "40", "--seed", "7"]
+    assert _same_output_across_runs_and_threads(capsys, argv)["n_samples"] == 40
 
 
 @pytest.mark.parametrize("threads", ["0", "-1"])

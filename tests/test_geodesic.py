@@ -5,7 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from conftest import increasing_by_length, sl2q, stratum_draws, trace_connection
+from conftest import increasing_by_length, sl2q, stratum_draw_images, stratum_draws, trace_connection
 
 from saddlekit import geodesic, mc
 from saddlekit.builders import (
@@ -38,7 +38,7 @@ from saddlekit.geodesic import (
 )
 from saddlekit.homology import EdgeHomology
 from saddlekit.oracle import SlitTorusPoint, TorusPoint, slit_torus_holonomy, torus_holonomy
-from saddlekit.surface import apply_surface
+from saddlekit.surface import apply_surface, area
 
 
 def V(x, y):
@@ -301,10 +301,13 @@ def test_reverse_of_is_involution(slit_13_15):
 
 
 def test_homology_classes_negate_under_reversal(torus, octagon, slit_13_15):
+    # The corpus up to radius 2, then the 60 stratum draws and their 60
+    # SL(2, Q) images up to twice the square root of the area.
     marked = marked_torus(V(Fraction(1, 2), Fraction(1, 3)))
-    for s in (torus, octagon, slit_13_15, marked):
+    corpus = [(s, enumerate_connections(s, 2).connections) for s in (torus, octagon, slit_13_15, marked)]
+    generated = [(s, list(connections(s, 4 * area(s)))) for s in stratum_draws() + stratum_draw_images()]
+    for s, conns in corpus + generated:
         homology = s.homology()
-        conns = enumerate_connections(s, 2).connections
         assert conns
         for c in conns:
             rev = reverse_of(s, c)
@@ -313,6 +316,8 @@ def test_homology_classes_negate_under_reversal(torus, octagon, slit_13_15):
             # The class of the reversed segment, walked from its own start.
             _, _, _, lower, _ = _strip(s, rev.start_corner, rev.holonomy)
             assert homology.class_of_slots(lower) == rev.homology_class
+    # The connections the Chew test walks on the draws and on the images.
+    assert sum(len(conns) for _, conns in generated) == 6356 + 6488
 
 
 def test_csv_rows_schema(torus):

@@ -11,7 +11,9 @@ that preceded the int one.  `_reference_chew_on_surface`, with its
 `_assemble_path`, is the Fraction diamond walk that preceded the int one in
 `chew`, and `_reference_planar_chew_rec` its planar recursion; they return
 the `_PathView` of a path, its public fields as Fractions, which
-`_walk_outcome` reads off each ChewPath.
+`_walk_outcome` reads off each ChewPath.  `_reference_sample_stratum_local`
+is the stratum sampler of `mc` that perturbed the periods as Fractions,
+before it moved them to int pairs at one scale.
 """
 
 import math
@@ -21,6 +23,7 @@ from itertools import islice
 
 from typing import List, NamedTuple, Tuple
 
+import numpy as np
 import pytest
 from conftest import sl2q, trace_connection
 
@@ -29,8 +32,8 @@ from saddlekit.builders import marked_torus, octagon_h2, slit_torus, square_toru
 from saddlekit.chew import ChewPath, _edge_between
 from saddlekit.delaunay import delaunay_l1, diamond_of
 from saddlekit.errors import (
-    BlockedAtVertex, ChewCaseError, DegenerateDiamondError, FlipCycleError, InputError,
-    ResourceLimitError, SaddlekitError,
+    AcceptanceRateError, BlockedAtVertex, ChewCaseError, DegenerateDiamondError, FlipCycleError,
+    InputError, ResourceLimitError, SaddlekitError, SurfaceError,
 )
 from saddlekit.exactplane import ExactVector, _vec, compare_sqrt_sum, sqrt_bounds
 from saddlekit.geodesic import (
@@ -41,7 +44,7 @@ from saddlekit.geodesic import (
     connections,
     detect_cylinder,
 )
-from saddlekit.surface import StratumSignature, apply_surface
+from saddlekit.surface import StratumSignature, TranslationSurface, Triangle, apply_surface
 
 ZERO = ExactVector(Fraction(0), Fraction(0))
 
@@ -505,7 +508,7 @@ def test_validation_matches_the_fraction_winding_on_stratum_draws():
             genus = (sum(orders.values()) + 2) // 2
             assert s.validate() == StratumSignature(reported, genus, 2 * genus + len(reported) - 1)
             checked += 1
-        # The draws are dyadic with large denominators.
+        # The draws have large denominators.
         assert max(s.int_corners()[0] for s in sample.surfaces) >= 1 << 10
     assert checked == 26
 
@@ -583,3 +586,94 @@ def test_planar_chew_matches_the_fraction_walk():
                     pairs += 1
                     split += _through_a_third_point(pts, a, b)
     assert pairs >= 500 and split >= 10, (pairs, split)
+
+
+def _reference_sample_stratum_local(base, spread, n, seed):
+    """The Fraction sampler: (surfaces, attempts) of n draws about base."""
+    spread = Fraction(spread)
+    signature = base.validate()
+    homology = base.homology()
+    pairs, slot_sign, free_idx = homology.pairs, homology.slot_index, homology.free
+    dep_rows = {}
+    for idx, slot in enumerate(pairs):
+        if idx not in free_idx:
+            cls = homology.class_of_slots([slot])
+            dep_rows[idx] = [(j, cls[j]) for j in free_idx if cls[j]]
+    base_vals = [base.edge_vector(slot) for slot in pairs]
+    rng = np.random.default_rng(seed)
+    out = []
+    attempts = 0
+    while len(out) < n:
+        attempts += 1
+        if attempts > max(64, 4 * n) and len(out) < mc._MIN_ACCEPTANCE * attempts:
+            raise AcceptanceRateError(
+                f"acceptance rate {len(out)}/{attempts} below {mc._MIN_ACCEPTANCE}",
+                accepted=len(out),
+                attempts=attempts,
+            )
+        ks = rng.integers(-mc._GRID, mc._GRID + 1, size=(len(free_idx), 2))
+        vals = [None] * len(pairs)
+        for j, idx in enumerate(free_idx):
+            delta = ExactVector(
+                spread * Fraction(int(ks[j, 0]), mc._GRID),
+                spread * Fraction(int(ks[j, 1]), mc._GRID),
+            )
+            vals[idx] = base_vals[idx] + delta
+        for idx, combo in dep_rows.items():
+            acc = ZERO
+            for j, coeff in combo:
+                acc = acc + vals[j].scale(coeff)
+            vals[idx] = acc
+        tris = []
+        for t in range(base.n_triangles()):
+            edges = []
+            for i in range(3):
+                idx, sign = slot_sign[(t, i)]
+                edges.append(vals[idx] if sign > 0 else -vals[idx])
+            tris.append(Triangle(tuple(edges)))
+        cand = TranslationSurface(tris, dict(base.gluings))
+        try:
+            sig = cand.validate()
+        except SurfaceError:
+            continue
+        if sig != signature:
+            continue
+        out.append(cand)
+    return tuple(out), attempts
+
+
+def _sample_outcome(f, *args):
+    """The JSON of each draw and the attempt count, or the refusal's details."""
+    try:
+        surfaces, attempts = f(*args)
+    except AcceptanceRateError as exc:
+        return exc.details
+    return [s.to_json() for s in surfaces], attempts
+
+
+def _int_sampler(base, spread, n, seed):
+    sample = mc.sample_stratum_local(base, spread, n, seed)
+    return sample.surfaces, sample.attempts
+
+
+def test_int_sampler_matches_the_fraction_sampler():
+    # Bases at scales 1, 15 and 6, so the sampler's scale D is dyadic only
+    # on the octagon at spread 1/20; at spread 1 many candidates fail to
+    # validate, and at spread 3 every base is refused.
+    bases = [
+        (octagon_h2(), 1),
+        (slit_torus(V(Fraction(1, 3), Fraction(1, 5))), 15),
+        (marked_torus(V(Fraction(1, 2), Fraction(1, 3))), 6),
+    ]
+    attempts = {}
+    for base, scale in bases:
+        assert base.int_corners()[0] == scale
+        for spread in ("1/20", "1/3", "1", "3"):
+            got = _sample_outcome(_int_sampler, base, spread, 20, 3)
+            assert got == _sample_outcome(_reference_sample_stratum_local, base, spread, 20, 3), (scale, spread)
+            attempts[scale, spread] = got[1] if isinstance(got, tuple) else got
+    assert attempts[1, "1"] == 69 and attempts[6, "1"] == 108
+    assert attempts[15, "1"] == {"accepted": 2, "attempts": 81}
+    assert [attempts[scale, "3"] for scale in (1, 15, 6)] == [
+        {"accepted": 2, "attempts": 81}, {"accepted": 0, "attempts": 81}, {"accepted": 4, "attempts": 81},
+    ]

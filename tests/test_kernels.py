@@ -296,4 +296,7 @@ def test_divisor_table_matches_brute_force_to_1e4(monkeypatch):
     for q in range(1, n + 1):
         small = [d for d in range(1, math.isqrt(q) + 1) if q % d == 0]
         divisors = set(small) | {q // d for d in small}
-        assert sorted(table[q]) == sorted((d, mobius[d]) for d in divisors if mobius[d]), q
+        # Row q is (plus, minus); the divisor d = 1, mu(1) = 1, is in neither.
+        plus, minus = table[q]
+        assert sorted(plus) == sorted(d for d in divisors if d > 1 and mobius[d] == 1), q
+        assert sorted(minus) == sorted(d for d in divisors if mobius[d] == -1), q

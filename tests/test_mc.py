@@ -11,7 +11,7 @@ from conftest import reference_haar_matrices
 from saddlekit import mc
 from saddlekit.builders import centered_octagon_h2, square_torus, torus_from_matrix
 from saddlekit.errors import AmbiguousMembershipError, InputError, ResourceLimitError
-from saddlekit.exactplane import ExactMatrix, _ints, _scale_of
+from saddlekit.exactplane import ExactMatrix, ExactVector, _ints, _scale_of
 from saddlekit.geodesic import enumerate_connections
 from saddlekit.homology import EdgeHomology
 from saddlekit.surface import TranslationSurface, area
@@ -38,6 +38,26 @@ def test_stratum_sample_is_pinned(octagon):
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "8a663023cf6973d012ab9553d24e994f3e1ca534a5e023670b6630998c40b4e2"
     )
+
+
+def test_the_stratum_sampler_does_no_vector_arithmetic(octagon, monkeypatch):
+    # The periods are int pairs: no ExactVector sum, multiple or negation
+    # per attempt, where the Fraction sampler made 33 on the octagon.
+    calls = {"__add__": 0, "scale": 0, "__neg__": 0}
+
+    def counting(name):
+        f = getattr(ExactVector, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return f(*args)
+        return counted
+
+    for name in calls:
+        monkeypatch.setattr(ExactVector, name, counting(name))
+    sample = mc.sample_stratum_local(octagon, "0.05", 20, seed=7)
+    assert len(sample) == 20
+    assert calls == {"__add__": 0, "scale": 0, "__neg__": 0}
 
 
 def _reference_surface_value(s: TranslationSurface, f: TestFunction) -> float:
