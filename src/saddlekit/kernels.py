@@ -269,9 +269,11 @@ def _narrow(start, end, q, a, b, c, d, e, cone) -> None:
 def _cone_crosses(cone, xs, ys):
     """c1 = lx*y - ly*x and c2 = x*hy - y*hx, the float cross products of
     the points v = (xs, ys) with the rays ((lx, ly), (hx, hy)) of ``cone``:
-    the one statement of the float rule of a sector, whose
-    ``sv.SectorIndicator.evaluate_batch`` counts v only if both are
-    positive."""
+    the one statement of the float rule of a sector: v is in it only if
+    both are positive, the open cone of ``sv.SectorIndicator``.  The Haar
+    sector transform of ``mc`` counts the points that ``primitive_points``
+    yields by this rule; ``evaluate_batch`` reads it for the rotational
+    average."""
     (lx, ly), (hx, hy) = cone
     return lx * ys - ly * xs, xs * hy - ys * hx
 

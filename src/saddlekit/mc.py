@@ -20,21 +20,20 @@ padded ends, and on the rare lattices past that bound each point of the
 run is tested instead.  A sector transform runs the batched numpy
 ``kernels.primitive_points`` once over the whole array, with the sector's
 rays as its cone: it walks the same rows as the scalar kernel, each cut to
-the p whose point could lie in the cone, and yields only the points that
-pass the sector's float cone test, at most one of each pair +-v;
-``evaluate_batch`` decides those, and each chunk's non-ambiguous hits are
-summed per sample with ``np.bincount``.  Both kernels
-get their row budget from one ``exactplane.default_budget()`` read per
-batch, not one per lattice.  A stratum surface's transform is
+the p whose point could lie in the cone, and yields exactly the points
+that pass the float disc test and the sector's float cone rule, at most
+one of each pair +-v; each chunk's points are counted per sample with
+``np.bincount``.  Both kernels get their row budget from one
+``exactplane.default_budget()`` read per batch, not one per lattice.  A stratum surface's transform is
 ``sv.transform_report`` at the surface's area, so the surface is never
 rescaled; it reads only the int keys of the surface's holonomy vectors
 (``geodesic._holonomy_keys``), with no connection, class or Fraction each.
-A surface with an ambiguous membership is refused with
-AmbiguousMembershipError, never counted 0.  ``threads`` spreads only
-stratum surfaces over a thread pool; torus samples always run in the
-calling thread.  All estimators are bit-deterministic for a fixed seed,
-whatever the thread count: values are computed into an index-ordered array
-and reduced by numpy's fixed pairwise summation.
+Every membership is decided, on both paths: no hit is dropped or refused.
+``threads`` spreads only stratum surfaces over a thread pool; torus
+samples always run in the calling thread.  All estimators are
+bit-deterministic for a fixed seed, whatever the thread count: values are
+computed into an index-ordered array and reduced by numpy's fixed pairwise
+summation.
 """
 
 from __future__ import annotations
@@ -49,7 +48,6 @@ import numpy as np
 from . import kernels
 from .errors import (
     AcceptanceRateError,
-    AmbiguousMembershipError,
     InputError,
     ResourceLimitError,
     SurfaceError,
@@ -243,10 +241,9 @@ def _torus_values(matrices: np.ndarray, f: TestFunction) -> np.ndarray:
         return _disc_counts(matrices, to_float(f.r2)) - _disc_counts(matrices, to_float(f.r1))
     if isinstance(f, SectorIndicator):
         out = np.zeros(len(matrices))
-        # Only the points in the rays' cone can count.
+        # The kernel yields exactly the sector's points under the float rule.
         for owner, xs, ys in kernels.primitive_points(matrices, to_float(f.support_radius()), default_budget(), f.cone):
-            vals, amb = f.evaluate_batch(xs, ys, 1e-12)
-            out += np.bincount(owner, weights=np.where(amb, 0, vals), minlength=len(out))
+            out += np.bincount(owner, minlength=len(out))
         return out
     if isinstance(f, ProductPair):
         return _torus_values(matrices, f.f) * _torus_values(matrices, f.g)
@@ -268,36 +265,28 @@ def _disc_counts(matrices: np.ndarray, radius: float) -> np.ndarray:
 def _values(samples, f: TestFunction, threads: int = 1) -> np.ndarray:
     """Transform values in sample order.  A HaarSample goes through its
     (n, 4) array and the vectorized kernel; each surface is scaled to unit
-    area by ``sv.transform_report``, and a surface with an ambiguous
-    membership raises AmbiguousMembershipError with the ambiguous count and
-    the sample's index, as ``sv.transform`` does.  ``threads`` spreads only
-    surfaces over a thread pool."""
+    area by ``sv.transform_report``.  ``threads`` spreads only surfaces
+    over a thread pool."""
     if threads < 1:
         raise InputError(f"threads must be at least 1, got {threads}")
     if isinstance(samples, HaarSample):
         return _torus_values(samples.matrices, f)
     items = samples.surfaces if isinstance(samples, StratumSample) else tuple(samples)
 
-    def eval_one(i, item):
+    def eval_one(item):
         if not isinstance(item, TranslationSurface):
             raise InputError(f"unsupported sample type {type(item).__name__}")
-        rep = transform_report(item, f, area(item))
-        if rep.ambiguous:
-            raise AmbiguousMembershipError(
-                f"{rep.ambiguous} holonomy vectors within the boundary margin on sample {i}",
-                ambiguous=rep.ambiguous, sample=i,
-            )
-        return rep.value
+        return transform_report(item, f, area(item)).value
 
     out = np.zeros(len(items))
     if threads == 1 or len(items) < 4:
         for i, item in enumerate(items):
-            out[i] = eval_one(i, item)
+            out[i] = eval_one(item)
         return out
     from concurrent.futures import ThreadPoolExecutor
 
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        for i, val in enumerate(pool.map(eval_one, range(len(items)), items, chunksize=64)):
+        for i, val in enumerate(pool.map(eval_one, items, chunksize=64)):
             out[i] = val
     return out
 
@@ -331,7 +320,7 @@ def _report_from_values(values: np.ndarray, seed, params) -> SampleReport:
     mean = float(values.mean())
     second = float((values * values).mean())
     variance = max(second - mean * mean, 0.0)
-    ci = 1.96 * math.sqrt(variance / n) if n else 0.0
+    ci = 1.96 * math.sqrt(variance / n)
     return SampleReport(n, mean, second, variance, ci, seed, params)
 
 

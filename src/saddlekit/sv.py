@@ -4,12 +4,12 @@ The transform of an indicator is an exact count over the search's int keys
 (|v|^2 D^2, x, y) of the holonomy vectors v at the surface's scale D:
 ``TestFunction.exact_rule(D, area)`` alone decides membership of
 v / sqrt(area) on a key's ints, and ``_tally`` is the one loop that sums it,
-for every transform here and for the stratum samples of ``mc``.  Sector
-boundaries are rational approximants of the true rays; points closer to a
-boundary than the declared margin are counted as ambiguous and surfaced,
-never silently assigned.  The rotational averaging operator evaluates
-float images of the exact holonomy set under stretch-rotate matrices, again
-with an explicit ambiguity margin.
+for every transform here and for the stratum samples of ``mc``.  A sector
+is the closed disc cut by the open cone between two rational rays, the
+function its rules compute, so every membership is decided and no
+transform has an ambiguous vector.  The rotational averaging operator
+evaluates float images of the exact holonomy set under stretch-rotate
+matrices, with an explicit ambiguity margin.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import math
 import numbers
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
@@ -47,8 +47,6 @@ from .geodesic import (
 from .surface import TranslationSurface
 
 _RAY_SCALE = 1 << 32
-_SECTOR_MARGIN = Fraction(1, 1 << 20)  # angular slack around approximate rays
-_MARGIN_INV_SQ = _SECTOR_MARGIN.denominator ** 2  # 1 / _SECTOR_MARGIN^2: its numerator is 1
 _DELTA_NUM = 1e-9  # float safety margin of the rotational average
 _AMBIGUOUS_TOLERANCE = 0.01  # largest ambiguous share A_R accepts
 _AR_QUADRATURE_N = 256  # grid angles of A_R, and the fewest of the sector sandwich
@@ -73,12 +71,14 @@ class TestFunction:
         raise NotImplementedError
 
     def exact_rule(self, scale: int, area=1):
-        """rule(n, x, y) = (value, ambiguous) at v / sqrt(area) for the key
-        of v = (x, y) / scale, n = x^2 + y^2; an ambiguous value is 0."""
+        """rule(n, x, y) = the value, an int, of f at v / sqrt(area) for the
+        key of v = (x, y) / scale, n = x^2 + y^2."""
         raise NotImplementedError
 
     def evaluate_batch(self, xs, ys, delta: float):
-        """(values, ambiguous_mask) on float coordinate arrays."""
+        """(values, ambiguous_mask) on float coordinate arrays, for the
+        rotational average: a point within delta of a boundary is
+        ambiguous."""
         raise NotImplementedError
 
     def to_json_dict(self) -> dict:
@@ -102,7 +102,7 @@ class DiscIndicator(TestFunction):
 
     def exact_rule(self, scale, area=1):
         limit = _norm_limit(self.r, scale, area)
-        return lambda n, x, y: (1 if n <= limit else 0, False)
+        return lambda n, x, y: 1 if n <= limit else 0
 
     def evaluate_batch(self, xs, ys, delta: float):
         r2 = float(self.r) ** 2
@@ -131,7 +131,7 @@ class AnnulusIndicator(TestFunction):
 
     def exact_rule(self, scale, area=1):
         lo, hi = _norm_limit(self.r1, scale, area), _norm_limit(self.r2, scale, area)
-        return lambda n, x, y: (1 if lo < n <= hi else 0, False)
+        return lambda n, x, y: 1 if lo < n <= hi else 0
 
     def evaluate_batch(self, xs, ys, delta: float):
         lo = float(self.r1) ** 2
@@ -153,10 +153,13 @@ class AnnulusIndicator(TestFunction):
 
 @dataclass(frozen=True)
 class SectorIndicator(TestFunction):
-    """Indicator of {v: |v| <= r, angle(v) within half_angle of theta}.
+    """Indicator of {v: |v| <= r, ray_lo x v > 0 and v x ray_hi > 0}.
 
-    Boundary rays are rational approximants; membership within the reported
-    angular margin of a ray counts as ambiguous.
+    The rays are theta -+ half_angle rounded once to rationals at
+    _RAY_SCALE, and the sector is the region they bound: the disc is closed
+    and the cone is open, so a vector on a ray is outside.  Every exact
+    membership is decided; the float rule, ``kernels._cone_crosses``, has
+    the same closure.
     """
 
     r: Fraction
@@ -194,51 +197,31 @@ class SectorIndicator(TestFunction):
     def support_radius(self) -> Fraction:
         return self.r
 
-    def angular_inside(self, vx: int, vy: int) -> Tuple[int, bool]:
-        """(inside, ambiguous), inside 1 or 0, for the angular condition
-        alone, of the v that the int pair (vx, vy) is a positive multiple of.
-
-        v is ambiguous when it lies within the margin m of a boundary ray,
-        that is near the ray's line and on the ray's side of the origin:
-        c^2 <= m^2 |v|^2 |ray|^2 and ray . v > 0, with c = ray x v.  Every
-        test is homogeneous in v and in each ray (the crosses and dots of
-        degree 1 in each, the margin test of degree 2 in each), so it runs
-        on int pairs: v at any scale, such as a holonomy key's (x, y), and
-        the rays at _RAY_SCALE, with m^2 = 1 / _MARGIN_INV_SQ cleared.
-
-        The margin test never holds with equality, so `<=` and `<` agree on
-        every int pair.  With N = _MARGIN_INV_SQ, Lagrange's identity
-        (ray . v)^2 + c^2 = |ray|^2 |v|^2 turns c^2 N = |v|^2 |ray|^2 into
-        c^2 (N - 1) = (ray . v)^2.  N - 1 = 2^40 - 1 is not a square, so on
-        ints this needs c = ray . v = 0, that is v = 0.
-        """
+    def angular_inside(self, vx: int, vy: int) -> int:
+        """1 if the v that the int pair (vx, vy) is a positive multiple of
+        lies in the open cone, ray_lo x v > 0 and v x ray_hi > 0, else 0.
+        Both crosses are homogeneous of degree 1 in v and in each ray, so
+        they run on int pairs: v at any scale, such as a holonomy key's
+        (x, y), and the rays at _RAY_SCALE."""
         (lx, ly), (hx, hy) = self.int_rays
-        c1 = lx * vy - ly * vx
-        c2 = vx * hy - vy * hx
-        n2 = vx * vx + vy * vy
-        if lx * vx + ly * vy > 0 and c1 * c1 * _MARGIN_INV_SQ <= n2 * (lx * lx + ly * ly):
-            return (0, True)
-        if hx * vx + hy * vy > 0 and c2 * c2 * _MARGIN_INV_SQ <= n2 * (hx * hx + hy * hy):
-            return (0, True)
-        return (1 if c1 > 0 and c2 > 0 else 0, False)
+        return 1 if lx * vy - ly * vx > 0 and vx * hy - vy * hx > 0 else 0
 
     def exact_rule(self, scale, area=1):
         limit = _norm_limit(self.r, scale, area)
-        return lambda n, x, y: self.angular_inside(x, y) if n <= limit else (0, False)
+        return lambda n, x, y: self.angular_inside(x, y) if n <= limit else 0
 
     def evaluate_batch(self, xs, ys, delta: float):
         r2 = float(self.r) ** 2
         d = xs * xs + ys * ys
         c1, c2 = kernels._cone_crosses(self.cone, xs, ys)
         norm = np.sqrt(np.maximum(d, 1e-300))
-        margin = max(delta, float(_SECTOR_MARGIN))
         pos1 = c1 > 0
         pos2 = c2 > 0
         # Near a ray means near its line and on its side; with half_angle
         # below pi/2 the side of ray_lo is c2 > 0 and that of ray_hi c1 > 0.
         amb = (
-            ((np.abs(c1) <= margin * norm) & pos2)
-            | ((np.abs(c2) <= margin * norm) & pos1)
+            ((np.abs(c1) <= delta * norm) & pos2)
+            | ((np.abs(c2) <= delta * norm) & pos1)
             | (np.abs(d - r2) <= delta * (1.0 + d))
         )
         inside = (d <= r2) & pos1 & pos2
@@ -301,7 +284,7 @@ class TriangleIndicator(TestFunction):
             x, y = x * m, y * m
             inside = (px * y >= py * x and (qx - px) * (y - py) >= (qy - py) * (x - px)
                       and qy * (x - qx) >= qx * (y - qy))
-            return (1 if inside else 0, False)
+            return 1 if inside else 0
 
         return rule
 
@@ -367,6 +350,12 @@ test_function_from_json.__test__ = False
 
 @dataclass(frozen=True)
 class TransformReport:
+    """A transform's value and the number of distinct holonomy vectors its
+    search kept.  ``ambiguous`` is always 0, as every membership is decided;
+    it stays only because the benchmark harness reads it from the
+    ``transform`` output and from traced reports, and goes with the
+    benchmark's revision (ROADMAP, Direction 1)."""
+
     value: float
     ambiguous: int
     n_vectors: int
@@ -379,41 +368,25 @@ def _rules(f: TestFunction, scale: int, area) -> list:
     return [f.exact_rule(scale, area)]
 
 
-def _tally(keys, rules) -> Tuple[int, int]:
-    """(product over the rules of their sums over the keys, ambiguous count):
-    a product's transform is that of its factors multiplied."""
-    value, ambiguous = 1, 0
-    for rule in rules:
-        results = [rule(*key) for key in keys]
-        value *= sum(val for val, _ in results)
-        ambiguous += sum(amb for _, amb in results)
-    return value, ambiguous
+def _tally(keys, rules) -> int:
+    """The product over the rules of their sums over the keys: a product's
+    transform is that of its factors multiplied."""
+    return math.prod(sum(rule(*key) for key in keys) for rule in rules)
 
 
 def transform_report(s: TranslationSurface, f: TestFunction, area=1) -> TransformReport:
     """Transform of f on the copy of s scaled to unit area, for s of the
-    given area, with its ambiguous count: one search up to the support
-    radius times sqrt(area), which keeps only the int keys of the holonomy
-    vectors; a triangle, bare or in a product, refuses area != 1 before it."""
+    given area: one search up to the support radius times sqrt(area), which
+    keeps only the int keys of the holonomy vectors; a triangle, bare or in
+    a product, refuses area != 1 before it."""
     rules = _rules(f, s.int_corners()[0], area)
     keys = _holonomy_keys(s, _radius_sq(None, f.support_radius() ** 2 * area))
-    total, ambiguous = _tally(keys, rules)
-    return TransformReport(value=float(total), ambiguous=ambiguous, n_vectors=len(keys))
+    return TransformReport(value=float(_tally(keys, rules)), ambiguous=0, n_vectors=len(keys))
 
 
 def transform(s: TranslationSurface, f: TestFunction) -> float:
-    """Sum of f over the holonomy set, exact for indicator variants.
-
-    Raises AmbiguousMembershipError if any vector falls within a boundary
-    margin; use transform_report to inspect ambiguity counts instead.
-    """
-    rep = transform_report(s, f)
-    if rep.ambiguous:
-        raise AmbiguousMembershipError(
-            f"{rep.ambiguous} holonomy vectors within the boundary margin",
-            ambiguous=rep.ambiguous,
-        )
-    return rep.value
+    """Sum of f over the holonomy set, exact for indicator variants."""
+    return transform_report(s, f).value
 
 
 def pair_transform(s: TranslationSurface, f: TestFunction, g: TestFunction) -> float:
@@ -537,7 +510,7 @@ def sector_sandwich(s: TranslationSurface, R: float, theta: float) -> SandwichRe
     lo_2n = _rotational_average(pts, w1, R, 2 * n_eff)
     hi_2n = _rotational_average(pts, w2, R, 2 * n_eff)
     # R <= pre_radius: the exact count N(R) comes from the same enumeration.
-    n_count, _ = _tally(keys, [DiscIndicator(r_frac).exact_rule(scale, 1)])
+    n_count = _tally(keys, [DiscIndicator(r_frac).exact_rule(scale, 1)])
     scaled = theta_r / math.pi * n_count
     margin = 2.0 * max(abs(lo_2n.value - lo_n.value), abs(hi_2n.value - hi_n.value))
     margin += (lo_2n.ambiguous_fraction + hi_2n.ambiguous_fraction) * max(n_count, 1)

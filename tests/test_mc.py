@@ -10,12 +10,20 @@ import pytest
 from conftest import reference_haar_matrices
 from saddlekit import mc
 from saddlekit.builders import centered_octagon_h2, square_torus, torus_from_matrix
-from saddlekit.errors import AmbiguousMembershipError, InputError, ResourceLimitError
-from saddlekit.exactplane import ExactMatrix, ExactVector, _ints, _scale_of
+from saddlekit.errors import InputError, ResourceLimitError
+from saddlekit.exactplane import ExactMatrix, ExactVector
 from saddlekit.geodesic import enumerate_connections
 from saddlekit.homology import EdgeHomology
 from saddlekit.surface import TranslationSurface, area
-from saddlekit.sv import AnnulusIndicator, DiscIndicator, ProductPair, SectorIndicator, TestFunction
+from saddlekit.sv import (
+    AnnulusIndicator,
+    DiscIndicator,
+    ProductPair,
+    SectorIndicator,
+    TestFunction,
+    transform,
+    transform_report,
+)
 
 
 def test_stratum_sampler_rejects_invalid_surfaces_only(octagon, monkeypatch):
@@ -79,14 +87,9 @@ def _reference_surface_value(s: TranslationSurface, f: TestFunction) -> float:
         return float(sum(1 for v in vectors if lo_sq < v.norm_sq() <= hi_sq))
     if isinstance(f, SectorIndicator):
         r_sq = f.r * f.r * a
-        total = 0
-        for v in vectors:
-            if v.norm_sq() > r_sq:
-                continue
-            inside, amb = f.angular_inside(*_ints(v, _scale_of((v,))))  # scale-free
-            if inside and not amb:
-                total += 1
-        return float(total)
+        # The open cone between the rays, on the Fractions themselves.
+        return float(sum(1 for v in vectors
+                         if v.norm_sq() <= r_sq and f.ray_lo.cross(v) > 0 and v.cross(f.ray_hi) > 0))
     raise InputError(f"unsupported test function {type(f).__name__} on surfaces")
 
 
@@ -123,20 +126,31 @@ def test_stratum_means_reduce_no_homology_class(octagon, monkeypatch):
     assert built == []
 
 
+_SHEARED = torus_from_matrix(ExactMatrix.of(1, Fraction(1, 3), 0, 1))
+
+
 def test_an_ambiguous_stratum_sample_is_refused_with_its_index():
-    # (1, 1) and (1, -1) lie on the sector's rays: sv.transform refuses the
-    # square torus, and so does every estimator over surface samples.  The
-    # sheared torus has no vector near a ray within the radius.
+    # (1, 1) and (1, -1) lie on the sector's rays, outside its open cone:
+    # the square torus counts 3 at its own index, on one thread or two.
+    # The sheared torus has no vector on a ray within the radius.
     f = SectorIndicator(3, 0.0, math.pi / 4)
-    with pytest.raises(AmbiguousMembershipError) as exc:
-        mc.estimate_mean_transform([square_torus()], f)
-    assert exc.value.details == {"ambiguous": 2, "sample": 0}
-    sheared = torus_from_matrix(ExactMatrix.of(1, Fraction(1, 3), 0, 1))
-    assert mc.estimate_mean_transform([sheared], f).mean == 5
+    assert mc.estimate_mean_transform([square_torus()], f).mean == 3
+    assert mc.estimate_mean_transform([_SHEARED], f).mean == 5
     for threads in (1, 2):
-        with pytest.raises(AmbiguousMembershipError) as exc:
-            mc.estimate_mean_transform([sheared] * 3 + [square_torus(), sheared], f, threads=threads)
-        assert exc.value.details == {"ambiguous": 2, "sample": 3}
+        values = mc._values([_SHEARED] * 3 + [square_torus(), _SHEARED], f, threads=threads)
+        assert values.tolist() == [5.0, 5.0, 5.0, 3.0, 5.0]
+
+
+def test_a_vector_on_a_ray_is_outside_on_both_paths():
+    # The sector theta 0, half-angle pi/4 at R = 3 has (1, 1) and (1, -1) on
+    # its rays.  The exact path and the Haar path (the identity lattice)
+    # both leave them out, and neither reports or drops anything.
+    f = SectorIndicator(3, 0.0, math.pi / 4)
+    rep = transform_report(square_torus(), f)
+    assert (rep.value, rep.ambiguous, rep.n_vectors) == (3.0, 0, 16)
+    assert transform(square_torus(), f) == 3.0
+    assert mc._torus_values(np.array([[1.0, 0.0, 0.0, 1.0]]), f).tolist() == [3.0]
+    assert mc.estimate_mean_transform([_SHEARED] * 3 + [square_torus(), _SHEARED], f).mean == 4.6
 
 
 def test_stratum_sampler_moves_a_marked_point_with_the_zero():

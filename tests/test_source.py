@@ -475,3 +475,46 @@ def test_a_hand_copied_field_list_is_found():
         "    def to_json_dict(self):\n        return {'q': self.q}\n"
     )
     assert _hand_copied_field_lists({"a": tree}) == [("a", "Copied")]
+
+
+def _membership_escapes(trees):
+    """(module, enclosing top-level definition or None, line, what) of each
+    way a membership can go undecided: a call of ``evaluate_batch`` in
+    ``mc``, whose mask would drop hits, and a ``raise`` of
+    AmbiguousMembershipError anywhere."""
+    found = []
+    for module, tree in trees.items():
+        for top in tree.body:
+            owner = getattr(top, "name", None)
+            for node in ast.walk(top):
+                if (module == "mc" and isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                        and node.func.attr == "evaluate_batch"):
+                    found.append((module, owner, node.lineno, "evaluate_batch"))
+                elif isinstance(node, ast.Raise) and node.exc is not None and "AmbiguousMembershipError" in {
+                    n.id if isinstance(n, ast.Name) else getattr(n, "attr", None) for n in ast.walk(node.exc)
+                }:
+                    found.append((module, owner, node.lineno, "raise"))
+    return sorted(found, key=lambda r: (r[0], r[2]))
+
+
+def test_every_transform_membership_is_decided():
+    # Only the rotational average, on float images, may refuse ambiguity;
+    # nothing in mc discards a hit by an ambiguity mask.
+    found = _membership_escapes(_trees())
+    assert [(module, owner, what) for module, owner, _, what in found] == [("sv", "_rotational_average", "raise")]
+
+
+def test_an_undecided_membership_is_found():
+    mc_tree = ast.parse(
+        "def count(f, xs, ys):\n    vals, amb = f.evaluate_batch(xs, ys, 1e-12)\n    return vals[~amb]\n"
+        "def evaluate_batch(xs):\n    return xs\n"
+    )
+    sv_tree = ast.parse(
+        "from .errors import AmbiguousMembershipError\nfrom . import errors\n"
+        "def transform(rep):\n    if rep.ambiguous:\n        raise AmbiguousMembershipError('x')\n"
+        "class C:\n    def f(self):\n        raise errors.AmbiguousMembershipError('y') from None\n"
+        "def g(f, xs):\n    return f.evaluate_batch(xs, xs, 0.0)\n"
+    )
+    assert _membership_escapes({"mc": mc_tree, "sv": sv_tree}) == [
+        ("mc", "count", 2, "evaluate_batch"), ("sv", "transform", 5, "raise"), ("sv", "C", 8, "raise")
+    ]

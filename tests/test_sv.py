@@ -17,15 +17,13 @@ from saddlekit.builders import (
     torus_from_basis,
     torus_from_matrix,
 )
-from saddlekit.errors import AmbiguousMembershipError, InputError, ResourceLimitError
+from saddlekit.errors import InputError, ResourceLimitError
 from saddlekit.exactplane import ExactMatrix, ExactVector, _ints, _scale_of, primitive_points_in_disc
 from saddlekit.geodesic import count, detect_cylinder, enumerate_connections, shortest
 from saddlekit.homology import EdgeHomology
 from saddlekit.mc import sample_stratum_local
 from saddlekit.surface import TranslationSurface, Triangle, apply_surface, area
 from saddlekit.sv import (
-    _MARGIN_INV_SQ,
-    _SECTOR_MARGIN,
     AnnulusIndicator,
     DiscIndicator,
     ProductPair,
@@ -61,57 +59,40 @@ def _int_pair(v):
 
 
 def _reference_angular_inside(f, v):
-    """SectorIndicator.angular_inside on the Fractions themselves: the
-    reference the int rule must match."""
-    c1 = f.ray_lo.cross(v)
-    c2 = v.cross(f.ray_hi)
-    m2 = _SECTOR_MARGIN * _SECTOR_MARGIN
-    n2 = v.norm_sq()
-    if f.ray_lo.dot(v) > 0 and c1 * c1 <= m2 * n2 * f.ray_lo.norm_sq():
-        return (False, True)
-    if f.ray_hi.dot(v) > 0 and c2 * c2 <= m2 * n2 * f.ray_hi.norm_sq():
-        return (False, True)
-    return (c1 > 0 and c2 > 0, False)
+    """SectorIndicator.angular_inside on the Fractions themselves, the open
+    cone between the rays: the reference the int rule must match."""
+    return 1 if f.ray_lo.cross(v) > 0 and v.cross(f.ray_hi) > 0 else 0
+
+
+def _on_a_ray(f, v):
+    """Whether the ExactVector v lies on a ray of the sector f."""
+    return any(ray.cross(v) == 0 and ray.dot(v) > 0 for ray in (f.ray_lo, f.ray_hi))
 
 
 def _reference_evaluate_exact(f, v, area=1):
-    """The Fraction membership rule that the int rules replaced: (value,
-    ambiguous) of f at v / sqrt(area), for an ExactVector v."""
+    """The Fraction membership rule that the int rules replaced: the value
+    of f at v / sqrt(area), for an ExactVector v."""
     if isinstance(f, DiscIndicator):
-        return (1 if v.norm_sq() <= f.r * f.r * area else 0, False)
+        return 1 if v.norm_sq() <= f.r * f.r * area else 0
     if isinstance(f, AnnulusIndicator):
         n = v.norm_sq()
-        return (1 if f.r1 * f.r1 * area < n <= f.r2 * f.r2 * area else 0, False)
+        return 1 if f.r1 * f.r1 * area < n <= f.r2 * f.r2 * area else 0
     if isinstance(f, SectorIndicator):
-        if v.norm_sq() > f.r * f.r * area:
-            return (0, False)
-        inside, ambiguous = _reference_angular_inside(f, v)
-        if ambiguous:
-            return (0, True)
-        return (1 if inside else 0, False)
+        return _reference_angular_inside(f, v) if v.norm_sq() <= f.r * f.r * area else 0
     if area != 1:
         raise InputError("a triangle indicator is not scale-free: it needs a surface of area 1")
     c1 = f.p.cross(v)
     c2 = (f.q - f.p).cross(v - f.p)
     c3 = (-f.q).cross(v - f.q)
-    return (1 if (c1 >= 0 and c2 >= 0 and c3 >= 0) else 0, False)
+    return 1 if (c1 >= 0 and c2 >= 0 and c3 >= 0) else 0
 
 
 def _reference_tally(vectors, f, area):
-    """The Fraction tally that the int one replaced: (sum of the
-    non-ambiguous values, ambiguous count) of f over ExactVectors; a product
-    multiplies its factors' sums and adds their ambiguous counts."""
+    """The Fraction tally that the int one replaced: the sum of f over
+    ExactVectors; a product multiplies its factors' sums."""
     if isinstance(f, ProductPair):
-        (fs, fa), (gs, ga) = _reference_tally(vectors, f.f, area), _reference_tally(vectors, f.g, area)
-        return fs * gs, fa + ga
-    total = ambiguous = 0
-    for v in vectors:
-        val, amb = _reference_evaluate_exact(f, v, area)
-        if amb:
-            ambiguous += 1
-        else:
-            total += val
-    return total, ambiguous
+        return _reference_tally(vectors, f.f, area) * _reference_tally(vectors, f.g, area)
+    return sum(_reference_evaluate_exact(f, v, area) for v in vectors)
 
 
 def test_transform_disc_counts(torus):
@@ -125,6 +106,8 @@ def test_transform_annulus(torus):
 
 
 def test_transform_sector_vs_brute_filter(torus):
+    # The rays at +-pi/4 round to the lines through (1, +-1); the vectors on
+    # them are outside the open cone.
     f = SectorIndicator(3, 0.0, math.pi / 4)
     rep = transform_report(torus, f)
     strict_inside = 0
@@ -136,10 +119,9 @@ def test_transform_sector_vs_brute_filter(torus):
             strict_inside += 1
         elif abs(abs(ang) - math.pi / 4) < 1e-9:
             boundary += 1
-    assert rep.value == strict_inside
-    assert rep.ambiguous == boundary
-    with pytest.raises(AmbiguousMembershipError):
-        transform(torus, f)
+    assert boundary == sum(_on_a_ray(f, v) for v in primitive_points_in_disc(3)) == 2
+    assert rep.value == strict_inside == transform(torus, f) == 3
+    assert rep.ambiguous == 0
 
 
 def test_pair_transform_identity_and_products(torus):
@@ -157,7 +139,7 @@ def test_pair_transform_matches_literal_double_sum(torus):
     g = DiscIndicator(2)
     vecs = enumerate_connections(torus, 2).vectors()
     literal = sum(
-        _reference_evaluate_exact(f, v1)[0] * _reference_evaluate_exact(g, v2)[0]
+        _reference_evaluate_exact(f, v1) * _reference_evaluate_exact(g, v2)
         for v1 in vecs
         for v2 in vecs
     )
@@ -175,15 +157,14 @@ def test_product_reports_the_enumerations_vectors(torus):
 
 
 def test_product_with_an_ambiguous_factor_counts_it(torus):
+    # The sector factor has (1, 1) and (1, -1) on its rays, outside it: the
+    # product, the pair transform and the report all decide them alike.
     h = ProductPair(DiscIndicator(2), SectorIndicator(3, 0.0, math.pi / 4))
     rep = transform_report(torus, h)
     sector = transform_report(torus, h.g)
-    assert rep.ambiguous == sector.ambiguous > 0
-    assert rep.value == transform(torus, h.f) * sector.value
-    with pytest.raises(AmbiguousMembershipError):
-        transform(torus, h)
-    with pytest.raises(AmbiguousMembershipError):
-        pair_transform(torus, h.f, h.g)
+    assert rep.ambiguous == sector.ambiguous == 0
+    assert rep.value == transform(torus, h.f) * sector.value == 8 * 3
+    assert transform(torus, h) == pair_transform(torus, h.f, h.g) == rep.value
 
 
 @pytest.mark.parametrize(
@@ -205,7 +186,7 @@ def test_membership_at_an_area_is_membership_of_the_scaled_vector(f):
 def test_triangle_membership_needs_unit_area():
     f = TriangleIndicator(V(1, 0), V(0, 1))
     # (1/4, 1/4) at scale 4 is the key (2, 1, 1).
-    assert f.exact_rule(4, 1)(2, 1, 1) == (1, False)
+    assert f.exact_rule(4, 1)(2, 1, 1) == 1
     with pytest.raises(InputError):
         f.exact_rule(4, 2)
 
@@ -517,7 +498,9 @@ def test_sector_angles_may_be_any_real_number():
 
 def test_sector_batch_ambiguity_needs_ray_side():
     # (-1, 1) and (-1, -1) lie on the lines of the rays at +-pi/4 but point
-    # away from them: neither path may call them ambiguous
+    # away from them: the rotational average's float batch may not call them
+    # ambiguous.  (1, 1) and (1, -1) lie on the rays: the batch calls them
+    # ambiguous, and both paths put them outside the open cone.
     f = SectorIndicator(3, 0.0, math.pi / 4)
     pts = [(-1, 1), (-1, -1), (1, 1), (1, -1), (2, 1), (-2, 1)]
     vals, amb = f.evaluate_batch(
@@ -526,9 +509,7 @@ def test_sector_batch_ambiguity_needs_ray_side():
     rule = f.exact_rule(1)
     exact = [rule(x * x + y * y, x, y) for x, y in pts]
     assert list(amb) == [False, False, True, True, False, False]
-    assert [a for _, a in exact] == list(amb)
-    assert [int(v) for v, a in zip(vals, amb) if not a] == [v for v, a in exact if not a]
-    assert [v for v, _ in exact] == [0, 0, 0, 0, 1, 0]
+    assert [int(v) for v in vals] == exact == [0, 0, 0, 0, 1, 0]
 
 
 def _seeded_sectors(n, seed):
@@ -544,20 +525,26 @@ def test_sector_membership_on_ints_matches_the_fraction_rule(octagon):
     keys = geodesic._holonomy_keys(octagon, 144)
     sectors = [SectorIndicator(8, 0.0, math.pi / 4)] + _seeded_sectors(50, 17)
     seen = set()
+    on_rays = 0
     for f in sectors:
         for _, x, y in keys:
+            v = V(Fraction(x, scale), Fraction(y, scale))
             got = f.angular_inside(x, y)
-            assert got == _reference_angular_inside(f, V(Fraction(x, scale), Fraction(y, scale))), (f, x, y)
+            assert got == _reference_angular_inside(f, v), (f, x, y)
             seen.add(got)
-    assert seen == {(True, False), (False, False), (False, True)}
+            on_rays += _on_a_ray(f, v)
+    assert seen == {0, 1}
+    # The first sector's rays pass through holonomies: the closure is tested.
+    assert on_rays > 0
 
 
 def test_sector_membership_on_the_rays_of_a_quarter_turn():
     f = SectorIndicator(3, 0.0, math.pi / 4)
     for v in (V(1, 1), V(1, -1), V(Fraction(1, 3), Fraction(1, 3)), V(5, -5)):
-        assert f.angular_inside(*_int_pair(v)) == _reference_angular_inside(f, v) == (False, True)
-    assert f.angular_inside(1, 0) == (True, False)
-    assert f.angular_inside(-1, 1) == f.angular_inside(0, 1) == (False, False)
+        assert _on_a_ray(f, v)
+        assert f.angular_inside(*_int_pair(v)) == _reference_angular_inside(f, v) == 0
+    assert f.angular_inside(1, 0) == 1
+    assert f.angular_inside(-1, 1) == f.angular_inside(0, 1) == 0
 
 
 def test_sector_membership_with_large_coprime_denominators():
@@ -572,27 +559,23 @@ def test_sector_membership_with_large_coprime_denominators():
             assert f.angular_inside(*_int_pair(v)) == _reference_angular_inside(f, v), (f, v)
 
 
+# Offsets t of the vectors ray + t perp(ray) near each ray: on it (t = 0),
+# and on either side at about the angular margin m = 2^-20 that sectors
+# once had, m (1 + m^2/2) and m (1 + m^2/2 + m^4), and far inside it, m^4.
+_M = Fraction(1, 1 << 20)
+_NEAR_RAY = [0] + [sign * t for t in (_M * (1 + _M**2 / 2), _M * (1 + _M**2 / 2 + _M**4), _M**4)
+                   for sign in (1, -1)]
+
+
 def test_sector_membership_at_the_margin_of_each_ray():
-    # v = ray + t perp(ray) lies within the margin m of the ray when
-    # t^2 (1 - m^2) <= m^2, that is |t| <= m (1 + m^2/2 + 3 m^4/8 + ...):
-    # t = m (1 + m^2/2) lies just inside and t = m (1 + m^2/2 + m^4) just
-    # outside.  Beyond the margin, v is inside the sector on the inner side
-    # of a ray and outside it on the outer side.
-    m = _SECTOR_MARGIN
-    near, past = m * (1 + m**2 / 2), m * (1 + m**2 / 2 + m**4)
+    # v = ray + t perp(ray) is inside the open cone on the inner side of a
+    # ray, however close to it, and outside on the ray and past it.
     for f in [SectorIndicator(2, 0.0, math.pi / 4)] + _seeded_sectors(20, 29):
         for ray, inner in ((f.ray_lo, 1), (f.ray_hi, -1)):
-            for t, want in ((near, None), (past, True), (-near, None), (-past, False)):
+            for t in _NEAR_RAY:
                 v = ray + ray.perp().scale(t)
-                expected = (False, True) if want is None else ((want if inner == 1 else not want), False)
+                expected = 1 if t * inner > 0 else 0
                 assert f.angular_inside(*_int_pair(v)) == _reference_angular_inside(f, v) == expected, (f, ray, t)
-
-
-def test_the_margin_test_has_no_equality_case():
-    # angular_inside's proof that its margin test is never an equality on
-    # int pairs rests on _MARGIN_INV_SQ - 1 not being a perfect square.
-    n = _MARGIN_INV_SQ - 1
-    assert math.isqrt(n) ** 2 != n
 
 
 def test_classify_rejects_bad_parameters(torus):
@@ -655,18 +638,19 @@ def _check_the_int_tally(s, fns, a):
     vectors = enumerate_connections(s, radius_sq=radius_sq).vectors()
     assert [V(Fraction(x, scale), Fraction(y, scale)) for _, x, y in keys] == list(vectors)
     assert _holonomy_array(keys, scale).tobytes() == _reference_array(vectors).tobytes()
-    ambiguous = 0
+    on_rays = 0
     for f in fns:
         for g in _leaves(f):
             rule = g.exact_rule(scale, a)
             assert [rule(*key) for key in keys] == [_reference_evaluate_exact(g, v, a) for v in vectors], g
+            if isinstance(g, SectorIndicator):
+                on_rays += sum(_on_a_ray(g, v) for v in vectors if v.norm_sq() <= g.r ** 2 * a)
         inside = [v for v in vectors if v.norm_sq() <= f.support_radius() ** 2 * a]
         want = _reference_tally(inside, f, a)
         assert _tally(keys, _rules(f, scale, a)) == _reference_tally(vectors, f, a)
         rep = transform_report(s, f, a)
-        assert (rep.value, rep.ambiguous, rep.n_vectors) == (float(want[0]), want[1], len(inside)), f
-        ambiguous += want[1]
-    return ambiguous
+        assert (rep.value, rep.ambiguous, rep.n_vectors) == (float(want), 0, len(inside)), f
+    return on_rays
 
 
 def test_the_int_tally_matches_the_fraction_reference_on_the_stratum_draws():
@@ -686,13 +670,11 @@ def test_the_int_tally_matches_the_fraction_reference_on_the_corpus_at_area_1(to
 
 def test_the_int_rules_match_the_fraction_rules_at_the_margin_of_each_ray():
     # The vectors of test_sector_membership_at_the_margin_of_each_ray, at
-    # one scale: ray + t perp(ray), within the margin for t = +-m(1 + m^2/2)
-    # and past it for t = +-m(1 + m^2/2 + m^4).  The rays have length about
-    # 1, so at area 1/4 the sector's radius 2 passes through them.
-    m = _SECTOR_MARGIN
-    ts = [sign * m * (1 + m**2 / 2 + extra) for extra in (0, m**4) for sign in (1, -1)]
+    # one scale: ray + t perp(ray) for the offsets _NEAR_RAY, three of each
+    # ray's seven on its inner side.  The rays have length about 1, so at
+    # area 1/4 the sector's radius 2 passes through them.
     for f in [SectorIndicator(2, 0.0, math.pi / 4)] + _seeded_sectors(20, 29):
-        vectors = [ray + ray.perp().scale(t) for ray in (f.ray_lo, f.ray_hi) for t in ts]
+        vectors = [ray + ray.perp().scale(t) for ray in (f.ray_lo, f.ray_hi) for t in _NEAR_RAY]
         scale = _scale_of(vectors)
         keys = [_key(v, scale) for v in vectors]
         for a in (1, Fraction(1, 4)):
@@ -700,7 +682,7 @@ def test_the_int_rules_match_the_fraction_rules_at_the_margin_of_each_ray():
             assert [rule(*key) for key in keys] == [_reference_evaluate_exact(f, v, a) for v in vectors]
             for g in (f, ProductPair(AnnulusIndicator(Fraction(1, 2), 2), f)):
                 assert _tally(keys, _rules(g, scale, a)) == _reference_tally(vectors, g, a)
-        assert _reference_tally(vectors, f, 1)[1] == 4
+        assert _reference_tally(vectors, f, 1) == 6
 
 
 def test_the_float_arrays_of_AR_and_the_sandwich_are_those_of_the_vectors(torus, octagon):
